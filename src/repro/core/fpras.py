@@ -89,6 +89,9 @@ class FPRASResult:
     num_states: int
     num_labels: int
     tree_size: int
+    #: Samples the estimator returned after exhausting its rejection
+    #: attempts (each one a biased draw; see DESIGN.md, substitution 3).
+    fallback_samples: int
 
     def rounded(self) -> int:
         return int(round(self.estimate))
@@ -236,10 +239,9 @@ def fpras_count_cq(
     reduction = build_tree_automaton(query, database, prepared=prepared, engine=engine)
     fhw = reduction.fractional_hypertreewidth
 
-    if reduction.empty_language():
-        estimate = 0.0
-    else:
-        estimate = reduction.automaton.count_labelings(
+    estimate, fallback_samples = 0.0, 0
+    if not reduction.empty_language():
+        estimator = reduction.automaton.language_estimator(
             reduction.tree,
             epsilon=epsilon,
             delta=delta,
@@ -247,6 +249,8 @@ def fpras_count_cq(
             disjoint_union_hints=reduction.disjoint_union_hint,
             samples_per_union=samples_per_union,
         )
+        estimate = estimator.count()
+        fallback_samples = estimator.fallback_samples
     result = FPRASResult(
         estimate=float(estimate),
         epsilon=epsilon,
@@ -255,5 +259,6 @@ def fpras_count_cq(
         num_states=len(reduction.automaton.states),
         num_labels=len(reduction.automaton.alphabet),
         tree_size=reduction.tree.size(),
+        fallback_samples=fallback_samples,
     )
     return result if return_result else result.estimate

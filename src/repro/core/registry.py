@@ -306,7 +306,8 @@ def _run_fpras_cq(prepared, query, database, epsilon, delta, rng, engine, **kwar
     trace = (
         f"Theorem 16 FPRAS over a nice fhw-decomposition "
         f"(fhw={result.fractional_hypertreewidth:.2f}, "
-        f"{result.num_states} states, tree size {result.tree_size})",
+        f"{result.num_states} states, tree size {result.tree_size}, "
+        f"{result.fallback_samples} fallback samples)",
     )
     return result.estimate, widths, None, trace
 

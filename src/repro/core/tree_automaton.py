@@ -11,15 +11,18 @@ labelled trees over a *fixed* tree shape (the nice tree decomposition), and
 Lemma 51 (Arenas–Croquevielle–Jayaram–Riveros) supplies an FPRAS for that
 counting problem.  This module implements
 
-* the automaton model and acceptance test (:meth:`TreeAutomaton.accepts`),
+* the automaton model and memoised acceptance test
+  (:meth:`TreeAutomaton.accepts`, :meth:`TreeAutomaton.accepts_from`),
 * brute-force counting of accepted labellings (tests / tiny instances),
-* :meth:`TreeAutomaton.count_labelings` — an ACJR-inspired approximate
-  counter: a bottom-up dynamic program over (node, state) pairs that is exact
-  at nodes whose transition targets form products or disjoint unions, and uses
-  Karp–Luby union estimation with recursive approximate-uniform sampling where
-  target languages may overlap (exactly the situation created by existential
-  variables).  See DESIGN.md, substitution 3, for how this relates to the
-  original ACJR construction.
+* :class:`LanguageEstimator` (behind :meth:`TreeAutomaton.count_labelings`
+  and :meth:`TreeAutomaton.sample_labeling`) — an ACJR-inspired approximate
+  counter and sampler: a bottom-up dynamic program over (node, state) pairs
+  that is exact at nodes whose transition targets form products or disjoint
+  unions, and uses Karp–Luby union estimation with recursive
+  approximate-uniform sampling where target languages may overlap (exactly
+  the situation created by existential variables).  See DESIGN.md,
+  substitution 3, for how this relates to the original ACJR construction and
+  why its table-driven draws reproduce ``Generator.choice`` exactly.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ from typing import (
     Iterable,
     List,
     Mapping,
+    NamedTuple,
     Optional,
     Sequence,
     Set,
@@ -43,7 +47,7 @@ from typing import (
 
 import numpy as np
 
-from repro.util.rng import RNGLike, as_generator
+from repro.util.rng import RNGLike, as_generator, choice_cdf, draw_index
 from repro.util.validation import check_epsilon_delta
 
 State = Hashable
@@ -62,27 +66,29 @@ class RootedTree:
 
     root: NodeId
     children: Mapping[NodeId, Tuple[NodeId, ...]]
+    _children_of: Dict[NodeId, Tuple[NodeId, ...]] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         for node, kids in self.children.items():
             if len(kids) > 2:
                 raise ValueError(f"node {node!r} has more than two children")
+        object.__setattr__(
+            self,
+            "_children_of",
+            {node: tuple(kids) for node, kids in self.children.items()},
+        )
 
     def nodes(self) -> List[NodeId]:
         """All nodes in root-to-leaf (preorder) order."""
-        order: List[NodeId] = []
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            order.append(node)
-            stack.extend(reversed(self.children.get(node, ())))
-        return order
+        return self.subtree_nodes(self.root)
 
     def bottom_up(self) -> List[NodeId]:
         return list(reversed(self.nodes()))
 
     def children_of(self, node: NodeId) -> Tuple[NodeId, ...]:
-        return tuple(self.children.get(node, ()))
+        return self._children_of.get(node, ())
 
     def size(self) -> int:
         return len(self.nodes())
@@ -93,7 +99,7 @@ class RootedTree:
         while stack:
             current = stack.pop()
             order.append(current)
-            stack.extend(reversed(self.children.get(current, ())))
+            stack.extend(reversed(self.children_of(current)))
         return order
 
 
@@ -134,11 +140,14 @@ class TreeAutomaton:
                 target_set.add(target)
             if target_set:
                 self._transitions[(state, label)] = target_set
-        # Index the states that have at least one transition on a given label;
-        # acceptance tests only need to consider those states at a node.
-        self._states_by_label: Dict[Label, Set[State]] = {}
-        for (state, label) in self._transitions:
-            self._states_by_label.setdefault(label, set()).add(state)
+        # Index the labels each state has a transition on, in the fixed
+        # (repr) order the estimator enumerates and samples them in.
+        by_state: Dict[State, Set[Label]] = {}
+        for state, label in self._transitions:
+            by_state.setdefault(state, set()).add(label)
+        self._labels_by_state: Dict[State, List[Label]] = {
+            state: sorted(labels, key=repr) for state, labels in by_state.items()
+        }
 
     # ----------------------------------------------------------------- access
     @property
@@ -158,49 +167,51 @@ class TreeAutomaton:
 
     def labels_from(self, state: State) -> List[Label]:
         """Labels for which the state has at least one transition."""
-        return sorted(
-            {label for (s, label) in self._transitions if s == state}, key=repr
-        )
+        return list(self._labels_by_state.get(state, ()))
 
     def num_transitions(self) -> int:
         return sum(len(targets) for targets in self._transitions.values())
 
     # ------------------------------------------------------------- acceptance
-    def viable_states(self, tree: RootedTree, labeling: Labeling, node: NodeId) -> Set[State]:
-        """The set of states ``s`` such that the labelled subtree rooted at
-        ``node`` admits an accepting run starting from ``s``."""
-        viable: Dict[NodeId, Set[State]] = {}
-        for current in reversed(tree.subtree_nodes(node)):
-            label = labeling[current]
-            kids = tree.children_of(current)
-            states: Set[State] = set()
-            for state in self._states_by_label.get(label, ()):
-                targets = self._transitions.get((state, label), set())
-                if not targets:
-                    continue
-                if len(kids) == 0:
-                    if () in targets:
-                        states.add(state)
-                elif len(kids) == 1:
-                    child_viable = viable[kids[0]]
-                    if any(len(t) == 1 and t[0] in child_viable for t in targets):
-                        states.add(state)
-                else:
-                    left_viable, right_viable = viable[kids[0]], viable[kids[1]]
-                    if any(
-                        len(t) == 2 and t[0] in left_viable and t[1] in right_viable
-                        for t in targets
-                    ):
-                        states.add(state)
-            viable[current] = states
-        return viable[node]
+    def accepts_from(
+        self,
+        tree: RootedTree,
+        labeling: Labeling,
+        node: NodeId,
+        state: State,
+        memo: Dict[Tuple[NodeId, State], bool],
+    ) -> bool:
+        """Whether the labelled subtree rooted at ``node`` admits an accepting
+        run starting from ``state``.
+
+        Top-down and memoised in ``memo`` (one dict per labelling): only the
+        (node, state) pairs some transition actually probes are evaluated,
+        and each at most once.
+        """
+        key = (node, state)
+        known = memo.get(key)
+        if known is not None:
+            return known
+        kids = tree.children_of(node)
+        accepted = False
+        for target in self._transitions.get((state, labeling[node]), ()):
+            if len(target) != len(kids):
+                continue
+            for kid, kid_state in zip(kids, target):
+                if not self.accepts_from(tree, labeling, kid, kid_state, memo):
+                    break
+            else:
+                accepted = True
+                break
+        memo[key] = accepted
+        return accepted
 
     def accepts(self, tree: RootedTree, labeling: Labeling) -> bool:
         """Whether the automaton accepts the labelled tree (Definition 50)."""
         missing = [node for node in tree.nodes() if node not in labeling]
         if missing:
             raise ValueError(f"labeling is missing nodes {missing!r}")
-        return self._initial in self.viable_states(tree, labeling, tree.root)
+        return self.accepts_from(tree, labeling, tree.root, self._initial, {})
 
     # ---------------------------------------------------- brute-force counting
     def count_labelings_bruteforce(self, tree: RootedTree) -> int:
@@ -227,6 +238,35 @@ class TreeAutomaton:
         return total
 
     # ----------------------------------------------- approximate counting (ACJR)
+    def language_estimator(
+        self,
+        tree: RootedTree,
+        epsilon: float = 0.1,
+        delta: float = 0.05,
+        rng: RNGLike = None,
+        disjoint_union_hints: Optional[Callable[[State, Label], bool]] = None,
+        samples_per_union: Optional[int] = None,
+    ) -> "LanguageEstimator":
+        """The ACJR-style estimator of the labellings of ``tree`` accepted by
+        the automaton (the fixed-tree case of Lemma 51), with its sampler.
+
+        ``disjoint_union_hints(state, label)`` may certify that the languages
+        of the different targets of ``(state, label)`` are pairwise disjoint;
+        the estimator then sums their sizes exactly instead of sampling.  (The
+        Lemma-52 reduction supplies this hint for transitions that re-bind a
+        *free* variable, where disjointness holds by construction.)
+        """
+        check_epsilon_delta(epsilon, delta)
+        return LanguageEstimator(
+            automaton=self,
+            tree=tree,
+            rng=as_generator(rng),
+            epsilon=epsilon,
+            delta=delta,
+            disjoint_union_hints=disjoint_union_hints,
+            samples_per_union=samples_per_union,
+        )
+
     def count_labelings(
         self,
         tree: RootedTree,
@@ -237,25 +277,10 @@ class TreeAutomaton:
         samples_per_union: Optional[int] = None,
     ) -> float:
         """Approximately count the labellings of ``tree`` accepted by the
-        automaton (the fixed-tree case of Lemma 51).
-
-        ``disjoint_union_hints(state, label)`` may certify that the languages
-        of the different targets of ``(state, label)`` are pairwise disjoint;
-        the estimator then sums their sizes exactly instead of sampling.  (The
-        Lemma-52 reduction supplies this hint for transitions that re-bind a
-        *free* variable, where disjointness holds by construction.)
-        """
-        check_epsilon_delta(epsilon, delta)
-        estimator = _LanguageEstimator(
-            automaton=self,
-            tree=tree,
-            rng=as_generator(rng),
-            epsilon=epsilon,
-            delta=delta,
-            disjoint_union_hints=disjoint_union_hints,
-            samples_per_union=samples_per_union,
-        )
-        return estimator.estimate(tree.root, self._initial)
+        automaton; see :meth:`language_estimator` for the arguments."""
+        return self.language_estimator(
+            tree, epsilon, delta, rng, disjoint_union_hints, samples_per_union
+        ).count()
 
     def sample_labeling(
         self,
@@ -268,22 +293,28 @@ class TreeAutomaton:
         """Draw an (approximately uniform) accepted labelling of ``tree``, or
         ``None`` if the language is empty.  This is the sampling counterpart
         ACJR provide alongside their counter (used for Section 6)."""
-        generator = as_generator(rng)
-        estimator = _LanguageEstimator(
-            automaton=self,
-            tree=tree,
-            rng=generator,
-            epsilon=epsilon,
-            delta=delta,
-            disjoint_union_hints=disjoint_union_hints,
-            samples_per_union=None,
-        )
-        if estimator.estimate(tree.root, self._initial) <= 0:
+        estimator = self.language_estimator(tree, epsilon, delta, rng, disjoint_union_hints)
+        if estimator.count() <= 0:
             return None
         return estimator.sample(tree.root, self._initial)
 
 
-class _LanguageEstimator:
+class _Union(NamedTuple):
+    """The targets of one ``(node, state, label)`` whose product languages are
+    non-empty, in the fixed (repr) order, with what drawing among them needs.
+    Fixed once built: it reads only child estimates, which never change."""
+
+    targets: List[Target]
+    #: Estimated product-language size of each target.
+    sizes: List[float]
+    #: :func:`choice_cdf` of the sizes, normalised as ``sizes / sizes.sum()``.
+    cdf: List[float]
+    #: One target, or target languages certified pairwise disjoint: a draw
+    #: needs no rejection step and the union size is the exact sum.
+    disjoint: bool
+
+
+class LanguageEstimator:
     """Bottom-up estimator of ``|L(node, state)|`` — the number of accepted
     labellings of the subtree rooted at ``node`` when started in ``state`` —
     with a companion approximate-uniform sampler.  Implements the scheme
@@ -311,8 +342,18 @@ class _LanguageEstimator:
         self._estimates: Dict[Tuple[NodeId, State], float] = {}
         # Estimate of |U(node, state, label)| per reachable label.
         self._label_estimates: Dict[Tuple[NodeId, State], Dict[Label, float]] = {}
+        # Draw tables, built on first use from estimates that are final by then.
+        self._label_tables: Dict[Tuple[NodeId, State], Tuple[List[Label], List[float]]] = {}
+        self._unions: Dict[Tuple[NodeId, State, Label], _Union] = {}
+        #: How often :meth:`sample` returned its last rejected sample after
+        #: ``max_attempts`` failed rejection checks (each one a biased draw).
+        self.fallback_samples = 0
 
     # ------------------------------------------------------------ estimation
+    def count(self) -> float:
+        """The estimate of the whole language: the root in the initial state."""
+        return self.estimate(self._tree.root, self._automaton.initial_state)
+
     def estimate(self, node: NodeId, state: State) -> float:
         key = (node, state)
         if key in self._estimates:
@@ -328,14 +369,6 @@ class _LanguageEstimator:
         self._label_estimates[key] = per_label
         return total
 
-    def _targets(self, node: NodeId, state: State, label: Label) -> List[Target]:
-        kids = self._tree.children_of(node)
-        arity = len(kids)
-        return sorted(
-            (t for t in self._automaton.targets(state, label) if len(t) == arity),
-            key=repr,
-        )
-
     def _target_size(self, node: NodeId, target: Target) -> float:
         kids = self._tree.children_of(node)
         size = 1.0
@@ -343,61 +376,72 @@ class _LanguageEstimator:
             size *= self.estimate(child, child_state)
         return size
 
+    def _union(self, node: NodeId, state: State, label: Label) -> _Union:
+        key = (node, state, label)
+        union = self._unions.get(key)
+        if union is not None:
+            return union
+        arity = len(self._tree.children_of(node))
+        targets = sorted(
+            (t for t in self._automaton.targets(state, label) if len(t) == arity),
+            key=repr,
+        )
+        sized = [(target, self._target_size(node, target)) for target in targets]
+        positive = [(target, size) for target, size in sized if size > 0]
+        sizes = [size for _, size in positive]
+        cdf: List[float] = []
+        if sizes:
+            weights = np.asarray(sizes, dtype=float)
+            cdf = choice_cdf(weights / weights.sum())
+        union = _Union(
+            targets=[target for target, _ in positive],
+            sizes=sizes,
+            cdf=cdf,
+            disjoint=len(positive) == 1
+            or (self._hints is not None and self._hints(state, label)),
+        )
+        self._unions[key] = union
+        return union
+
     def _estimate_union(self, node: NodeId, state: State, label: Label) -> float:
-        targets = self._targets(node, state, label)
-        if not targets:
-            return 0.0
-        kids = self._tree.children_of(node)
-        if not kids:
+        if not self._tree.children_of(node):
             # Leaf: the only labelling of the subtree is {node: label}.
-            return 1.0 if () in targets else 0.0
-        sizes = [self._target_size(node, target) for target in targets]
-        total = sum(sizes)
-        if total <= 0:
+            return 1.0 if () in self._automaton.targets(state, label) else 0.0
+        union = self._union(node, state, label)
+        if not union.targets:
             return 0.0
-        positive = [(t, s) for t, s in zip(targets, sizes) if s > 0]
-        if len(positive) == 1:
-            return positive[0][1]
-        if self._hints is not None and self._hints(state, label):
-            # Certified pairwise-disjoint target languages: exact sum.
-            return total
+        if union.disjoint:
+            # One target, or certified pairwise-disjoint target languages:
+            # exact sum.
+            return sum(union.sizes)
         # Karp–Luby union estimation.
-        targets_pos = [t for t, _ in positive]
-        sizes_pos = np.asarray([s for _, s in positive], dtype=float)
-        probabilities = sizes_pos / sizes_pos.sum()
         successes = 0
         samples = self._samples_per_union
         for _ in range(samples):
-            index = int(self._rng.choice(len(targets_pos), p=probabilities))
-            target = targets_pos[index]
-            element = self._sample_target(node, target)
+            index = draw_index(union.cdf, self._rng)
+            element = self._sample_target(node, union.targets[index])
             if element is None:
                 continue
-            owner = self._owner(node, state, label, targets_pos, element)
-            if owner == index:
+            if self._owner(node, union.targets, element) == index:
                 successes += 1
         fraction = successes / samples if samples else 0.0
-        return float(sizes_pos.sum() * fraction)
+        return float(np.sum(union.sizes)) * fraction
 
     def _owner(
         self,
         node: NodeId,
-        state: State,
-        label: Label,
         targets: Sequence[Target],
-        element: Dict[NodeId, Dict[NodeId, Label]],
+        element: Dict[NodeId, Labeling],
     ) -> Optional[int]:
         """Index of the first target whose (product of) child languages
         contains the sampled child labellings."""
         kids = self._tree.children_of(node)
-        viable_per_child = [
-            self._automaton.viable_states(self._tree, element[child], child)
-            for child in kids
-        ]
+        memos: List[Dict[Tuple[NodeId, State], bool]] = [{} for _ in kids]
+        accepts_from = self._automaton.accepts_from
         for index, target in enumerate(targets):
             if all(
-                child_state in viable
-                for child_state, viable in zip(target, viable_per_child)
+                accepts_from(self._tree, element[kid], kid, kid_state, memo)
+                for kid, kid_state, memo in zip(kids, target, memos)
             ):
                 return index
         return None
@@ -417,53 +461,51 @@ class _LanguageEstimator:
             result[child] = labeling
         return result
 
+    def _label_table(self, node: NodeId, state: State) -> Tuple[List[Label], List[float]]:
+        key = (node, state)
+        table = self._label_tables.get(key)
+        if table is None:
+            per_label = self._label_estimates[key]
+            labels = sorted(per_label, key=repr)
+            weights = np.asarray([per_label[label] for label in labels], dtype=float)
+            table = (labels, choice_cdf(weights / weights.sum()))
+            self._label_tables[key] = table
+        return table
+
     def sample(self, node: NodeId, state: State, max_attempts: int = 64) -> Optional[Labeling]:
         """An (approximately uniform) accepted labelling of the subtree rooted
         at ``node`` started in ``state``; ``None`` if the language is empty."""
-        total = self.estimate(node, state)
-        if total <= 0:
+        if self.estimate(node, state) <= 0:
             return None
-        per_label = self._label_estimates[(node, state)]
-        labels = sorted(per_label, key=repr)
-        weights = np.asarray([per_label[label] for label in labels], dtype=float)
-        label = labels[int(self._rng.choice(len(labels), p=weights / weights.sum()))]
-
-        targets = self._targets(node, state, label)
-        kids = self._tree.children_of(node)
-        if not kids:
+        labels, label_cdf = self._label_table(node, state)
+        label = labels[draw_index(label_cdf, self._rng)]
+        if not self._tree.children_of(node):
             return {node: label}
-        sizes = np.asarray([self._target_size(node, t) for t in targets], dtype=float)
-        mask = sizes > 0
-        targets = [t for t, keep in zip(targets, mask) if keep]
-        sizes = sizes[mask]
-        if len(targets) == 0:
-            return None
-        probabilities = sizes / sizes.sum()
-        disjoint = len(targets) == 1 or (
-            self._hints is not None and self._hints(state, label)
-        )
+        # The label has a positive estimate, so its union has targets.
+        union = self._union(node, state, label)
+        element = None
         for _ in range(max_attempts):
-            index = int(self._rng.choice(len(targets), p=probabilities))
-            target = targets[index]
-            element = self._sample_target(node, target)
+            index = draw_index(union.cdf, self._rng)
+            element = self._sample_target(node, union.targets[index])
             if element is None:
                 continue
-            if not disjoint:
-                owner = self._owner(node, state, label, targets, element)
-                if owner != index:
-                    continue
-            labeling: Labeling = {node: label}
-            for child_labeling in element.values():
-                labeling.update(child_labeling)
-            return labeling
+            if union.disjoint or self._owner(node, union.targets, element) == index:
+                return _compose(node, label, element)
+        if element is None:
+            return None
         # Fall back to the last sample even if rejection failed repeatedly
-        # (introduces a small bias but guarantees termination).
-        if element is not None:
-            labeling = {node: label}
-            for child_labeling in element.values():
-                labeling.update(child_labeling)
-            return labeling
-        return None
+        # (introduces a small bias but guarantees termination); counted.
+        self.fallback_samples += 1
+        return _compose(node, label, element)
+
+
+def _compose(node: NodeId, label: Label, element: Dict[NodeId, Labeling]) -> Labeling:
+    """The labelling of ``node``'s subtree: ``label`` at ``node`` over the
+    sampled child labellings."""
+    labeling: Labeling = {node: label}
+    for child_labeling in element.values():
+        labeling.update(child_labeling)
+    return labeling
 
 
 def _enumerate_trees(size: int) -> Iterable[RootedTree]:

@@ -30,7 +30,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from repro.queries.query import ConjunctiveQuery
 from repro.relational.structure import Database, Fact
 from repro.service.service import CountingService
-from repro.util.rng import RNGLike, as_generator
+from repro.util.rng import RNGLike, as_generator, choice_cdf, draw_index
 
 #: Relative frequencies of the event kinds in a default mixed schedule.
 DEFAULT_MIX = {"insert": 0.25, "delete": 0.15, "query": 0.6}
@@ -76,7 +76,7 @@ def stream_schedule(
     total = sum(weights)
     if total <= 0:
         raise ValueError("mix weights must have a positive sum")
-    probabilities = [weight / total for weight in weights]
+    cdf = choice_cdf([weight / total for weight in weights])
     names = list(relations) if relations is not None else database.signature.names()
     if not names:
         raise ValueError("database declares no relations to mutate")
@@ -98,7 +98,7 @@ def stream_schedule(
 
     events: List[StreamEvent] = []
     for _ in range(num_events):
-        kind = kinds[int(generator.choice(len(kinds), p=probabilities))]
+        kind = kinds[draw_index(cdf, generator)]
         if kind == "query":
             events.append(
                 StreamEvent(

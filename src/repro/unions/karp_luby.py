@@ -24,7 +24,7 @@ from repro.queries.query import ConjunctiveQuery
 from repro.relational.csp import DEFAULT_ENGINE
 from repro.relational.structure import Structure
 from repro.sampling.jvv import sample_answers
-from repro.util.rng import RNGLike, as_generator
+from repro.util.rng import RNGLike, as_generator, choice_cdf, draw_index
 from repro.util.validation import check_epsilon_delta
 
 Element = Hashable
@@ -117,11 +117,11 @@ def approx_count_union(
         )
         num_samples = min(num_samples, 20000)
 
-    probabilities = [count / total for count in counts]
+    cdf = choice_cdf([count / total for count in counts])
     successes = 0
     performed = 0
     for _ in range(num_samples):
-        index = int(generator.choice(len(queries), p=probabilities))
+        index = draw_index(cdf, generator)
         samples = sample_answers(
             queries[index],
             database,

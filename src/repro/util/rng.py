@@ -9,7 +9,8 @@ generators derived from a single seed.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Union
+from bisect import bisect_right
+from typing import Iterable, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -95,6 +96,34 @@ def random_choice(items: Iterable, rng: RNGLike = None):
     return items[int(generator.integers(0, len(items)))]
 
 
+def choice_cdf(p: Sequence[float]) -> List[float]:
+    """The cumulative table ``Generator.choice(len(p), p=p)`` searches.
+
+    Built with exactly NumPy's operations (``cumsum``, then division by the
+    last entry), so :func:`draw_index` over it returns the index ``choice``
+    would for the same generator state.  Callers that draw repeatedly from
+    one distribution build the table once and keep it.  Like ``choice``, it
+    rejects negative (or NaN) probabilities.
+    """
+    p = np.asarray(p, dtype=float)
+    if not (p >= 0).all():
+        raise ValueError("probabilities must be non-negative")
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return cdf.tolist()
+
+
+def draw_index(cdf: Sequence[float], generator: np.random.Generator) -> int:
+    """Draw an index from a :func:`choice_cdf` table.
+
+    Consumes one ``generator.random()`` and returns its right insertion
+    point in ``cdf`` — the draw ``Generator.choice(n, p=p)`` makes — so the
+    index and the generator's stream afterwards match ``choice`` exactly, at
+    a fraction of its per-call cost.
+    """
+    return bisect_right(cdf, generator.random())
+
+
 def weighted_choice(items: Iterable, weights: Iterable[float], rng: RNGLike = None):
     """Pick an element of ``items`` with probability proportional to ``weights``."""
     items = list(items)
@@ -107,5 +136,4 @@ def weighted_choice(items: Iterable, weights: Iterable[float], rng: RNGLike = No
     if total <= 0:
         raise ValueError("weights must have a positive sum")
     generator = as_generator(rng)
-    index = generator.choice(len(items), p=weights_array / total)
-    return items[int(index)]
+    return items[draw_index(choice_cdf(weights_array / total), generator)]

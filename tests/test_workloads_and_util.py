@@ -22,7 +22,15 @@ from repro.util import (
     required_repetitions,
     spawn_generators,
 )
-from repro.util.rng import random_choice, random_coin, random_subset, shuffled, weighted_choice
+from repro.util.rng import (
+    choice_cdf,
+    draw_index,
+    random_choice,
+    random_coin,
+    random_subset,
+    shuffled,
+    weighted_choice,
+)
 from repro.workloads import (
     database_from_graph,
     erdos_renyi_graph,
@@ -71,6 +79,27 @@ class TestRNG:
             random_choice([], rng=0)
         with pytest.raises(ValueError):
             weighted_choice(["a"], [0.0], rng=0)
+        with pytest.raises(ValueError, match="non-negative"):
+            weighted_choice(["a", "b"], [-1.0, 2.0], rng=0)
+
+    @pytest.mark.parametrize("length", range(1, 10))
+    def test_draw_index_matches_generator_choice(self, length):
+        """The table-driven draw returns ``Generator.choice``'s index and
+        leaves the stream where ``choice`` leaves it, for NumPy-normalised
+        and Python-normalised probabilities, zero weights included."""
+        weights_rng = np.random.default_rng(length)
+        for trial in range(300):
+            weights = weights_rng.random(length) * weights_rng.integers(1, 1000)
+            weights[weights_rng.random(length) < 0.2] = 0.0
+            if weights.sum() <= 0:
+                weights[weights_rng.integers(length)] = 1.0
+            python_weights = weights.tolist()
+            for p in (weights / weights.sum(), [w / sum(python_weights) for w in python_weights]):
+                ours = np.random.default_rng([length, trial])
+                numpys = np.random.default_rng([length, trial])
+                for _ in range(3):
+                    assert draw_index(choice_cdf(p), ours) == int(numpys.choice(length, p=p))
+                assert ours.random() == numpys.random()
 
 
 class TestEstimationHelpers:
