@@ -53,6 +53,7 @@ from repro.relational.csp import DEFAULT_ENGINE, ENGINES
 from repro.relational.io import load_database_json, load_edge_list
 from repro.resilience.faults import FaultPlan, FaultPlanError
 from repro.sampling import sample_answers
+from repro.stream.live import REFRESH_POLICIES
 
 
 class CLIError(Exception):
@@ -384,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     stream.add_argument(
         "--refresh",
-        choices=["eager", "debounced", "budget"],
+        choices=REFRESH_POLICIES,
         default="eager",
         help="subscription refresh policy (default: eager)",
     )
@@ -571,7 +572,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     c_subscribe.add_argument("--query", required=True)
     c_subscribe.add_argument(
-        "--refresh", choices=["eager", "debounced", "budget"], default="eager"
+        "--refresh", choices=REFRESH_POLICIES, default="eager"
     )
     c_subscribe.add_argument("--epsilon", type=float, default=None)
     c_subscribe.add_argument("--delta", type=float, default=None)

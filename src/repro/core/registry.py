@@ -38,6 +38,12 @@ from repro.util.rng import RNGLike
 
 QueryLike = Union[ConjunctiveQuery, PreparedQuery]
 
+#: Registered schemes whose estimates are error-free integers: only these can
+#: be delta-patched by a live subscription (an approximation's estimate is a
+#: random variable, not a count one can add a delta to), and products of
+#: their per-shard counts are bit-identical to the unsharded count.
+EXACT_SCHEMES = frozenset({"exact", "oracle_exact"})
+
 
 @dataclass(frozen=True)
 class CountResult:

@@ -20,9 +20,9 @@ Three scenarios:
 * **shard** — localising queries over 1/2/4-shard databases with faults at
   ``shard.count``, including a permanent-fault case that must take the
   merged-view fallback and still agree;
-* **stream** — twin databases replaying one mutation schedule, the chaos
-  twin's refreshes faulted at ``stream.refresh``; every read must agree
-  with the fault-free twin's.
+* **stream** — twin databases replaying one mutation schedule, monolithic
+  and 2-shard, each chaos twin's refreshes faulted at ``stream.refresh``;
+  every read must agree with its fault-free twin's.
 
 Run it directly (the CI ``chaos`` job does)::
 
@@ -198,12 +198,15 @@ def run_chaos_shard(
 
 
 def run_chaos_stream(seed: int, rate: float, num_events: int = 30) -> ChaosCase:
-    """Twin services replay one mutation schedule; the chaos twin's
-    refreshes are faulted at ``stream.refresh`` and every read must agree
-    with the fault-free twin's."""
+    """Twin services replay one mutation schedule, once on monolithic
+    databases and once on 2-shard ones; each chaos twin's refreshes are
+    faulted at ``stream.refresh`` and every read must agree with its
+    fault-free twin's."""
     from repro.queries import parse_query
     from repro.relational.structure import Database
     from repro.service import CountingService, ServiceConfig
+    from repro.shard.partition import ByRelationPartitioner
+    from repro.shard.sharded import ShardedStructure
     from repro.stream.workload import stream_schedule
     from repro.util.rng import as_generator
 
@@ -227,36 +230,50 @@ def run_chaos_stream(seed: int, rate: float, num_events: int = 30) -> ChaosCase:
     ]
     plan = uniform_plan(seed, rate, sites=("stream.refresh",))
 
-    clean_db, chaos_db = build_database(), build_database()
-    oracle = CountingService(clean_db, ServiceConfig(executor="serial"))
-    twin = CountingService(
-        chaos_db,
-        ServiceConfig(executor="serial", fault_plan=plan, retry=CHAOS_RETRY),
-    )
-    clean_subs = [oracle.subscribe(query) for query in queries]
-    chaos_subs = [twin.subscribe(query) for query in queries]
+    def two_shards() -> ShardedStructure:
+        return ShardedStructure.from_structure(
+            build_database(), ByRelationPartitioner(2, assignment={"E": 0, "F": 1})
+        )
+
+    # (label, clean database, chaos database) twin pairs.
+    pairs = [
+        ("stream", build_database(), build_database()),
+        ("stream[2 shards]", two_shards(), two_shards()),
+    ]
+    twins = []
+    for label, clean_db, chaos_db in pairs:
+        oracle = CountingService(clean_db, ServiceConfig(executor="serial"))
+        twin = CountingService(
+            chaos_db,
+            ServiceConfig(executor="serial", fault_plan=plan, retry=CHAOS_RETRY),
+        )
+        clean_subs = [oracle.subscribe(query) for query in queries]
+        chaos_subs = [twin.subscribe(query) for query in queries]
+        twins.append((label, clean_db, chaos_db, clean_subs, chaos_subs))
     for position, event in enumerate(schedule):
-        if event.kind == "insert":
-            clean_db.add_fact(event.relation, event.fact)
-            chaos_db.add_fact(event.relation, event.fact)
-        elif event.kind == "delete":
-            clean_db.remove_fact(event.relation, event.fact)
-            chaos_db.remove_fact(event.relation, event.fact)
-        else:  # read
-            for query_index, (clean_sub, chaos_sub) in enumerate(
-                zip(clean_subs, chaos_subs)
-            ):
-                clean_read = clean_sub.read()
-                chaos_read = chaos_sub.read()
-                case.degradations += len(chaos_read.degradations)
-                case.compare(
-                    f"stream event {position} query {query_index} "
-                    f"({chaos_read.mode})",
-                    clean_read.estimate,
-                    chaos_read.estimate,
-                )
-    for subscription in (*clean_subs, *chaos_subs):
-        subscription.close()
+        for label, clean_db, chaos_db, clean_subs, chaos_subs in twins:
+            if event.kind == "insert":
+                clean_db.add_fact(event.relation, event.fact)
+                chaos_db.add_fact(event.relation, event.fact)
+            elif event.kind == "delete":
+                clean_db.remove_fact(event.relation, event.fact)
+                chaos_db.remove_fact(event.relation, event.fact)
+            else:  # read
+                for query_index, (clean_sub, chaos_sub) in enumerate(
+                    zip(clean_subs, chaos_subs)
+                ):
+                    clean_read = clean_sub.read()
+                    chaos_read = chaos_sub.read()
+                    case.degradations += len(chaos_read.degradations)
+                    case.compare(
+                        f"{label} event {position} query {query_index} "
+                        f"({chaos_read.mode})",
+                        clean_read.estimate,
+                        chaos_read.estimate,
+                    )
+    for *_, clean_subs, chaos_subs in twins:
+        for subscription in (*clean_subs, *chaos_subs):
+            subscription.close()
     case.seconds = time.perf_counter() - started
     return case
 

@@ -56,8 +56,6 @@ from repro.serve.admission import AdmissionController, TenantSpec
 from repro.serve.coalesce import Coalescer, coalescing_key
 from repro.service.service import CountingService, CountRequest
 
-REFRESH_POLICIES = ("eager", "debounced", "budget")
-
 
 @dataclass(frozen=True)
 class ServeConfig:
@@ -556,12 +554,6 @@ class CountingServer:
         try:
             from repro.queries import parse_query
 
-            refresh = params.get("refresh", "eager")
-            if refresh not in REFRESH_POLICIES:
-                raise ValueError(
-                    f"unknown refresh policy {refresh!r}; expected one of "
-                    f"{REFRESH_POLICIES}"
-                )
             count_request = CountRequest(
                 query=parse_query(query_text),
                 epsilon=_opt_param(params, "epsilon", float),
@@ -574,19 +566,22 @@ class CountingServer:
                 _opt_param(params, "heartbeat_seconds", float)
                 or self.config.sse_heartbeat_seconds
             )
-            debounce_ticks = _opt_param(params, "debounce_ticks", int) or 4
-            budget_seconds = _opt_param(params, "budget_seconds", float) or 1.0
+            # Only the policy knobs the request sent: subscribe() owns the
+            # defaults and rejects bad values (a ValueError -> 400).
+            policy = {
+                name: _opt_param(params, name, kind)
+                for name, kind in (
+                    ("refresh", str),
+                    ("debounce_ticks", int),
+                    ("budget_seconds", float),
+                )
+                if params.get(name)
+            }
             # subscribe() mutates shared stream state (change-log observers,
             # the subscription list), so creation takes the exclusive gate.
             async with self._gate.write():
                 subscription = await self._run_blocking(
-                    functools.partial(
-                        self.service.subscribe,
-                        count_request,
-                        refresh=refresh,
-                        debounce_ticks=debounce_ticks,
-                        budget_seconds=budget_seconds,
-                    )
+                    functools.partial(self.service.subscribe, count_request, **policy)
                 )
         except ValueError as error:
             writer.write(self._error_response(400, str(error)))

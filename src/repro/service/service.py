@@ -275,12 +275,10 @@ class CountingService:
         #: remembered across batches, and the "back-end unavailable" warning
         #: fires once per instance rather than once per batch.
         self.breaker = CircuitBreaker()
-        #: Per-database streaming state (change log + live subscriptions),
-        #: keyed by structure token; populated by :meth:`subscribe`.
+        #: Per-database streaming state (live subscriptions, plus the change
+        #: log of an unsharded database), keyed by structure token;
+        #: populated by :meth:`subscribe`.
         self._streams: Dict[int, Any] = {}
-        #: Live subscriptions on sharded databases (no change log; deltas
-        #: route by shard fingerprint — see :mod:`repro.shard.subscription`).
-        self._shard_subscriptions: List[Any] = []
         #: Telemetry: the (optional) tracer spans record onto, the metrics
         #: registry every counter/histogram lands in, and the per-(canonical
         #: form, size bucket, scheme) cost profiles fed on every execution.
@@ -304,9 +302,7 @@ class CountingService:
         self.metrics.register_collector("profiles", self.profiles.stats)
 
     def _subscription_count(self) -> int:
-        return sum(
-            len(state.subscriptions) for state in self._streams.values()
-        ) + len(self._shard_subscriptions)
+        return sum(len(state.subscriptions) for state in self._streams.values())
 
     # ------------------------------------------------------------- internals
     def _resolve(self, request: RequestLike) -> CountRequest:
@@ -952,7 +948,10 @@ class CountingService:
         touched-relation updates in per the ``refresh`` policy (``"eager"``,
         ``"debounced"`` or ``"budget"``) — delta-patching exact schemes
         through the database's shared change log, re-estimating approximate
-        ones through the registry with deterministically derived seeds.
+        ones through the registry with deterministically derived seeds.  On
+        a :class:`~repro.shard.sharded.ShardedStructure` it is the
+        :class:`~repro.shard.subscription.ShardSubscription` subclass, which
+        recounts only the components on touched shards.
         """
         from repro.queries.canonical import query_relation_names
         from repro.stream.live import CountSubscription, _StreamState
@@ -962,17 +961,9 @@ class CountingService:
             # Sharded databases have no change log; the subscription keeps one
             # fingerprint per query component on its owning shard, so only
             # touched shards recount (see repro.shard.subscription).
-            from repro.shard.subscription import ShardSubscription
-
-            subscription = ShardSubscription(
-                self,
-                resolved,
-                refresh=refresh,
-                debounce_ticks=debounce_ticks,
-                budget_seconds=budget_seconds,
-            )
-            self._shard_subscriptions.append(subscription)
-            return subscription
+            from repro.shard.subscription import ShardSubscription as subscription_class
+        else:
+            subscription_class = CountSubscription
         token = resolved.database.structure_token
         state = self._streams.get(token)
         if state is None:
@@ -986,7 +977,7 @@ class CountingService:
         relations = query_relation_names(resolved.query)
         state.watch(relations)
         try:
-            subscription = CountSubscription(
+            subscription = subscription_class(
                 self,
                 resolved,
                 state,
@@ -997,7 +988,8 @@ class CountingService:
         except BaseException:
             state.unwatch(relations)
             if not state.subscriptions:
-                state.changelog.detach()
+                if state.changelog is not None:
+                    state.changelog.detach()
                 self._streams.pop(token, None)
             raise
         state.subscriptions.append(subscription)
@@ -1010,13 +1002,6 @@ class CountingService:
         state = self._streams.get(token)
         if state is not None and state.discard(subscription):
             del self._streams[token]
-
-    def _drop_shard_subscription(self, subscription) -> None:
-        """Called by :meth:`ShardSubscription.close` (idempotent)."""
-        try:
-            self._shard_subscriptions.remove(subscription)
-        except ValueError:
-            pass
 
     # -------------------------------------------------------------- lifecycle
     def close(self) -> None:

@@ -17,8 +17,9 @@ query answers against the shards instead of a monolith:
 * :class:`~repro.shard.executor.ShardExecutor` — fan per-shard tasks across
   the service's serial / thread / process back-ends with deterministic
   per-shard seeds;
-* :class:`~repro.shard.subscription.ShardSubscription` — live counts whose
-  stream deltas route to the owning shard, so only touched shards recount.
+* :class:`~repro.shard.subscription.ShardSubscription` — the live-count
+  subscription core with a sharded refresh body: stream deltas route to the
+  owning shard, so only touched shards recount.
 
 ``CountingService`` accepts a ``ShardedStructure`` anywhere a database goes;
 the CLI's ``shard`` subcommand and ``benchmarks/record_perf.py --suite
@@ -48,10 +49,11 @@ from repro.shard.sharded import ShardedStructure
 
 
 def __getattr__(name: str):
-    # Lazy: repro.shard.subscription pulls in repro.stream, whose package
-    # __init__ imports the service layer — which itself imports this package
-    # at module load.  Deferring the subscription import keeps the cycle
-    # open (``from repro.shard import ShardSubscription`` still works).
+    # Lazy: ShardSubscription subclasses repro.stream.live.CountSubscription,
+    # and importing repro.stream runs its package __init__, which imports the
+    # service layer — which itself imports this package at module load.
+    # Deferring the subscription import keeps the cycle open
+    # (``from repro.shard import ShardSubscription`` still works).
     if name == "ShardSubscription":
         from repro.shard.subscription import ShardSubscription
 

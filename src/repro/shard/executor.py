@@ -21,6 +21,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.core.registry import EXACT_SCHEMES
 from repro.obs.trace import attach, span, tracing_active
 from repro.queries.query import ConjunctiveQuery
 from repro.relational.csp import DEFAULT_ENGINE
@@ -32,10 +33,6 @@ from repro.service.executor import CountTask, TaskOutcome, execute_scheme_result
 from repro.shard.plan import ShardCountPlan, ShardTask, plan_sharded_count
 from repro.shard.sharded import ShardedStructure
 from repro.util.rng import derive_seed
-
-#: Schemes whose results are error-free integer counts; products of these are
-#: bit-identical to the unsharded count.
-EXACT_SCHEMES = frozenset({"exact", "oracle_exact"})
 
 
 def shard_task_seed(seed: Optional[int], task: ShardTask) -> Optional[int]:

@@ -1,13 +1,20 @@
 """Live counts over sharded databases: delta routing to the owning shard.
 
 ``CountingService.subscribe`` on a :class:`ShardedStructure` returns a
-:class:`ShardSubscription` instead of the monolithic
-:class:`~repro.stream.live.CountSubscription`.  The subscription decomposes
-the query once (the same :func:`~repro.shard.plan.plan_sharded_count` the
-counting path uses) and then keeps **one fingerprint per component,
-restricted to the component's relations** (aggregated over all shards, so a
-fact landing on a shard that did not previously own the component is still
-seen):
+:class:`ShardSubscription`: the one subscription core,
+:class:`~repro.stream.live.CountSubscription`, with a sharded refresh body.
+The core brings the refresh policies (``eager`` / ``debounced`` /
+``budget``), the :class:`~repro.stream.live.LiveCount` read envelope, the
+``stream.refresh`` span, retries at the ``stream.refresh`` fault site with
+stale-serve when they run out, the refresh metrics, drift re-planning and
+the lifecycle — exactly as on a monolith.  This module only decides *what*
+a refresh recounts.
+
+The subscription decomposes the query once (the same
+:func:`~repro.shard.plan.plan_sharded_count` the counting path uses) and
+then keeps **one fingerprint per component, restricted to the component's
+relations** (aggregated over all shards, so a fact landing on a shard that
+did not previously own the component is still seen):
 
 * a mutation routed to shard ``s`` bumps only shard ``s``'s counters for the
   touched relation, so a read after it re-counts exactly the components
@@ -23,27 +30,24 @@ seen):
   degrades to always-correct whole-query recomputes.
 
 Union/merged-strategy queries (answers span shards) have no per-shard
-locality to exploit: the subscription keeps one aggregate fingerprint and
-recomputes through the :class:`~repro.shard.executor.ShardExecutor` when it
-goes stale.
+locality to exploit: the subscription keeps the core's one aggregate
+fingerprint and recomputes through the
+:class:`~repro.shard.executor.ShardExecutor` when it goes stale.
 
-Refresh policies (``eager`` / ``debounced`` / ``budget``) and the
-:class:`~repro.stream.live.LiveCount` read envelope match the monolithic
-subscription; ``mode`` is ``"initial"``, ``"shard-partial"`` (only touched
-shards recounted), ``"shard-recount"`` (every component), or ``"recount"``
-(union/merged recompute).
+``mode`` is ``"initial"``, ``"shard-partial"`` (only touched shards
+recounted), ``"shard-recount"`` (every component), or ``"recount"``
+(union/merged recompute).  Only the last two count the whole query, so only
+they feed the core's rolling prediction-error drift trigger.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional, Tuple
+from typing import Tuple
 
-from repro.obs.profile import fingerprint_class
-from repro.obs.trace import activate, span
 from repro.queries.query import ConjunctiveQuery
-from repro.shard.executor import EXACT_SCHEMES, ShardExecutor, combine_local_estimates
+from repro.shard.executor import ShardExecutor, combine_local_estimates
 from repro.shard.plan import (
     ShardCountPlan,
     component_relation_names,
@@ -51,11 +55,7 @@ from repro.shard.plan import (
 )
 from repro.shard.sharded import ShardedStructure
 from repro.stream.delta import delta_applicable
-from repro.stream.live import REFRESH_POLICIES, LiveCount
-from repro.util.rng import derive_seed
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (service imports us)
-    from repro.service.service import CountingService, CountRequest
+from repro.stream.live import CountSubscription, Fingerprint, ticks_between
 
 
 @dataclass
@@ -77,23 +77,19 @@ class _ComponentState:
     query: ConjunctiveQuery
     relations: Tuple[str, ...]
     universe_sensitive: bool
-    fingerprint: Tuple[int, Tuple[Tuple[str, int], ...]]
+    fingerprint: Fingerprint
     estimate: float
     refreshes: int = 0
 
     def pending_ticks(self, sharded: ShardedStructure) -> int:
-        old_universe, old_relations = self.fingerprint
-        new_universe, new_relations = sharded.version_fingerprint(self.relations)
-        ticks = sum(
-            new_version - old_version
-            for (_, old_version), (_, new_version) in zip(old_relations, new_relations)
+        return ticks_between(
+            self.fingerprint,
+            sharded.version_fingerprint(self.relations),
+            self.universe_sensitive,
         )
-        if self.universe_sensitive:
-            ticks += new_universe - old_universe
-        return ticks
 
 
-class ShardSubscription:
+class ShardSubscription(CountSubscription):
     """A live handle on one ``(query, sharded database)`` count.
 
     Created by :meth:`repro.service.service.CountingService.subscribe`; not
@@ -101,90 +97,31 @@ class ShardSubscription:
     are pinned at subscribe time.
     """
 
-    def __init__(
-        self,
-        service: "CountingService",
-        request: "CountRequest",
-        refresh: str = "eager",
-        debounce_ticks: int = 4,
-        budget_seconds: float = 1.0,
-    ) -> None:
-        if refresh not in REFRESH_POLICIES:
-            raise ValueError(
-                f"unknown refresh policy {refresh!r}; expected one of "
-                f"{REFRESH_POLICIES}"
-            )
-        if debounce_ticks < 1:
-            raise ValueError("debounce_ticks must be at least 1")
-        self._service = service
-        self._request = request
-        self._policy = refresh
-        self._debounce_ticks = int(debounce_ticks)
-        self._budget_seconds = float(budget_seconds)
-        self._spent_seconds = 0.0
-        self._closed = False
-
-        self.query = request.query
-        self.sharded: ShardedStructure = request.database
-        self.epsilon = request.epsilon if request.epsilon is not None else service.config.epsilon
-        self.delta = request.delta if request.delta is not None else service.config.delta
-        self._base_seed = request.seed
-
-        self.plan = service.planner.plan(
-            request.query,
-            self.sharded,
-            override=request.method,
-            latency_budget_seconds=service._resolve_budget(
-                request.latency_budget_seconds
-            ),
-        )
-        self.scheme = self.plan.scheme
-        self.query_class = self.plan.query_class
-        #: Drift tracking (see repro.stream.live): the fingerprint class the
-        #: scheme was planned at, plus re-plan provenance for LiveCount.
-        self._planned_class = fingerprint_class(self.sharded.size())
-        self._replans = 0
-        self._replan_events: Tuple[str, ...] = ()
-        self._force_full = False
-        self.shard_plan: ShardCountPlan = plan_sharded_count(request.query, self.sharded)
+    def _count_initial(self) -> None:
+        self.shard_plan: ShardCountPlan = plan_sharded_count(self.query, self._database)
         self._executor = ShardExecutor(mode="serial")
-
-        self._refresh_count = 0
-        self._last_seed: Optional[int] = None
-        self._components: List[_ComponentState] = []
-        if self.shard_plan.strategy in ("single", "local"):
-            for task in self.shard_plan.tasks:
-                relations = component_relation_names(task.query)
-                state = _ComponentState(
-                    shard=task.shard,
-                    component=task.component,
-                    query=task.query,
-                    relations=relations,
-                    universe_sensitive=not delta_applicable(task.query, True),
-                    fingerprint=(0, ()),
-                    estimate=0.0,
-                )
-                self._recount_component(state, refresh_index=0)
-                self._components.append(state)
-            self._estimate = self._combined()
-        else:
-            relations = component_relation_names(request.query)
-            self._union_relations = relations
-            self._union_universe_sensitive = not delta_applicable(request.query, True)
-            self._union_fingerprint = self.sharded.version_fingerprint(relations)
+        self._components = []
+        if self.shard_plan.strategy not in ("single", "local"):
             self._estimate = self._recompute_union(refresh_index=0)
-        self._mode = "initial"
-
-    # -------------------------------------------------------------- internals
-    def _seed_for(self, refresh_index: int, component: int) -> Optional[int]:
-        if self.scheme in EXACT_SCHEMES or self._base_seed is None:
-            return None
-        return derive_seed(self._base_seed, refresh_index, component)
+            return
+        for task in self.shard_plan.tasks:
+            state = _ComponentState(
+                shard=task.shard,
+                component=task.component,
+                query=task.query,
+                relations=component_relation_names(task.query),
+                universe_sensitive=not delta_applicable(task.query, True),
+                fingerprint=(0, ()),
+                estimate=0.0,
+            )
+            self._recount_component(state, refresh_index=0)
+            self._components.append(state)
+        self._estimate = self._combined()
 
     def _recount_component(self, state: _ComponentState, refresh_index: int) -> None:
         from repro.core.registry import REGISTRY
 
-        shard = self.sharded.shards[state.shard]
+        shard = self._database.shards[state.shard]
         seed = self._seed_for(refresh_index, state.component)
         state.estimate = REGISTRY.count(
             self.scheme,
@@ -195,7 +132,7 @@ class ShardSubscription:
             rng=seed,
             engine=self.plan.engine,
         ).estimate
-        state.fingerprint = self.sharded.version_fingerprint(state.relations)
+        state.fingerprint = self._database.version_fingerprint(state.relations)
         if refresh_index > 0:
             state.refreshes += 1
         self._last_seed = seed
@@ -204,14 +141,13 @@ class ShardSubscription:
         seed = self._seed_for(refresh_index, 0)
         result = self._executor.count(
             self.query,
-            self.sharded,
+            self._database,
             scheme=self.scheme,
             epsilon=self.epsilon,
             delta=self.delta,
             seed=seed,
             engine=self.plan.engine,
         )
-        self._union_fingerprint = self.sharded.version_fingerprint(self._union_relations)
         self._last_seed = seed
         return result.estimate
 
@@ -222,123 +158,48 @@ class ShardSubscription:
         """Version bumps not yet folded into the served value — only bumps on
         the owning shard of some component (or, for union plans, on any
         shard) count."""
-        if self._components:
-            return sum(state.pending_ticks(self.sharded) for state in self._components)
-        old_universe, old_relations = self._union_fingerprint
-        new_universe, new_relations = self.sharded.version_fingerprint(self._union_relations)
-        ticks = sum(
-            new_version - old_version
-            for (_, old_version), (_, new_version) in zip(old_relations, new_relations)
-        )
-        if self._union_universe_sensitive:
-            ticks += new_universe - old_universe
-        return ticks
+        if not self._components:
+            return super().pending_ticks()
+        return sum(state.pending_ticks(self._database) for state in self._components)
 
-    def _should_refresh(self, ticks: int) -> bool:
-        if ticks <= 0:
-            return False
-        if self._policy == "eager":
-            return True
-        if self._policy == "debounced":
-            return ticks >= self._debounce_ticks
-        return self._spent_seconds < self._budget_seconds
-
-    def _refresh(self) -> None:
+    def _refresh_body(self, refresh_index: int) -> Tuple[str, ...]:
         started = time.perf_counter()
-        refresh_index = self._refresh_count + 1
-        with activate(self._service.tracer):
-            with span(
-                "stream.refresh",
-                refresh_index=refresh_index,
-                scheme=self.scheme,
-                sharded=True,
-            ) as refresh_span:
-                self._maybe_replan(refresh_span)
-                self._refresh_work(refresh_index)
-                refresh_span.set(mode=self._mode)
-        self._refresh_count = refresh_index
-        self._spent_seconds += time.perf_counter() - started
-
-    def _maybe_replan(self, refresh_span) -> None:
-        """Drift detection before the refresh recounts: re-plan the *scheme*
-        when the sharded database crossed a fingerprint class since it was
-        planned (the shard decomposition already re-plans on every refresh —
-        see :meth:`_replan`).  A scheme change recounts every component
-        under the new plan, so no update is lost to stale cached counts."""
-        current_class = fingerprint_class(self.sharded.size())
-        if current_class == self._planned_class:
-            return
-        reason = (
-            f"size bucket crossed: 2^{self._planned_class} -> 2^{current_class}"
-        )
-        fresh = self._service.planner.plan(
-            self.query,
-            self.sharded,
-            override=self._request.method,
-            latency_budget_seconds=self._service._resolve_budget(
-                self._request.latency_budget_seconds
-            ),
-        )
-        self._planned_class = current_class
-        changed = (fresh.scheme, fresh.engine) != (self.plan.scheme, self.plan.engine)
-        old_scheme = self.scheme
-        self.plan = fresh
-        self.scheme = fresh.scheme
-        self.query_class = fresh.query_class
-        if not changed:
-            return
-        # Cached per-component estimates came from the old scheme; recount
-        # everything under the new one on this refresh.
-        self._force_full = True
-        self._replans += 1
-        note = f"stream.replan[shard]: {reason}; {old_scheme} -> {self.scheme}"
-        self._replan_events = self._replan_events + (note,)
-        refresh_span.event(
-            "stream.replan",
-            reason=reason,
-            old_scheme=old_scheme,
-            new_scheme=self.scheme,
-        )
-        refresh_span.set(scheme=self.scheme)
-        self._service.metrics.counter("stream.replans").inc()
-
-    def _refresh_work(self, refresh_index: int) -> None:
         if self._components:
-            if self._force_full:
+            if self._force_recount:
+                # A drift re-plan changed the scheme: the cached
+                # per-component counts came from the old one.
                 stale = list(self._components)
-                self._force_full = False
             else:
                 stale = [
                     state
                     for state in self._components
-                    if state.pending_ticks(self.sharded) > 0
+                    if state.pending_ticks(self._database) > 0
                 ]
-            if stale and not self._replan(stale, refresh_index):
+            if stale and not self._replan_shards(stale, refresh_index):
                 # Ownership migrated beyond the pinned decomposition (e.g. a
                 # hash-by-tuple relation stopped localising): degrade to
-                # whole-query recomputes on an aggregate fingerprint —
-                # always correct, no per-shard routing anymore.
+                # whole-query recomputes on the core's aggregate fingerprint
+                # — always correct, no per-shard routing anymore.
                 self._components = []
-                self._union_relations = component_relation_names(self.query)
-                self._union_universe_sensitive = not delta_applicable(self.query, True)
-                self._estimate = self._recompute_union(refresh_index)
-                self._mode = "recount"
             else:
                 self._estimate = self._combined()
                 self._mode = (
                     "shard-recount" if len(stale) == len(self._components) else "shard-partial"
                 )
-        else:
+        if not self._components:
             self._estimate = self._recompute_union(refresh_index)
             self._mode = "recount"
+        if self._mode != "shard-partial":
+            self._note_prediction_error(time.perf_counter() - started)
+        return ()
 
-    def _replan(self, stale, refresh_index: int) -> bool:
+    def _replan_shards(self, stale, refresh_index: int) -> bool:
         """Re-plan before recounting stale components: mutations can move a
         relation's owning shard (hash-by-tuple placement).  Returns ``False``
         when the fresh plan no longer matches the pinned decomposition (the
         caller then degrades to whole-query recomputes); otherwise updates
         each component's owning shard and recounts the stale ones."""
-        fresh = plan_sharded_count(self.query, self.sharded)
+        fresh = plan_sharded_count(self.query, self._database)
         self.shard_plan = fresh
         if fresh.strategy not in ("single", "local"):
             return False
@@ -350,7 +211,6 @@ class ShardSubscription:
             self._recount_component(state, refresh_index)
         return True
 
-    # ----------------------------------------------------------------- public
     @property
     def strategy(self) -> str:
         return self.shard_plan.strategy
@@ -361,65 +221,3 @@ class ShardSubscription:
         union/merged plans) — the observable behind "only touched shards
         recount"."""
         return tuple(state.refreshes for state in self._components)
-
-    def read(self, force: bool = False) -> LiveCount:
-        """The current value, refreshed first when the policy (or ``force``)
-        says so.  Reads after mutations on shards owning no component of this
-        query are served from the cached counts for free."""
-        if self._closed:
-            raise RuntimeError("subscription is closed")
-        ticks = self.pending_ticks()
-        refreshed = False
-        if force and ticks > 0 or not force and self._should_refresh(ticks):
-            self._refresh()
-            refreshed = True
-            ticks = 0
-        return LiveCount(
-            estimate=self._estimate,
-            scheme=self.scheme,
-            query_class=self.query_class,
-            fresh=ticks == 0,
-            refreshed=refreshed,
-            mode=self._mode,
-            pending_ticks=ticks,
-            refresh_count=self._refresh_count,
-            seed=self._last_seed,
-            epsilon=self.epsilon,
-            delta=self.delta,
-            replans=self._replans,
-            replan_events=self._replan_events,
-        )
-
-    def refresh(self) -> LiveCount:
-        """Fold every pending mutation in now, regardless of policy."""
-        return self.read(force=True)
-
-    def add_budget(self, seconds: float) -> None:
-        """Top up a ``refresh="budget"`` subscription's refresh account."""
-        self._budget_seconds += float(seconds)
-
-    @property
-    def spent_seconds(self) -> float:
-        return self._spent_seconds
-
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
-    def close(self) -> None:
-        """Release the subscription (idempotent)."""
-        if not self._closed:
-            self._closed = True
-            self._service._drop_shard_subscription(self)
-
-    def __enter__(self) -> "ShardSubscription":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def __repr__(self) -> str:
-        return (
-            f"ShardSubscription(strategy={self.strategy!r}, scheme={self.scheme!r}, "
-            f"estimate={self._estimate}, refreshes={self._refresh_count})"
-        )

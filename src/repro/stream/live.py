@@ -1,32 +1,50 @@
-"""Live count handles: subscriptions that stay (approximately) current.
+"""Live count handles: one subscription core, two refresh bodies.
 
-``CountingService.subscribe(request)`` returns a :class:`CountSubscription` —
-a long-lived handle on one ``(query, database)`` pair whose value survives
-database mutations.  Every :meth:`~CountSubscription.read` returns a
-:class:`LiveCount` carrying the estimate *and* its staleness metadata, and
-decides — according to the subscription's refresh policy — whether to fold
-the pending mutations in first:
+``CountingService.subscribe(request)`` returns a long-lived handle on one
+``(query, database)`` pair whose value survives database mutations.  Every
+``read()`` returns a :class:`LiveCount` carrying the estimate *and* its
+staleness metadata, and decides — according to the subscription's refresh
+policy — whether to fold the pending mutations in first.
 
-* **Untouched-relation updates are free.**  The subscription stores the
-  database fingerprint restricted to the query's relations (the same
-  restriction the service result cache keys on), so mutations elsewhere do
-  not even make the handle stale.  Universe growth is likewise ignored when
-  every query variable occurs in a positive atom (then new elements cannot
-  carry new answers without a touched fact).
-* **Touched-relation updates on exact schemes delta-patch.**  The database's
-  shared :class:`~repro.relational.changelog.ChangeLog` yields the net delta
-  since the stored fingerprint; :func:`repro.stream.delta.delta_count_exact`
-  turns it into ``new - old`` and the stored value is patched — bit-identical
-  to a from-scratch recount, at delta cost.  When the log has a gap or the
-  delta argument is inapplicable (see
-  :func:`~repro.stream.delta.delta_applicable`), the subscription falls back
-  to a full recount through the service (plan pinned at subscribe time).
-* **Touched-relation updates on approximate schemes re-estimate** through the
-  scheme registry with a deterministically derived seed
-  (``derive_seed(base_seed, refresh_index)``), so a refreshed read equals the
-  direct registry call with the same seed.  Results land in the service
-  result cache under the current fingerprint, and refreshes check that cache
-  first — concurrent subscriptions on the same shape share work.
+:class:`CountSubscription` is the one subscription core.  It owns what every
+live handle shares: policy validation, pending ticks (:func:`ticks_between`
+over fingerprints restricted to the query's relations), the refresh
+decision, the ``stream.refresh`` span, the retry loop at the
+``stream.refresh`` fault site with stale-serve when retries run out, the
+``stream.refreshes{mode=}`` / ``stream.refresh_seconds`` metrics, drift
+re-planning, and the ``read`` / ``refresh`` / ``add_budget`` / ``close``
+lifecycle.  Only the *refresh body* differs between the two handles:
+
+* **The monolith** (:class:`CountSubscription` itself, on a plain
+  :class:`~repro.relational.structure.Structure`):
+
+  - *Untouched-relation updates are free.*  The stored fingerprint is
+    restricted to the query's relations (the same restriction the service
+    result cache keys on), so mutations elsewhere do not even make the handle
+    stale.  Universe growth is likewise ignored when every query variable
+    occurs in a positive atom (then new elements cannot carry new answers
+    without a touched fact).
+  - *Touched-relation updates on exact schemes delta-patch.*  The database's
+    shared :class:`~repro.relational.changelog.ChangeLog` yields the net
+    delta since the stored fingerprint;
+    :func:`repro.stream.delta.delta_count_exact` turns it into ``new - old``
+    and the stored value is patched — bit-identical to a from-scratch
+    recount, at delta cost.  When the log has a gap or the delta argument is
+    inapplicable (see :func:`~repro.stream.delta.delta_applicable`), the
+    subscription falls back to a full recount through the service.
+  - *Touched-relation updates on approximate schemes re-estimate* through
+    the service with a deterministically derived seed
+    (``derive_seed(base_seed, refresh_index)``), so a refreshed read equals
+    the direct registry call with the same seed.  Results land in the
+    service result cache under the current fingerprint, and refreshes check
+    that cache first — concurrent subscriptions on the same shape share
+    work.
+
+* **Sharded databases** get
+  :class:`~repro.shard.subscription.ShardSubscription`, a subclass whose
+  body recounts only the query components living on touched shards (or the
+  whole union/merged query), seeded ``derive_seed(base_seed, refresh_index,
+  component)``.
 
 Refresh policies (``refresh=``):
 
@@ -51,22 +69,18 @@ import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
+from repro.core.registry import EXACT_SCHEMES
 from repro.obs.profile import fingerprint_class
 from repro.obs.trace import activate, span
 from repro.queries.canonical import query_relation_names
 from repro.relational.changelog import ChangeLog, ChangeLogGap, rewind
+from repro.relational.structure import Structure
 from repro.resilience.retry import RetriesExhausted, run_with_retry
 from repro.stream.delta import delta_applicable, delta_count_exact
 from repro.util.rng import derive_seed
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (service imports us)
-    from repro.relational.structure import Structure
     from repro.service.service import CountingService, CountRequest
-
-#: Registered schemes whose estimates are error-free integers; only these can
-#: be delta-patched (an approximation's estimate is a random variable, not a
-#: count one can add a delta to).
-EXACT_SCHEMES = frozenset({"exact", "oracle_exact"})
 
 REFRESH_POLICIES = ("eager", "debounced", "budget")
 
@@ -79,6 +93,22 @@ REFRESH_POLICIES = ("eager", "debounced", "budget")
 #: counter increment, and provenance on the next :class:`LiveCount`.
 REPLAN_ERROR_WINDOW = 4
 REPLAN_ERROR_THRESHOLD = 4.0
+
+Fingerprint = Tuple[int, Tuple[Tuple[str, int], ...]]
+
+
+def ticks_between(old: Fingerprint, new: Fingerprint, universe_sensitive: bool) -> int:
+    """Version bumps between two relation-restricted fingerprints of the same
+    relations, plus universe growth when ``universe_sensitive``."""
+    old_universe, old_relations = old
+    new_universe, new_relations = new
+    ticks = sum(
+        new_version - old_version
+        for (_, old_version), (_, new_version) in zip(old_relations, new_relations)
+    )
+    if universe_sensitive:
+        ticks += new_universe - old_universe
+    return ticks
 
 
 @dataclass(frozen=True)
@@ -93,7 +123,9 @@ class LiveCount:
     #: Whether *this* read performed a refresh.
     refreshed: bool
     #: How the served value was (last) computed: ``"initial"`` | ``"delta"``
-    #: | ``"recount"`` | ``"reestimate"`` | ``"cached"``.
+    #: | ``"recount"`` | ``"reestimate"`` | ``"cached"`` on a monolith;
+    #: ``"initial"`` | ``"shard-partial"`` | ``"shard-recount"`` |
+    #: ``"recount"`` on a sharded database.
     mode: str
     #: Version bumps of the query's relations not yet folded into the value
     #: (0 when fresh).
@@ -125,18 +157,23 @@ class LiveCount:
 
 
 class _StreamState:
-    """Per-database streaming state the service keeps: one shared change log
-    plus the live subscriptions reading it.
+    """Per-database streaming state the service keeps: the live
+    subscriptions on one database plus, for a plain
+    :class:`~repro.relational.structure.Structure`, one shared change log.
 
     The log only records relations some live subscription watches (refcounted
     via :meth:`watch`/part of :meth:`discard`), so heavy churn on unwatched
-    relations — the advertised "free" path — cannot grow it."""
+    relations — the advertised "free" path — cannot grow it.  A sharded
+    database has no fact-observer hook and its subscriptions recount instead
+    of patching, so its state carries no log."""
 
-    def __init__(self, database: "Structure") -> None:
+    def __init__(self, database) -> None:
         self.database = database
         self._watched: Dict[str, int] = {}
-        self.changelog = ChangeLog(
-            database, relation_filter=self._watched.__contains__
+        self.changelog: Optional[ChangeLog] = (
+            ChangeLog(database, relation_filter=self._watched.__contains__)
+            if isinstance(database, Structure)
+            else None
         )
         self.subscriptions: List["CountSubscription"] = []
 
@@ -145,7 +182,7 @@ class _StreamState:
         subscription takes its first fingerprint)."""
         for name in relation_names:
             count = self._watched.get(name, 0)
-            if count == 0:
+            if count == 0 and self.changelog is not None:
                 # The unrecorded window ends here; covers() must know.
                 self.changelog.mark_floor(name)
             self._watched[name] = count + 1
@@ -160,14 +197,15 @@ class _StreamState:
 
     def discard(self, subscription: "CountSubscription") -> bool:
         """Remove a subscription; returns ``True`` when none remain (the
-        caller then detaches the change log and drops this state)."""
+        change log is then detached and the caller drops this state)."""
         try:
             self.subscriptions.remove(subscription)
             self.unwatch(subscription._relations)
         except ValueError:
             pass
         if not self.subscriptions:
-            self.changelog.detach()
+            if self.changelog is not None:
+                self.changelog.detach()
             return True
         self.trim()
         return False
@@ -177,6 +215,8 @@ class _StreamState:
         per relation, everything at or before the minimum subscribed
         fingerprint version (relations no subscription watches are trimmed
         to the present)."""
+        if self.changelog is None:
+            return
         floors: Dict[str, int] = {}
         for subscription in self.subscriptions:
             _, relation_versions = subscription._fingerprint
@@ -192,12 +232,15 @@ class _StreamState:
 
 
 class CountSubscription:
-    """A live handle on one ``(query, database)`` count.
+    """A live handle on one ``(query, database)`` count — the subscription
+    core, with the monolithic refresh body.
 
     Created by :meth:`repro.service.service.CountingService.subscribe`; not
     instantiated directly.  The plan (scheme, engine) is pinned at subscribe
     time so refreshes never silently hop between schemes as the database
-    grows.
+    grows (only drift re-planning moves it).  Subclasses replace
+    :meth:`_count_initial`, :meth:`_refresh_body` and, when they track finer
+    fingerprints, :meth:`pending_ticks`.
     """
 
     def __init__(
@@ -243,14 +286,7 @@ class CountSubscription:
         # Universe growth can only matter when some variable ranges outside
         # the positive atoms (see delta_applicable); otherwise ignore it.
         self._universe_sensitive = not delta_applicable(request.query, True)
-        self.plan = service.planner.plan(
-            request.query,
-            self._database,
-            override=request.method,
-            latency_budget_seconds=service._resolve_budget(
-                request.latency_budget_seconds
-            ),
-        )
+        self.plan = self._plan()
         self.scheme = self.plan.scheme
         self.query_class = self.plan.query_class
         #: Drift tracking: the fingerprint class the current plan was made
@@ -262,52 +298,43 @@ class CountSubscription:
         self._replan_events: Tuple[str, ...] = ()
         self._force_recount = False
 
-        # Initial compute, through the service (plans, caches, registry).
         self._refresh_count = 0
         #: Position among the state's subscriptions at creation — the stable
         #: half of this subscription's ``stream.refresh`` fault key.
         self._ordinal = len(state.subscriptions)
         self._degradations: Tuple[str, ...] = ()
         self._gap_recounts = 0
-        self._gap_note: Optional[str] = None
-        self._last_seed = self._seed_for(0)
-        result = service.submit(
-            request.query,
-            self._database,
-            epsilon=self.epsilon,
-            delta=self.delta,
-            seed=self._last_seed,
-            method=self.scheme,
-        )
-        self._estimate = result.estimate
+        self._last_seed: Optional[int] = None
+        self._count_initial()
         self._mode = "initial"
-        self._fingerprint = self._current_fingerprint()
+        self._fingerprint = self._database.version_fingerprint(self._relations)
 
     # -------------------------------------------------------------- internals
-    def _seed_for(self, refresh_index: int) -> Optional[int]:
-        if self.scheme in EXACT_SCHEMES:
+    def _plan(self):
+        return self._service.planner.plan(
+            self.query,
+            self._database,
+            override=self._request.method,
+            latency_budget_seconds=self._service._resolve_budget(
+                self._request.latency_budget_seconds
+            ),
+        )
+
+    def _seed_for(self, refresh_index: int, *path: int) -> Optional[int]:
+        if self.scheme in EXACT_SCHEMES or self._base_seed is None:
             # Exact schemes ignore randomness; a stable None seed makes their
             # result-cache entries shareable across refreshes and callers.
             return None
-        if self._base_seed is None:
-            return None
-        return derive_seed(self._base_seed, refresh_index)
-
-    def _current_fingerprint(self) -> Tuple[int, Tuple[Tuple[str, int], ...]]:
-        return self._database.version_fingerprint(self._relations)
+        return derive_seed(self._base_seed, refresh_index, *path)
 
     def pending_ticks(self) -> int:
         """Version bumps of the query's relations (plus universe growth, when
         this query is sensitive to it) since the stored value."""
-        old_universe, old_relations = self._fingerprint
-        new_universe, new_relations = self._current_fingerprint()
-        ticks = sum(
-            new_version - old_version
-            for (_, old_version), (_, new_version) in zip(old_relations, new_relations)
+        return ticks_between(
+            self._fingerprint,
+            self._database.version_fingerprint(self._relations),
+            self._universe_sensitive,
         )
-        if self._universe_sensitive:
-            ticks += new_universe - old_universe
-        return ticks
 
     def _should_refresh(self, ticks: int) -> bool:
         if ticks <= 0:
@@ -317,12 +344,6 @@ class CountSubscription:
         if self._policy == "debounced":
             return ticks >= self._debounce_ticks
         return self._spent_seconds < self._budget_seconds
-
-    def _result_cache_key(self, seed: Optional[int]):
-        return self._service._result_key(
-            self._canonical_key, self._request, self.plan,
-            self.epsilon, self.delta, seed,
-        )
 
     def _refresh(self) -> None:
         """Fold pending mutations in, under the service's failure model.
@@ -338,28 +359,52 @@ class CountSubscription:
         service's tracer (a nested ``submit`` nests under it thanks to
         tracer re-activation being a no-op), a per-mode refresh counter and
         a refresh-latency histogram on the service's metrics registry."""
-        spent_before = self._spent_seconds
-        refreshes_before = self._refresh_count
+        refresh_index = self._refresh_count + 1
+        site_key = (self._ordinal, refresh_index)
         with activate(self._service.tracer):
             with span(
                 "stream.refresh",
                 ordinal=self._ordinal,
-                refresh_index=self._refresh_count + 1,
+                refresh_index=refresh_index,
                 scheme=self.scheme,
             ) as refresh_span:
                 self._maybe_replan(refresh_span)
-                self._refresh_inner()
-                # A refresh that did not advance the counter exhausted its
-                # retries and the subscription is serving stale.
-                mode = self._mode if self._refresh_count > refreshes_before else "stale"
+                started = time.perf_counter()
+                try:
+                    notes, trace = run_with_retry(
+                        lambda: self._refresh_body(refresh_index),
+                        sites=(("stream.refresh", site_key),),
+                        policy=self._service.config.retry,
+                        plan=self._service.config.fault_plan,
+                    )
+                except RetriesExhausted as error:
+                    mode = "stale"
+                    self._degradations = (
+                        f"stream.refresh{list(site_key)}: retries exhausted; "
+                        f"serving stale value ({error})",
+                    )
+                else:
+                    mode = self._mode
+                    self._degradations = (*trace.notes, *notes)
+                    self._refresh_count = refresh_index
+                    self._force_recount = False
+                    # Re-anchor: the new fingerprint is taken *after* the
+                    # refresh folded everything in, and trim() floors
+                    # the shared log at the subscriptions' new minima — so
+                    # even a gap-forced recount leaves the log able to
+                    # delta-patch the next refresh.
+                    self._fingerprint = self._database.version_fingerprint(
+                        self._relations
+                    )
+                    self._state.trim()
+                seconds = time.perf_counter() - started
+                self._spent_seconds += seconds
                 refresh_span.set(mode=mode)
                 for note in self._degradations:
                     refresh_span.event(note)
         metrics = self._service.metrics
         metrics.counter("stream.refreshes", mode=mode).inc()
-        metrics.histogram("stream.refresh_seconds").observe(
-            self._spent_seconds - spent_before
-        )
+        metrics.histogram("stream.refresh_seconds").observe(seconds)
 
     def _maybe_replan(self, refresh_span) -> None:
         """Drift detection, run before every refresh folds mutations in (so
@@ -385,14 +430,7 @@ class CountSubscription:
                 )
         if reason is None:
             return
-        fresh = self._service.planner.plan(
-            self.query,
-            self._database,
-            override=self._request.method,
-            latency_budget_seconds=self._service._resolve_budget(
-                self._request.latency_budget_seconds
-            ),
-        )
+        fresh = self._plan()
         self._planned_class = current_class
         self._error_ratios = []
         changed = (fresh.scheme, fresh.engine) != (self.plan.scheme, self.plan.engine)
@@ -402,10 +440,10 @@ class CountSubscription:
         self.query_class = fresh.query_class
         if not changed:
             return
-        # The stored estimate came from the old scheme; delta-patching it
-        # under the new plan would corrupt the stream, so the next refresh
-        # recounts from scratch (the result cache stays safe — its keys
-        # carry the scheme).
+        # The stored estimate came from the old scheme; patching it (or
+        # keeping cached per-component counts) under the new plan would
+        # corrupt the stream, so the next refresh recounts from scratch (the
+        # result cache stays safe — its keys carry the scheme).
         self._force_recount = True
         self._replans += 1
         note = (
@@ -423,9 +461,10 @@ class CountSubscription:
         self._service.metrics.counter("stream.replans").inc()
 
     def _note_prediction_error(self, seconds: float) -> None:
-        """Feed the rolling drift window with one refresh's actual latency
-        against the cost model's current prediction for the pinned scheme
-        (skipped while the sketch is cold — no prediction to be wrong)."""
+        """Feed the rolling drift window with one whole-query count's actual
+        latency against the cost model's current prediction for the pinned
+        scheme (skipped while the sketch is cold — no prediction to be
+        wrong)."""
         prediction = self._service.cost_model.predict(
             self._canonical_key,
             self._database.size(),
@@ -437,68 +476,58 @@ class CountSubscription:
         self._error_ratios.append(seconds / prediction.seconds)
         del self._error_ratios[:-REPLAN_ERROR_WINDOW]
 
-    def _refresh_inner(self) -> None:
-        started = time.perf_counter()
-        seed = self._seed_for(self._refresh_count + 1)
+    # ------------------------------------------------------ monolithic body
+    def _count_initial(self) -> None:
+        """The initial compute, through the service (plans, caches,
+        registry)."""
+        self._last_seed = self._seed_for(0)
+        self._estimate = self._service.submit(
+            self.query,
+            self._database,
+            epsilon=self.epsilon,
+            delta=self.delta,
+            seed=self._last_seed,
+            method=self.scheme,
+        ).estimate
+
+    def _refresh_body(self, refresh_index: int) -> Tuple[str, ...]:
+        """One refresh attempt: a result-cache hit, else a delta patch
+        (exact schemes), else a recount / re-estimate through the service.
+        Sets ``_estimate``, ``_mode`` and ``_last_seed``; returns the extra
+        provenance notes (a survived change-log gap)."""
+        seed = self._seed_for(refresh_index)
         self._gap_note = None
-
-        def work() -> None:
-            key = self._result_cache_key(seed)
-            cached = self._service.result_cache.get(key)
-            if cached is not None:
-                self._estimate = cached
-                self._mode = "cached"
-            elif (
-                not self._force_recount
-                and self.scheme in EXACT_SCHEMES
-                and self._try_delta_patch()
-            ):
-                self._service.result_cache.put(key, self._estimate)
-            else:
-                result = self._service.submit(
-                    self.query,
-                    self._database,
-                    epsilon=self.epsilon,
-                    delta=self.delta,
-                    seed=seed,
-                    method=self.scheme,
-                )
-                self._estimate = result.estimate
-                self._mode = (
-                    "recount" if self.scheme in EXACT_SCHEMES else "reestimate"
-                )
-                self._note_prediction_error(result.execute_seconds)
-
-        site_key = (self._ordinal, self._refresh_count + 1)
-        try:
-            _, trace = run_with_retry(
-                work,
-                sites=(("stream.refresh", site_key),),
-                policy=self._service.config.retry,
-                plan=self._service.config.fault_plan,
+        key = self._service._result_key(
+            self._canonical_key, self._request, self.plan,
+            self.epsilon, self.delta, seed,
+        )
+        cached = self._service.result_cache.get(key)
+        if cached is not None:
+            self._estimate = cached
+            self._mode = "cached"
+        elif (
+            not self._force_recount
+            and self.scheme in EXACT_SCHEMES
+            and self._try_delta_patch()
+        ):
+            self._service.result_cache.put(key, self._estimate)
+        else:
+            result = self._service.submit(
+                self.query,
+                self._database,
+                epsilon=self.epsilon,
+                delta=self.delta,
+                seed=seed,
+                method=self.scheme,
             )
-        except RetriesExhausted as error:
-            self._degradations = (
-                f"stream.refresh{list(site_key)}: retries exhausted; "
-                f"serving stale value ({error})",
-            )
-            self._spent_seconds += time.perf_counter() - started
-            return
-        notes = list(trace.notes)
-        if self._gap_note is not None:
-            self._gap_recounts += 1
-            notes.append(self._gap_note)
-        self._degradations = tuple(notes)
-        self._refresh_count += 1
-        self._force_recount = False
+            self._estimate = result.estimate
+            self._mode = "recount" if self.scheme in EXACT_SCHEMES else "reestimate"
+            self._note_prediction_error(result.execute_seconds)
         self._last_seed = seed
-        # Re-anchor: the new fingerprint is taken *after* the refresh folded
-        # everything in, and trim() below floors the shared log at the
-        # subscriptions' new minima — so even a gap-forced recount leaves the
-        # log able to delta-patch the next refresh.
-        self._fingerprint = self._current_fingerprint()
-        self._spent_seconds += time.perf_counter() - started
-        self._state.trim()
+        if self._gap_note is None:
+            return ()
+        self._gap_recounts += 1
+        return (self._gap_note,)
 
     def _try_delta_patch(self) -> bool:
         """Patch the stored exact count from the change log's net delta;
@@ -591,8 +620,9 @@ class CountSubscription:
 
     def __repr__(self) -> str:
         return (
-            f"CountSubscription(scheme={self.scheme!r}, policy={self._policy!r}, "
-            f"estimate={self._estimate}, refreshes={self._refresh_count})"
+            f"{type(self).__name__}(scheme={self.scheme!r}, "
+            f"policy={self._policy!r}, estimate={self._estimate}, "
+            f"refreshes={self._refresh_count})"
         )
 
 
@@ -601,4 +631,5 @@ __all__ = [
     "CountSubscription",
     "REFRESH_POLICIES",
     "EXACT_SCHEMES",
+    "ticks_between",
 ]

@@ -48,6 +48,19 @@ def client_for(handle, api_key=None, timeout=30.0):
     return ServeClient(handle.host, handle.port, api_key=api_key, timeout=timeout)
 
 
+def open_subscription(handle, query="Ans(x, y) :- E(x, y)", **params):
+    """A raw ``GET /v1/subscribe`` (the client does not send the refresh
+    policy knobs); returns the connection and the response."""
+    import http.client
+    import urllib.parse
+
+    connection = http.client.HTTPConnection(handle.host, handle.port, timeout=30)
+    connection.request(
+        "GET", "/v1/subscribe?" + urllib.parse.urlencode({"query": query, **params})
+    )
+    return connection, connection.getresponse()
+
+
 #: Injects a deterministic first-attempt latency into every count so herd
 #: members reliably overlap the leader (retries keep estimates bit-identical).
 SLOW_PLAN = FaultPlan(
@@ -504,6 +517,35 @@ class TestServerEndToEnd:
             assert len(events) == 2
             assert events[1].estimate == first + 2  # exact scheme, delta-patched
             assert events[1].mode in {"delta", "recount", "estimate"}
+
+    @pytest.mark.parametrize(
+        "policy", [{"refresh": "lazy"}, {"debounce_ticks": "0"}]
+    )
+    def test_bad_subscription_policy_is_400(self, medium_database, policy):
+        with running_server(medium_database) as (_, handle):
+            connection, response = open_subscription(handle, **policy)
+            assert response.status == 400
+            assert json.loads(response.read())["kind"] == "error"
+            connection.close()
+
+    def test_zero_budget_subscription_serves_stale(self, medium_database):
+        # budget_seconds=0 is a legal "never auto-refresh" account, not a
+        # missing value to default.
+        from repro.serve.client import _sse_data_lines
+
+        with running_server(medium_database) as (_, handle):
+            connection, response = open_subscription(
+                handle, refresh="budget", budget_seconds="0", max_events="2"
+            )
+            assert response.status == 200
+            lines = _sse_data_lines(response)
+            first = schema.decode(json.loads(next(lines)), expect="live_count")
+            assert first.fresh
+            client_for(handle).add_facts(adds=[("E", (0, 99))])
+            second = schema.decode(json.loads(next(lines)), expect="live_count")
+            assert not second.fresh and not second.refreshed
+            assert second.estimate == first.estimate
+            connection.close()
 
     def test_facts_removal_and_unknown_fact_is_400(self, medium_database):
         with running_server(medium_database) as (_, handle):

@@ -401,6 +401,9 @@ class TestShardSubscription:
         live = subscription.read()
         assert live.mode == "shard-partial"
         assert subscription.component_refreshes == (0, 1)
+        metrics = service.metrics.snapshot()
+        assert metrics["counters"]["stream.refreshes"]["mode=shard-partial"] == 1
+        assert "stream.refresh_seconds" in metrics["histograms"]
         assert live.estimate == count_answers_exact(parse_query(MULTI), sharded.merged())
         sharded.add_fact("E", (0, 8))
         subscription.read()
