@@ -25,12 +25,10 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.core.associated_structures import (
-    add_colour_relations,
     build_A,
     build_A_hat,
     build_B,
     build_B_hat,
-    build_B_hat_scaffold,
     variable_order,
 )
 from repro.core.answer_hypergraph import (
@@ -142,8 +140,6 @@ __all__ = [
     "build_B",
     "build_A_hat",
     "build_B_hat",
-    "build_B_hat_scaffold",
-    "add_colour_relations",
     "variable_order",
     "build_answer_hypergraph",
     "vertex_classes",

@@ -166,7 +166,6 @@ def build_B_hat(
     database: Structure,
     free_subsets: Sequence[Iterable[Tuple[Element, int]]],
     colouring: Optional[Colouring] = None,
-    b_structure: Optional[Structure] = None,
 ) -> Structure:
     """The coloured database structure ``B̂(phi, D, V_1, ..., V_l, f)`` of
     Definition 28.
@@ -182,27 +181,11 @@ def build_B_hat(
         The collection ``f = {f_η}``: for every disequality pair ``η`` a map
         from U(D) to {"r", "b"}.  May be omitted when the query has no
         disequalities.
-    b_structure:
-        Optionally a precomputed ``B(phi, D)`` to avoid rebuilding the
-        (potentially large) complement relations on every oracle call.
-    """
-    scaffold = build_B_hat_scaffold(query, database, free_subsets, b_structure=b_structure)
-    return add_colour_relations(query, scaffold, colouring)
 
-
-def build_B_hat_scaffold(
-    query: ConjunctiveQuery,
-    database: Structure,
-    free_subsets: Sequence[Iterable[Tuple[Element, int]]],
-    b_structure: Optional[Structure] = None,
-) -> Structure:
-    """The colouring-independent part of ``B̂``: the tagged copies of the base
-    relations and the unary class relations ``P_i``, but no colour relations.
-
-    The colour-coding oracle repeats ``build_B_hat`` many times with the same
-    free subsets and a fresh colouring each round; computing this scaffold
-    once per EdgeFree call and stamping the (small, unary) colour relations on
-    a fast copy per round avoids re-tagging the base relations every time.
+    The colour-coding oracle never builds this structure: it decides
+    ``Hom(Â, B̂)`` on an equivalent CSP over ``B(phi, D)`` (see
+    :mod:`repro.core.colour_coding`).  This constructor is the literal
+    Definition 28 that the compiled decision is tested against.
     """
     order = variable_order(query)
     num_free = query.num_free()
@@ -210,7 +193,16 @@ def build_B_hat_scaffold(
         raise ValueError(
             f"expected {num_free} free-variable subsets, got {len(free_subsets)}"
         )
-    base = b_structure if b_structure is not None else build_B(query, database)
+    if colouring is None:
+        colouring = {}
+    delta = query.delta()
+    missing_colourings = [pair for pair in delta if pair not in colouring]
+    if missing_colourings:
+        raise ValueError(
+            "colouring functions are required for every disequality pair; missing "
+            f"{sorted(tuple(sorted(p)) for p in missing_colourings)}"
+        )
+    base = build_B(query, database)
     universe_values = set(database.universe)
 
     # S_i per variable: V_i for free variables, U_i(D) for existential ones.
@@ -258,26 +250,7 @@ def build_B_hat_scaffold(
         structure.add_relation(RelationSymbol(name, 1))
         for member in class_members[index]:
             structure.add_fact(name, (member,))
-    return structure
 
-
-def add_colour_relations(
-    query: ConjunctiveQuery, scaffold: Structure, colouring: Optional[Colouring] = None
-) -> Structure:
-    """Stamp the colour relations ``R_η`` / ``B_η`` of a colouring collection
-    ``f = {f_η}`` onto (a fast copy of) a ``build_B_hat_scaffold`` result,
-    completing the ``B̂`` structure of Definition 28."""
-    if colouring is None:
-        colouring = {}
-    delta = query.delta()
-    missing_colourings = [pair for pair in delta if pair not in colouring]
-    if missing_colourings:
-        raise ValueError(
-            "colouring functions are required for every disequality pair; missing "
-            f"{sorted(tuple(sorted(p)) for p in missing_colourings)}"
-        )
-    structure = scaffold.copy()
-    universe = structure.universe
     # Colour relations R_η / B_η from the colouring functions.
     for pair in delta:
         red_name, blue_name = colour_relation_names(query, pair)

@@ -16,6 +16,16 @@ homomorphism survives at least one colouring with probability
 a homomorphism.  The answer "edge-free" has one-sided error at most
 ``failure``; "has an edge" is always correct.
 
+The Hom queries are decided on one CSP compiled per oracle.  The unary
+relations ``P_i`` of Â/B̂ pin every variable ``x_i`` to its own tag class, so
+``Hom(Â(phi), B̂(phi, D, V, f))`` is exactly the CSP over the untagged values
+with one table constraint per fact of ``A(phi)`` against ``B(phi, D)``,
+domain ``V_i`` for the free and ``U(D)`` for the existential variables, and,
+per disequality ``η = {x_i, x_j}`` (i < j), ``x_i`` restricted to
+``f_η^{-1}(r)`` and ``x_j`` to ``f_η^{-1}(b)``.  Only the domains change from
+colouring to colouring; the constraints, their shared relation indexes and
+the search order are built once.
+
 Because ``4^{|∆|}`` grows quickly, :class:`ColourCodingEdgeFreeOracle` caps
 the number of repetitions (configurable); queries with many disequalities
 should use the deterministic :class:`~repro.core.answer_hypergraph.DirectEdgeFreeOracle`
@@ -26,27 +36,24 @@ paper's reduction — see DESIGN.md).
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, FrozenSet, Hashable, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Hashable, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.core.associated_structures import (
     BLUE,
     RED,
-    add_colour_relations,
-    build_A_hat,
+    Colouring,
     build_B,
-    build_B_hat_scaffold,
+    disequality_key,
+    negated_symbol_name,
     variable_order,
 )
 from repro.queries.query import ConjunctiveQuery
-from repro.relational.csp import DEFAULT_ENGINE
-from repro.relational.homomorphism import exists_homomorphism
+from repro.relational.csp import DEFAULT_ENGINE, Constraint, CSPInstance
 from repro.relational.structure import Structure
 from repro.util.rng import RNGLike, as_generator
 
 Element = Hashable
 TaggedValue = Tuple[Element, int]
-#: A Hom oracle: decides whether there is a homomorphism between two structures.
-HomOracle = Callable[[Structure, Structure], bool]
 
 
 def random_colouring(
@@ -54,11 +61,16 @@ def random_colouring(
 ) -> Dict[FrozenSet[str], Dict[Element, str]]:
     """Choose the collection ``f = {f_η}`` uniformly at random: independently
     for every disequality pair and every database value, colour the value red
-    or blue with probability 1/2 each."""
+    or blue with probability 1/2 each.
+
+    The pairs draw in the order of their sorted variable names and the values
+    in canonical universe order, so a seed fixes the colouring in every
+    process (iterating the ``delta()`` frozenset would follow string hashing).
+    """
     generator = as_generator(rng)
     universe = database.canonical_universe()
     colouring: Dict[FrozenSet[str], Dict[Element, str]] = {}
-    for pair in query.delta():
+    for pair in sorted(query.delta(), key=sorted):
         flips = generator.random(len(universe)) < 0.5
         colouring[pair] = {
             value: (RED if flip else BLUE) for value, flip in zip(universe, flips)
@@ -90,14 +102,14 @@ class ColourCodingEdgeFreeOracle:
     failure_probability:
         Per-call one-sided failure probability (probability that an existing
         hyperedge is missed).  Lemma 22 budgets this as ``delta / (2 T l!)``.
-    hom_oracle:
-        The Hom decision procedure; defaults to the package's CSP-based
-        engine (standing in for Theorems 31/36).
     max_repetitions:
         Safety cap on the number of random colourings per call; ``None``
         disables the cap.  When the cap truncates the theoretical repetition
         count, the one-sided error guarantee degrades accordingly (recorded in
         :attr:`truncated`).
+    engine:
+        The CSP engine deciding each Hom query (standing in for Theorems
+        31/36).
     """
 
     def __init__(
@@ -105,7 +117,6 @@ class ColourCodingEdgeFreeOracle:
         query: ConjunctiveQuery,
         database: Structure,
         failure_probability: float = 0.05,
-        hom_oracle: Optional[HomOracle] = None,
         rng: RNGLike = None,
         max_repetitions: Optional[int] = 512,
         engine: str = DEFAULT_ENGINE,
@@ -113,15 +124,30 @@ class ColourCodingEdgeFreeOracle:
         query._check_signature_compatibility(database)
         self._query = query
         self._database = database
-        self._failure = failure_probability
-        if hom_oracle is not None:
-            self._hom = hom_oracle
-        else:
-            self._hom = lambda a, b: exists_homomorphism(a, b, engine=engine)
         self._rng = as_generator(rng)
-        self._a_hat = build_A_hat(query)
-        self._b_base = build_B(query, database)
+        self._engine = engine
+        self._order = variable_order(query)
         self._num_free = query.num_free()
+        # One table constraint per fact of A(phi) against B(phi, D), sharing
+        # B's per-relation tuple indexes (and columnar column arrays) across
+        # every Hom query of this oracle.
+        b_structure = build_B(query, database)
+        self._universe = b_structure.canonical_universe()
+        columnar = engine == "columnar"
+        facts = [(atom.relation, atom.args) for atom in query.atoms] + [
+            (negated_symbol_name(atom.relation), atom.args) for atom in query.negated_atoms
+        ]
+        self._constraints = [
+            Constraint.trusted(
+                args,
+                index=b_structure.relation_index(name),
+                table=b_structure.columnar_relation(name) if columnar else None,
+            )
+            for name, args in facts
+        ]
+        # (η, x_i, x_j) with i < j: R_η = {x_i} and B_η = {x_j} in Â(phi).
+        self._pairs = [(pair, *disequality_key(query, pair)) for pair in query.delta()]
+        self._search_order: Optional[List[str]] = None
         requested = required_colouring_repetitions(
             len(query.delta()), failure_probability
         )
@@ -134,31 +160,65 @@ class ColourCodingEdgeFreeOracle:
         self.calls = 0
         self.hom_queries = 0
 
-    @property
-    def a_hat(self) -> Structure:
-        """The coloured query structure Â(phi) (constant across calls)."""
-        return self._a_hat
+    def free_domains(
+        self, subsets: Sequence[Iterable[TaggedValue]]
+    ) -> Optional[List[Set[Element]]]:
+        """Validate class-aligned subsets ``V_i ⊆ U_i(D)`` and untag them;
+        ``None`` when some ``V_i`` is empty (no hyperedge can exist)."""
+        subsets = [set(block) for block in subsets]
+        if len(subsets) != self._num_free:
+            raise ValueError(f"expected {self._num_free} subsets, got {len(subsets)}")
+        if any(not block for block in subsets):
+            return None
+        universe = self._database.universe
+        domains: List[Set[Element]] = []
+        for index, block in enumerate(subsets):
+            untagged: Set[Element] = set()
+            for value, tag in block:
+                if tag != index:
+                    raise ValueError(
+                        f"subset for free variable {self._order[index]!r} (index {index}) "
+                        f"contains an element tagged {tag}"
+                    )
+                if value not in universe:
+                    raise ValueError(f"value {value!r} is not in the database universe")
+                untagged.add(value)
+            domains.append(untagged)
+        return domains
+
+    def hom_exists(self, free_domains: Sequence[Set[Element]], colouring: Colouring) -> bool:
+        """One Hom query of Lemma 30: whether
+        ``Hom(Â(phi), B̂(phi, D, V_1..V_l, f))`` holds for the untagged
+        ``free_domains`` (see :meth:`free_domains`) and the colouring ``f``."""
+        domains: Dict[str, Iterable[Element]] = {}
+        for index, variable in enumerate(self._order):
+            # The shared canonical tuple is handed through unchanged: the
+            # columnar engine recognises it by identity as the full universe.
+            domains[variable] = free_domains[index] if index < self._num_free else self._universe
+        for pair, left, right in self._pairs:
+            f_eta = colouring[pair]
+            domains[left] = [value for value in domains[left] if f_eta[value] == RED]
+            domains[right] = [value for value in domains[right] if f_eta[value] == BLUE]
+        csp = CSPInstance(
+            domains, self._constraints, engine=self._engine, search_order=self._search_order
+        )
+        if self._search_order is None:
+            # The scopes (and hence the min-fill order) are the same for every
+            # Hom query; compute the order once and reuse it.
+            self._search_order = csp.search_order()
+        return csp.is_satisfiable()
 
     def edge_free(self, subsets: Sequence[Iterable[TaggedValue]]) -> bool:
         """True iff (with one-sided error) ``H(phi, D)[V_1..V_l]`` has no
         hyperedge; ``subsets`` must be class-aligned (V_i ⊆ U_i(D))."""
         self.calls += 1
-        subsets = [set(block) for block in subsets]
-        if len(subsets) != self._num_free:
-            raise ValueError(f"expected {self._num_free} subsets, got {len(subsets)}")
-        if any(not block for block in subsets):
+        free_domains = self.free_domains(subsets)
+        if free_domains is None:
             return True
-        # The scaffold (tagged base relations + class relations) depends only
-        # on the subsets; only the small unary colour relations change per
-        # repetition, so build it once and stamp each colouring on a copy.
-        scaffold = build_B_hat_scaffold(
-            self._query, self._database, subsets, b_structure=self._b_base
-        )
         for _ in range(self.repetitions):
             colouring = random_colouring(self._query, self._database, rng=self._rng)
-            b_hat = add_colour_relations(self._query, scaffold, colouring)
             self.hom_queries += 1
-            if self._hom(self._a_hat, b_hat):
+            if self.hom_exists(free_domains, colouring):
                 return False
         return True
 

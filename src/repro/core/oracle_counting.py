@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.core.answer_hypergraph import DirectEdgeFreeOracle, vertex_classes
-from repro.core.colour_coding import ColourCodingEdgeFreeOracle, HomOracle
+from repro.core.colour_coding import ColourCodingEdgeFreeOracle
 from repro.core.dlm import approx_count_via_oracle, exact_count_via_oracle
 from repro.queries.query import ConjunctiveQuery
 from repro.relational.csp import DEFAULT_ENGINE
@@ -134,7 +134,6 @@ def approx_count_answers_via_oracle(
     delta: float,
     rng: RNGLike = None,
     oracle_mode: str = "auto",
-    hom_oracle: Optional[HomOracle] = None,
     max_colouring_repetitions: Optional[int] = 512,
     return_statistics: bool = False,
     engine: str = DEFAULT_ENGINE,
@@ -155,9 +154,9 @@ def approx_count_answers_via_oracle(
     return_statistics:
         Also return an :class:`OracleCountingStatistics` record.
     engine:
-        The CSP engine (``"indexed"``/``"naive"``) backing both the direct
-        EdgeFree oracle and the default Hom oracle of the colour-coding
-        simulation.
+        The CSP engine (``"indexed"``/``"naive"``/``"columnar"``) backing
+        both the direct EdgeFree oracle and the Hom queries of the
+        colour-coding simulation.
     """
     check_epsilon_delta(epsilon, delta)
     generator = as_generator(rng)
@@ -194,7 +193,6 @@ def approx_count_answers_via_oracle(
             query,
             database,
             failure_probability=per_call_failure,
-            hom_oracle=hom_oracle,
             rng=generator,
             max_repetitions=max_colouring_repetitions,
             engine=engine,
@@ -225,7 +223,6 @@ def exact_count_answers_via_oracle(
     query: ConjunctiveQuery,
     database: Structure,
     oracle_mode: str = "direct",
-    hom_oracle: Optional[HomOracle] = None,
     rng: RNGLike = None,
     engine: str = DEFAULT_ENGINE,
 ) -> int:
@@ -240,7 +237,6 @@ def exact_count_answers_via_oracle(
             query,
             database,
             failure_probability=0.01,
-            hom_oracle=hom_oracle,
             rng=rng,
             engine=engine,
         )

@@ -231,10 +231,6 @@ class Constraint:
         return values
 
 
-#: Backwards/forwards-compatible alias: the table constraint is the basic kind.
-TableConstraint = Constraint
-
-
 @dataclass(frozen=True)
 class NotEqualConstraint:
     """A binary disequality constraint ``left != right``.
@@ -522,9 +518,6 @@ class CSPInstance:
                     remaining = [v for v in self.variables if v not in set(ordered)]
                     self._order_cache = ordered + remaining
         return list(self._order_cache)
-
-    # Backwards-compatible private alias.
-    _search_order = search_order
 
     def propagate(
         self, domains: Optional[Dict[Variable, Set[Value]]] = None

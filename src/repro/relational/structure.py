@@ -489,8 +489,8 @@ class Structure:
         """A fast independent copy: relation sets are bulk-copied (the facts
         were validated when first added) and still-valid derived caches —
         canonical universe, per-relation tuple indexes — are carried over, so
-        copies mutated in only a few relations (the colour-coding hot path)
-        keep the shared indexes of the untouched ones."""
+        copies mutated in only a few relations keep the shared indexes of the
+        untouched ones."""
         duplicate = Structure.__new__(Structure)
         duplicate._signature = self._signature.copy()
         duplicate._universe = set(self._universe)

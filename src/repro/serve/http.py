@@ -23,6 +23,7 @@ REASONS = {
     405: "Method Not Allowed",
     413: "Payload Too Large",
     429: "Too Many Requests",
+    431: "Request Header Fields Too Large",
     500: "Internal Server Error",
     503: "Service Unavailable",
     504: "Gateway Timeout",
@@ -65,10 +66,15 @@ async def read_request(
 ) -> Optional[Request]:
     """Parse one request off the stream; ``None`` on a clean EOF (the client
     closed a keep-alive connection between requests)."""
+    # A line longer than the reader's limit makes ``readline`` raise
+    # ``ValueError`` (it converts ``LimitOverrunError``): answer it, never let
+    # it kill the connection task.
     try:
         request_line = await reader.readline()
-    except (ConnectionResetError, asyncio.LimitOverrunError):
+    except ConnectionResetError:
         return None
+    except ValueError:
+        raise HTTPError(400, "request line too long")
     if not request_line or request_line in (b"\r\n", b"\n"):
         return None
     parts = request_line.decode("latin-1").strip().split()
@@ -78,7 +84,10 @@ async def read_request(
 
     headers: Dict[str, str] = {}
     while True:
-        line = await reader.readline()
+        try:
+            line = await reader.readline()
+        except ValueError:
+            raise HTTPError(431, "header line too long")
         if not line:
             raise HTTPError(400, "connection closed mid-headers")
         if line in (b"\r\n", b"\n"):

@@ -13,7 +13,7 @@ them into a serving layer:
   planner picks the cheapest sound scheme under a per-request latency budget
   (override > budget-adaptive > dichotomy, cold-start falls back to the
   dichotomy);
-* :class:`~repro.service.cache.LRUCache` — plan and result caches keyed on
+* :class:`~repro.util.cache.LRUCache` — plan and result caches keyed on
   canonical query forms and the databases' per-relation version counters;
 * :class:`~repro.service.service.CountingService` — ``submit()`` /
   ``count_batch()`` front-end with serial / thread / process-pool execution
@@ -24,7 +24,7 @@ them into a serving layer:
 See DESIGN.md ("The service layer") for the architecture.
 """
 
-from repro.service.cache import CacheStats, LRUCache
+from repro.util.cache import CacheStats, LRUCache
 from repro.service.cost import CostModel, CostPrediction
 from repro.service.executor import EXECUTOR_MODES, execute_scheme, execute_scheme_result
 from repro.service.keys import (

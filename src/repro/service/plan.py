@@ -62,7 +62,7 @@ from repro.queries.query import ConjunctiveQuery, QueryClass
 from repro.relational.columnar import columnar_available
 from repro.relational.csp import DEFAULT_ENGINE, ENGINES
 from repro.relational.structure import Structure
-from repro.service.cache import LRUCache
+from repro.util.cache import LRUCache
 from repro.service.cost import PREDICTION_BASIS, CostModel
 
 #: The built-in single-query counting schemes (an import-time snapshot of the

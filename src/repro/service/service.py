@@ -45,7 +45,7 @@ from repro.relational.structure import Structure
 from repro.resilience.breaker import CircuitBreaker
 from repro.resilience.faults import FaultError, FaultPlan
 from repro.resilience.retry import Deadline, RetryPolicy
-from repro.service.cache import LRUCache
+from repro.util.cache import LRUCache
 
 # Imported as a submodule (not the repro.shard package __init__) to stay
 # cycle-safe: repro.shard.executor imports repro.service.executor.

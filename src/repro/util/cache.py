@@ -12,8 +12,7 @@ Backs every cache of the package:
   entirely.
 
 The module lives in :mod:`repro.util` rather than :mod:`repro.service` so the
-queries/core layers can use it without depending on the service layer;
-:mod:`repro.service.cache` re-exports it under its historical name.
+queries/core layers can use it without depending on the service layer.
 
 Entries rarely need explicit invalidation: the database component of every
 result key embeds the structure's per-relation version counters, so mutating

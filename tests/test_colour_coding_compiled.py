@@ -1,0 +1,294 @@
+"""The compiled Lemma-30 Hom oracle of the colour-coding EdgeFree simulation.
+
+``ColourCodingEdgeFreeOracle`` decides every Hom query on one CSP compiled per
+oracle, restricting only the domains per colouring.  These tests check that
+each such decision equals ``Hom(Â(phi), B̂(phi, D, V, f))`` on the structures
+of Definitions 26 and 28, and that the Lemma-22 estimates and statistics are
+unchanged from the structure-building implementation (golden values).
+"""
+
+from __future__ import annotations
+
+import random
+
+import pytest
+
+from repro.core.associated_structures import (
+    BLUE,
+    RED,
+    build_A_hat,
+    build_B_hat,
+    disequality_key,
+    variable_order,
+)
+from repro.core.colour_coding import ColourCodingEdgeFreeOracle, random_colouring
+from repro.core.oracle_counting import approx_count_answers_via_oracle
+from repro.queries import parse_query
+from repro.relational import Database, exists_homomorphism
+from repro.relational.signature import Signature
+from repro.relational.structure import Structure
+from repro.util.rng import as_generator
+
+ENGINES = ("indexed", "naive", "columnar")
+
+QUERIES = (
+    # negated atom next to a disequality
+    "Ans(x, y) :- E(x, z), E(z, y), x != y, not F(x, y)",
+    # three disequalities pairwise sharing variables
+    "Ans(x) :- E(x, y), E(x, z), x != y, x != z, y != z",
+    # w occurs only in a disequality
+    "Ans(x, y) :- E(x, y), y != w",
+    # a negated atom with a repeated variable; w only in negation + disequality
+    "Ans(x) :- E(x, y), not F(y, y), not F(x, w), x != y, w != y",
+    # Boolean query
+    "Ans() :- E(x, y), E(y, z), x != z, not F(z, x)",
+    # no disequality: the colouring is empty
+    "Ans(x, z) :- E(x, y), E(y, z), not F(x, z)",
+)
+
+
+def random_database(rng: random.Random) -> Database:
+    size = rng.randint(2, 5)
+    universe = list(range(size))
+    pairs = [(u, v) for u in universe for v in universe]
+    return Database.from_relations(
+        {
+            "E": rng.sample(pairs, rng.randint(1, len(pairs) // 2 + 1)),
+            "F": rng.sample(pairs, rng.randint(0, len(pairs) // 2)),
+        },
+        universe=universe,
+        signature=Signature.from_arities({"E": 2, "F": 2}),
+    )
+
+
+def random_subsets(query, database, rng: random.Random):
+    """Random non-empty class-aligned subsets ``V_i ⊆ U_i(D)``."""
+    values = sorted(database.universe)
+    return [
+        {(value, index) for value in rng.sample(values, rng.randint(1, len(values)))}
+        for index in range(query.num_free())
+    ]
+
+
+def random_explicit_colouring(query, database, subsets, rng: random.Random):
+    """Uniform colours, except that half the time a random assignment of the
+    variables (free ones inside their ``V_i``) is planted: each
+    disequality's left value red, right value blue, so that colourings
+    admitting a Hom are not rare."""
+    values = sorted(database.universe)
+    order = variable_order(query)
+    planted = {
+        variable: rng.choice(
+            sorted(value for value, _ in subsets[index]) if index < len(subsets) else values
+        )
+        for index, variable in enumerate(order)
+    }
+    plant = rng.random() < 0.5
+    colouring = {}
+    for pair in sorted(query.delta(), key=sorted):
+        f_eta = {value: rng.choice((RED, BLUE)) for value in values}
+        left, right = disequality_key(query, pair)
+        if plant and planted[left] != planted[right]:
+            f_eta[planted[left]] = RED
+            f_eta[planted[right]] = BLUE
+        colouring[pair] = f_eta
+    return colouring
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("text", QUERIES)
+def test_compiled_decision_equals_hom_on_b_hat(text, engine):
+    query = parse_query(text)
+    a_hat = build_A_hat(query)
+    rng = random.Random(f"{text}|{engine}")
+    outcomes = set()
+    for _ in range(12):
+        database = random_database(rng)
+        oracle = ColourCodingEdgeFreeOracle(query, database, rng=0, engine=engine)
+        for _ in range(4):
+            subsets = random_subsets(query, database, rng)
+            free_domains = oracle.free_domains(subsets)
+            colouring = random_explicit_colouring(query, database, subsets, rng)
+            expected = exists_homomorphism(
+                a_hat, build_B_hat(query, database, subsets, colouring)
+            )
+            assert oracle.hom_exists(free_domains, colouring) == expected
+            outcomes.add(expected)
+    # The instances are small enough that both answers occur.
+    assert outcomes == {True, False}
+
+
+def test_edge_free_loops_over_hom_exists():
+    """``edge_free`` draws ``random_colouring`` per repetition from the
+    oracle's generator and stops at the first colouring admitting a Hom."""
+    query = parse_query("Ans(x) :- E(x, y), E(x, z), y != z")
+    rng = random.Random(3)
+    for _ in range(10):
+        database = random_database(rng)
+        subsets = random_subsets(query, database, rng)
+        oracle = ColourCodingEdgeFreeOracle(query, database, rng=5)
+        replay = ColourCodingEdgeFreeOracle(query, database, rng=0)
+        generator = as_generator(5)
+        free_domains = replay.free_domains(subsets)
+        queries = 0
+        found = False
+        for _ in range(replay.repetitions):
+            queries += 1
+            if replay.hom_exists(free_domains, random_colouring(query, database, generator)):
+                found = True
+                break
+        assert oracle.edge_free(subsets) == (not found)
+        assert oracle.hom_queries == queries
+
+
+def test_subset_validation():
+    query = parse_query("Ans(x, y) :- E(x, y), x != y")
+    database = Database.from_graph_edges([(1, 2), (2, 3)])
+    oracle = ColourCodingEdgeFreeOracle(query, database, rng=0)
+    with pytest.raises(ValueError):
+        oracle.edge_free([{(1, 0)}])
+    with pytest.raises(ValueError):
+        oracle.edge_free([{(1, 1)}, {(2, 1)}])
+    with pytest.raises(ValueError):
+        oracle.edge_free([{(9, 0)}, {(2, 1)}])
+    # An empty block is edge-free before any colouring is drawn.
+    assert oracle.edge_free([set(), {(2, 1)}])
+    assert oracle.hom_queries == 0
+
+
+def test_no_structure_built_per_repetition(monkeypatch):
+    query = parse_query("Ans(x) :- E(x, y), E(x, z), y != z, not F(y, z)")
+    database = Database.from_relations(
+        {"E": [(0, 1), (1, 0), (0, 2), (2, 0), (1, 2)], "F": [(1, 2)]},
+        universe=range(4),
+    )
+    oracle = ColourCodingEdgeFreeOracle(query, database, rng=1)
+    built = []
+    original_init = Structure.__init__
+    original_copy = Structure.copy
+
+    def counting_init(self, *args, **kwargs):
+        built.append("init")
+        original_init(self, *args, **kwargs)
+
+    def counting_copy(self):
+        built.append("copy")
+        return original_copy(self)
+
+    monkeypatch.setattr(Structure, "__init__", counting_init)
+    monkeypatch.setattr(Structure, "copy", counting_copy)
+    for value in range(4):
+        oracle.edge_free([{(value, 0)}])
+    assert oracle.hom_queries > 4
+    assert built == []
+
+
+# ----------------------------------------------------------------- golden
+SERVE_EDGES = [(0, 4), (1, 4), (1, 5), (1, 6), (2, 4), (3, 4), (3, 5), (3, 6), (4, 6)]
+WIDER_EDGES = [
+    (0, 2), (0, 3), (0, 5), (0, 7), (1, 2), (1, 5), (1, 9), (2, 3), (2, 4), (2, 6), (2, 9),
+    (3, 7), (3, 8), (3, 10), (3, 11), (4, 5), (4, 6), (4, 9), (5, 11), (6, 8), (7, 9), (8, 10),
+]
+
+
+def golden_database(edges, size: int) -> Database:
+    """``E`` = the symmetric graph, ``F(v, 3v + 1 mod size)``: the
+    serve-approx benchmark database for ``SERVE_EDGES`` (G(7, 9))."""
+    symmetric = list(edges) + [(v, u) for u, v in edges]
+    functional = [(v, (3 * v + 1) % size) for v in range(size)]
+    return Database.from_relations({"E": symmetric, "F": functional}, universe=range(size))
+
+
+PATH = "Ans(x) :- E(x, y), E(y, z), x != z"
+STAR = "Ans(x) :- E(x, y), E(x, z), y != z"
+NEGATED = "Ans(x) :- E(x, y), E(y, z), not F(x, z)"
+TWO_FREE = "Ans(x, z) :- E(x, y), E(y, z), x != z, not F(x, z)"
+SHARED = "Ans(x) :- E(x, y), E(x, z), E(x, w), y != z, y != w"
+
+#: (database, query, engine, seed, estimate,
+#:  (edgefree_calls, aligned_calls, hom_queries, truncated, oracle_mode)),
+#: recorded with the structure-building implementation at epsilon 0.5,
+#: delta 0.25.  That implementation drew the colourings of several
+#: disequalities in string-hash order; the SHARED rows come from processes
+#: whose hash order was the canonical one that ``random_colouring`` now uses.
+GOLDEN = [
+    ("serve", PATH, "indexed", 0, 7.0, (13, 13, 26, False, "colour_coding")),
+    ("serve", PATH, "indexed", 1, 7.0, (13, 13, 18, False, "colour_coding")),
+    ("serve", PATH, "indexed", 2, 7.0, (13, 13, 16, False, "colour_coding")),
+    ("serve", PATH, "columnar", 0, 7.0, (13, 13, 26, False, "colour_coding")),
+    ("serve", PATH, "columnar", 1, 7.0, (13, 13, 18, False, "colour_coding")),
+    ("serve", PATH, "columnar", 2, 7.0, (13, 13, 16, False, "colour_coding")),
+    ("serve", PATH, "naive", 0, 7.0, (13, 13, 26, False, "colour_coding")),
+    ("serve", PATH, "naive", 1, 7.0, (13, 13, 18, False, "colour_coding")),
+    ("serve", PATH, "naive", 2, 7.0, (13, 13, 16, False, "colour_coding")),
+    ("serve", STAR, "indexed", 0, 5.0, (13, 13, 107, False, "colour_coding")),
+    ("serve", STAR, "indexed", 1, 5.0, (13, 13, 103, False, "colour_coding")),
+    ("serve", STAR, "indexed", 2, 5.0, (13, 13, 105, False, "colour_coding")),
+    ("serve", STAR, "columnar", 0, 5.0, (13, 13, 107, False, "colour_coding")),
+    ("serve", STAR, "columnar", 1, 5.0, (13, 13, 103, False, "colour_coding")),
+    ("serve", STAR, "columnar", 2, 5.0, (13, 13, 105, False, "colour_coding")),
+    ("serve", STAR, "naive", 0, 5.0, (13, 13, 107, False, "colour_coding")),
+    ("serve", STAR, "naive", 1, 5.0, (13, 13, 103, False, "colour_coding")),
+    ("serve", STAR, "naive", 2, 5.0, (13, 13, 105, False, "colour_coding")),
+    ("serve", NEGATED, "indexed", 0, 7.0, (13, 13, 13, False, "colour_coding")),
+    ("serve", NEGATED, "indexed", 1, 7.0, (13, 13, 13, False, "colour_coding")),
+    ("serve", NEGATED, "indexed", 2, 7.0, (13, 13, 13, False, "colour_coding")),
+    ("serve", NEGATED, "columnar", 0, 7.0, (13, 13, 13, False, "colour_coding")),
+    ("serve", NEGATED, "columnar", 1, 7.0, (13, 13, 13, False, "colour_coding")),
+    ("serve", NEGATED, "columnar", 2, 7.0, (13, 13, 13, False, "colour_coding")),
+    ("serve", NEGATED, "naive", 0, 7.0, (13, 13, 13, False, "colour_coding")),
+    ("serve", NEGATED, "naive", 1, 7.0, (13, 13, 13, False, "colour_coding")),
+    ("serve", NEGATED, "naive", 2, 7.0, (13, 13, 13, False, "colour_coding")),
+    ("wider", TWO_FREE, "indexed", 0, 80.0, (611, 611, 10403, False, "colour_coding")),
+    ("wider", SHARED, "indexed", 0, 12.0, (23, 23, 49, False, "colour_coding")),
+    ("wider", SHARED, "indexed", 1, 12.0, (23, 23, 46, False, "colour_coding")),
+    ("wider", SHARED, "indexed", 2, 12.0, (23, 23, 32, False, "colour_coding")),
+]
+
+DATABASES = {"serve": (SERVE_EDGES, 7), "wider": (WIDER_EDGES, 12)}
+
+
+@pytest.mark.parametrize("name, text, engine, seed, estimate, statistics", GOLDEN)
+def test_golden_estimates_and_statistics(name, text, engine, seed, estimate, statistics):
+    database = golden_database(*DATABASES[name])
+    got, stats = approx_count_answers_via_oracle(
+        parse_query(text), database, 0.5, 0.25, rng=seed, return_statistics=True, engine=engine
+    )
+    assert got == estimate
+    assert (
+        stats.edgefree_calls,
+        stats.aligned_calls,
+        stats.hom_queries,
+        stats.colour_coding_truncated,
+        stats.oracle_mode,
+    ) == statistics
+
+
+def test_colourings_do_not_depend_on_string_hashing(tmp_path):
+    """With two disequalities the draw order of the pairs must not follow
+    ``PYTHONHASHSEED`` (hash seeds 0 and 1 iterate ``delta()`` differently)."""
+    import os
+    import subprocess
+    import sys
+
+    import repro
+
+    script = tmp_path / "colour.py"
+    script.write_text(
+        "from repro.core.colour_coding import random_colouring\n"
+        "from repro.queries import parse_query\n"
+        "from repro.relational import Database\n"
+        f"query = parse_query({SHARED!r})\n"
+        "database = Database.from_graph_edges([(0, 1), (1, 2), (2, 3)])\n"
+        "colouring = random_colouring(query, database, rng=4)\n"
+        "print(sorted((sorted(pair), sorted(f.items())) for pair, f in colouring.items()))\n"
+    )
+    outputs = set()
+    for hash_seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+        env["PYTHONPATH"] = os.path.dirname(os.path.dirname(repro.__file__))
+        result = subprocess.run(
+            [sys.executable, str(script)], env=env, capture_output=True, text=True, check=True
+        )
+        outputs.add(result.stdout)
+    assert len(outputs) == 1

@@ -600,6 +600,33 @@ class TestServerEndToEnd:
             assert payload["kind"] == "error"
             connection.close()
 
+    @pytest.mark.parametrize(
+        "head, status",
+        [
+            # one 70 KB header line, over the 64 KB StreamReader limit
+            (b"GET /v1/healthz HTTP/1.1\r\nX-Big: " + b"a" * 70_000 + b"\r\n\r\n", 431),
+            (b"GET /v1/healthz?" + b"a" * 70_000 + b" HTTP/1.1\r\n\r\n", 400),
+        ],
+        ids=["header-line-431", "request-line-400"],
+    )
+    def test_overlong_line_is_clean_4xx(self, medium_database, head, status):
+        import socket
+
+        with running_server(medium_database) as (_, handle):
+            with socket.create_connection((handle.host, handle.port), timeout=10) as raw:
+                raw.sendall(head)
+                raw.shutdown(socket.SHUT_WR)
+                reply = b""
+                while True:
+                    chunk = raw.recv(65536)
+                    if not chunk:
+                        break
+                    reply += chunk
+            assert reply.startswith(f"HTTP/1.1 {status} ".encode())
+            assert json.loads(reply.split(b"\r\n\r\n", 1)[1])["kind"] == "error"
+            # The server survives and answers on a new connection.
+            assert client_for(handle).health()["status"] == "ok"
+
     def test_server_default_deadline_applies(self, medium_database):
         config = ServeConfig(default_deadline_seconds=1e-9)
         with running_server(medium_database, serve_config=config) as (_, handle):
