@@ -11,8 +11,9 @@ labelled trees over a *fixed* tree shape (the nice tree decomposition), and
 Lemma 51 (Arenas–Croquevielle–Jayaram–Riveros) supplies an FPRAS for that
 counting problem.  This module implements
 
-* the automaton model and memoised acceptance test
-  (:meth:`TreeAutomaton.accepts`, :meth:`TreeAutomaton.accepts_from`),
+* the automaton model and its memoised acceptance test
+  (:meth:`TreeAutomaton.accepts`), one routine over preorder label tuples
+  that the sampler's ownership checks share,
 * brute-force counting of accepted labellings (tests / tiny instances),
 * :class:`LanguageEstimator` (behind :meth:`TreeAutomaton.count_labelings`
   and :meth:`TreeAutomaton.sample_labeling`) — an ACJR-inspired approximate
@@ -21,14 +22,16 @@ counting problem.  This module implements
   unions, and uses Karp–Luby union estimation with recursive
   approximate-uniform sampling where target languages may overlap (exactly
   the situation created by existential variables).  See DESIGN.md,
-  substitution 3, for how this relates to the original ACJR construction and
-  why its table-driven draws reproduce ``Generator.choice`` exactly.
+  substitution 3, for how this relates to the original ACJR construction,
+  why its table-driven draws reproduce ``Generator.choice`` exactly, and why
+  an ownership check may skip the drawn target.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import (
     Callable,
@@ -40,14 +43,13 @@ from typing import (
     Mapping,
     NamedTuple,
     Optional,
-    Sequence,
     Set,
     Tuple,
 )
 
 import numpy as np
 
-from repro.util.rng import RNGLike, as_generator, choice_cdf, draw_index
+from repro.util.rng import RNGLike, as_generator, choice_cdf
 from repro.util.validation import check_epsilon_delta
 
 State = Hashable
@@ -62,45 +64,61 @@ Labeling = Dict[NodeId, Label]
 
 @dataclass(frozen=True)
 class RootedTree:
-    """A rooted tree with at most two (ordered) children per node."""
+    """A rooted tree with at most two (ordered) children per node.
+
+    Nodes are also numbered by preorder *position*: the root is position 0
+    and the subtree of position ``i`` occupies positions
+    ``[i, i + size_i)``, so a labelling of that subtree is a tuple of labels
+    in preorder and a parent's is its label followed by its children's."""
 
     root: NodeId
     children: Mapping[NodeId, Tuple[NodeId, ...]]
     _children_of: Dict[NodeId, Tuple[NodeId, ...]] = field(
         init=False, repr=False, compare=False
     )
+    #: The nodes in preorder (position -> node) and its inverse.
+    _order: Tuple[NodeId, ...] = field(init=False, repr=False, compare=False)
+    _position: Dict[NodeId, int] = field(init=False, repr=False, compare=False)
+    #: Subtree size and child positions per position.
+    _sizes: Tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _kid_positions: Tuple[Tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for node, kids in self.children.items():
             if len(kids) > 2:
                 raise ValueError(f"node {node!r} has more than two children")
-        object.__setattr__(
-            self,
-            "_children_of",
-            {node: tuple(kids) for node, kids in self.children.items()},
+        children_of = {node: tuple(kids) for node, kids in self.children.items()}
+        order: List[NodeId] = []
+        stack = [self.root]
+        while stack:
+            current = stack.pop()
+            order.append(current)
+            stack.extend(reversed(children_of.get(current, ())))
+        position = {node: index for index, node in enumerate(order)}
+        kid_positions = tuple(
+            tuple(position[kid] for kid in children_of.get(node, ())) for node in order
         )
+        sizes = [1] * len(order)
+        for index in reversed(range(len(order))):
+            sizes[index] += sum(sizes[kid] for kid in kid_positions[index])
+        object.__setattr__(self, "_children_of", children_of)
+        object.__setattr__(self, "_order", tuple(order))
+        object.__setattr__(self, "_position", position)
+        object.__setattr__(self, "_sizes", tuple(sizes))
+        object.__setattr__(self, "_kid_positions", kid_positions)
 
     def nodes(self) -> List[NodeId]:
         """All nodes in root-to-leaf (preorder) order."""
-        return self.subtree_nodes(self.root)
+        return list(self._order)
 
     def bottom_up(self) -> List[NodeId]:
-        return list(reversed(self.nodes()))
+        return list(reversed(self._order))
 
     def children_of(self, node: NodeId) -> Tuple[NodeId, ...]:
         return self._children_of.get(node, ())
 
     def size(self) -> int:
-        return len(self.nodes())
-
-    def subtree_nodes(self, node: NodeId) -> List[NodeId]:
-        order: List[NodeId] = []
-        stack = [node]
-        while stack:
-            current = stack.pop()
-            order.append(current)
-            stack.extend(reversed(self.children_of(current)))
-        return order
+        return len(self._order)
 
 
 class TreeAutomaton:
@@ -173,59 +191,62 @@ class TreeAutomaton:
         return sum(len(targets) for targets in self._transitions.values())
 
     # ------------------------------------------------------------- acceptance
-    def accepts_from(
-        self,
-        tree: RootedTree,
-        labeling: Labeling,
-        node: NodeId,
-        state: State,
-        memo: Dict[Tuple[NodeId, State], bool],
-    ) -> bool:
-        """Whether the labelled subtree rooted at ``node`` admits an accepting
-        run starting from ``state``.
+    def _membership(self, tree: RootedTree) -> Callable[[int, State, Tuple[Label, ...]], bool]:
+        """The membership test over ``tree``: ``member(position, state,
+        labels)`` says whether the subtree at preorder ``position``, labelled
+        by the tuple ``labels`` (its labels in preorder), admits an accepting
+        run started in ``state``.
 
-        Top-down and memoised in ``memo`` (one dict per labelling): only the
-        (node, state) pairs some transition actually probes are evaluated,
-        and each at most once.
+        Top-down, so only the (position, state) pairs some transition
+        actually probes are evaluated, and memoised by
+        ``(position, state, labels)``: the verdict is a fact about the
+        labelled subtree, so one test serves any number of labellings.
         """
-        key = (node, state)
-        known = memo.get(key)
-        if known is not None:
-            return known
-        kids = tree.children_of(node)
-        accepted = False
-        for target in self._transitions.get((state, labeling[node]), ()):
-            if len(target) != len(kids):
-                continue
-            for kid, kid_state in zip(kids, target):
-                if not self.accepts_from(tree, labeling, kid, kid_state, memo):
-                    break
-            else:
-                accepted = True
-                break
-        memo[key] = accepted
-        return accepted
+        transitions = self._transitions
+        kid_positions = tree._kid_positions
+        sizes = tree._sizes
+        memo: Dict[Tuple[int, State, Tuple[Label, ...]], bool] = {}
+
+        def member(position: int, state: State, labels: Tuple[Label, ...]) -> bool:
+            key = (position, state, labels)
+            known = memo.get(key)
+            if known is not None:
+                return known
+            kids = kid_positions[position]
+            # Each child's labels: the next sizes[kid] entries after the parent's.
+            parts, start = [], 1
+            for kid in kids:
+                parts.append(labels[start : start + sizes[kid]])
+                start += sizes[kid]
+            accepted = any(
+                len(target) == len(kids)
+                and all(map(member, kids, target, parts))
+                for target in transitions.get((state, labels[0]), ())
+            )
+            memo[key] = accepted
+            return accepted
+
+        return member
 
     def accepts(self, tree: RootedTree, labeling: Labeling) -> bool:
         """Whether the automaton accepts the labelled tree (Definition 50)."""
         missing = [node for node in tree.nodes() if node not in labeling]
         if missing:
             raise ValueError(f"labeling is missing nodes {missing!r}")
-        return self.accepts_from(tree, labeling, tree.root, self._initial, {})
+        labels = tuple(labeling[node] for node in tree._order)
+        return self._membership(tree)(0, self._initial, labels)
 
     # ---------------------------------------------------- brute-force counting
     def count_labelings_bruteforce(self, tree: RootedTree) -> int:
         """The number of labellings of ``tree`` accepted by the automaton, by
         exhaustive enumeration over ``|Sigma|^{|tree|}`` labellings (tests and
         tiny instances only)."""
-        nodes = tree.nodes()
+        member = self._membership(tree)
         alphabet = sorted(self._alphabet, key=repr)
-        count = 0
-        for combination in itertools.product(alphabet, repeat=len(nodes)):
-            labeling = dict(zip(nodes, combination))
-            if self.accepts(tree, labeling):
-                count += 1
-        return count
+        return sum(
+            member(0, self._initial, labels)
+            for labels in itertools.product(alphabet, repeat=tree.size())
+        )
 
     def count_nslice_bruteforce(self, size: int) -> int:
         """|L_N(A)| by brute force: enumerate every rooted tree with ``size``
@@ -300,9 +321,10 @@ class TreeAutomaton:
 
 
 class _Union(NamedTuple):
-    """The targets of one ``(node, state, label)`` whose product languages are
-    non-empty, in the fixed (repr) order, with what drawing among them needs.
-    Fixed once built: it reads only child estimates, which never change."""
+    """The targets of one ``(position, state, label)`` whose product languages
+    are non-empty, in the fixed (repr) order, with what drawing among them
+    needs.  Fixed once built: it reads only child estimates, which never
+    change."""
 
     targets: List[Target]
     #: Estimated product-language size of each target.
@@ -314,11 +336,27 @@ class _Union(NamedTuple):
     disjoint: bool
 
 
+class _DrawTable(NamedTuple):
+    """Everything one draw from ``L(position, state)`` reads: the labels with
+    a positive estimate in repr order, the :func:`choice_cdf` of their
+    estimates, and each label's union (``None`` at a leaf)."""
+
+    labels: List[Label]
+    cdf: List[float]
+    unions: List[Optional[_Union]]
+
+
 class LanguageEstimator:
     """Bottom-up estimator of ``|L(node, state)|`` — the number of accepted
     labellings of the subtree rooted at ``node`` when started in ``state`` —
     with a companion approximate-uniform sampler.  Implements the scheme
-    described in the module docstring."""
+    described in the module docstring.
+
+    Internally a node is its preorder position in the tree and a sampled
+    labelling is the tuple of its labels in preorder (see
+    :class:`RootedTree`), so composing a sample is tuple concatenation; only
+    the public :meth:`sample` builds a dict.
+    """
 
     def __init__(
         self,
@@ -332,19 +370,22 @@ class LanguageEstimator:
     ) -> None:
         self._automaton = automaton
         self._tree = tree
-        self._rng = rng
+        self._kids = tree._kid_positions
+        self._random = rng.random
         self._epsilon = epsilon
         self._delta = delta
         self._hints = disjoint_union_hints
         if samples_per_union is None:
             samples_per_union = int(min(max(64, math.ceil(12.0 / (epsilon ** 2))), 4000))
         self._samples_per_union = samples_per_union
-        self._estimates: Dict[Tuple[NodeId, State], float] = {}
-        # Estimate of |U(node, state, label)| per reachable label.
-        self._label_estimates: Dict[Tuple[NodeId, State], Dict[Label, float]] = {}
-        # Draw tables, built on first use from estimates that are final by then.
-        self._label_tables: Dict[Tuple[NodeId, State], Tuple[List[Label], List[float]]] = {}
-        self._unions: Dict[Tuple[NodeId, State, Label], _Union] = {}
+        self._estimates: Dict[Tuple[int, State], float] = {}
+        # The labels with a positive estimate of |U(position, state, label)|,
+        # in repr order, with that estimate and the label's union.
+        self._per_label: Dict[Tuple[int, State], List[Tuple[Label, float, Optional[_Union]]]] = {}
+        # Draw tables, built on first draw from estimates that are final by then.
+        self._tables: Dict[Tuple[int, State], _DrawTable] = {}
+        # Membership of sampled sub-labellings, shared by every ownership check.
+        self._member = automaton._membership(tree)
         #: How often :meth:`sample` returned its last rejected sample after
         #: ``max_attempts`` failed rejection checks (each one a biased draw).
         self.fallback_samples = 0
@@ -352,62 +393,61 @@ class LanguageEstimator:
     # ------------------------------------------------------------ estimation
     def count(self) -> float:
         """The estimate of the whole language: the root in the initial state."""
-        return self.estimate(self._tree.root, self._automaton.initial_state)
+        return self._estimate(0, self._automaton.initial_state)
 
     def estimate(self, node: NodeId, state: State) -> float:
-        key = (node, state)
-        if key in self._estimates:
-            return self._estimates[key]
-        per_label: Dict[Label, float] = {}
+        return self._estimate(self._tree._position[node], state)
+
+    def _estimate(self, position: int, state: State) -> float:
+        key = (position, state)
+        known = self._estimates.get(key)
+        if known is not None:
+            return known
+        kids = self._kids[position]
+        per_label: List[Tuple[Label, float, Optional[_Union]]] = []
         total = 0.0
         for label in self._automaton.labels_from(state):
-            value = self._estimate_union(node, state, label)
+            union = None
+            if not kids:
+                # Leaf: the only labelling of the subtree is (label,).
+                value = 1.0 if () in self._automaton.targets(state, label) else 0.0
+            else:
+                union = self._union(kids, state, label)
+                value = self._estimate_union(union, kids)
             if value > 0:
-                per_label[label] = value
+                per_label.append((label, value, union))
                 total += value
         self._estimates[key] = total
-        self._label_estimates[key] = per_label
+        self._per_label[key] = per_label
         return total
 
-    def _target_size(self, node: NodeId, target: Target) -> float:
-        kids = self._tree.children_of(node)
-        size = 1.0
-        for child, child_state in zip(kids, target):
-            size *= self.estimate(child, child_state)
-        return size
-
-    def _union(self, node: NodeId, state: State, label: Label) -> _Union:
-        key = (node, state, label)
-        union = self._unions.get(key)
-        if union is not None:
-            return union
-        arity = len(self._tree.children_of(node))
+    def _union(self, kids: Tuple[int, ...], state: State, label: Label) -> _Union:
         targets = sorted(
-            (t for t in self._automaton.targets(state, label) if len(t) == arity),
+            (t for t in self._automaton.targets(state, label) if len(t) == len(kids)),
             key=repr,
         )
-        sized = [(target, self._target_size(node, target)) for target in targets]
-        positive = [(target, size) for target, size in sized if size > 0]
-        sizes = [size for _, size in positive]
+        positive: List[Target] = []
+        sizes: List[float] = []
+        for target in targets:
+            size = 1.0
+            for kid, kid_state in zip(kids, target):
+                size *= self._estimate(kid, kid_state)
+            if size > 0:
+                positive.append(target)
+                sizes.append(size)
         cdf: List[float] = []
         if sizes:
             weights = np.asarray(sizes, dtype=float)
             cdf = choice_cdf(weights / weights.sum())
-        union = _Union(
-            targets=[target for target, _ in positive],
+        return _Union(
+            targets=positive,
             sizes=sizes,
             cdf=cdf,
             disjoint=len(positive) == 1
             or (self._hints is not None and self._hints(state, label)),
         )
-        self._unions[key] = union
-        return union
 
-    def _estimate_union(self, node: NodeId, state: State, label: Label) -> float:
-        if not self._tree.children_of(node):
-            # Leaf: the only labelling of the subtree is {node: label}.
-            return 1.0 if () in self._automaton.targets(state, label) else 0.0
-        union = self._union(node, state, label)
+    def _estimate_union(self, union: _Union, kids: Tuple[int, ...]) -> float:
         if not union.targets:
             return 0.0
         if union.disjoint:
@@ -415,97 +455,84 @@ class LanguageEstimator:
             # exact sum.
             return sum(union.sizes)
         # Karp–Luby union estimation.
-        successes = 0
         samples = self._samples_per_union
-        for _ in range(samples):
-            index = draw_index(union.cdf, self._rng)
-            element = self._sample_target(node, union.targets[index])
-            if element is None:
-                continue
-            if self._owner(node, union.targets, element) == index:
-                successes += 1
+        successes = sum(self._attempt(union, kids)[1] for _ in range(samples))
         fraction = successes / samples if samples else 0.0
         return float(np.sum(union.sizes)) * fraction
 
-    def _owner(
-        self,
-        node: NodeId,
-        targets: Sequence[Target],
-        element: Dict[NodeId, Labeling],
-    ) -> Optional[int]:
-        """Index of the first target whose (product of) child languages
-        contains the sampled child labellings."""
-        kids = self._tree.children_of(node)
-        memos: List[Dict[Tuple[NodeId, State], bool]] = [{} for _ in kids]
-        accepts_from = self._automaton.accepts_from
-        for index, target in enumerate(targets):
-            if all(
-                accepts_from(self._tree, element[kid], kid, kid_state, memo)
-                for kid, kid_state, memo in zip(kids, target, memos)
-            ):
-                return index
-        return None
-
     # -------------------------------------------------------------- sampling
-    def _sample_target(
-        self, node: NodeId, target: Target
-    ) -> Optional[Dict[NodeId, Labeling]]:
-        """Sample child labellings (one labelling per child subtree) from the
-        product language of ``target``."""
-        kids = self._tree.children_of(node)
-        result: Dict[NodeId, Labeling] = {}
-        for child, child_state in zip(kids, target):
-            labeling = self.sample(child, child_state)
-            if labeling is None:
-                return None
-            result[child] = labeling
-        return result
+    def _attempt(self, union: _Union, kids: Tuple[int, ...]) -> Tuple[Tuple[Label, ...], bool]:
+        """One draw from ``union``: a target in proportion to its size, then
+        one sample per child subtree from its product language.  Returns the
+        children's labels (concatenated in preorder) and whether the drawn
+        target owns them, i.e. is the first target whose product language
+        contains them.  The sample lies in the drawn target's language by
+        construction, so only the targets before it are checked."""
+        index = bisect_right(union.cdf, self._random())
+        target = union.targets[index]
+        draw = self._draw
+        member = self._member
+        if len(kids) == 1:
+            (kid,) = kids
+            below = draw(kid, target[0])
+            if not union.disjoint:
+                for earlier in union.targets[:index]:
+                    if member(kid, earlier[0], below):
+                        return below, False
+            return below, True
+        left_kid, right_kid = kids
+        left = draw(left_kid, target[0])
+        right = draw(right_kid, target[1])
+        if not union.disjoint:
+            for earlier in union.targets[:index]:
+                if member(left_kid, earlier[0], left) and member(right_kid, earlier[1], right):
+                    return left + right, False
+        return left + right, True
 
-    def _label_table(self, node: NodeId, state: State) -> Tuple[List[Label], List[float]]:
-        key = (node, state)
-        table = self._label_tables.get(key)
-        if table is None:
-            per_label = self._label_estimates[key]
-            labels = sorted(per_label, key=repr)
-            weights = np.asarray([per_label[label] for label in labels], dtype=float)
-            table = (labels, choice_cdf(weights / weights.sum()))
-            self._label_tables[key] = table
+    def _table(self, key: Tuple[int, State]) -> _DrawTable:
+        per_label = self._per_label[key]
+        weights = np.asarray([value for _, value, _ in per_label], dtype=float)
+        table = _DrawTable(
+            labels=[label for label, _, _ in per_label],
+            cdf=choice_cdf(weights / weights.sum()),
+            unions=[union for _, _, union in per_label],
+        )
+        self._tables[key] = table
         return table
+
+    def _draw(self, position: int, state: State, max_attempts: int = 64) -> Tuple[Label, ...]:
+        """A sample of ``L(position, state)``, whose estimate is positive, as
+        the tuple of its labels in preorder."""
+        key = (position, state)
+        table = self._tables.get(key)
+        if table is None:
+            table = self._table(key)
+        index = bisect_right(table.cdf, self._random())
+        label = table.labels[index]
+        kids = self._kids[position]
+        if not kids:
+            return (label,)
+        # The label has a positive estimate, so its union has targets.
+        union = table.unions[index]
+        for _ in range(max_attempts):
+            below, owned = self._attempt(union, kids)
+            if owned:
+                return (label,) + below
+        # Fall back to the last sample even if rejection failed repeatedly
+        # (introduces a small bias but guarantees termination); counted.
+        self.fallback_samples += 1
+        return (label,) + below
 
     def sample(self, node: NodeId, state: State, max_attempts: int = 64) -> Optional[Labeling]:
         """An (approximately uniform) accepted labelling of the subtree rooted
         at ``node`` started in ``state``; ``None`` if the language is empty."""
-        if self.estimate(node, state) <= 0:
+        if max_attempts < 1:
+            raise ValueError("max_attempts must be at least 1")
+        position = self._tree._position[node]
+        if self._estimate(position, state) <= 0:
             return None
-        labels, label_cdf = self._label_table(node, state)
-        label = labels[draw_index(label_cdf, self._rng)]
-        if not self._tree.children_of(node):
-            return {node: label}
-        # The label has a positive estimate, so its union has targets.
-        union = self._union(node, state, label)
-        element = None
-        for _ in range(max_attempts):
-            index = draw_index(union.cdf, self._rng)
-            element = self._sample_target(node, union.targets[index])
-            if element is None:
-                continue
-            if union.disjoint or self._owner(node, union.targets, element) == index:
-                return _compose(node, label, element)
-        if element is None:
-            return None
-        # Fall back to the last sample even if rejection failed repeatedly
-        # (introduces a small bias but guarantees termination); counted.
-        self.fallback_samples += 1
-        return _compose(node, label, element)
-
-
-def _compose(node: NodeId, label: Label, element: Dict[NodeId, Labeling]) -> Labeling:
-    """The labelling of ``node``'s subtree: ``label`` at ``node`` over the
-    sampled child labellings."""
-    labeling: Labeling = {node: label}
-    for child_labeling in element.values():
-        labeling.update(child_labeling)
-    return labeling
+        labels = self._draw(position, state, max_attempts)
+        return dict(zip(self._tree._order[position:], labels))
 
 
 def _enumerate_trees(size: int) -> Iterable[RootedTree]:

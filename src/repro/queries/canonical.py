@@ -16,9 +16,8 @@ variables), and — the direction correctness depends on — two queries with
 the same key are always alpha-equivalent, because the key is a complete
 serialisation of the renamed query.
 
-(The database-side cache keys pairing a structure's identity token with its
-per-relation version counters live in :mod:`repro.service.keys`, which also
-re-exports this module's functions under their historical import path.)
+(The database side of a result-cache key, a structure's identity token with
+its per-relation version counters, lives in :mod:`repro.service.keys`.)
 """
 
 from __future__ import annotations

@@ -33,6 +33,10 @@ REASONS = {
 #: even a large batch is kilobytes).
 MAX_BODY_BYTES = 8 * 1024 * 1024
 
+#: Refuse requests with more header lines than this (the v1 clients send a
+#: handful; ``http.client`` caps responses at the same 100).
+MAX_HEADER_LINES = 100
+
 
 class HTTPError(Exception):
     """A protocol-level failure answered with ``status`` and closed."""
@@ -83,6 +87,7 @@ async def read_request(
     method, target, _version = parts
 
     headers: Dict[str, str] = {}
+    header_lines = 0
     while True:
         try:
             line = await reader.readline()
@@ -92,6 +97,9 @@ async def read_request(
             raise HTTPError(400, "connection closed mid-headers")
         if line in (b"\r\n", b"\n"):
             break
+        header_lines += 1
+        if header_lines > MAX_HEADER_LINES:
+            raise HTTPError(431, f"more than {MAX_HEADER_LINES} header lines")
         name, sep, value = line.decode("latin-1").partition(":")
         if not sep:
             raise HTTPError(400, f"malformed header line {line!r}")

@@ -1,35 +1,20 @@
-"""Cache keys: canonical query forms and version-keyed database fingerprints.
-
-The canonical query serialisation moved to :mod:`repro.queries.canonical` so
-the prepared-query layer can use it without depending on the service package;
-this module re-exports it under the historical import path and keeps the
-database-side key:
+"""The database side of a result-cache key.
 
 :func:`database_cache_key` pairs the database's identity token with the
 version counters of exactly the relations the query mentions (plus the
 universe version).  Mutating a relation bumps its counter and silently
 strands every cached entry built over the old contents; mutating a relation
-the query does not mention leaves the query's keys valid.
+the query does not mention leaves the query's keys valid.  The query side,
+the canonical query form, lives in :mod:`repro.queries.canonical`.
 """
 
 from __future__ import annotations
 
 from typing import Tuple
 
-from repro.queries.canonical import (
-    canonical_query_key,
-    canonical_variable_renaming,
-    query_relation_names,
-)
+from repro.queries.canonical import query_relation_names
 from repro.queries.query import ConjunctiveQuery
 from repro.relational.structure import Structure
-
-__all__ = [
-    "canonical_query_key",
-    "canonical_variable_renaming",
-    "query_relation_names",
-    "database_cache_key",
-]
 
 
 def database_cache_key(

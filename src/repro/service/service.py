@@ -779,6 +779,7 @@ class CountingService:
                     # failed component on the merged view with the same
                     # derived seed (bit-identical, not shard-parallel).
                     from repro.shard.executor import shard_fallback_outcome
+                    from repro.shard.plan import component_accuracy
 
                     sharded, shard_plan = shard_context
                     outcome, note = shard_fallback_outcome(
@@ -787,8 +788,7 @@ class CountingService:
                         sharded,
                         plan.scheme,
                         plan.engine,
-                        epsilon,
-                        delta,
+                        *component_accuracy(shard_plan, plan.scheme, epsilon, delta),
                         task_seed,
                     )
                     request_notes.append(note)
@@ -881,11 +881,12 @@ class CountingService:
         ``(estimate, wall seconds, degradation notes)`` directly.
         """
         from repro.shard.executor import ShardExecutor, shard_task_seed
-        from repro.shard.plan import plan_sharded_count
+        from repro.shard.plan import component_accuracy, plan_sharded_count
 
         sharded = request.database
         shard_plan = plan_sharded_count(request.query, sharded)
         if shard_plan.strategy in ("single", "local"):
+            task_epsilon, task_delta = component_accuracy(shard_plan, plan.scheme, epsilon, delta)
             slots: List[int] = []
             for shard_task in shard_plan.tasks:
                 shard_structure = sharded.shards[shard_task.shard]
@@ -897,8 +898,8 @@ class CountingService:
                         query=shard_task.query,
                         scheme=plan.scheme,
                         engine=plan.engine,
-                        epsilon=epsilon,
-                        delta=delta,
+                        epsilon=task_epsilon,
+                        delta=task_delta,
                         seed=shard_task_seed(task_seed, shard_task),
                         database_token=shard_structure.structure_token,
                         fault_sites=(

@@ -12,8 +12,10 @@ query answers against the shards instead of a monolith:
   (``structure_token`` / ``version_fingerprint``);
 * :mod:`~repro.shard.plan` — the count decomposition: route localising
   queries to their owning shard (bit-identical, seed passed through), combine
-  per-shard component counts by product, or rewrite shard-spanning queries as
-  a union of CQs for the Section-6 Karp–Luby machinery;
+  per-shard component counts by product (each component at the tighter
+  per-component accuracy that keeps the product's ``(epsilon, delta)``), or
+  rewrite shard-spanning queries as a union of CQs for the Section-6
+  Karp–Luby machinery;
 * :class:`~repro.shard.executor.ShardExecutor` — fan per-shard tasks across
   the service's serial / thread / process back-ends with deterministic
   per-shard seeds;
@@ -41,6 +43,7 @@ from repro.shard.plan import (
     ShardTask,
     UnionDecomposition,
     build_union_decomposition,
+    component_accuracy,
     component_relation_names,
     plan_sharded_count,
     query_components,
@@ -74,6 +77,7 @@ __all__ = [
     "plan_sharded_count",
     "query_components",
     "component_relation_names",
+    "component_accuracy",
     "build_union_decomposition",
     "MAX_UNION_COMPONENTS",
     "ShardExecutor",

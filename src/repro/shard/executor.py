@@ -30,7 +30,7 @@ from repro.resilience.breaker import CircuitBreaker
 from repro.resilience.faults import FaultPlan
 from repro.resilience.retry import RetryPolicy, run_with_retry
 from repro.service.executor import CountTask, TaskOutcome, execute_scheme_result, run_tasks
-from repro.shard.plan import ShardCountPlan, ShardTask, plan_sharded_count
+from repro.shard.plan import ShardCountPlan, ShardTask, component_accuracy, plan_sharded_count
 from repro.shard.sharded import ShardedStructure
 from repro.util.rng import derive_seed
 
@@ -106,7 +106,8 @@ def shard_fallback_outcome(
 
     The degradation of last resort: a shard task that exhausted its retries
     (its shard is "down") re-runs against the reassembled monolith with the
-    *same* derived seed.  Shards keep the full universe and whole relations
+    *same* derived seed and the task's own :func:`component_accuracy`
+    ``(epsilon, delta)``.  Shards keep the full universe and whole relations
     of their components, so the component's query sees identical relation
     contents on the merged view — the recount is bit-identical to the
     healthy shard's answer, just not shard-parallel.  Returns the repaired
@@ -220,6 +221,14 @@ class ShardExecutor:
             plan = plan_sharded_count(query, sharded)
 
         if plan.strategy in ("single", "local"):
+            task_epsilon, task_delta = component_accuracy(plan, scheme, epsilon, delta)
+            trace = plan.trace
+            if (task_epsilon, task_delta) != (epsilon, delta):
+                trace += (
+                    f"accuracy split over {len(plan.tasks)} components: each runs at "
+                    f"epsilon={task_epsilon:.6g}, delta={task_delta:.6g} so the "
+                    f"product keeps ({epsilon:g}, {delta:g})",
+                )
             tasks: List[CountTask] = []
             databases: Dict[int, Structure] = {}
             for index, shard_task in enumerate(plan.tasks):
@@ -231,8 +240,8 @@ class ShardExecutor:
                         query=shard_task.query,
                         scheme=scheme,
                         engine=engine,
-                        epsilon=epsilon,
-                        delta=delta,
+                        epsilon=task_epsilon,
+                        delta=task_delta,
                         seed=shard_task_seed(seed, shard_task),
                         database_token=shard_structure.structure_token,
                         fault_sites=(
@@ -258,7 +267,7 @@ class ShardExecutor:
                 attach(outcome.span)
                 if outcome.failed:
                     outcome, note = shard_fallback_outcome(
-                        shard_task, outcome, sharded, scheme, engine, epsilon, delta, seed
+                        shard_task, outcome, sharded, scheme, engine, task_epsilon, task_delta, seed
                     )
                     degradations.append(note)
                 else:
@@ -279,7 +288,7 @@ class ShardExecutor:
                 executed_mode=report.executed_mode,
                 wall_seconds=time.perf_counter() - started,
                 task_rows=rows,
-                trace=plan.trace,
+                trace=trace,
                 degradations=tuple(degradations),
                 retries=report.retries,
             )

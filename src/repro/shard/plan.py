@@ -18,8 +18,8 @@ counted on its owning shard as an independent task, fanned across the
 service executor's back-ends with deterministic ``derive_seed(seed, shard,
 component)`` seeds.  Exact per-component counts make the product bit-identical
 to the unsharded count; approximate products are reproducible from the seed
-(per-component ``(epsilon, delta)`` guarantees compound to ``(1+epsilon)^c``
-over ``c`` components).
+and keep the caller's ``(epsilon, delta)`` guarantee, because each of the
+``c`` components runs at the tighter :func:`component_accuracy`.
 
 **union** — some component's relations are split across shards (the normal
 state under hash-by-tuple partitioning).  Shards partition facts, so every
@@ -45,6 +45,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
+from repro.core.registry import EXACT_SCHEMES
 from repro.queries.atoms import Atom
 from repro.queries.query import ConjunctiveQuery
 from repro.relational.signature import RelationSymbol
@@ -230,6 +231,22 @@ def build_union_decomposition(
             )
         )
     return UnionDecomposition(tagged=tagged, queries=tuple(queries))
+
+
+def component_accuracy(
+    plan: ShardCountPlan, scheme: str, epsilon: float, delta: float
+) -> Tuple[float, float]:
+    """The ``(epsilon', delta')`` each task of ``plan`` runs at so that the
+    product of the ``c`` task estimates is an ``(epsilon, delta)``
+    approximation: ``epsilon' = (1+epsilon)^(1/c) - 1`` makes the product's
+    upper error ``(1+epsilon')^c = 1+epsilon`` and its lower error
+    ``(1-epsilon')^c >= 1 - c*epsilon' >= 1-epsilon``, and ``delta' = delta/c``
+    bounds the chance that any task misses (union bound).  A one-task plan
+    or an exact scheme runs at the caller's ``(epsilon, delta)``."""
+    components = len(plan.tasks)
+    if components < 2 or scheme in EXACT_SCHEMES:
+        return epsilon, delta
+    return (1.0 + epsilon) ** (1.0 / components) - 1.0, delta / components
 
 
 def plan_sharded_count(query: ConjunctiveQuery, sharded: ShardedStructure) -> ShardCountPlan:

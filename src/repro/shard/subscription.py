@@ -50,6 +50,7 @@ from repro.queries.query import ConjunctiveQuery
 from repro.shard.executor import ShardExecutor, combine_local_estimates
 from repro.shard.plan import (
     ShardCountPlan,
+    component_accuracy,
     component_relation_names,
     plan_sharded_count,
 )
@@ -123,12 +124,13 @@ class ShardSubscription(CountSubscription):
 
         shard = self._database.shards[state.shard]
         seed = self._seed_for(refresh_index, state.component)
+        epsilon, delta = component_accuracy(self.shard_plan, self.scheme, self.epsilon, self.delta)
         state.estimate = REGISTRY.count(
             self.scheme,
             state.query,
             shard,
-            epsilon=self.epsilon,
-            delta=self.delta,
+            epsilon=epsilon,
+            delta=delta,
             rng=seed,
             engine=self.plan.engine,
         ).estimate

@@ -29,6 +29,7 @@ from repro.serve import (
     schema,
     start_in_thread,
 )
+from repro.serve.http import MAX_HEADER_LINES
 from repro.service import CountingService, CountRequest, ServiceConfig
 from repro.stream.live import LiveCount
 
@@ -606,8 +607,15 @@ class TestServerEndToEnd:
             # one 70 KB header line, over the 64 KB StreamReader limit
             (b"GET /v1/healthz HTTP/1.1\r\nX-Big: " + b"a" * 70_000 + b"\r\n\r\n", 431),
             (b"GET /v1/healthz?" + b"a" * 70_000 + b" HTTP/1.1\r\n\r\n", 400),
+            # one header line too many, each of them short
+            (
+                b"GET /v1/healthz HTTP/1.1\r\n"
+                + b"".join(b"X-H%d: 1\r\n" % i for i in range(MAX_HEADER_LINES + 1))
+                + b"\r\n",
+                431,
+            ),
         ],
-        ids=["header-line-431", "request-line-400"],
+        ids=["header-line-431", "request-line-400", "header-count-431"],
     )
     def test_overlong_line_is_clean_4xx(self, medium_database, head, status):
         import socket

@@ -16,6 +16,7 @@ from repro.shard import (
     ShardedStructure,
     ShardExecutor,
     build_union_decomposition,
+    component_accuracy,
     component_relation_names,
     make_partitioner,
     plan_sharded_count,
@@ -232,6 +233,23 @@ class TestShardedDifferentials:
             direct = REGISTRY.count(scheme, query, database, epsilon=0.5, delta=0.25, rng=seed)
             assert sharded_estimate.estimate == direct.estimate
 
+    @staticmethod
+    def _manual_local_product(sharded, plan, scheme, seed):
+        """The local-plan product computed by hand: every component at
+        (epsilon', delta') = ((1 + 0.5)^(1/2) - 1, 0.25 / 2) with its derived
+        seed."""
+        expected = 1.0
+        for task in plan.tasks:
+            expected *= REGISTRY.count(
+                scheme,
+                task.query,
+                sharded.shards[task.shard],
+                epsilon=1.5**0.5 - 1.0,
+                delta=0.125,
+                rng=derive_seed(seed, *task.seed_path),
+            ).estimate
+        return expected
+
     def test_local_strategy_matches_manual_seed_derivation(self, database):
         query = parse_query(MULTI)
         sharded = ShardedStructure.from_structure(
@@ -243,19 +261,58 @@ class TestShardedDifferentials:
         result = ShardExecutor(mode="serial").count(
             query, sharded, scheme="fptras_ecq", epsilon=0.5, delta=0.25, seed=seed
         )
-        expected = 1.0
+        assert result.estimate == self._manual_local_product(sharded, plan, "fptras_ecq", seed)
+        assert shard_task_seed(seed, plan.tasks[0]) == derive_seed(seed, *plan.tasks[0].seed_path)
+        assert shard_task_seed(None, plan.tasks[0]) is None
+
+    def test_local_strategy_splits_accuracy_across_components(self, database):
+        """c approximate components each run at ((1+eps)^(1/c) - 1, delta/c),
+        so the product is an (eps, delta) approximation; the split is in the
+        trace.  fpras_cq's estimate of the first component moves with epsilon,
+        so running the components at the caller's (eps, delta) would fail."""
+        query = parse_query(MULTI)
+        sharded = ShardedStructure.from_structure(
+            database, ByRelationPartitioner(2, assignment={"E": 0, "F": 1})
+        )
+        plan = plan_sharded_count(query, sharded)
+        epsilon, delta = component_accuracy(plan, "fpras_cq", 0.5, 0.25)
+        assert (1.0 + epsilon) ** 2 == pytest.approx(1.5) and delta == 0.125
+        assert component_accuracy(plan, "exact", 0.5, 0.25) == (0.5, 0.25)
+        result = ShardExecutor(mode="serial").count(
+            query, sharded, scheme="fpras_cq", epsilon=0.5, delta=0.25, seed=17
+        )
+        assert result.estimate == self._manual_local_product(sharded, plan, "fpras_cq", 17)
+        assert any("accuracy split over 2 components" in line for line in result.trace)
+        unsplit = 1.0
         for task in plan.tasks:
-            expected *= REGISTRY.count(
-                "fptras_ecq",
+            unsplit *= REGISTRY.count(
+                "fpras_cq",
                 task.query,
                 sharded.shards[task.shard],
                 epsilon=0.5,
                 delta=0.25,
-                rng=derive_seed(seed, *task.seed_path),
+                rng=derive_seed(17, *task.seed_path),
             ).estimate
-        assert result.estimate == expected
-        assert shard_task_seed(seed, plan.tasks[0]) == derive_seed(seed, *plan.tasks[0].seed_path)
-        assert shard_task_seed(None, plan.tasks[0]) is None
+        assert unsplit != result.estimate
+        # The service's inline fan-out runs the same split.
+        service = CountingService(sharded, ServiceConfig(executor="serial"))
+        served = service.submit(
+            request=CountRequest(
+                query=query, epsilon=0.5, delta=0.25, seed=4, method="fpras_cq"
+            )
+        )
+        again = ShardExecutor(mode="serial").count(
+            query, sharded, scheme="fpras_cq", epsilon=0.5, delta=0.25, seed=served.seed
+        )
+        assert served.estimate == again.estimate
+
+    def test_one_task_plans_keep_the_callers_accuracy(self, database):
+        sharded = ShardedStructure.from_structure(
+            database, ByRelationPartitioner(4, assignment={"E": 2, "F": 2})
+        )
+        plan = plan_sharded_count(parse_query(MULTI), sharded)
+        assert plan.strategy == "single"
+        assert component_accuracy(plan, "fpras_cq", 0.5, 0.25) == (0.5, 0.25)
 
     def test_union_estimates_are_reproducible_under_equal_seeds(self, database):
         query = parse_query(DCQ)
@@ -408,6 +465,30 @@ class TestShardSubscription:
         sharded.add_fact("E", (0, 8))
         subscription.read()
         assert subscription.component_refreshes == (1, 1)
+
+    def test_approximate_components_run_at_the_split_accuracy(self):
+        database = make_database()
+        sharded = ShardedStructure.from_structure(
+            database, ByRelationPartitioner(2, assignment={"E": 0, "F": 1})
+        )
+        service = CountingService(sharded, ServiceConfig(executor="serial"))
+        subscription = service.subscribe(
+            CountRequest(
+                query=parse_query(MULTI), epsilon=0.5, delta=0.25, seed=9, method="fpras_cq"
+            )
+        )
+        assert subscription.strategy == "local"
+        expected = 1.0
+        for task in plan_sharded_count(parse_query(MULTI), sharded).tasks:
+            expected *= REGISTRY.count(
+                "fpras_cq",
+                task.query,
+                sharded.shards[task.shard],
+                epsilon=1.5**0.5 - 1.0,
+                delta=0.125,
+                rng=derive_seed(9, 0, task.component),
+            ).estimate
+        assert subscription.read().estimate == expected
 
     def test_untouched_shard_reads_are_free_and_fresh(self):
         service, sharded, subscription = self.make_subscribed()
