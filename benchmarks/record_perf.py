@@ -1131,6 +1131,7 @@ def run_planner(smoke: bool, out_path: Path) -> tuple:
     from repro.obs.profile import ProfileStore
     from repro.service import (
         CountingService,
+        CountRequest,
         PlannerConfig,
         ServiceConfig,
         execute_scheme,
@@ -1170,7 +1171,7 @@ def run_planner(smoke: bool, out_path: Path) -> tuple:
     for scheme in candidates:
         for index in range(min_obs):
             adaptive_service.submit(
-                query, seed=1000 + index, method=scheme
+                CountRequest(query, seed=1000 + index, method=scheme)
             )
     warm_seconds = time.perf_counter() - warm_started
 
@@ -1178,12 +1179,13 @@ def run_planner(smoke: bool, out_path: Path) -> tuple:
     # every submit actually executes its scheme).
     static_started = time.perf_counter()
     static_results = [
-        static_service.submit(query, seed=2000 + index) for index in range(runs)
+        static_service.submit(CountRequest(query, seed=2000 + index))
+        for index in range(runs)
     ]
     static_seconds = time.perf_counter() - static_started
     adaptive_started = time.perf_counter()
     adaptive_results = [
-        adaptive_service.submit(query, seed=2000 + index)
+        adaptive_service.submit(CountRequest(query, seed=2000 + index))
         for index in range(runs)
     ]
     adaptive_seconds = time.perf_counter() - adaptive_started
@@ -1340,7 +1342,7 @@ def run_serve_suite(smoke: bool, out_path: Path) -> tuple:
     from repro.queries import parse_query
     from repro.resilience.faults import FaultPlan, FaultRule
     from repro.serve import ServeClient, ServeConfig, start_in_thread
-    from repro.service import CountingService, ServiceConfig
+    from repro.service import CountingService, CountRequest, ServiceConfig
 
     failures = 0
     graph = erdos_renyi_graph(15, 0.25, rng=11)
@@ -1402,7 +1404,7 @@ def run_serve_suite(smoke: bool, out_path: Path) -> tuple:
     twin_match = True
     if not errors:
         for index, (text, seed) in enumerate(jobs):
-            local = twin.submit(query=parse_query(text), seed=seed)
+            local = twin.submit(CountRequest(query=parse_query(text), seed=seed))
             if estimates[index] != local.estimate:
                 twin_match = False
                 print(

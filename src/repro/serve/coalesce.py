@@ -9,7 +9,7 @@ running await the leader's future instead of starting their own.
 
 Identity is the :func:`coalescing_key` — ``(canonical query form, version
 fingerprint restricted to the query's relations, epsilon, delta, seed,
-method, engine)``:
+method, engine, latency budget)`` after the service's request resolution:
 
 * the **canonical form** makes alpha-renamed queries coalesce (the same
   sharing the plan/result caches exploit);
@@ -18,7 +18,9 @@ method, engine)``:
   count of the *previous* database state;
 * **seed** joins the key because two requests with different explicit seeds
   are entitled to different random estimates — sharing would be wrong, not
-  just surprising.  (The issue key omits seed; correctness demands it.)
+  just surprising;
+* the **latency budget** joins the key because the adaptive planner may
+  pick a different scheme under a different budget.
 
 The coalescer is event-loop confined (no locks): membership checks and
 future resolution all happen on the server's asyncio loop; only the counting
@@ -36,28 +38,19 @@ from repro.service.service import CountingService, CountRequest
 
 
 def coalescing_key(service: CountingService, request: CountRequest) -> Tuple:
-    """The in-flight identity of a request (see module docstring).
-
-    ``request.database`` must already be resolved to the server's resident
-    database (the wire never carries one).
-    """
-    database = request.database or service.default_database
-    if database is None:
-        raise ValueError("coalescing needs a resident database")
-    canonical = prepare(request.query).canonical_key
-    fingerprint = database.version_fingerprint(
-        query_relation_names(request.query)
-    )
-    epsilon = request.epsilon if request.epsilon is not None else service.config.epsilon
-    delta = request.delta if request.delta is not None else service.config.delta
+    """The in-flight identity of a request (see module docstring), built
+    from the service's own :meth:`~CountingService.resolve` — the resolution
+    its pipeline counts the request under."""
+    request = service.resolve(request)
     return (
-        canonical,
-        fingerprint,
-        epsilon,
-        delta,
+        prepare(request.query).canonical_key,
+        request.database.version_fingerprint(query_relation_names(request.query)),
+        request.epsilon,
+        request.delta,
         request.seed,
         request.method,
         service.config.engine,
+        request.latency_budget_seconds,
     )
 
 

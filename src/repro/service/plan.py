@@ -298,15 +298,13 @@ class Planner:
         query: ConjunctiveQuery,
         database: Structure,
         override: Optional[str] = None,
-        query_key: Optional[str] = None,
         prepared: Optional[PreparedQuery] = None,
         latency_budget_seconds: Optional[float] = None,
     ) -> QueryPlan:
         """Produce (or fetch from cache) the plan for ``query`` over
-        ``database``.  ``prepared`` (or the legacy ``query_key``) may be
-        passed in when the caller already compiled the query.
-        ``latency_budget_seconds`` only matters under the adaptive overlay
-        (the static table has no notion of cost)."""
+        ``database``.  ``prepared`` may be passed in when the caller already
+        compiled the query.  ``latency_budget_seconds`` only matters under
+        the adaptive overlay (the static table has no notion of cost)."""
         config = self.config
         database_size = database.size()
         small = (
@@ -314,10 +312,9 @@ class Planner:
             and len(query.variables) <= config.exact_variable_limit
         )
         size_class = "small" if small else "large"
-        if query_key is None:
-            if prepared is None:
-                prepared = prepare(query)
-            query_key = prepared.canonical_key
+        if prepared is None:
+            prepared = prepare(query)
+        query_key = prepared.canonical_key
         threshold = config.columnar_size_threshold
         columnar_upgrade = (
             self.engine == "indexed"

@@ -3,7 +3,7 @@
 The service ties the subsystem together::
 
     service = CountingService(database, ServiceConfig(executor="process"))
-    result = service.submit(query, seed=7)            # one query
+    result = service.submit(CountRequest(query, seed=7))  # one query
     report = service.count_batch(queries, seed=7)     # many, in parallel
 
 Every call goes through four stages:
@@ -245,6 +245,31 @@ class BatchReport:
 RequestLike = Union[CountRequest, ConjunctiveQuery]
 
 
+@dataclass
+class _Staged:
+    """One request's state as it moves through the stages of
+    :meth:`CountingService.count_batch`; each stage fills in its fields."""
+
+    index: int
+    request: CountRequest  # resolved: database, epsilon, delta, budget set
+    seed: Optional[int]
+    deadline_at: Optional[float]
+    span: Any = None
+    query_key: str = ""
+    plan: Optional[QueryPlan] = None
+    plan_seconds: float = 0.0
+    result_key: Any = None
+    cache: str = "miss"
+    #: Task positions in the batch (single/local shard plans own several).
+    slots: range = range(0)
+    shard_plan: Any = None
+    estimate: Optional[float] = None
+    execute_seconds: float = 0.0
+    widths: Optional[Dict[str, Any]] = None
+    notes: List[str] = field(default_factory=list)
+    result: Optional[CountResult] = None
+
+
 class CountingService:
     """Planning, caching, parallel batch execution — one front door for all
     of the package's counting schemes."""
@@ -305,58 +330,68 @@ class CountingService:
         return sum(len(state.subscriptions) for state in self._streams.values())
 
     # ------------------------------------------------------------- internals
-    def _resolve(self, request: RequestLike) -> CountRequest:
+    def resolve(self, request: RequestLike) -> CountRequest:
+        """The one request resolution: fill the service defaults (database,
+        epsilon, delta, latency budget) into ``request`` and validate its
+        accuracy.  ``count_batch``'s first stage, the server's coalescing
+        identity and every subscription resolve through here, so they agree
+        on what a request means."""
         if isinstance(request, ConjunctiveQuery):
             request = CountRequest(query=request)
-        if request.database is None:
-            if self.default_database is None:
-                raise ValueError(
-                    "request has no database and the service has no default"
-                )
-            request = replace(request, database=self.default_database)
+        config = self.config
+        database = request.database if request.database is not None else self.default_database
+        if database is None:
+            raise ValueError("request has no database and the service has no default")
+        request = replace(
+            request,
+            database=database,
+            epsilon=request.epsilon if request.epsilon is not None else config.epsilon,
+            delta=request.delta if request.delta is not None else config.delta,
+            latency_budget_seconds=(
+                request.latency_budget_seconds
+                if request.latency_budget_seconds is not None
+                else config.latency_budget_seconds
+            ),
+        )
+        check_epsilon_delta(request.epsilon, request.delta)
         return request
 
-    def _result_key(
+    def result_key(
         self,
         query_key: str,
         request: CountRequest,
         plan: QueryPlan,
-        epsilon: float,
-        delta: float,
         seed: Optional[int],
-    ):
+    ) -> Tuple:
+        """The result-cache key of a :meth:`resolve`-d request counted under
+        ``plan`` with ``seed``: (canonical query form, database token +
+        version fingerprint, scheme, engine, epsilon, delta, seed)."""
         return (
             query_key,
             database_cache_key(request.database, request.query),
             plan.scheme,
             plan.engine,
-            epsilon,
-            delta,
+            request.epsilon,
+            request.delta,
             seed,
         )
 
-    def _record_execution(
-        self,
-        query_key: str,
-        request: CountRequest,
-        plan: QueryPlan,
-        seconds: float,
-        estimate: float,
-    ) -> None:
+    def _record_execution(self, record: "_Staged") -> None:
         """Fold one executed count into the telemetry sinks: the per-scheme
         latency histogram and the (canonical form, size bucket, scheme,
         engine) cost profile the adaptive planner will read.  The engine label
         keeps columnar-upgraded runs distinguishable from indexed ones.
         Zero-RNG by construction."""
+        plan, seconds = record.plan, record.execute_seconds
         self.metrics.histogram(
             "scheme.latency_seconds", scheme=plan.scheme, engine=plan.engine
         ).observe(seconds)
         self.profiles.record(
-            query_key,
-            request.database.size(),
+            record.query_key,
+            record.request.database.size(),
             plan.scheme,
             seconds,
-            estimate=estimate,
+            estimate=record.estimate,
             engine=plan.engine,
         )
 
@@ -411,73 +446,33 @@ class CountingService:
         latency_budget_seconds: Optional[float] = None,
     ) -> QueryPlan:
         """Plan a query without executing it (the CLI's ``plan`` command)."""
-        request = self._resolve(CountRequest(query=query, database=database, method=method))
+        request = self.resolve(
+            CountRequest(
+                query=query,
+                database=database,
+                method=method,
+                latency_budget_seconds=latency_budget_seconds,
+            )
+        )
         return self.planner.plan(
             request.query,
             request.database,
             override=request.method,
-            latency_budget_seconds=self._resolve_budget(latency_budget_seconds),
+            latency_budget_seconds=request.latency_budget_seconds,
         )
 
-    def _resolve_budget(self, budget: Optional[float]) -> Optional[float]:
-        return budget if budget is not None else self.config.latency_budget_seconds
-
-    def submit(
-        self,
-        query: Optional[ConjunctiveQuery] = None,
-        database: Optional[Structure] = None,
-        epsilon: Optional[float] = None,
-        delta: Optional[float] = None,
-        seed: Optional[int] = None,
-        method: Optional[str] = None,
-        deadline_seconds: Optional[float] = None,
-        latency_budget_seconds: Optional[float] = None,
-        *,
-        request: Optional[CountRequest] = None,
-    ) -> CountResult:
+    def submit(self, request: CountRequest) -> CountResult:
         """Count one query synchronously (plan + cache + serial execution).
 
-        The primary form is the schema object — ``submit(request=
-        CountRequest(...))`` — the same request the v1 wire API decodes to
-        (:mod:`repro.serve.schema`), so in-process and over-the-wire calls
-        are one code path.  The positional/kwarg form remains as a thin
-        shim that builds the ``CountRequest`` (see DESIGN.md's deprecation
-        note).
-
-        ``deadline_seconds`` (kwarg or ``request.deadline_seconds``) bounds
-        the call: the deadline propagates into the task (and its shard
-        tasks) and expiry raises
-        :class:`~repro.resilience.retry.DeadlineExceeded`.
-        ``latency_budget_seconds`` is the adaptive planner's budget — unlike
-        the hard deadline it never kills a request; it only steers scheme
-        choice when ``planner.adaptive`` is on."""
-        if request is not None:
-            if any(
-                value is not None
-                for value in (
-                    query, database, epsilon, delta, seed, method,
-                    deadline_seconds, latency_budget_seconds,
-                )
-            ):
-                raise ValueError(
-                    "pass either request= or the legacy kwargs, not both"
-                )
-        else:
-            if query is None:
-                raise ValueError("submit() needs a query or a request=")
-            # Legacy kwarg shim: fold the sprawl into the one request shape.
-            request = CountRequest(
-                query=query,
-                database=database,
-                epsilon=epsilon,
-                delta=delta,
-                seed=seed,
-                method=method,
-                latency_budget_seconds=latency_budget_seconds,
-                deadline_seconds=deadline_seconds,
-            )
-        report = self.count_batch([request], executor="serial")
-        return report.results[0]
+        ``request`` is the same :class:`CountRequest` the v1 wire API decodes
+        to (:mod:`repro.serve.schema`), so in-process and over-the-wire calls
+        are one code path.  ``request.deadline_seconds`` bounds the call: the
+        deadline propagates into the task (and its shard tasks) and expiry
+        raises :class:`~repro.resilience.retry.DeadlineExceeded`.
+        ``request.latency_budget_seconds`` is the adaptive planner's budget —
+        unlike the hard deadline it never kills a request; it only steers
+        scheme choice when ``planner.adaptive`` is on."""
+        return self.count_batch([request], executor="serial").results[0]
 
     def count_batch(
         self,
@@ -500,6 +495,12 @@ class CountingService:
         into every task (shard tasks included) — expiry raises
         :class:`~repro.resilience.retry.DeadlineExceeded`.
 
+        Each request moves through the stages resolve → plan → cache lookup
+        → enqueue, then the batch's tasks (shard tasks included) run in one
+        :func:`~repro.service.executor.run_tasks` call and every request is
+        finalized into its :class:`CountResult`.  Cache hits and union/merged
+        shard plans (counted inline at enqueue) finalize straight away.
+
         When the service has a tracer the whole batch records a
         ``service.count_batch`` span tree (per-request plan/cache-lookup
         children, executor rungs, per-task scheme spans shipped home from
@@ -507,16 +508,69 @@ class CountingService:
         Telemetry never touches seeds or RNG state — estimates are
         bit-identical with tracing on or off.
         """
+        mode = executor if executor is not None else self.config.executor
+        workers = (
+            max(1, int(max_workers)) if max_workers else self.config.resolved_workers()
+        )
+        fault_plan = fault_plan if fault_plan is not None else self.config.fault_plan
+        retry = retry if retry is not None else self.config.retry
         with activate(self.tracer):
             with span("service.count_batch") as batch_span:
-                report = self._count_batch_inner(
-                    requests,
-                    seed=seed,
-                    executor=executor,
-                    max_workers=max_workers,
-                    fault_plan=fault_plan,
-                    retry=retry,
-                    deadline_seconds=deadline_seconds,
+                started = time.perf_counter()
+                deadline = Deadline.after(
+                    deadline_seconds
+                    if deadline_seconds is not None
+                    else self.config.deadline_seconds
+                )
+                deadline_at = None if deadline is None else deadline.expires_at
+                staged = [
+                    self._resolve_stage(index, request, seed, deadline_at)
+                    for index, request in enumerate(requests)
+                ]
+                tasks: List[CountTask] = []
+                databases: Dict[int, Structure] = {}
+                degradations: List[str] = []
+                pending: List[_Staged] = []
+                for record in staged:
+                    with span("service.request", index=record.index) as record.span:
+                        self._plan_stage(record)
+                        if not self._lookup_stage(record, fault_plan):
+                            self._enqueue_stage(record, tasks, databases, fault_plan, retry)
+                        if record.estimate is None:
+                            pending.append(record)
+                        else:
+                            self._finalize(record, degradations)
+
+                execution = run_tasks(
+                    tasks, databases, mode=mode, max_workers=workers, breaker=self.breaker
+                )
+                if tasks:
+                    self.metrics.counter(
+                        "executor.batches", mode=execution.executed_mode
+                    ).inc()
+                    self.metrics.counter("executor.retries").inc(execution.retries)
+                degradations.extend(execution.degradations)
+                for record in pending:
+                    self._collect(record, execution.outcomes)
+                    self._finalize(record, degradations)
+
+                cache_hits = sum(record.cache == "hit" for record in staged)
+                if tasks:
+                    executed = execution.executed_mode
+                elif cache_hits < len(staged):
+                    executed = "inline"
+                else:
+                    executed = "cache"
+                report = BatchReport(
+                    results=[record.result for record in staged],
+                    wall_seconds=time.perf_counter() - started,
+                    requested_executor=mode,
+                    executed_executor=executed,
+                    max_workers=workers,
+                    cache_hits=cache_hits,
+                    cache_misses=len(staged) - cache_hits,
+                    degradations=degradations,
+                    retries=execution.retries,
                 )
                 batch_span.set(
                     requests=len(report.results),
@@ -529,408 +583,216 @@ class CountingService:
         self.metrics.histogram("service.batch_seconds").observe(report.wall_seconds)
         return report
 
-    def _count_batch_inner(
+    # ------------------------------------------------------ pipeline stages
+    def _resolve_stage(
         self,
-        requests: Iterable[RequestLike],
-        seed: Optional[int] = None,
-        executor: Optional[str] = None,
-        max_workers: Optional[int] = None,
-        fault_plan: Optional[FaultPlan] = None,
-        retry: Optional[RetryPolicy] = None,
-        deadline_seconds: Optional[float] = None,
-    ) -> BatchReport:
-        started = time.perf_counter()
-        mode = executor if executor is not None else self.config.executor
-        workers = (
-            max(1, int(max_workers)) if max_workers else self.config.resolved_workers()
-        )
-        fault_plan = fault_plan if fault_plan is not None else self.config.fault_plan
-        retry = retry if retry is not None else self.config.retry
-        deadline = Deadline.after(
-            deadline_seconds if deadline_seconds is not None else self.config.deadline_seconds
-        )
-        deadline_at = None if deadline is None else deadline.expires_at
-
-        resolved = [self._resolve(request) for request in requests]
-        results: List[Optional[CountResult]] = [None] * len(resolved)
-        tasks: List[CountTask] = []
-        #: One entry per cache-missing request that became executor task(s):
-        #: (request index, plan, plan_seconds, result_key, epsilon, delta,
-        #: task_seed, task slot positions, shard strategy, shard context,
-        #: request-level degradation notes, canonical query key).  Sharded
-        #: local plans own several slots; everything else exactly one.
-        groups: List[tuple] = []
-        databases: Dict[int, Structure] = {}
-        batch_degradations: List[str] = []
-        cache_hits = 0
-        inline_count = 0
-
-        #: Per-request spans (index-aligned; the shared no-op span when
-        #: tracing is off).  Request spans close before the batch executes,
-        #: so worker task spans are reattached to them afterwards.
-        request_spans: List[Any] = []
-        traced = tracing_active()
-
-        for index, request in enumerate(resolved):
-            epsilon = request.epsilon if request.epsilon is not None else self.config.epsilon
-            delta = request.delta if request.delta is not None else self.config.delta
-            check_epsilon_delta(epsilon, delta)
-            if request.seed is not None:
-                task_seed: Optional[int] = request.seed
-            elif seed is not None:
-                task_seed = derive_seed(seed, index)
-            else:
-                task_seed = None
-            # Per-request deadlines (the wire API's deadline_seconds field)
-            # tighten — never loosen — the batch deadline.
-            task_deadline_at = deadline_at
-            if request.deadline_seconds is not None:
-                request_deadline = Deadline.after(request.deadline_seconds)
-                task_deadline_at = (
-                    request_deadline.expires_at
-                    if deadline_at is None
-                    else min(deadline_at, request_deadline.expires_at)
-                )
-
-            with span("service.request", index=index) as request_span:
-                request_spans.append(request_span)
-                with span("service.plan") as plan_span:
-                    plan_started = time.perf_counter()
-                    # Compile once: the prepared query carries the canonical
-                    # form and the width/decomposition artifacts the planner
-                    # and the scheme run both read (shared process-wide
-                    # across alpha-renamed shapes).
-                    prepared = prepare(request.query)
-                    query_key = prepared.canonical_key
-                    plan = self.planner.plan(
-                        request.query,
-                        request.database,
-                        override=request.method,
-                        prepared=prepared,
-                        latency_budget_seconds=self._resolve_budget(
-                            request.latency_budget_seconds
-                        ),
-                    )
-                    plan_seconds = time.perf_counter() - plan_started
-                    # Attach observed per-scheme costs after the plan-cache
-                    # fetch, so cached plans never carry stale observations.
-                    observed = self.profiles.summary(
-                        query_key, request.database.size()
-                    )
-                    if observed:
-                        plan = replace(plan, observed=observed)
-                    plan_span.set(
-                        scheme=plan.scheme,
-                        query_class=plan.query_class,
-                        size_class=plan.size_class,
-                    )
-
-                result_key = self._result_key(
-                    query_key, request, plan, epsilon, delta, task_seed
-                )
-                request_notes: List[str] = []
-                # The cache is best-effort under the failure model: a fault
-                # at the ``cache.get`` site degrades this lookup to a miss
-                # (the count re-runs with the same derived seed, so only
-                # latency is lost) rather than being retried.
-                cached_estimate = None
-                cache_faulted = False
-                with span("cache.lookup") as cache_span:
-                    if fault_plan is not None:
-                        try:
-                            note = fault_plan.apply("cache.get", (index,), 0)
-                            if note is not None:
-                                request_notes.append(note)
-                        except FaultError as error:
-                            cache_faulted = True
-                            request_notes.append(
-                                f"cache.get[{index}]: degraded to miss ({error})"
-                            )
-                            cache_span.event("degraded to miss", error=str(error))
-                    if not cache_faulted:
-                        cached_estimate = self.result_cache.get(result_key)
-                    cache_span.set(
-                        outcome="hit" if cached_estimate is not None else "miss"
-                    )
-                if cached_estimate is not None:
-                    cache_hits += 1
-                    self.metrics.counter("service.requests", cache="hit").inc()
-                    request_span.set(scheme=plan.scheme, cache="hit")
-                    batch_degradations.extend(request_notes)
-                    results[index] = CountResult(
-                        index=index,
-                        estimate=cached_estimate,
-                        scheme=plan.scheme,
-                        query_class=plan.query_class,
-                        plan=plan,
-                        seed=task_seed,
-                        epsilon=epsilon,
-                        delta=delta,
-                        cache="hit",
-                        plan_seconds=plan_seconds,
-                        execute_seconds=0.0,
-                        degradations=tuple(request_notes),
-                    )
-                    continue
-                self.metrics.counter("service.requests", cache="miss").inc()
-                request_span.set(scheme=plan.scheme, cache="miss")
-
-                shard_context: Optional[tuple] = None
-                if isinstance(request.database, ShardedStructure):
-                    slots, strategy, shard_plan, inline = self._enqueue_sharded(
-                        request,
-                        plan,
-                        epsilon,
-                        delta,
-                        task_seed,
-                        tasks,
-                        databases,
-                        fault_plan=fault_plan,
-                        retry=retry,
-                        deadline_at=task_deadline_at,
-                    )
-                    if inline is not None:
-                        # Union/merged strategy: computed inline just now.
-                        inline_count += 1
-                        estimate, execute_seconds, inline_notes = inline
-                        request_notes.extend(inline_notes)
-                        batch_degradations.extend(request_notes)
-                        self.result_cache.put(result_key, estimate)
-                        self._record_execution(
-                            query_key, request, plan, execute_seconds, estimate
-                        )
-                        plan = self._score_prediction(
-                            plan, execute_seconds, request_span
-                        )
-                        results[index] = CountResult(
-                            index=index,
-                            estimate=estimate,
-                            scheme=plan.scheme,
-                            query_class=plan.query_class,
-                            plan=plan,
-                            seed=task_seed,
-                            epsilon=epsilon,
-                            delta=delta,
-                            cache="miss",
-                            plan_seconds=plan_seconds,
-                            execute_seconds=execute_seconds,
-                            shard_strategy=strategy,
-                            degradations=tuple(request_notes),
-                        )
-                        continue
-                    shard_context = (request.database, shard_plan)
-                else:
-                    strategy = None
-                    token = request.database.structure_token
-                    databases[token] = request.database
-                    slots = [len(tasks)]
-                    tasks.append(
-                        CountTask(
-                            index=len(tasks),
-                            query=request.query,
-                            scheme=plan.scheme,
-                            engine=plan.engine,
-                            epsilon=epsilon,
-                            delta=delta,
-                            seed=task_seed,
-                            database_token=token,
-                            fault_sites=(("executor.task", (index,)),),
-                            fault_plan=fault_plan,
-                            retry=retry,
-                            deadline_at=task_deadline_at,
-                            traced=traced,
-                        )
-                    )
-                groups.append(
-                    (
-                        index, plan, plan_seconds, result_key, epsilon, delta,
-                        task_seed, slots, strategy, shard_context, request_notes,
-                        query_key,
-                    )
-                )
-
-        execution = run_tasks(
-            tasks, databases, mode=mode, max_workers=workers, breaker=self.breaker
-        )
-        if tasks:
-            self.metrics.counter(
-                "executor.batches", mode=execution.executed_mode
-            ).inc()
-            self.metrics.counter("executor.retries").inc(execution.retries)
-        batch_degradations.extend(execution.degradations)
-        for (
-            index, plan, plan_seconds, result_key, epsilon, delta,
-            task_seed, slots, strategy, shard_context, request_notes,
-            query_key,
-        ) in groups:
-            outcomes = [execution.outcomes[slot] for slot in slots]
-            # Reattach the workers' ``executor.task`` span trees (pickled
-            # home on the outcomes) under this request's span.
-            for outcome in outcomes:
-                request_spans[index].attach(outcome.span)
-            repaired = []
-            for position, outcome in enumerate(outcomes):
-                if outcome.failed:
-                    if shard_context is None:
-                        raise RuntimeError(
-                            f"count of request {index} failed after retries: {outcome.error}"
-                        )
-                    # Shard-level degradation of last resort: recount the
-                    # failed component on the merged view with the same
-                    # derived seed (bit-identical, not shard-parallel).
-                    from repro.shard.executor import shard_fallback_outcome
-                    from repro.shard.plan import component_accuracy
-
-                    sharded, shard_plan = shard_context
-                    outcome, note = shard_fallback_outcome(
-                        shard_plan.tasks[position],
-                        outcome,
-                        sharded,
-                        plan.scheme,
-                        plan.engine,
-                        *component_accuracy(shard_plan, plan.scheme, epsilon, delta),
-                        task_seed,
-                    )
-                    request_notes.append(note)
-                else:
-                    request_notes.extend(outcome.degradations)
-                repaired.append(outcome)
-            outcomes = repaired
-            if len(outcomes) == 1:
-                estimate = outcomes[0].estimate
-                widths: Optional[Dict[str, Any]] = outcomes[0].widths
-            else:
-                # Sharded local plan: per-component counts multiply (the
-                # components share no variables, so answer tuples factor).
-                from repro.shard.executor import combine_local_estimates
-
-                estimate = combine_local_estimates(
-                    [outcome.estimate for outcome in outcomes]
-                )
-                widths = {"components": [outcome.widths for outcome in outcomes]}
-            batch_degradations.extend(request_notes)
-            self.result_cache.put(result_key, estimate)
-            execute_seconds = sum(outcome.seconds for outcome in outcomes)
-            self._record_execution(
-                query_key,
-                resolved[index],
-                plan,
-                execute_seconds,
-                estimate,
+        index: int,
+        request: RequestLike,
+        batch_seed: Optional[int],
+        deadline_at: Optional[float],
+    ) -> "_Staged":
+        """Resolve: defaults filled in, the task seed derived from the batch
+        seed, and the request's own deadline folded into the batch's."""
+        request = self.resolve(request)
+        if request.seed is not None:
+            seed: Optional[int] = request.seed
+        elif batch_seed is not None:
+            seed = derive_seed(batch_seed, index)
+        else:
+            seed = None
+        # Per-request deadlines (the wire API's deadline_seconds field)
+        # tighten — never loosen — the batch deadline.
+        if request.deadline_seconds is not None:
+            request_deadline = Deadline.after(request.deadline_seconds).expires_at
+            deadline_at = (
+                request_deadline if deadline_at is None else min(deadline_at, request_deadline)
             )
-            plan = self._score_prediction(
-                plan, execute_seconds, request_spans[index]
+        return _Staged(index=index, request=request, seed=seed, deadline_at=deadline_at)
+
+    def _plan_stage(self, record: "_Staged") -> None:
+        request = record.request
+        with span("service.plan") as plan_span:
+            plan_started = time.perf_counter()
+            # Compile once: the prepared query carries the canonical form and
+            # the width/decomposition artifacts the planner and the scheme run
+            # both read (shared process-wide across alpha-renamed shapes).
+            prepared = prepare(request.query)
+            record.query_key = prepared.canonical_key
+            plan = self.planner.plan(
+                request.query,
+                request.database,
+                override=request.method,
+                prepared=prepared,
+                latency_budget_seconds=request.latency_budget_seconds,
             )
-            results[index] = CountResult(
-                index=index,
-                estimate=estimate,
+            record.plan_seconds = time.perf_counter() - plan_started
+            # Attach observed per-scheme costs after the plan-cache fetch, so
+            # cached plans never carry stale observations.
+            observed = self.profiles.summary(record.query_key, request.database.size())
+            if observed:
+                plan = replace(plan, observed=observed)
+            record.plan = plan
+            plan_span.set(
                 scheme=plan.scheme,
                 query_class=plan.query_class,
-                plan=plan,
-                seed=task_seed,
-                epsilon=epsilon,
-                delta=delta,
-                cache="miss",
-                plan_seconds=plan_seconds,
-                execute_seconds=execute_seconds,
-                widths=widths,
-                shard_strategy=strategy,
-                degradations=tuple(request_notes),
+                size_class=plan.size_class,
             )
 
-        if tasks:
-            executed = execution.executed_mode
-        elif inline_count:
-            executed = "inline"
-        else:
-            executed = "cache"
-        assert all(result is not None for result in results)
-        return BatchReport(
-            results=[result for result in results if result is not None],
-            wall_seconds=time.perf_counter() - started,
-            requested_executor=mode,
-            executed_executor=executed,
-            max_workers=workers,
-            cache_hits=cache_hits,
-            cache_misses=len(resolved) - cache_hits,
-            degradations=batch_degradations,
-            retries=execution.retries,
-        )
+    def _lookup_stage(self, record: "_Staged", fault_plan: Optional[FaultPlan]) -> bool:
+        """Cache lookup; ``True`` on a hit (the estimate is then set).
 
-    def _enqueue_sharded(
+        The cache is best-effort under the failure model: a fault at the
+        ``cache.get`` site degrades this lookup to a miss (the count re-runs
+        with the same derived seed, so only latency is lost) rather than
+        being retried."""
+        record.result_key = self.result_key(
+            record.query_key, record.request, record.plan, record.seed
+        )
+        cached = None
+        with span("cache.lookup") as cache_span:
+            faulted = False
+            if fault_plan is not None:
+                try:
+                    note = fault_plan.apply("cache.get", (record.index,), 0)
+                    if note is not None:
+                        record.notes.append(note)
+                except FaultError as error:
+                    faulted = True
+                    record.notes.append(
+                        f"cache.get[{record.index}]: degraded to miss ({error})"
+                    )
+                    cache_span.event("degraded to miss", error=str(error))
+            if not faulted:
+                cached = self.result_cache.get(record.result_key)
+            cache_span.set(outcome="hit" if cached is not None else "miss")
+        if cached is not None:
+            record.cache = "hit"
+            record.estimate = cached
+        self.metrics.counter("service.requests", cache=record.cache).inc()
+        record.span.set(scheme=record.plan.scheme, cache=record.cache)
+        return cached is not None
+
+    def _enqueue_stage(
         self,
-        request: CountRequest,
-        plan: QueryPlan,
-        epsilon: float,
-        delta: float,
-        task_seed: Optional[int],
+        record: "_Staged",
         tasks: List[CountTask],
         databases: Dict[int, Structure],
-        fault_plan: Optional[FaultPlan] = None,
-        retry: Optional[RetryPolicy] = None,
-        deadline_at: Optional[float] = None,
-    ) -> Tuple[List[int], str, Any, Optional[Tuple[float, float, Tuple[str, ...]]]]:
-        """Turn one sharded request into executor tasks.
+        fault_plan: Optional[FaultPlan],
+        retry: Optional[RetryPolicy],
+    ) -> None:
+        """Turn a cache miss into executor task(s) appended to ``tasks``.
 
-        Returns ``(slot positions, shard strategy, shard plan, inline
-        result)``: single/local shard plans append one :class:`CountTask`
-        per shard task (over the per-shard structures, with pass-through or
-        derived seeds, faultable at ``shard.count``) and occupy slots;
-        union/merged plans run inline through the
-        :class:`~repro.shard.executor.ShardExecutor` and return their
-        ``(estimate, wall seconds, degradation notes)`` directly.
-        """
-        from repro.shard.executor import ShardExecutor, shard_task_seed
-        from repro.shard.plan import component_accuracy, plan_sharded_count
-
-        sharded = request.database
-        shard_plan = plan_sharded_count(request.query, sharded)
-        if shard_plan.strategy in ("single", "local"):
-            task_epsilon, task_delta = component_accuracy(shard_plan, plan.scheme, epsilon, delta)
-            slots: List[int] = []
-            for shard_task in shard_plan.tasks:
-                shard_structure = sharded.shards[shard_task.shard]
-                databases[shard_structure.structure_token] = shard_structure
-                slots.append(len(tasks))
-                tasks.append(
-                    CountTask(
-                        index=len(tasks),
-                        query=shard_task.query,
-                        scheme=plan.scheme,
-                        engine=plan.engine,
-                        epsilon=task_epsilon,
-                        delta=task_delta,
-                        seed=shard_task_seed(task_seed, shard_task),
-                        database_token=shard_structure.structure_token,
-                        fault_sites=(
-                            ("shard.count", (shard_task.shard, shard_task.component)),
-                        ),
-                        fault_plan=fault_plan,
-                        retry=retry,
-                        deadline_at=deadline_at,
-                        traced=tracing_active(),
-                    )
+        A monolithic request is one task, faultable at ``executor.task``.  A
+        sharded single/local plan appends its shard tasks
+        (:func:`~repro.shard.executor.shard_count_tasks`); a union/merged
+        plan runs inline through the
+        :class:`~repro.shard.executor.ShardExecutor` and sets the estimate
+        here."""
+        request, plan = record.request, record.plan
+        database = request.database
+        if not isinstance(database, ShardedStructure):
+            record.slots = range(len(tasks), len(tasks) + 1)
+            databases[database.structure_token] = database
+            tasks.append(
+                CountTask(
+                    index=len(tasks),
+                    query=request.query,
+                    scheme=plan.scheme,
+                    engine=plan.engine,
+                    epsilon=request.epsilon,
+                    delta=request.delta,
+                    seed=record.seed,
+                    database_token=database.structure_token,
+                    fault_sites=(("executor.task", (record.index,)),),
+                    fault_plan=fault_plan,
+                    retry=retry,
+                    deadline_at=record.deadline_at,
+                    traced=tracing_active(),
                 )
-            return slots, shard_plan.strategy, shard_plan, None
+            )
+            return
+        from repro.shard.executor import ShardExecutor, shard_count_tasks
+        from repro.shard.plan import plan_sharded_count
 
+        record.shard_plan = shard_plan = plan_sharded_count(request.query, database)
+        if shard_plan.strategy in ("single", "local"):
+            shard_tasks, shard_databases = shard_count_tasks(
+                shard_plan, database, plan.scheme, plan.engine,
+                request.epsilon, request.delta, record.seed,
+                first_index=len(tasks), fault_plan=fault_plan, retry=retry,
+                deadline_at=record.deadline_at,
+            )
+            record.slots = range(len(tasks), len(tasks) + len(shard_tasks))
+            tasks.extend(shard_tasks)
+            databases.update(shard_databases)
+            return
         shard_result = ShardExecutor(
             mode="serial", fault_plan=fault_plan, retry=retry, breaker=self.breaker
         ).count(
             request.query,
-            sharded,
+            database,
             scheme=plan.scheme,
-            epsilon=epsilon,
-            delta=delta,
-            seed=task_seed,
+            epsilon=request.epsilon,
+            delta=request.delta,
+            seed=record.seed,
             engine=plan.engine,
             plan=shard_plan,
-            deadline_at=deadline_at,
+            deadline_at=record.deadline_at,
         )
-        return (
-            [],
-            shard_plan.strategy,
-            shard_plan,
-            (shard_result.estimate, shard_result.wall_seconds, shard_result.degradations),
+        record.estimate = shard_result.estimate
+        record.execute_seconds = shard_result.wall_seconds
+        record.notes.extend(shard_result.degradations)
+
+    def _collect(self, record: "_Staged", outcomes: Sequence[Any]) -> None:
+        """Fold the record's task outcomes (worker spans reattached under its
+        request span) into its estimate, widths and notes."""
+        outcomes = [outcomes[slot] for slot in record.slots]
+        if record.shard_plan is None:
+            (outcome,) = outcomes
+            record.span.attach(outcome.span)
+            if outcome.failed:
+                raise RuntimeError(
+                    f"count of request {record.index} failed after retries: {outcome.error}"
+                )
+            record.estimate, record.widths = outcome.estimate, outcome.widths
+            record.notes.extend(outcome.degradations)
+            record.execute_seconds = outcome.seconds
+            return
+        from repro.shard.executor import combine_shard_outcomes
+
+        request, plan = record.request, record.plan
+        record.estimate, record.widths, notes, outcomes = combine_shard_outcomes(
+            record.shard_plan, outcomes, request.database, plan.scheme, plan.engine,
+            request.epsilon, request.delta, record.seed, attach_span=record.span.attach,
+        )
+        record.notes.extend(notes)
+        record.execute_seconds = sum(outcome.seconds for outcome in outcomes)
+
+    def _finalize(self, record: "_Staged", degradations: List[str]) -> None:
+        """The one place a :class:`CountResult` is built.  A counted (not
+        cached) estimate is first put in the result cache, recorded in the
+        telemetry sinks and scored against the plan's prediction."""
+        plan = record.plan
+        if record.cache == "miss":
+            self.result_cache.put(record.result_key, record.estimate)
+            self._record_execution(record)
+            plan = self._score_prediction(plan, record.execute_seconds, record.span)
+        degradations.extend(record.notes)
+        record.result = CountResult(
+            index=record.index,
+            estimate=record.estimate,
+            scheme=plan.scheme,
+            query_class=plan.query_class,
+            plan=plan,
+            seed=record.seed,
+            epsilon=record.request.epsilon,
+            delta=record.request.delta,
+            cache=record.cache,
+            plan_seconds=record.plan_seconds,
+            execute_seconds=record.execute_seconds,
+            widths=record.widths,
+            shard_strategy=None if record.shard_plan is None else record.shard_plan.strategy,
+            degradations=tuple(record.notes),
         )
 
     # ------------------------------------------------------------- streaming
@@ -957,7 +819,7 @@ class CountingService:
         from repro.queries.canonical import query_relation_names
         from repro.stream.live import CountSubscription, _StreamState
 
-        resolved = self._resolve(request)
+        resolved = self.resolve(request)
         if isinstance(resolved.database, ShardedStructure):
             # Sharded databases have no change log; the subscription keeps one
             # fingerprint per query component on its owning shard, so only

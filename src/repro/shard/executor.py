@@ -1,14 +1,17 @@
 """The :class:`ShardExecutor`: run a :class:`ShardCountPlan` and combine.
 
 Single/local plans become :class:`~repro.service.executor.CountTask`s over
-the per-shard structures and fan out across the serial / thread / process
-back-ends of :func:`repro.service.executor.run_tasks` — the same pool
-machinery (databases shipped once per worker, keyed by structure token) the
-batch service uses, so shard structures ride the existing infrastructure
-unchanged.  Union plans run the Section-6 machinery over the tagged database
-(exactly via :func:`repro.unions.karp_luby.exact_count_union`, approximately
-via the registry's ``union_karp_luby`` scheme); merged plans count the
-reassembled monolith.
+the per-shard structures (:func:`shard_count_tasks`) and fan out across the
+serial / thread / process back-ends of
+:func:`repro.service.executor.run_tasks` — the same pool machinery
+(databases shipped once per worker, keyed by structure token) the batch
+service uses; :func:`combine_shard_outcomes` multiplies the component
+counts back together.  The service's batch calls the same two functions, so
+there is one sharded fan-out.  Union plans run the Section-6 machinery over
+the tagged database (exactly via
+:func:`repro.unions.karp_luby.exact_count_union`, approximately via the
+registry's ``union_karp_luby`` scheme); merged plans count the reassembled
+monolith.
 
 Seeds: a single-strategy plan passes the request seed through (bit-identical
 to the unsharded run); local tasks get ``derive_seed(seed, shard, component)``
@@ -19,7 +22,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.registry import EXACT_SCHEMES
 from repro.obs.trace import attach, span, tracing_active
@@ -92,51 +95,115 @@ def combine_local_estimates(estimates: List[float]) -> float:
     return product
 
 
-def shard_fallback_outcome(
-    shard_task: ShardTask,
-    failed: TaskOutcome,
+def shard_count_tasks(
+    plan: ShardCountPlan,
     sharded: ShardedStructure,
     scheme: str,
     engine: str,
     epsilon: float,
     delta: float,
     seed: Optional[int],
-) -> Tuple[TaskOutcome, str]:
-    """Recount one failed shard task's component on the ``merged()`` view.
+    first_index: int = 0,
+    fault_plan: Optional[FaultPlan] = None,
+    retry: Optional[RetryPolicy] = None,
+    deadline_at: Optional[float] = None,
+) -> Tuple[List[CountTask], Dict[int, Structure]]:
+    """The fan-out of a single/local plan: one :class:`CountTask` per shard
+    task, numbered from ``first_index``, plus the per-shard structures they
+    read (keyed by structure token).
 
-    The degradation of last resort: a shard task that exhausted its retries
-    (its shard is "down") re-runs against the reassembled monolith with the
-    *same* derived seed and the task's own :func:`component_accuracy`
-    ``(epsilon, delta)``.  Shards keep the full universe and whole relations
-    of their components, so the component's query sees identical relation
-    contents on the merged view — the recount is bit-identical to the
-    healthy shard's answer, just not shard-parallel.  Returns the repaired
-    outcome and a provenance note."""
-    started = time.perf_counter()
-    result = execute_scheme_result(
-        scheme,
-        shard_task.query,
-        sharded.merged(),
-        epsilon=epsilon,
-        delta=delta,
-        seed=shard_task_seed(seed, shard_task),
-        engine=engine,
-    )
-    note = (
-        f"shard.count[{shard_task.shard}, {shard_task.component}]: "
-        f"retries exhausted ({failed.error}); recounted component on merged view"
-    )
-    return (
-        TaskOutcome(
-            index=failed.index,
-            estimate=result.estimate,
-            seconds=time.perf_counter() - started,
-            widths=result.widths,
-            attempts=failed.attempts,
-            degradations=failed.degradations + (note,),
-        ),
-        note,
-    )
+    Each task runs at the plan's :func:`component_accuracy` of the request's
+    ``(epsilon, delta)`` with its :func:`shard_task_seed`, and is faultable
+    at ``shard.count[shard, component]``.  Both the :class:`ShardExecutor`
+    and the service's batch (which folds these tasks into its one
+    ``run_tasks`` call) build their shard tasks here."""
+    task_epsilon, task_delta = component_accuracy(plan, scheme, epsilon, delta)
+    traced = tracing_active()
+    tasks: List[CountTask] = []
+    databases: Dict[int, Structure] = {}
+    for offset, shard_task in enumerate(plan.tasks):
+        shard_structure = sharded.shards[shard_task.shard]
+        databases[shard_structure.structure_token] = shard_structure
+        tasks.append(
+            CountTask(
+                index=first_index + offset,
+                query=shard_task.query,
+                scheme=scheme,
+                engine=engine,
+                epsilon=task_epsilon,
+                delta=task_delta,
+                seed=shard_task_seed(seed, shard_task),
+                database_token=shard_structure.structure_token,
+                fault_sites=(("shard.count", (shard_task.shard, shard_task.component)),),
+                fault_plan=fault_plan,
+                retry=retry,
+                deadline_at=deadline_at,
+                traced=traced,
+            )
+        )
+    return tasks, databases
+
+
+def combine_shard_outcomes(
+    plan: ShardCountPlan,
+    outcomes: Sequence[TaskOutcome],
+    sharded: ShardedStructure,
+    scheme: str,
+    engine: str,
+    epsilon: float,
+    delta: float,
+    seed: Optional[int],
+    attach_span: Callable[[Any], None] = attach,
+) -> Tuple[float, Optional[Dict[str, Any]], List[str], List[TaskOutcome]]:
+    """The fan-in of :func:`shard_count_tasks`: ``(estimate, widths, notes,
+    repaired outcomes)``.
+
+    Each outcome's worker span goes to ``attach_span`` (by default the open
+    span).  A shard task that exhausted its retries (its shard is "down") is
+    recounted on the ``merged()`` view with the *same* derived seed and
+    component accuracy — the degradation of last resort.  Shards keep the
+    full universe and whole relations of their components, so the recount
+    is bit-identical to the healthy shard's answer, just not
+    shard-parallel.  The estimate is the product of the component counts;
+    ``widths`` are the one task's widths, or ``{"components": [...]}``."""
+    task_epsilon, task_delta = component_accuracy(plan, scheme, epsilon, delta)
+    notes: List[str] = []
+    repaired: List[TaskOutcome] = []
+    for shard_task, outcome in zip(plan.tasks, outcomes):
+        attach_span(outcome.span)
+        if outcome.failed:
+            started = time.perf_counter()
+            result = execute_scheme_result(
+                scheme,
+                shard_task.query,
+                sharded.merged(),
+                epsilon=task_epsilon,
+                delta=task_delta,
+                seed=shard_task_seed(seed, shard_task),
+                engine=engine,
+            )
+            note = (
+                f"shard.count[{shard_task.shard}, {shard_task.component}]: "
+                f"retries exhausted ({outcome.error}); recounted component on merged view"
+            )
+            outcome = TaskOutcome(
+                index=outcome.index,
+                estimate=result.estimate,
+                seconds=time.perf_counter() - started,
+                widths=result.widths,
+                attempts=outcome.attempts,
+                degradations=outcome.degradations + (note,),
+            )
+            notes.append(note)
+        else:
+            notes.extend(outcome.degradations)
+        repaired.append(outcome)
+    estimate = combine_local_estimates([outcome.estimate for outcome in repaired])
+    if len(repaired) == 1:
+        widths = repaired[0].widths
+    else:
+        widths = {"components": [outcome.widths for outcome in repaired]}
+    return estimate, widths, notes, repaired
 
 
 class ShardExecutor:
@@ -221,6 +288,20 @@ class ShardExecutor:
             plan = plan_sharded_count(query, sharded)
 
         if plan.strategy in ("single", "local"):
+            tasks, databases = shard_count_tasks(
+                plan, sharded, scheme, engine, epsilon, delta, seed,
+                fault_plan=self.fault_plan, retry=self.retry, deadline_at=deadline_at,
+            )
+            report = run_tasks(
+                tasks,
+                databases,
+                mode=self.mode,
+                max_workers=self.max_workers,
+                breaker=self.breaker,
+            )
+            estimate, _, notes, outcomes = combine_shard_outcomes(
+                plan, report.outcomes, sharded, scheme, engine, epsilon, delta, seed
+            )
             task_epsilon, task_delta = component_accuracy(plan, scheme, epsilon, delta)
             trace = plan.trace
             if (task_epsilon, task_delta) != (epsilon, delta):
@@ -229,51 +310,6 @@ class ShardExecutor:
                     f"epsilon={task_epsilon:.6g}, delta={task_delta:.6g} so the "
                     f"product keeps ({epsilon:g}, {delta:g})",
                 )
-            tasks: List[CountTask] = []
-            databases: Dict[int, Structure] = {}
-            for index, shard_task in enumerate(plan.tasks):
-                shard_structure = sharded.shards[shard_task.shard]
-                databases[shard_structure.structure_token] = shard_structure
-                tasks.append(
-                    CountTask(
-                        index=index,
-                        query=shard_task.query,
-                        scheme=scheme,
-                        engine=engine,
-                        epsilon=task_epsilon,
-                        delta=task_delta,
-                        seed=shard_task_seed(seed, shard_task),
-                        database_token=shard_structure.structure_token,
-                        fault_sites=(
-                            ("shard.count", (shard_task.shard, shard_task.component)),
-                        ),
-                        fault_plan=self.fault_plan,
-                        retry=self.retry,
-                        deadline_at=deadline_at,
-                        traced=tracing_active(),
-                    )
-                )
-            report = run_tasks(
-                tasks,
-                databases,
-                mode=self.mode,
-                max_workers=self.max_workers,
-                breaker=self.breaker,
-            )
-            degradations: List[str] = list(report.degradations)
-            outcomes: List[TaskOutcome] = []
-            for shard_task, outcome in zip(plan.tasks, report.outcomes):
-                # Reattach the worker's task span under the open shard span.
-                attach(outcome.span)
-                if outcome.failed:
-                    outcome, note = shard_fallback_outcome(
-                        shard_task, outcome, sharded, scheme, engine, task_epsilon, task_delta, seed
-                    )
-                    degradations.append(note)
-                else:
-                    degradations.extend(outcome.degradations)
-                outcomes.append(outcome)
-            estimate = combine_local_estimates([outcome.estimate for outcome in outcomes])
             rows = tuple(
                 (shard_task.shard, shard_task.component, outcome.estimate, outcome.seconds)
                 for shard_task, outcome in zip(plan.tasks, outcomes)
@@ -289,13 +325,18 @@ class ShardExecutor:
                 wall_seconds=time.perf_counter() - started,
                 task_rows=rows,
                 trace=trace,
-                degradations=tuple(degradations),
+                degradations=tuple(report.degradations) + tuple(notes),
                 retries=report.retries,
             )
 
+        # Union and merged plans count inline: the Section-6 union over the
+        # tagged database, or the reassembled monolith (the fallback that is
+        # correct on any input, not shard-parallel).
         if plan.strategy == "union":
-            estimate, trace = run_with_retry(
-                lambda: self._count_union(
+            num_tasks = len(plan.union.queries)
+
+            def count() -> float:
+                return self._count_union(
                     plan,
                     scheme,
                     epsilon=epsilon,
@@ -303,45 +344,32 @@ class ShardExecutor:
                     seed=seed,
                     engine=engine,
                     exact_components=self.union_exact_components,
-                ),
-                sites=(("shard.count", ("union",)),),
-                policy=self.retry,
-                plan=self.fault_plan,
-            )
-            return ShardCountResult(
-                estimate=estimate,
-                scheme=scheme,
-                strategy="union",
-                num_components=plan.num_components,
-                num_tasks=len(plan.union.queries),
-                shards_involved=tuple(range(sharded.num_shards)),
-                executed_mode="union-inline",
-                wall_seconds=time.perf_counter() - started,
-                trace=plan.trace,
-                degradations=tuple(trace.notes),
-                retries=trace.attempts - 1,
-            )
+                )
+        else:
+            num_tasks = 1
 
-        # Merged fallback: correct on any input, not shard-parallel.
-        from repro.core.registry import REGISTRY
+            def count() -> float:
+                from repro.core.registry import REGISTRY
+
+                return REGISTRY.count(
+                    scheme, query, sharded.merged(),
+                    epsilon=epsilon, delta=delta, rng=seed, engine=engine,
+                ).estimate
 
         estimate, trace = run_with_retry(
-            lambda: REGISTRY.count(
-                scheme, query, sharded.merged(),
-                epsilon=epsilon, delta=delta, rng=seed, engine=engine,
-            ).estimate,
-            sites=(("shard.count", ("merged",)),),
+            count,
+            sites=(("shard.count", (plan.strategy,)),),
             policy=self.retry,
             plan=self.fault_plan,
         )
         return ShardCountResult(
             estimate=estimate,
             scheme=scheme,
-            strategy="merged",
+            strategy=plan.strategy,
             num_components=plan.num_components,
-            num_tasks=1,
+            num_tasks=num_tasks,
             shards_involved=tuple(range(sharded.num_shards)),
-            executed_mode="merged-inline",
+            executed_mode=f"{plan.strategy}-inline",
             wall_seconds=time.perf_counter() - started,
             trace=plan.trace,
             degradations=tuple(trace.notes),

@@ -270,12 +270,10 @@ class CountSubscription:
         self._closed = False
 
         self.query = request.query
-        self.epsilon = (
-            request.epsilon if request.epsilon is not None else service.config.epsilon
-        )
-        self.delta = (
-            request.delta if request.delta is not None else service.config.delta
-        )
+        # CountingService.subscribe hands over a resolved request: its
+        # database, epsilon, delta and latency budget are already set.
+        self.epsilon = request.epsilon
+        self.delta = request.delta
         self._base_seed = request.seed
         self._relations = query_relation_names(request.query)
         from repro.queries.prepared import prepare
@@ -315,9 +313,7 @@ class CountSubscription:
             self.query,
             self._database,
             override=self._request.method,
-            latency_budget_seconds=self._service._resolve_budget(
-                self._request.latency_budget_seconds
-            ),
+            latency_budget_seconds=self._request.latency_budget_seconds,
         )
 
     def _seed_for(self, refresh_index: int, *path: int) -> Optional[int]:
@@ -477,18 +473,25 @@ class CountSubscription:
         del self._error_ratios[:-REPLAN_ERROR_WINDOW]
 
     # ------------------------------------------------------ monolithic body
+    def _recount_request(self, seed: Optional[int]) -> "CountRequest":
+        """A whole-query count through the service, pinned to the
+        subscription's scheme."""
+        from repro.service.service import CountRequest
+
+        return CountRequest(
+            query=self.query,
+            database=self._database,
+            epsilon=self.epsilon,
+            delta=self.delta,
+            seed=seed,
+            method=self.scheme,
+        )
+
     def _count_initial(self) -> None:
         """The initial compute, through the service (plans, caches,
         registry)."""
         self._last_seed = self._seed_for(0)
-        self._estimate = self._service.submit(
-            self.query,
-            self._database,
-            epsilon=self.epsilon,
-            delta=self.delta,
-            seed=self._last_seed,
-            method=self.scheme,
-        ).estimate
+        self._estimate = self._service.submit(self._recount_request(self._last_seed)).estimate
 
     def _refresh_body(self, refresh_index: int) -> Tuple[str, ...]:
         """One refresh attempt: a result-cache hit, else a delta patch
@@ -497,10 +500,7 @@ class CountSubscription:
         provenance notes (a survived change-log gap)."""
         seed = self._seed_for(refresh_index)
         self._gap_note = None
-        key = self._service._result_key(
-            self._canonical_key, self._request, self.plan,
-            self.epsilon, self.delta, seed,
-        )
+        key = self._service.result_key(self._canonical_key, self._request, self.plan, seed)
         cached = self._service.result_cache.get(key)
         if cached is not None:
             self._estimate = cached
@@ -512,14 +512,7 @@ class CountSubscription:
         ):
             self._service.result_cache.put(key, self._estimate)
         else:
-            result = self._service.submit(
-                self.query,
-                self._database,
-                epsilon=self.epsilon,
-                delta=self.delta,
-                seed=seed,
-                method=self.scheme,
-            )
+            result = self._service.submit(self._recount_request(seed))
             self._estimate = result.estimate
             self._mode = "recount" if self.scheme in EXACT_SCHEMES else "reestimate"
             self._note_prediction_error(result.execute_seconds)

@@ -199,7 +199,7 @@ class TestAdaptiveOverlay:
         )
         warm(service, TWO_HOP, database, "exact", 5.0)
         warm(service, TWO_HOP, database, "fpras_cq", 0.001)
-        result = service.submit(TWO_HOP, seed=7, **LOOSE)
+        result = service.submit(CountRequest(TWO_HOP, seed=7, **LOOSE))
         assert result.scheme == "fpras_cq"
         assert result.plan.predicted["budget_seconds"] == 1.0
 
@@ -228,10 +228,12 @@ class TestAdaptiveDifferential:
         adaptive = CountingService(database, adaptive_config())
         warm(adaptive, TWO_HOP, database, "fpras_cq", 0.001)
         warm(adaptive, TWO_HOP, database, "exact", 5.0)
-        result = adaptive.submit(TWO_HOP, seed=2022, **LOOSE)
+        result = adaptive.submit(CountRequest(TWO_HOP, seed=2022, **LOOSE))
         assert result.scheme == "fpras_cq"
         static = CountingService(database, ServiceConfig(executor="serial"))
-        forced = static.submit(TWO_HOP, seed=2022, method="fpras_cq", **LOOSE)
+        forced = static.submit(
+            CountRequest(TWO_HOP, seed=2022, method="fpras_cq", **LOOSE)
+        )
         assert result.estimate == forced.estimate
         assert result.seed == forced.seed
 
@@ -240,7 +242,7 @@ class TestAdaptiveDifferential:
         adaptive = CountingService(database, adaptive_config())
         warm(adaptive, TWO_HOP, database, "exact", 0.001)
         warm(adaptive, TWO_HOP, database, "fpras_cq", 5.0)
-        result = adaptive.submit(TWO_HOP, seed=5)
+        result = adaptive.submit(CountRequest(TWO_HOP, seed=5))
         assert result.scheme == "exact"
         assert result.estimate == count_answers_exact(TWO_HOP, database)
 
@@ -276,7 +278,7 @@ class TestPredictionAccounting:
         tracer = Tracer()
         service = CountingService(database, adaptive_config(tracer=tracer))
         warm(service, TWO_HOP, database, "exact", 0.001)
-        result = service.submit(TWO_HOP, seed=3)
+        result = service.submit(CountRequest(TWO_HOP, seed=3))
         predicted = result.plan.predicted
         assert predicted["chosen"] == "exact"
         assert predicted["actual_seconds"] > 0
@@ -308,7 +310,7 @@ class TestPredictionAccounting:
     def test_cold_plans_record_no_prediction(self):
         database = large_database()
         service = CountingService(database, adaptive_config())
-        result = service.submit(TWO_HOP, seed=3, **LOOSE)
+        result = service.submit(CountRequest(TWO_HOP, seed=3, **LOOSE))
         assert result.plan.predicted is None
         counters = service.metrics.snapshot()["counters"]
         assert "planner.predictions" not in counters

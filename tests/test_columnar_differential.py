@@ -354,7 +354,7 @@ class TestServiceIntegration:
         service = CountingService(
             database, ServiceConfig(executor="serial", engine="columnar")
         )
-        service.submit(parse_query("Ans(x) :- E(x, y)"), seed=1)
+        service.submit(CountRequest(parse_query("Ans(x) :- E(x, y)"), seed=1))
         stats = service.stats()
         assert stats["schemes"]["exact"]["engine"] == "columnar"
         assert stats["profiles"]["engines"] == ["columnar"]

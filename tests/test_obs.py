@@ -422,8 +422,8 @@ class TestTelemetryContract:
 class TestServiceMetrics:
     def test_stats_is_nested_by_subsystem(self, database):
         service = CountingService(database, ServiceConfig(executor="serial"))
-        service.submit(parse_query(CQ), seed=1)
-        service.submit(parse_query(CQ), seed=1)  # result-cache hit
+        service.submit(CountRequest(parse_query(CQ), seed=1))
+        service.submit(CountRequest(parse_query(CQ), seed=1))  # result-cache hit
         stats = service.stats()
         assert set(stats) == {"caches", "executor", "schemes", "stream", "profiles"}
         assert stats["caches"]["result"]["hits"] == 1
@@ -438,8 +438,8 @@ class TestServiceMetrics:
 
     def test_requests_counter_tracks_hit_and_miss(self, database):
         service = CountingService(database, ServiceConfig(executor="serial"))
-        service.submit(parse_query(CQ), seed=1)
-        service.submit(parse_query(CQ), seed=1)
+        service.submit(CountRequest(parse_query(CQ), seed=1))
+        service.submit(CountRequest(parse_query(CQ), seed=1))
         snapshot = service.metrics.snapshot()
         assert snapshot["counters"]["service.requests"] == {
             "cache=hit": 1,
@@ -448,10 +448,10 @@ class TestServiceMetrics:
 
     def test_explain_gains_an_observed_section_after_runs(self, database):
         service = CountingService(database, ServiceConfig(executor="serial"))
-        first = service.submit(parse_query(CQ), seed=1)
+        first = service.submit(CountRequest(parse_query(CQ), seed=1))
         assert "observed:" not in first.plan.explain()  # nothing recorded yet
         service.result_cache.clear()
-        second = service.submit(parse_query(CQ), seed=1)
+        second = service.submit(CountRequest(parse_query(CQ), seed=1))
         explain = second.plan.explain()
         assert "observed:" in explain
         assert "* exact: runs=1" in explain
@@ -459,7 +459,7 @@ class TestServiceMetrics:
 
     def test_metrics_render_covers_core_series(self, database):
         service = CountingService(database, ServiceConfig(executor="serial"))
-        service.submit(parse_query(CQ), seed=1)
+        service.submit(CountRequest(parse_query(CQ), seed=1))
         text = service.metrics.render_prometheus()
         for series in (
             "repro_service_requests",

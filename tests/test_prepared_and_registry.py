@@ -272,10 +272,10 @@ class TestWidthsComputedOncePerProcess:
         assert stats["fhw_decomposition"]["computes"] == 1
 
     def test_scheme_result_surfaces_widths_through_the_service(self, database):
-        from repro.service import CountingService, ServiceConfig
+        from repro.service import CountingService, CountRequest, ServiceConfig
 
         service = CountingService(database, ServiceConfig(executor="serial"))
-        result = service.submit(parse_query(DCQ), seed=3, method="fptras_dcq")
+        result = service.submit(CountRequest(parse_query(DCQ), seed=3, method="fptras_dcq"))
         assert result.widths is not None
         assert result.widths["treewidth"] == result.plan.treewidth or (
             result.plan.treewidth is None

@@ -376,6 +376,40 @@ class TestFaultsNeverChangeEstimates:
             for note in chaos_report.degradations
         )
 
+    @pytest.mark.parametrize("dead_shard", [False, True], ids=["clean", "shard0-dead"])
+    def test_service_batch_and_shard_executor_agree_on_local_plans(
+        self, database, dead_shard
+    ):
+        from repro.shard import ShardExecutor
+
+        sharded = two_shards(database)
+        query = parse_query("Ans(x, u) :- E(x, y), F(u, v)")
+        plan = (
+            FaultPlan(
+                seed=7,
+                rules=(FaultRule(site="shard.count", kind="crash", times=99, match=(0,)),),
+            )
+            if dead_shard
+            else None
+        )
+        accuracy = {"epsilon": 0.5, "delta": 0.2}
+        served = CountingService(sharded, ServiceConfig(executor="serial")).count_batch(
+            [CountRequest(query=query, seed=11, method="fpras_cq", **accuracy)],
+            fault_plan=plan,
+            retry=RETRY,
+        ).results[0]
+        direct = ShardExecutor(mode="serial", fault_plan=plan, retry=RETRY).count(
+            query, sharded, scheme="fpras_cq", seed=11, engine=served.plan.engine, **accuracy
+        )
+        assert served.shard_strategy == direct.strategy == "local"
+        assert served.estimate == direct.estimate
+
+        def merged_notes(notes):
+            return [note for note in notes if "on merged view" in note]
+
+        assert merged_notes(served.degradations) == merged_notes(direct.degradations)
+        assert len(merged_notes(direct.degradations)) == int(dead_shard)
+
     def test_cache_get_fault_degrades_to_a_miss(self, database):
         queries = [parse_query(CQ)]
         clean = CountingService(database, ServiceConfig(executor="serial"))

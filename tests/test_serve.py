@@ -90,7 +90,7 @@ class TestWireSchema:
     def test_count_result_round_trip_is_bit_identical(self, medium_database):
         service = CountingService(medium_database)
         result = service.submit(
-            query=parse_query("Ans(x, y) :- E(x, y)"), seed=7, epsilon=0.25
+            CountRequest(query=parse_query("Ans(x, y) :- E(x, y)"), seed=7, epsilon=0.25)
         )
         decoded = schema.from_json(schema.to_json(result))
         assert decoded == result
@@ -178,26 +178,25 @@ class TestWireSchema:
 
 
 class TestSubmitRequestForm:
-    def test_request_form_matches_legacy_kwargs(self, medium_database):
-        service = CountingService(medium_database)
+    def test_request_positional_and_keyword_forms_match(self, medium_database):
         query = parse_query("Ans(x, y) :- E(x, y)")
-        via_request = service.submit(
-            request=CountRequest(query=query, seed=13, epsilon=0.25)
-        )
-        via_kwargs = service.submit(query=query, seed=13, epsilon=0.25)
-        assert via_request.estimate == via_kwargs.estimate
-        assert via_request.scheme == via_kwargs.scheme
+        request = CountRequest(query=query, seed=13, epsilon=0.25)
+        via_keyword = CountingService(medium_database).submit(request=request)
+        via_positional = CountingService(medium_database).submit(request)
+        assert via_keyword.estimate == via_positional.estimate
+        assert via_keyword.scheme == via_positional.scheme
 
-    def test_mixing_request_and_kwargs_raises(self, medium_database):
+    def test_legacy_kwarg_form_is_rejected(self, medium_database):
         service = CountingService(medium_database)
         query = parse_query("Ans(x) :- E(x, y)")
-        with pytest.raises(ValueError, match="not both"):
+        with pytest.raises(TypeError):
+            service.submit(query, seed=1)
+        with pytest.raises(TypeError):
             service.submit(query, request=CountRequest(query=query))
 
-    def test_submit_without_query_or_request_raises(self, medium_database):
-        service = CountingService(medium_database)
-        with pytest.raises(ValueError, match="needs a query"):
-            service.submit()
+    def test_submit_without_request_raises(self, medium_database):
+        with pytest.raises(TypeError):
+            CountingService(medium_database).submit()
 
     def test_per_request_deadline_expires(self, medium_database):
         from repro.resilience.retry import DeadlineExceeded
@@ -307,6 +306,10 @@ class TestCoalescer:
         base = coalescing_key(service, CountRequest(query=query, seed=1))
         assert base == coalescing_key(service, CountRequest(query=query, seed=1))
         assert base != coalescing_key(service, CountRequest(query=query, seed=2))
+        # A different latency budget may plan a different scheme (adaptive).
+        assert base != coalescing_key(
+            service, CountRequest(query=query, seed=1, latency_budget_seconds=0.5)
+        )
         medium_database.add_fact("E", (0, 0))  # self-loops never pre-exist
         assert base != coalescing_key(service, CountRequest(query=query, seed=1))
 
@@ -327,7 +330,7 @@ class TestServerEndToEnd:
             ]:
                 served = client.count(text, seed=seed, epsilon=0.25)
                 local = twin.submit(
-                    query=parse_query(text), seed=seed, epsilon=0.25
+                    CountRequest(query=parse_query(text), seed=seed, epsilon=0.25)
                 )
                 assert served.estimate == local.estimate
                 assert served.scheme == local.scheme
@@ -414,7 +417,7 @@ class TestServerEndToEnd:
 
         twin = CountingService(database_from_graph(medium_graph))
         local = twin.submit(
-            query=parse_query("Ans(x, y) :- E(x, y), x != y"), seed=21
+            CountRequest(query=parse_query("Ans(x, y) :- E(x, y), x != y"), seed=21)
         )
         with running_server(
             medium_database, ServiceConfig(fault_plan=SLOW_PLAN)

@@ -143,7 +143,7 @@ class TestCountingService:
     def test_submit_matches_exact_count(self, database):
         service = CountingService(database, ServiceConfig(executor="serial"))
         query = parse_query(CQ)
-        result = service.submit(query, seed=7)
+        result = service.submit(CountRequest(query, seed=7))
         assert result.scheme == "exact"
         assert result.cache == "miss"
         assert result.count == count_answers_exact(query, database)
@@ -198,19 +198,19 @@ class TestCountingService:
     def test_mutating_a_relation_evicts_stale_results(self, database):
         service = CountingService(database, ServiceConfig(executor="serial"))
         query = parse_query(CQ)
-        service.submit(query, seed=3)
-        assert service.submit(query, seed=3).cache == "hit"
+        service.submit(CountRequest(query, seed=3))
+        assert service.submit(CountRequest(query, seed=3)).cache == "hit"
         database.add_fact("E", (4, 2))
-        after = service.submit(query, seed=3)
+        after = service.submit(CountRequest(query, seed=3))
         assert after.cache == "miss"
         assert after.count == count_answers_exact(query, database)
 
     def test_mutating_an_unrelated_relation_keeps_hits(self, database):
         service = CountingService(database, ServiceConfig(executor="serial"))
         query = parse_query(CQ)  # mentions only E
-        service.submit(query, seed=3)
+        service.submit(CountRequest(query, seed=3))
         database.add_fact("F", (4, 4))
-        assert service.submit(query, seed=3).cache == "hit"
+        assert service.submit(CountRequest(query, seed=3)).cache == "hit"
 
     def test_copies_never_share_cache_entries(self, database):
         query = parse_query(CQ)
@@ -296,11 +296,11 @@ class TestCountingService:
     def test_request_without_database_needs_a_default(self):
         service = CountingService()
         with pytest.raises(ValueError, match="no default"):
-            service.submit(parse_query(CQ))
+            service.submit(CountRequest(parse_query(CQ)))
 
     def test_stats_reports_both_caches(self, database):
         service = CountingService(database, ServiceConfig(executor="serial"))
-        service.submit(parse_query(CQ), seed=1)
+        service.submit(CountRequest(parse_query(CQ), seed=1))
         stats = service.stats()
         assert set(stats) == {"caches", "executor", "schemes", "stream", "profiles"}
         assert set(stats["caches"]) == {"plan", "result"}

@@ -392,11 +392,11 @@ class TestServiceIntegration:
         sharded = ShardedStructure.from_structure(database, HashTuplePartitioner(2))
         service = CountingService(sharded, ServiceConfig(executor="serial"))
         query = parse_query(CQ)  # mentions only E
-        service.submit(query, seed=3)
+        service.submit(CountRequest(query, seed=3))
         sharded.add_fact("F", (6, 6))
-        assert service.submit(query, seed=3).cache == "hit"
+        assert service.submit(CountRequest(query, seed=3)).cache == "hit"
         sharded.add_fact("E", ("fresh", 0))  # guaranteed-new fact
-        after = service.submit(query, seed=3)
+        after = service.submit(CountRequest(query, seed=3))
         assert after.cache == "miss"
         assert after.estimate == count_answers_exact(query, sharded.merged())
 
@@ -576,7 +576,7 @@ class TestShardSubscription:
         sharded = ShardedStructure.from_structure(database, HashTuplePartitioner(2))
         service = CountingService(sharded, ServiceConfig(executor="serial", result_cache_size=0))
         query = parse_query(CQ)
-        result = service.submit(query, seed=3)
+        result = service.submit(CountRequest(query, seed=3))
         assert result.cache == "miss"
         assert result.shard_strategy == "union"
         assert result.estimate == count_answers_exact(query, database)

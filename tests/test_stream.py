@@ -601,16 +601,16 @@ class TestStreamingCacheHygiene:
         db_b = database_from_graph(erdos_renyi_graph(7, 0.4, rng=2))
         service = service_for(db_a)
         query = parse_query("Ans(x, y) :- E(x, y)")
-        service.submit(query, db_a, seed=1)
-        service.submit(query, db_b, seed=1)
+        service.submit(CountRequest(query, db_a, seed=1))
+        service.submit(CountRequest(query, db_b, seed=1))
         # Mutations strand dead-fingerprint entries for db_a.
         db_a.add_fact("E", (90, 91))
-        service.submit(query, db_a, seed=1)
+        service.submit(CountRequest(query, db_a, seed=1))
         assert service.evict(db_a) == 2
         assert service.evict(db_a) == 0
         # db_b's entry survives and still hits.
         before = service.result_cache.stats().hits
-        service.submit(query, db_b, seed=1)
+        service.submit(CountRequest(query, db_b, seed=1))
         assert service.result_cache.stats().hits == before + 1
 
 
