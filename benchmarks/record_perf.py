@@ -730,11 +730,11 @@ def _shard_workload(smoke: bool):
 
 
 def run_shard_suite(smoke: bool, out_path: Path) -> tuple:
+    from repro.service import CountingService, CountRequest, ServiceConfig
     from repro.shard import (
         ByRelationPartitioner,
         HashTuplePartitioner,
         ShardedStructure,
-        ShardExecutor,
         plan_sharded_count,
     )
 
@@ -753,15 +753,19 @@ def run_shard_suite(smoke: bool, out_path: Path) -> tuple:
     unsharded_count = count_answers_exact(query, database)
     unsharded_seconds = time.perf_counter() - unsharded_started
 
-    executor = ShardExecutor(mode="process", max_workers=num_relations)
+    # count_batch, not submit: submit always runs serially.
+    service = CountingService(
+        sharded, ServiceConfig(executor="process", max_workers=num_relations)
+    )
     sharded_started = time.perf_counter()
-    sharded_result = executor.count(query, sharded, scheme="exact", plan=plan)
+    sharded_report = service.count_batch([CountRequest(query=query, method="exact")])
     sharded_seconds = time.perf_counter() - sharded_started
-    counts_match = sharded_result.estimate == unsharded_count
+    sharded_estimate = sharded_report.results[0].estimate
+    counts_match = sharded_estimate == unsharded_count
     if not counts_match:
         failures += 1
         print(
-            f"[record_perf] FAIL: sharded count {sharded_result.estimate} != "
+            f"[record_perf] FAIL: sharded count {sharded_estimate} != "
             f"unsharded {unsharded_count}"
         )
     speedup = unsharded_seconds / sharded_seconds if sharded_seconds > 0 else float("inf")
@@ -769,8 +773,8 @@ def run_shard_suite(smoke: bool, out_path: Path) -> tuple:
         f"[record_perf] shard local: count={unsharded_count} "
         f"unsharded={unsharded_seconds * 1000:.1f}ms "
         f"sharded={sharded_seconds * 1000:.1f}ms "
-        f"({sharded_result.executed_mode}, {sharded_result.num_tasks} tasks "
-        f"over shards {list(sharded_result.shards_involved)}) "
+        f"({sharded_report.executed_executor}, {len(plan.tasks)} tasks "
+        f"over shards {list(plan.shards_involved)}) "
         f"speedup={speedup:.1f}x counts_match={counts_match}"
     )
 
@@ -782,20 +786,21 @@ def run_shard_suite(smoke: bool, out_path: Path) -> tuple:
     )
     union_plan = plan_sharded_count(union_query, union_sharded)
     union_expected = count_answers_exact(union_query, union_database)
-    union_result = ShardExecutor(mode="serial").count(
-        union_query, union_sharded, scheme="exact", plan=union_plan
-    )
+    union_result = CountingService(
+        union_sharded, ServiceConfig(executor="serial")
+    ).submit(CountRequest(query=union_query, method="exact"))
+    union_restrictions = len(union_plan.union.queries) if union_plan.union else 0
     union_verified = (
-        union_plan.strategy == "union" and union_result.estimate == union_expected
+        union_result.shard_strategy == "union" and union_result.estimate == union_expected
     )
     if not union_verified:
         failures += 1
         print(
-            f"[record_perf] FAIL: union path ({union_plan.strategy}) gave "
+            f"[record_perf] FAIL: union path ({union_result.shard_strategy}) gave "
             f"{union_result.estimate}, expected {union_expected}"
         )
     print(
-        f"[record_perf] shard union: {union_result.num_tasks} restrictions, "
+        f"[record_perf] shard union: {union_restrictions} restrictions, "
         f"count={union_result.estimate} verified={union_verified}"
     )
 
@@ -806,14 +811,14 @@ def run_shard_suite(smoke: bool, out_path: Path) -> tuple:
         "partitioner": "relation",
         "strategy": plan.strategy,
         "cpu_count": os.cpu_count(),
-        "executed_mode": sharded_result.executed_mode,
+        "executed_mode": sharded_report.executed_executor,
         "query_components": plan.num_components,
         "count": unsharded_count,
         "unsharded_seconds": round(unsharded_seconds, 6),
         "sharded_seconds": round(sharded_seconds, 6),
         "speedup": round(speedup, 2),
         "counts_match": counts_match,
-        "union_restrictions": union_result.num_tasks,
+        "union_restrictions": union_restrictions,
         "union_verified": union_verified,
         "note": (
             "speedup compares one multi-component exact count over the "

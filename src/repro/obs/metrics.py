@@ -55,6 +55,10 @@ def _label_key(labels: Dict[str, Any]) -> Labels:
     return tuple(sorted((str(k), str(v)) for k, v in labels.items()))
 
 
+def _escape_label_value(value: str) -> str:
+    return value.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
+
+
 class Counter:
     """A monotonically increasing count."""
 
@@ -233,27 +237,49 @@ class MetricsRegistry:
             self._collectors[name] = collect
 
     # -------------------------------------------------------------- exporters
-    @staticmethod
-    def _series(instruments: Dict[Tuple[str, Labels], Any], value) -> Dict[str, Dict[str, Any]]:
-        series: Dict[str, Dict[str, Any]] = {}
-        for (name, labels), instrument in sorted(instruments.items()):
-            label_text = ",".join(f"{k}={v}" for k, v in labels)
-            series.setdefault(name, {})[label_text] = value(instrument)
-        return series
+    def _grouped(self) -> Dict[str, Dict[str, List[Tuple[Labels, Any]]]]:
+        """``kind -> name -> [(labels, reading), ...]`` sorted by name and
+        labels; a histogram's reading is its ``to_dict()``."""
+        with self._lock:
+            tables = {
+                "counters": dict(self._counters),
+                "gauges": dict(self._gauges),
+                "histograms": dict(self._histograms),
+            }
+        grouped: Dict[str, Dict[str, List[Tuple[Labels, Any]]]] = {}
+        for kind, table in tables.items():
+            by_name = grouped[kind] = {}
+            for (name, labels), instrument in sorted(table.items()):
+                reading = instrument.to_dict() if kind == "histograms" else instrument.value
+                by_name.setdefault(name, []).append((labels, reading))
+        return grouped
+
+    def series(self, kind: str, name: str) -> List[Tuple[Dict[str, str], Any]]:
+        """Every series of one metric as ``(labels, reading)`` pairs —
+        ``kind`` is ``"counters"``, ``"gauges"`` or ``"histograms"``."""
+        rows = self._grouped()[kind].get(name, ())
+        return [(dict(labels), reading) for labels, reading in rows]
+
+    def _collected(self) -> Dict[str, Any]:
+        with self._lock:
+            collectors = dict(self._collectors)
+        return {name: collect() for name, collect in sorted(collectors.items())}
 
     def snapshot(self) -> Dict[str, Any]:
-        """Every series plus every collector's current output, one dict."""
-        with self._lock:
-            counters = dict(self._counters)
-            gauges = dict(self._gauges)
-            histograms = dict(self._histograms)
-            collectors = dict(self._collectors)
-        return {
-            "counters": self._series(counters, lambda c: c.value),
-            "gauges": self._series(gauges, lambda g: g.value),
-            "histograms": self._series(histograms, lambda h: h.to_dict()),
-            "collected": {name: collect() for name, collect in sorted(collectors.items())},
+        """Every series (keyed by its ``"k=v,..."`` label text) plus every
+        collector's current output, one dict."""
+        snapshot: Dict[str, Any] = {
+            kind: {
+                name: {
+                    ",".join(f"{k}={v}" for k, v in labels): reading
+                    for labels, reading in series
+                }
+                for name, series in by_name.items()
+            }
+            for kind, by_name in self._grouped().items()
         }
+        snapshot["collected"] = self._collected()
+        return snapshot
 
     def render_prometheus(self) -> str:
         """Prometheus-style text exposition of the full snapshot.
@@ -261,39 +287,34 @@ class MetricsRegistry:
         Counter/gauge series render as ``repro_<name>{labels} value``;
         histograms as ``_count``/``_sum`` plus ``quantile`` series; numeric
         leaves of collected subsystem stats are flattened into gauges (so
-        cache hit-rates and breaker failure counts are scrapable too)."""
+        cache hit-rates and breaker failure counts are scrapable too).
+        Labels render from the stored ``(key, value)`` pairs, with ``\\``,
+        ``"`` and newline escaped in values as the text format requires."""
         lines: List[str] = []
-        snapshot = self.snapshot()
+        grouped = self._grouped()
 
         def metric_name(*parts: str) -> str:
             raw = "_".join(part for part in parts if part)
             cleaned = "".join(ch if ch.isalnum() or ch == "_" else "_" for ch in raw)
             return f"repro_{cleaned}"
 
-        def label_block(label_text: str, extra: str = "") -> str:
-            rendered = [
-                f'{key}="{value}"'
-                for key, _, value in (
-                    part.partition("=") for part in label_text.split(",") if part
-                )
-            ]
-            if extra:
-                rendered.append(extra)
+        def label_block(labels: Labels) -> str:
+            rendered = [f'{key}="{_escape_label_value(value)}"' for key, value in labels]
             return "{" + ",".join(rendered) + "}" if rendered else ""
 
-        for kind, series_by_name in (("counter", snapshot["counters"]), ("gauge", snapshot["gauges"])):
-            for name, series in series_by_name.items():
+        for kind, table in (("counter", "counters"), ("gauge", "gauges")):
+            for name, series in grouped[table].items():
                 lines.append(f"# TYPE {metric_name(name)} {kind}")
-                for label_text, value in series.items():
-                    lines.append(f"{metric_name(name)}{label_block(label_text)} {value:g}")
-        for name, series in snapshot["histograms"].items():
+                for labels, value in series:
+                    lines.append(f"{metric_name(name)}{label_block(labels)} {value:g}")
+        for name, series in grouped["histograms"].items():
             lines.append(f"# TYPE {metric_name(name)} summary")
-            for label_text, stats in series.items():
+            for labels, stats in series:
                 base = metric_name(name)
-                lines.append(f"{base}_count{label_block(label_text)} {stats['count']:g}")
-                lines.append(f"{base}_sum{label_block(label_text)} {stats['sum']:g}")
+                lines.append(f"{base}_count{label_block(labels)} {stats['count']:g}")
+                lines.append(f"{base}_sum{label_block(labels)} {stats['sum']:g}")
                 for quantile, key in (("0.5", "p50"), ("0.95", "p95"), ("0.99", "p99")):
-                    block = label_block(label_text, f'quantile="{quantile}"')
+                    block = label_block(labels + (("quantile", quantile),))
                     lines.append(f"{base}{block} {stats[key]:g}")
 
         def flatten(prefix: str, payload: Any) -> None:
@@ -305,7 +326,7 @@ class MetricsRegistry:
             elif isinstance(payload, (int, float)):
                 lines.append(f"{metric_name(prefix)} {payload:g}")
 
-        for name, payload in snapshot["collected"].items():
+        for name, payload in self._collected().items():
             flatten(name, payload)
         return "\n".join(lines) + "\n"
 

@@ -163,6 +163,7 @@ class CountingServer:
             ("GET", "/v1/healthz"): self._handle_health,
             ("POST", "/v1/facts"): self._handle_facts,
         }
+        self._route_paths = {path for _, path in self._routes} | {"/v1/subscribe"}
 
     # -------------------------------------------------------------- lifecycle
     async def start(self) -> int:
@@ -311,7 +312,9 @@ class CountingServer:
     ) -> Tuple[bool, bool]:
         """Route one request; returns ``(streamed, keep_alive)``."""
         started = time.perf_counter()
-        endpoint = request.path
+        # Metric series are labelled by route, never by the client's path:
+        # unknown paths share one "other" series (bounded cardinality).
+        endpoint = request.path if request.path in self._route_paths else "other"
         status = 200
         try:
             if request.path == "/v1/subscribe" and request.method == "GET":

@@ -685,9 +685,8 @@ class CountingService:
         A monolithic request is one task, faultable at ``executor.task``.  A
         sharded single/local plan appends its shard tasks
         (:func:`~repro.shard.executor.shard_count_tasks`); a union/merged
-        plan runs inline through the
-        :class:`~repro.shard.executor.ShardExecutor` and sets the estimate
-        here."""
+        plan counts here (:func:`~repro.shard.executor.count_inline`) and
+        sets the estimate."""
         request, plan = record.request, record.plan
         database = request.database
         if not isinstance(database, ShardedStructure):
@@ -711,7 +710,7 @@ class CountingService:
                 )
             )
             return
-        from repro.shard.executor import ShardExecutor, shard_count_tasks
+        from repro.shard.executor import count_inline, shard_count_tasks
         from repro.shard.plan import plan_sharded_count
 
         record.shard_plan = shard_plan = plan_sharded_count(request.query, database)
@@ -726,22 +725,12 @@ class CountingService:
             tasks.extend(shard_tasks)
             databases.update(shard_databases)
             return
-        shard_result = ShardExecutor(
-            mode="serial", fault_plan=fault_plan, retry=retry, breaker=self.breaker
-        ).count(
-            request.query,
-            database,
-            scheme=plan.scheme,
-            epsilon=request.epsilon,
-            delta=request.delta,
-            seed=record.seed,
-            engine=plan.engine,
-            plan=shard_plan,
-            deadline_at=record.deadline_at,
+        record.estimate, record.execute_seconds, notes = count_inline(
+            shard_plan, request.query, database, plan.scheme, plan.engine,
+            request.epsilon, request.delta, record.seed,
+            fault_plan=fault_plan, retry=retry, deadline_at=record.deadline_at,
         )
-        record.estimate = shard_result.estimate
-        record.execute_seconds = shard_result.wall_seconds
-        record.notes.extend(shard_result.degradations)
+        record.notes.extend(notes)
 
     def _collect(self, record: "_Staged", outcomes: Sequence[Any]) -> None:
         """Fold the record's task outcomes (worker spans reattached under its
@@ -908,34 +897,16 @@ class CountingService:
         registry: cache hit/miss/eviction statistics, executor mode tallies
         and breaker state, per-scheme latency sketches, stream subscription
         counts, and the cost-profile store's aggregates."""
-        snapshot = self.metrics.snapshot()
-
-        def label_value(label_text: str) -> str:
-            # Series label texts look like "mode=process" / "scheme=exact".
-            return label_text.partition("=")[2] if "=" in label_text else label_text
-
-        def parse_labels(label_text: str) -> Dict[str, str]:
-            return {
-                key: value
-                for key, _, value in (
-                    part.partition("=") for part in label_text.split(",") if part
-                )
-            }
-
+        metrics = self.metrics
         batches = {
-            label_value(label): value
-            for label, value in snapshot["counters"].get("executor.batches", {}).items()
+            labels.get("mode", ""): value
+            for labels, value in metrics.series("counters", "executor.batches")
         }
-        retries = snapshot["counters"].get("executor.retries", {}).get("", 0.0)
+        retries = sum(value for _, value in metrics.series("counters", "executor.retries"))
         # Latency series carry scheme + engine labels.  Key the snapshot by
         # the bare scheme name when only one engine was observed for it (the
         # shape pre-engine consumers expect); "scheme@engine" otherwise.
-        latency_series = [
-            (parse_labels(label), sketch)
-            for label, sketch in snapshot["histograms"]
-            .get("scheme.latency_seconds", {})
-            .items()
-        ]
+        latency_series = metrics.series("histograms", "scheme.latency_seconds")
         engines_per_scheme: Dict[str, int] = {}
         for labels, _ in latency_series:
             scheme = labels.get("scheme", "")

@@ -16,9 +16,11 @@ query answers against the shards instead of a monolith:
   per-component accuracy that keeps the product's ``(epsilon, delta)``), or
   rewrite shard-spanning queries as a union of CQs for the Section-6
   Karp–Luby machinery;
-* :class:`~repro.shard.executor.ShardExecutor` — fan per-shard tasks across
-  the service's serial / thread / process back-ends with deterministic
-  per-shard seeds;
+* :mod:`~repro.shard.executor` — the fan-out helpers the service's staged
+  pipeline calls: per-shard tasks for its serial / thread / process
+  back-ends with deterministic per-shard seeds, the product fan-in with
+  the merged-view recount of a dead shard, and the inline union/merged
+  count;
 * :class:`~repro.shard.subscription.ShardSubscription` — the live-count
   subscription core with a sharded refresh body: stream deltas route to the
   owning shard, so only touched shards recount.
@@ -28,7 +30,7 @@ the CLI's ``shard`` subcommand and ``benchmarks/record_perf.py --suite
 shard`` drive the layer end-to-end.  See DESIGN.md ("The shard layer").
 """
 
-from repro.shard.executor import ShardCountResult, ShardExecutor, shard_task_seed
+from repro.shard.executor import shard_task_seed
 from repro.shard.partition import (
     PARTITIONER_KINDS,
     ByRelationPartitioner,
@@ -80,8 +82,6 @@ __all__ = [
     "component_accuracy",
     "build_union_decomposition",
     "MAX_UNION_COMPONENTS",
-    "ShardExecutor",
-    "ShardCountResult",
     "shard_task_seed",
     "ShardSubscription",
 ]

@@ -1,17 +1,15 @@
-"""The :class:`ShardExecutor`: run a :class:`ShardCountPlan` and combine.
+"""Sharded counting: the fan-out helpers of the service's staged pipeline.
 
+:class:`~repro.service.service.CountingService` is the one driver of a
+sharded count; this module holds what it calls per plan strategy.
 Single/local plans become :class:`~repro.service.executor.CountTask`s over
-the per-shard structures (:func:`shard_count_tasks`) and fan out across the
-serial / thread / process back-ends of
-:func:`repro.service.executor.run_tasks` — the same pool machinery
-(databases shipped once per worker, keyed by structure token) the batch
-service uses; :func:`combine_shard_outcomes` multiplies the component
-counts back together.  The service's batch calls the same two functions, so
-there is one sharded fan-out.  Union plans run the Section-6 machinery over
-the tagged database (exactly via
-:func:`repro.unions.karp_luby.exact_count_union`, approximately via the
-registry's ``union_karp_luby`` scheme); merged plans count the reassembled
-monolith.
+the per-shard structures (:func:`shard_count_tasks`), which the service
+folds into its batch's one :func:`repro.service.executor.run_tasks` call —
+the same serial / thread / process back-ends, databases shipped once per
+worker keyed by structure token; :func:`combine_shard_outcomes` multiplies
+the component counts back together.  Union and merged plans count in the
+calling thread (:func:`count_inline`): the Section-6 machinery over the
+tagged database, or the reassembled monolith.
 
 Seeds: a single-strategy plan passes the request seed through (bit-identical
 to the unsharded run); local tasks get ``derive_seed(seed, shard, component)``
@@ -21,19 +19,16 @@ so the fan-out is reproducible regardless of back-end or completion order.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.registry import EXACT_SCHEMES
 from repro.obs.trace import attach, span, tracing_active
 from repro.queries.query import ConjunctiveQuery
-from repro.relational.csp import DEFAULT_ENGINE
 from repro.relational.structure import Structure
-from repro.resilience.breaker import CircuitBreaker
 from repro.resilience.faults import FaultPlan
-from repro.resilience.retry import RetryPolicy, run_with_retry
-from repro.service.executor import CountTask, TaskOutcome, execute_scheme_result, run_tasks
-from repro.shard.plan import ShardCountPlan, ShardTask, component_accuracy, plan_sharded_count
+from repro.resilience.retry import Deadline, RetryPolicy, run_with_retry
+from repro.service.executor import CountTask, TaskOutcome, execute_scheme_result
+from repro.shard.plan import ShardCountPlan, ShardTask, component_accuracy
 from repro.shard.sharded import ShardedStructure
 from repro.util.rng import derive_seed
 
@@ -43,47 +38,6 @@ def shard_task_seed(seed: Optional[int], task: ShardTask) -> Optional[int]:
     if seed is None or task.seed_path is None:
         return seed
     return derive_seed(seed, *task.seed_path)
-
-
-@dataclass(frozen=True)
-class ShardCountResult:
-    """A sharded count with its provenance."""
-
-    estimate: float
-    scheme: str
-    strategy: str
-    num_components: int
-    num_tasks: int
-    shards_involved: Tuple[int, ...]
-    executed_mode: str
-    wall_seconds: float
-    #: Per-task ``(shard, component, estimate, seconds)`` rows (single/local).
-    task_rows: Tuple[Tuple[int, int, float, float], ...] = ()
-    trace: Tuple[str, ...] = field(default_factory=tuple)
-    #: Resilience provenance: injected faults absorbed by retries, executor
-    #: rungs degraded, shard tasks recounted on the merged view.
-    degradations: Tuple[str, ...] = ()
-    retries: int = 0
-
-    @property
-    def count(self) -> int:
-        return int(round(self.estimate))
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "estimate": self.estimate,
-            "count": self.count,
-            "scheme": self.scheme,
-            "strategy": self.strategy,
-            "num_components": self.num_components,
-            "num_tasks": self.num_tasks,
-            "shards_involved": list(self.shards_involved),
-            "executed_mode": self.executed_mode,
-            "wall_seconds": round(self.wall_seconds, 6),
-            "trace": list(self.trace),
-            "degradations": list(self.degradations),
-            "retries": self.retries,
-        }
 
 
 def combine_local_estimates(estimates: List[float]) -> float:
@@ -114,9 +68,8 @@ def shard_count_tasks(
 
     Each task runs at the plan's :func:`component_accuracy` of the request's
     ``(epsilon, delta)`` with its :func:`shard_task_seed`, and is faultable
-    at ``shard.count[shard, component]``.  Both the :class:`ShardExecutor`
-    and the service's batch (which folds these tasks into its one
-    ``run_tasks`` call) build their shard tasks here."""
+    at ``shard.count[shard, component]``.  The service's batch folds these
+    tasks into its one ``run_tasks`` call."""
     task_epsilon, task_delta = component_accuracy(plan, scheme, epsilon, delta)
     traced = tracing_active()
     tasks: List[CountTask] = []
@@ -206,202 +159,83 @@ def combine_shard_outcomes(
     return estimate, widths, notes, repaired
 
 
-class ShardExecutor:
-    """Plan and execute sharded counts over one :class:`ShardedStructure`."""
+def count_inline(
+    plan: ShardCountPlan,
+    query: ConjunctiveQuery,
+    sharded: ShardedStructure,
+    scheme: str,
+    engine: str,
+    epsilon: float,
+    delta: float,
+    seed: Optional[int],
+    fault_plan: Optional[FaultPlan] = None,
+    retry: Optional[RetryPolicy] = None,
+    deadline_at: Optional[float] = None,
+) -> Tuple[float, float, Tuple[str, ...]]:
+    """Count a union or merged plan in the calling thread: ``(estimate,
+    seconds, notes)``.
 
-    def __init__(
-        self,
-        mode: str = "process",
-        max_workers: Optional[int] = None,
-        union_exact_components: bool = True,
-        fault_plan: Optional[FaultPlan] = None,
-        retry: Optional[RetryPolicy] = None,
-        breaker: Optional[CircuitBreaker] = None,
-    ) -> None:
-        self.mode = mode
-        self.max_workers = max_workers
-        #: The failure model (usually handed down by the service): injected
-        #: faults, the retry budget, and the shared executor circuit breaker.
-        self.fault_plan = fault_plan
-        self.retry = retry
-        self.breaker = breaker
-        #: Approximate union plans run Karp–Luby with exact per-restriction
-        #: counts and exactly uniform samples by default (the estimator's
-        #: only error is sampling error; each restriction is one shard's
-        #: slice, so exact per-component evaluation is cheap).  Set ``False``
-        #: to count the restrictions with the paper's FPTRAS/FPRAS schemes
-        #: at the tightened per-component ``(epsilon/3, delta/3m)`` — the
-        #: Section-6 construction verbatim, far slower.
-        self.union_exact_components = union_exact_components
+    A union plan runs the Section-6 machinery over the tagged database:
+    exactly via :func:`~repro.unions.karp_luby.exact_count_union`, or
+    approximately via the registry's ``union_karp_luby`` with exact
+    per-restriction counts and exactly uniform samples (each restriction is
+    one shard's slice, so exact evaluation is cheap and the estimator's only
+    error is sampling error).  A merged plan counts the reassembled
+    monolith — correct on any input, not shard-parallel.
 
-    def count(
-        self,
-        query: ConjunctiveQuery,
-        sharded: ShardedStructure,
-        scheme: str = "exact",
-        epsilon: float = 0.2,
-        delta: float = 0.05,
-        seed: Optional[int] = None,
-        engine: str = DEFAULT_ENGINE,
-        plan: Optional[ShardCountPlan] = None,
-        deadline_at: Optional[float] = None,
-    ) -> ShardCountResult:
-        """Count ``|Ans(query, sharded)|`` with the given scheme.
+    The count is one retryable operation at the ``shard.count[strategy]``
+    fault site, bounded by ``deadline_at`` (absolute monotonic), and records
+    a ``shard.count`` span with one event per absorbed fault."""
+    from repro.core.registry import REGISTRY
 
-        ``plan`` may be passed in when the caller already planned (the
-        service does); otherwise :func:`plan_sharded_count` runs here.
-        ``deadline_at`` (absolute monotonic) rides into every shard task.
+    started = time.perf_counter()
+    if plan.strategy == "union":
+        decomposition = plan.union
+        num_tasks = len(decomposition.queries)
 
-        With tracing active the fan-out records a ``shard.count`` span:
-        strategy, per-task spans shipped home from pool workers, and one
-        event per degradation (retry absorbed, merged-view recount).
-        """
-        with span("shard.count", scheme=scheme) as shard_span:
-            result = self._count_inner(
-                query, sharded, scheme, epsilon, delta, seed, engine, plan, deadline_at
-            )
-            shard_span.set(
-                strategy=result.strategy,
-                components=result.num_components,
-                tasks=result.num_tasks,
-                executed_mode=result.executed_mode,
-                retries=result.retries,
-            )
-            for note in result.degradations:
-                shard_span.event(note)
-        return result
+        def count() -> float:
+            if not decomposition.queries:
+                # Some positive atom's relation is empty everywhere: no answers.
+                return 0 if scheme in EXACT_SCHEMES else 0.0
+            if scheme in EXACT_SCHEMES:
+                from repro.unions.karp_luby import exact_count_union
 
-    def _count_inner(
-        self,
-        query: ConjunctiveQuery,
-        sharded: ShardedStructure,
-        scheme: str,
-        epsilon: float,
-        delta: float,
-        seed: Optional[int],
-        engine: str,
-        plan: Optional[ShardCountPlan],
-        deadline_at: Optional[float],
-    ) -> ShardCountResult:
-        started = time.perf_counter()
-        if plan is None:
-            plan = plan_sharded_count(query, sharded)
-
-        if plan.strategy in ("single", "local"):
-            tasks, databases = shard_count_tasks(
-                plan, sharded, scheme, engine, epsilon, delta, seed,
-                fault_plan=self.fault_plan, retry=self.retry, deadline_at=deadline_at,
-            )
-            report = run_tasks(
-                tasks,
-                databases,
-                mode=self.mode,
-                max_workers=self.max_workers,
-                breaker=self.breaker,
-            )
-            estimate, _, notes, outcomes = combine_shard_outcomes(
-                plan, report.outcomes, sharded, scheme, engine, epsilon, delta, seed
-            )
-            task_epsilon, task_delta = component_accuracy(plan, scheme, epsilon, delta)
-            trace = plan.trace
-            if (task_epsilon, task_delta) != (epsilon, delta):
-                trace += (
-                    f"accuracy split over {len(plan.tasks)} components: each runs at "
-                    f"epsilon={task_epsilon:.6g}, delta={task_delta:.6g} so the "
-                    f"product keeps ({epsilon:g}, {delta:g})",
+                return exact_count_union(
+                    decomposition.queries, decomposition.tagged, engine=engine
                 )
-            rows = tuple(
-                (shard_task.shard, shard_task.component, outcome.estimate, outcome.seconds)
-                for shard_task, outcome in zip(plan.tasks, outcomes)
-            )
-            return ShardCountResult(
-                estimate=estimate,
-                scheme=scheme,
-                strategy=plan.strategy,
-                num_components=plan.num_components,
-                num_tasks=len(tasks),
-                shards_involved=plan.shards_involved,
-                executed_mode=report.executed_mode,
-                wall_seconds=time.perf_counter() - started,
-                task_rows=rows,
-                trace=trace,
-                degradations=tuple(report.degradations) + tuple(notes),
-                retries=report.retries,
-            )
+            return REGISTRY.count_union(
+                decomposition.queries,
+                decomposition.tagged,
+                epsilon=epsilon,
+                delta=delta,
+                rng=seed,
+                engine=engine,
+                exact_components=True,
+            ).estimate
+    else:
+        num_tasks = 1
 
-        # Union and merged plans count inline: the Section-6 union over the
-        # tagged database, or the reassembled monolith (the fallback that is
-        # correct on any input, not shard-parallel).
-        if plan.strategy == "union":
-            num_tasks = len(plan.union.queries)
+        def count() -> float:
+            return REGISTRY.count(
+                scheme, query, sharded.merged(),
+                epsilon=epsilon, delta=delta, rng=seed, engine=engine,
+            ).estimate
 
-            def count() -> float:
-                return self._count_union(
-                    plan,
-                    scheme,
-                    epsilon=epsilon,
-                    delta=delta,
-                    seed=seed,
-                    engine=engine,
-                    exact_components=self.union_exact_components,
-                )
-        else:
-            num_tasks = 1
-
-            def count() -> float:
-                from repro.core.registry import REGISTRY
-
-                return REGISTRY.count(
-                    scheme, query, sharded.merged(),
-                    epsilon=epsilon, delta=delta, rng=seed, engine=engine,
-                ).estimate
-
+    with span("shard.count", scheme=scheme) as shard_span:
         estimate, trace = run_with_retry(
             count,
             sites=(("shard.count", (plan.strategy,)),),
-            policy=self.retry,
-            plan=self.fault_plan,
+            policy=retry,
+            plan=fault_plan,
+            deadline=None if deadline_at is None else Deadline(expires_at=deadline_at),
         )
-        return ShardCountResult(
-            estimate=estimate,
-            scheme=scheme,
+        shard_span.set(
             strategy=plan.strategy,
-            num_components=plan.num_components,
-            num_tasks=num_tasks,
-            shards_involved=tuple(range(sharded.num_shards)),
+            components=plan.num_components,
+            tasks=num_tasks,
             executed_mode=f"{plan.strategy}-inline",
-            wall_seconds=time.perf_counter() - started,
-            trace=plan.trace,
-            degradations=tuple(trace.notes),
             retries=trace.attempts - 1,
         )
-
-    @staticmethod
-    def _count_union(
-        plan: ShardCountPlan,
-        scheme: str,
-        epsilon: float,
-        delta: float,
-        seed: Optional[int],
-        engine: str,
-        exact_components: bool,
-    ) -> float:
-        decomposition = plan.union
-        if not decomposition.queries:
-            # Some positive atom's relation is empty everywhere: no answers.
-            return 0 if scheme in EXACT_SCHEMES else 0.0
-        if scheme in EXACT_SCHEMES:
-            from repro.unions.karp_luby import exact_count_union
-
-            return exact_count_union(decomposition.queries, decomposition.tagged, engine=engine)
-        from repro.core.registry import REGISTRY
-
-        return REGISTRY.count_union(
-            decomposition.queries,
-            decomposition.tagged,
-            epsilon=epsilon,
-            delta=delta,
-            rng=seed,
-            engine=engine,
-            exact_components=exact_components,
-        ).estimate
+        for note in trace.notes:
+            shard_span.event(note)
+    return estimate, time.perf_counter() - started, tuple(trace.notes)

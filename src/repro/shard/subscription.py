@@ -31,8 +31,8 @@ did not previously own the component is still seen):
 
 Union/merged-strategy queries (answers span shards) have no per-shard
 locality to exploit: the subscription keeps the core's one aggregate
-fingerprint and recomputes through the
-:class:`~repro.shard.executor.ShardExecutor` when it goes stale.
+fingerprint and recounts the whole query through the service's ``submit``
+when it goes stale, exactly as the monolithic core does.
 
 ``mode`` is ``"initial"``, ``"shard-partial"`` (only touched shards
 recounted), ``"shard-recount"`` (every component), or ``"recount"``
@@ -47,7 +47,7 @@ from dataclasses import dataclass
 from typing import Tuple
 
 from repro.queries.query import ConjunctiveQuery
-from repro.shard.executor import ShardExecutor, combine_local_estimates
+from repro.shard.executor import combine_local_estimates
 from repro.shard.plan import (
     ShardCountPlan,
     component_accuracy,
@@ -100,7 +100,6 @@ class ShardSubscription(CountSubscription):
 
     def _count_initial(self) -> None:
         self.shard_plan: ShardCountPlan = plan_sharded_count(self.query, self._database)
-        self._executor = ShardExecutor(mode="serial")
         self._components = []
         if self.shard_plan.strategy not in ("single", "local"):
             self._estimate = self._recompute_union(refresh_index=0)
@@ -141,17 +140,9 @@ class ShardSubscription(CountSubscription):
 
     def _recompute_union(self, refresh_index: int) -> float:
         seed = self._seed_for(refresh_index, 0)
-        result = self._executor.count(
-            self.query,
-            self._database,
-            scheme=self.scheme,
-            epsilon=self.epsilon,
-            delta=self.delta,
-            seed=seed,
-            engine=self.plan.engine,
-        )
+        estimate = self._service.submit(self._recount_request(seed)).estimate
         self._last_seed = seed
-        return result.estimate
+        return estimate
 
     def _combined(self) -> float:
         return combine_local_estimates([state.estimate for state in self._components])

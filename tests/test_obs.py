@@ -173,6 +173,33 @@ class TestMetrics:
             if line and not line.startswith("#"):
                 float(line.rpartition(" ")[2])  # every sample ends in a number
 
+    def test_prometheus_labels_render_from_pairs_and_escape(self):
+        """Label values with the text format's separators or specials render
+        escaped, from the stored pairs rather than re-split text."""
+        registry = MetricsRegistry()
+        registry.counter("hostile", path='a"b\\c\nd,e=f').inc()
+        registry.histogram("latency", scheme="x,y").observe(0.5)
+        text = registry.render_prometheus()
+        assert 'repro_hostile{path="a\\"b\\\\c\\nd,e=f"} 1' in text
+        assert 'repro_latency{quantile="0.5",scheme="x,y"} 0.5' not in text
+        assert 'repro_latency{scheme="x,y",quantile="0.5"} 0.5' in text
+
+    def test_series_reads_labels_as_pairs(self):
+        registry = MetricsRegistry()
+        registry.counter("executor.batches", mode="serial").inc(2)
+        registry.counter("executor.batches", mode="process").inc()
+        registry.histogram("scheme.latency_seconds", scheme="exact", engine="indexed").observe(
+            0.01
+        )
+        assert registry.series("counters", "executor.batches") == [
+            ({"mode": "process"}, 1.0),
+            ({"mode": "serial"}, 2.0),
+        ]
+        ((labels, sketch),) = registry.series("histograms", "scheme.latency_seconds")
+        assert labels == {"engine": "indexed", "scheme": "exact"}
+        assert sketch["count"] == 1
+        assert registry.series("gauges", "executor.batches") == []
+
 
 # ------------------------------------------------------------------ profiles
 class TestProfiles:

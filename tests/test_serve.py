@@ -6,6 +6,7 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import json
+import re
 import threading
 import time
 
@@ -370,6 +371,28 @@ class TestServerEndToEnd:
             health = client.health()
             assert health["status"] == "ok"
             assert health["database_size"] == medium_database.size()
+            # Client-chosen paths never become series: unknown paths share
+            # endpoint="other", and hostile label text cannot break the
+            # exposition format.
+            for path in ("/v1/x%22%7D%20evil,status=200", "/v1/nothing", "/v2/count", "/a/b"):
+                with pytest.raises(ServeError) as missing:
+                    client._request("GET", path)
+                assert missing.value.status == 404
+            metrics = client.metrics_text()
+            endpoints = set(re.findall(r'repro_serve_requests\{endpoint="([^"]*)"', metrics))
+            assert endpoints == {
+                "/v1/plan", "/v1/count", "/v1/stats", "/v1/metrics", "/v1/healthz", "other"
+            }
+            label = r'[a-zA-Z_][a-zA-Z0-9_]*="(?:[^"\\\n]|\\.)*"'
+            sample = re.compile(
+                rf"[a-zA-Z_:][a-zA-Z0-9_:]*(?:\{{{label}(?:,{label})*\}})? (\S+)"
+            )
+            for line in metrics.splitlines():
+                if line.startswith("#"):
+                    continue
+                match = sample.fullmatch(line)
+                assert match is not None, line
+                float(match.group(1))
 
     def test_herd_of_identical_requests_counts_once(self, medium_database):
         herd = 24

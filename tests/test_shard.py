@@ -14,7 +14,6 @@ from repro.shard import (
     ByRelationPartitioner,
     HashTuplePartitioner,
     ShardedStructure,
-    ShardExecutor,
     build_union_decomposition,
     component_accuracy,
     component_relation_names,
@@ -45,6 +44,14 @@ def make_database(rng=7, size=9):
 @pytest.fixture
 def database():
     return make_database()
+
+
+def sharded_count(sharded, query, scheme="exact", epsilon=0.5, delta=0.25, seed=None):
+    """One sharded count through the service's staged pipeline (a fresh
+    service, so nothing is served from the result cache)."""
+    return CountingService(sharded, ServiceConfig(executor="serial")).submit(
+        CountRequest(query=query, epsilon=epsilon, delta=delta, seed=seed, method=scheme)
+    )
 
 
 # ---------------------------------------------------------------- partitioners
@@ -194,7 +201,7 @@ class TestShardedDifferentials:
         query = parse_query(text)
         sharded = ShardedStructure.from_structure(database, make_partitioner(kind, num_shards))
         expected = count_answers_exact(query, database)
-        result = ShardExecutor(mode="serial").count(query, sharded, scheme="exact")
+        result = sharded_count(sharded, query)
         assert result.estimate == expected
 
     @pytest.mark.parametrize("rng", [0, 1, 2])
@@ -206,10 +213,9 @@ class TestShardedDifferentials:
         queries = mixed_query_workload(6, num_variables=(3, 4), rng=rng)
         for num_shards in (2, 4):
             sharded = ShardedStructure.from_structure(database, make_partitioner(kind, num_shards))
-            executor = ShardExecutor(mode="serial")
             for query in queries:
                 expected = count_answers_exact(query, database)
-                result = executor.count(query, sharded, scheme="exact")
+                result = sharded_count(sharded, query)
                 assert result.estimate == expected, (kind, num_shards, str(query))
 
     @pytest.mark.parametrize(
@@ -227,9 +233,7 @@ class TestShardedDifferentials:
         assert plan.strategy == "single"
         assert plan.tasks[0].seed_path is None
         for seed in (3, 11):
-            sharded_estimate = ShardExecutor(mode="serial").count(
-                query, sharded, scheme=scheme, epsilon=0.5, delta=0.25, seed=seed
-            )
+            sharded_estimate = sharded_count(sharded, query, scheme, seed=seed)
             direct = REGISTRY.count(scheme, query, database, epsilon=0.5, delta=0.25, rng=seed)
             assert sharded_estimate.estimate == direct.estimate
 
@@ -258,17 +262,14 @@ class TestShardedDifferentials:
         plan = plan_sharded_count(query, sharded)
         assert plan.strategy == "local" and len(plan.tasks) == 2
         seed = 17
-        result = ShardExecutor(mode="serial").count(
-            query, sharded, scheme="fptras_ecq", epsilon=0.5, delta=0.25, seed=seed
-        )
+        result = sharded_count(sharded, query, "fptras_ecq", seed=seed)
         assert result.estimate == self._manual_local_product(sharded, plan, "fptras_ecq", seed)
         assert shard_task_seed(seed, plan.tasks[0]) == derive_seed(seed, *plan.tasks[0].seed_path)
         assert shard_task_seed(None, plan.tasks[0]) is None
 
     def test_local_strategy_splits_accuracy_across_components(self, database):
         """c approximate components each run at ((1+eps)^(1/c) - 1, delta/c),
-        so the product is an (eps, delta) approximation; the split is in the
-        trace.  fpras_cq's estimate of the first component moves with epsilon,
+        so the product is an (eps, delta) approximation.  fpras_cq's estimate of the first component moves with epsilon,
         so running the components at the caller's (eps, delta) would fail."""
         query = parse_query(MULTI)
         sharded = ShardedStructure.from_structure(
@@ -278,11 +279,8 @@ class TestShardedDifferentials:
         epsilon, delta = component_accuracy(plan, "fpras_cq", 0.5, 0.25)
         assert (1.0 + epsilon) ** 2 == pytest.approx(1.5) and delta == 0.125
         assert component_accuracy(plan, "exact", 0.5, 0.25) == (0.5, 0.25)
-        result = ShardExecutor(mode="serial").count(
-            query, sharded, scheme="fpras_cq", epsilon=0.5, delta=0.25, seed=17
-        )
+        result = sharded_count(sharded, query, "fpras_cq", seed=17)
         assert result.estimate == self._manual_local_product(sharded, plan, "fpras_cq", 17)
-        assert any("accuracy split over 2 components" in line for line in result.trace)
         unsplit = 1.0
         for task in plan.tasks:
             unsplit *= REGISTRY.count(
@@ -294,17 +292,8 @@ class TestShardedDifferentials:
                 rng=derive_seed(17, *task.seed_path),
             ).estimate
         assert unsplit != result.estimate
-        # The service's inline fan-out runs the same split.
-        service = CountingService(sharded, ServiceConfig(executor="serial"))
-        served = service.submit(
-            request=CountRequest(
-                query=query, epsilon=0.5, delta=0.25, seed=4, method="fpras_cq"
-            )
-        )
-        again = ShardExecutor(mode="serial").count(
-            query, sharded, scheme="fpras_cq", epsilon=0.5, delta=0.25, seed=served.seed
-        )
-        assert served.estimate == again.estimate
+        served = sharded_count(sharded, query, "fpras_cq", seed=4)
+        assert served.estimate == self._manual_local_product(sharded, plan, "fpras_cq", 4)
 
     def test_one_task_plans_keep_the_callers_accuracy(self, database):
         sharded = ShardedStructure.from_structure(
@@ -318,13 +307,10 @@ class TestShardedDifferentials:
         query = parse_query(DCQ)
         sharded = ShardedStructure.from_structure(database, HashTuplePartitioner(2))
         assert plan_sharded_count(query, sharded).strategy == "union"
-        executor = ShardExecutor(mode="serial")
-        first = executor.count(query, sharded, scheme="fptras_dcq", epsilon=0.5, delta=0.25, seed=5)
-        second = executor.count(
-            query, sharded, scheme="fptras_dcq", epsilon=0.5, delta=0.25, seed=5
-        )
+        first = sharded_count(sharded, query, "fptras_dcq", seed=5)
+        second = sharded_count(sharded, query, "fptras_dcq", seed=5)
         assert first.estimate == second.estimate
-        assert first.strategy == "union"
+        assert first.shard_strategy == "union"
 
     def test_union_decomposition_structure(self, database):
         query = parse_query(ECQ)
@@ -349,7 +335,7 @@ class TestShardedDifferentials:
         database.add_relation(RelationSymbol("G", 2))
         sharded = ShardedStructure.from_structure(database, HashTuplePartitioner(2))
         query = parse_query("Ans(x) :- G(x, y)")
-        result = ShardExecutor(mode="serial").count(query, sharded, scheme="exact")
+        result = sharded_count(sharded, query)
         assert result.estimate == 0
 
     def test_merged_fallback_past_the_union_cap(self, database, monkeypatch):
@@ -360,7 +346,8 @@ class TestShardedDifferentials:
         sharded = ShardedStructure.from_structure(database, HashTuplePartitioner(2))
         plan = plan_sharded_count(query, sharded)
         assert plan.strategy == "merged"
-        result = ShardExecutor(mode="serial").count(query, sharded, scheme="exact", plan=plan)
+        result = sharded_count(sharded, query)
+        assert result.shard_strategy == "merged"
         assert result.estimate == count_answers_exact(query, database)
 
 
@@ -593,6 +580,33 @@ class TestShardSubscription:
         live = subscription.read()
         assert live.mode == "recount"
         assert live.estimate == count_answers_exact(query, sharded.merged())
+
+    def test_union_subscription_estimates_equal_submit(self, database):
+        """A union-strategy subscription recounts through the service: its
+        initial and refreshed estimates equal a fresh service's ``submit``
+        with the same derived seed."""
+        sharded = ShardedStructure.from_structure(database, HashTuplePartitioner(2))
+        query = parse_query(DCQ)
+        service = CountingService(sharded, ServiceConfig(executor="serial"))
+        subscription = service.subscribe(
+            CountRequest(query=query, epsilon=0.5, delta=0.25, seed=9, method="fptras_dcq")
+        )
+        assert subscription.strategy == "union"
+        initial = subscription.read()
+        assert initial.seed == derive_seed(9, 0, 0)
+        assert (
+            initial.estimate
+            == sharded_count(sharded, query, "fptras_dcq", seed=initial.seed).estimate
+        )
+        sharded.add_fact("E", (0, 8))
+        sharded.add_fact("E", (8, 0))
+        refreshed = subscription.read()
+        assert refreshed.refreshed and refreshed.mode == "recount"
+        assert refreshed.seed == derive_seed(9, 1, 0)
+        assert (
+            refreshed.estimate
+            == sharded_count(sharded, query, "fptras_dcq", seed=refreshed.seed).estimate
+        )
 
     def test_close_and_stats(self):
         service, sharded, subscription = self.make_subscribed()
