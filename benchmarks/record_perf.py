@@ -279,7 +279,8 @@ def _service_workload(smoke: bool):
 
 
 def run_service(smoke: bool, out_path: Path) -> tuple:
-    from repro.service import CountingService, ServiceConfig, execute_scheme
+    from repro.core.registry import REGISTRY
+    from repro.service import CountingService, ServiceConfig
     from repro.util.rng import derive_seed
 
     epsilon, delta = (0.6, 0.3) if smoke else (0.5, 0.25)
@@ -319,15 +320,15 @@ def run_service(smoke: bool, out_path: Path) -> tuple:
     # Service vs direct library calls with the same derived seeds.
     direct_match = True
     for index, result in enumerate(parallel.results):
-        direct = execute_scheme(
+        direct = REGISTRY.count(
             result.scheme,
             requests[index].query,
             database,
             epsilon=result.epsilon,
             delta=result.delta,
-            seed=derive_seed(master_seed, index),
+            rng=derive_seed(master_seed, index),
             engine=result.plan.engine,
-        )
+        ).estimate
         if direct != result.estimate:
             direct_match = False
             print(
@@ -983,7 +984,7 @@ def run_columnar(smoke: bool, out_path: Path, repeats: int) -> tuple:
     """
     from repro.core import count_answers_exact as _exact
     from repro.core.bag_solutions import bag_solutions
-    from repro.core.exact import _solution_csp
+    from repro.core.exact import solution_csp
     from repro.relational import columnar
 
     if not columnar.columnar_available():
@@ -1004,7 +1005,7 @@ def run_columnar(smoke: bool, out_path: Path, repeats: int) -> tuple:
         for label, query in (("two-hop", TWO_HOP), ("three-path", three_path)):
             name = f"gac|{label}|U={size} p={prob}"
             fixpoints = {
-                engine: _solution_csp(query, database, engine=engine).propagate()
+                engine: solution_csp(query, database, engine=engine).propagate()
                 for engine in ("indexed", "columnar")
             }
             identical = fixpoints["indexed"] == fixpoints["columnar"]
@@ -1012,11 +1013,11 @@ def run_columnar(smoke: bool, out_path: Path, repeats: int) -> tuple:
                 failures += 1
                 print(f"[record_perf] FAIL: {name} propagated domains diverged")
             indexed_time = _best_of(
-                lambda: _solution_csp(query, database, engine="indexed").propagate(),
+                lambda: solution_csp(query, database, engine="indexed").propagate(),
                 repeats,
             )
             columnar_time = _best_of(
-                lambda: _solution_csp(query, database, engine="columnar").propagate(),
+                lambda: solution_csp(query, database, engine="columnar").propagate(),
                 repeats,
             )
             speedup = indexed_time / columnar_time if columnar_time > 0 else float("inf")
@@ -1134,12 +1135,12 @@ def run_planner(smoke: bool, out_path: Path) -> tuple:
     import tempfile
 
     from repro.obs.profile import ProfileStore
+    from repro.core.registry import REGISTRY
     from repro.service import (
         CountingService,
         CountRequest,
         PlannerConfig,
         ServiceConfig,
-        execute_scheme,
     )
 
     failures = 0
@@ -1211,11 +1212,11 @@ def run_planner(smoke: bool, out_path: Path) -> tuple:
     # Estimates equal the direct scheme execution under the same seeds.
     estimates_match = True
     for result in static_results + adaptive_results:
-        direct = execute_scheme(
+        direct = REGISTRY.count(
             result.scheme, query, database,
             epsilon=result.epsilon, delta=result.delta,
-            seed=result.seed, engine=result.plan.engine,
-        )
+            rng=result.seed, engine=result.plan.engine,
+        ).estimate
         if direct != result.estimate:
             estimates_match = False
             print(

@@ -1,26 +1,29 @@
-"""Setuptools shim.
+"""Setuptools configuration for the ``repro`` package.
 
-The project is fully described by ``pyproject.toml``; this file exists so the
-package can be installed in environments without the ``wheel`` package
-(``pip install -e . --no-build-isolation`` falls back to the legacy
-``setup.py develop`` path in that case).
+``pip install -e .`` (add ``--no-build-isolation`` in environments without
+the ``wheel`` package) installs the package from ``src/`` together with the
+``repro-count`` console script, the same CLI as ``python -m repro``.
+
+NumPy and NetworkX are hard dependencies: the random generators, the DLM
+estimator and the graph workloads import NumPy unconditionally, and the
+columnar CSP engine (``engine="columnar"``) is vectorized with it.
 
 The ``bench`` extra pulls in the pytest-benchmark harness used by the
 modules under ``benchmarks/``; the engine speedup recorder
 (``python benchmarks/record_perf.py [--smoke]``, which appends to
 ``BENCH_engine.json``) needs no extras.
-
-The ``fast`` extra pulls in NumPy, which unlocks the vectorized columnar CSP
-engine (``engine="columnar"``).  Everything works without it — the columnar
-engine silently falls back to the pure-Python indexed engine, with identical
-results — so NumPy stays optional rather than a hard dependency.
 """
 
-from setuptools import setup
+from setuptools import find_packages, setup
 
 setup(
+    name="repro",
+    version="1.0.0",
+    package_dir={"": "src"},
+    packages=find_packages("src"),
+    install_requires=["numpy", "networkx"],
     extras_require={
         "bench": ["pytest-benchmark"],
-        "fast": ["numpy"],
     },
+    entry_points={"console_scripts": ["repro-count=repro.cli:main"]},
 )

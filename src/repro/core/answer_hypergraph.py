@@ -13,28 +13,22 @@ This module provides
 * :func:`build_answer_hypergraph` — the *explicit* hypergraph, built by brute
   force; only used as ground truth in tests and on small benches,
 * :class:`DirectEdgeFreeOracle` — an EdgeFree oracle that decides
-  ``EdgeFree(H(phi, D)[V_1, ..., V_l])`` directly with the CSP engine
-  (restricting the free variables to the ``V_i`` and adding the disequality
-  and negation constraints natively).  This is the practical oracle mode; the
+  ``EdgeFree(H(phi, D)[V_1, ..., V_l])`` directly with the CSP engine: it
+  builds ``Sol(phi, D)`` once (:func:`repro.core.exact.solution_csp`, with
+  the disequality and negation constraints native) and restricts the free
+  variables to the ``V_i`` per call.  This is the practical oracle mode; the
   paper-faithful colour-coding oracle lives in
   :mod:`repro.core.colour_coding`.
 """
 
 from __future__ import annotations
 
-import itertools
-from typing import Dict, FrozenSet, Hashable, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Hashable, Iterable, List, Sequence, Set, Tuple
 
-from repro.core.associated_structures import variable_order
+from repro.core.exact import solution_csp
 from repro.hypergraph import PartiteHypergraph
 from repro.queries.query import ConjunctiveQuery
-from repro.relational.csp import (
-    DEFAULT_ENGINE,
-    Constraint,
-    CSPInstance,
-    NotEqualConstraint,
-    NotInRelationConstraint,
-)
+from repro.relational.csp import DEFAULT_ENGINE
 from repro.relational.structure import Structure
 
 Element = Hashable
@@ -64,14 +58,14 @@ class DirectEdgeFreeOracle:
     """Decide ``EdgeFree(H(phi, D)[V_1, ..., V_l])`` (for class-aligned
     subsets ``V_i ⊆ U_i(D)``) by solving the underlying CSP directly.
 
-    The CSP has one variable per query variable; the domain of the ``i``-th
-    free variable is (the untagged copy of) ``V_i``, the domain of every
-    existential variable is ``U(D)``.  Constraints:
-
-    * one table constraint per positive atom (allowed tuples = the relation),
-    * one "forbidden table" constraint per negated atom, encoded as the
-      complement restricted to the current domains,
-    * one binary disequality constraint per disequality.
+    The CSP is ``Sol(phi, D)`` (Definition 1, built once per oracle by
+    :func:`repro.core.exact.solution_csp`) with the domain of the ``i``-th
+    free variable restricted to (the untagged copy of) ``V_i``; every
+    existential variable keeps the domain ``U(D)``.  Its constraints are one
+    table per positive atom, one forbidden table per negated atom and one
+    binary disequality per disequality.  Each call solves a
+    :meth:`~repro.relational.csp.CSPInstance.restricted` sibling, so the
+    constraints, their shared indexes and the min-fill order are built once.
 
     The subinstance has a hyperedge iff the CSP has a solution.  This oracle
     is deterministic (no colour coding), which is why it is the default for
@@ -85,39 +79,10 @@ class DirectEdgeFreeOracle:
         query._check_signature_compatibility(database)
         self._query = query
         self._database = database
-        self._order = variable_order(query)
+        self._free = query.free_variables
         self._num_free = query.num_free()
-        self._universe = database.canonical_universe()
-        self._engine = engine
-        self._search_order_cache: Optional[List[str]] = None
+        self._csp = solution_csp(query, database, engine=engine)
         self.calls = 0
-        # The constraint set does not depend on the queried subsets, only the
-        # free-variable domains do — build it once, sharing the database's
-        # per-relation tuple indexes (and columnar column arrays) across all
-        # calls.
-        columnar = engine == "columnar"
-        self._constraints: List[object] = []
-        for atom in query.atoms:
-            self._constraints.append(
-                Constraint.trusted(
-                    atom.args,
-                    index=database.relation_index(atom.relation),
-                    table=database.columnar_relation(atom.relation) if columnar else None,
-                )
-            )
-        for atom in query.negated_atoms:
-            forbidden = (
-                database.relation(atom.relation)
-                if atom.relation in database.signature
-                else frozenset()
-            )
-            self._constraints.append(
-                NotInRelationConstraint(scope=atom.args, forbidden=frozenset(forbidden))
-            )
-        for disequality in query.disequalities:
-            self._constraints.append(
-                NotEqualConstraint(disequality.left, disequality.right)
-            )
 
     @property
     def query(self) -> ConjunctiveQuery:
@@ -127,30 +92,9 @@ class DirectEdgeFreeOracle:
     def database(self) -> Structure:
         return self._database
 
-    def _build_csp(self, free_domains: Sequence[Set[Element]]) -> CSPInstance:
-        domains: Dict[str, Iterable[Element]] = {}
-        for index, variable in enumerate(self._order):
-            if index < self._num_free:
-                domains[variable] = set(free_domains[index])
-            else:
-                # Hand the shared canonical tuple through unchanged: the CSP
-                # copies it into a set, and the columnar engine recognises it
-                # by identity as the full interned universe.
-                domains[variable] = self._universe
-        csp = CSPInstance(
-            domains,
-            self._constraints,
-            engine=self._engine,
-            search_order=self._search_order_cache,
-        )
-        if self._search_order_cache is None:
-            # The scopes (and hence the min-fill order) are the same for every
-            # call; compute the order once and reuse it for all later CSPs.
-            self._search_order_cache = csp.search_order()
-        return csp
-
     def edge_free(self, subsets: Sequence[Iterable[TaggedValue]]) -> bool:
-        """True iff the restricted answer hypergraph has no hyperedge."""
+        """True iff the restricted answer hypergraph has no hyperedge (for a
+        Boolean query: iff the query has no solution)."""
         self.calls += 1
         if len(subsets) != self._num_free:
             raise ValueError(
@@ -170,10 +114,6 @@ class DirectEdgeFreeOracle:
             if not untagged:
                 return True
             free_domains.append(untagged)
-        if self._num_free == 0:
-            # Boolean query: an "edge" exists iff the query has a solution.
-            return not self._build_csp([]).is_satisfiable()
-        csp = self._build_csp(free_domains)
-        return not csp.is_satisfiable()
+        return not self._csp.restricted(dict(zip(self._free, free_domains))).is_satisfiable()
 
     __call__ = edge_free

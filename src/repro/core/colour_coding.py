@@ -24,7 +24,8 @@ domain ``V_i`` for the free and ``U(D)`` for the existential variables, and,
 per disequality ``η = {x_i, x_j}`` (i < j), ``x_i`` restricted to
 ``f_η^{-1}(r)`` and ``x_j`` to ``f_η^{-1}(b)``.  Only the domains change from
 colouring to colouring; the constraints, their shared relation indexes and
-the search order are built once.
+the search order are built once, into one base instance, and each colouring
+is a :meth:`~repro.relational.csp.CSPInstance.restricted` call on it.
 
 Because ``4^{|∆|}`` grows quickly, :class:`ColourCodingEdgeFreeOracle` caps
 the number of repetitions (configurable); queries with many disequalities
@@ -125,29 +126,33 @@ class ColourCodingEdgeFreeOracle:
         self._query = query
         self._database = database
         self._rng = as_generator(rng)
-        self._engine = engine
         self._order = variable_order(query)
         self._num_free = query.num_free()
         # One table constraint per fact of A(phi) against B(phi, D), sharing
         # B's per-relation tuple indexes (and columnar column arrays) across
-        # every Hom query of this oracle.
+        # every Hom query of this oracle; each domain starts as B's shared
+        # canonical universe, which the columnar engine recognises by
+        # identity.
         b_structure = build_B(query, database)
         self._universe = b_structure.canonical_universe()
         columnar = engine == "columnar"
         facts = [(atom.relation, atom.args) for atom in query.atoms] + [
             (negated_symbol_name(atom.relation), atom.args) for atom in query.negated_atoms
         ]
-        self._constraints = [
-            Constraint.trusted(
-                args,
-                index=b_structure.relation_index(name),
-                table=b_structure.columnar_relation(name) if columnar else None,
-            )
-            for name, args in facts
-        ]
+        self._csp = CSPInstance(
+            {variable: self._universe for variable in self._order},
+            [
+                Constraint.trusted(
+                    args,
+                    index=b_structure.relation_index(name),
+                    table=b_structure.columnar_relation(name) if columnar else None,
+                )
+                for name, args in facts
+            ],
+            engine=engine,
+        )
         # (η, x_i, x_j) with i < j: R_η = {x_i} and B_η = {x_j} in Â(phi).
         self._pairs = [(pair, *disequality_key(query, pair)) for pair in query.delta()]
-        self._search_order: Optional[List[str]] = None
         requested = required_colouring_repetitions(
             len(query.delta()), failure_probability
         )
@@ -190,23 +195,16 @@ class ColourCodingEdgeFreeOracle:
         """One Hom query of Lemma 30: whether
         ``Hom(Â(phi), B̂(phi, D, V_1..V_l, f))`` holds for the untagged
         ``free_domains`` (see :meth:`free_domains`) and the colouring ``f``."""
-        domains: Dict[str, Iterable[Element]] = {}
-        for index, variable in enumerate(self._order):
-            # The shared canonical tuple is handed through unchanged: the
-            # columnar engine recognises it by identity as the full universe.
-            domains[variable] = free_domains[index] if index < self._num_free else self._universe
+        domains: Dict[str, Iterable[Element]] = dict(zip(self._order, free_domains))
         for pair, left, right in self._pairs:
             f_eta = colouring[pair]
-            domains[left] = [value for value in domains[left] if f_eta[value] == RED]
-            domains[right] = [value for value in domains[right] if f_eta[value] == BLUE]
-        csp = CSPInstance(
-            domains, self._constraints, engine=self._engine, search_order=self._search_order
-        )
-        if self._search_order is None:
-            # The scopes (and hence the min-fill order) are the same for every
-            # Hom query; compute the order once and reuse it.
-            self._search_order = csp.search_order()
-        return csp.is_satisfiable()
+            domains[left] = [
+                value for value in domains.get(left, self._universe) if f_eta[value] == RED
+            ]
+            domains[right] = [
+                value for value in domains.get(right, self._universe) if f_eta[value] == BLUE
+            ]
+        return self._csp.restricted(domains).is_satisfiable()
 
     def edge_free(self, subsets: Sequence[Iterable[TaggedValue]]) -> bool:
         """True iff (with one-sided error) ``H(phi, D)[V_1..V_l]`` has no

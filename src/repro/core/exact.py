@@ -20,7 +20,7 @@ case.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Optional, Set, Tuple
+from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.queries.query import ConjunctiveQuery
 from repro.relational.csp import (
@@ -35,17 +35,26 @@ from repro.relational.structure import Structure
 Element = Hashable
 
 
-def _solution_csp(
-    query: ConjunctiveQuery, database: Structure, engine: str = DEFAULT_ENGINE
+def solution_csp(
+    query: ConjunctiveQuery,
+    database: Structure,
+    engine: str = DEFAULT_ENGINE,
+    search_order: Optional[Sequence[str]] = None,
 ) -> CSPInstance:
     """A CSP whose solutions are exactly Sol(phi, D) (Definition 1).
 
-    Table constraints are built through the trusted fast path and share the
-    database's cached per-relation tuple indexes; the domains reuse the
-    cached canonical universe instead of re-sorting it per call.
+    The one place that turns atoms, negated atoms and disequalities into
+    constraints: the exact counters solve it as is, the direct EdgeFree
+    oracle and the delta counter solve :meth:`CSPInstance.restricted`
+    siblings of it.  Table constraints are built through the trusted fast
+    path and share the database's cached per-relation tuple indexes (and,
+    for the columnar engine, its column arrays); every domain is the cached
+    canonical universe, which the columnar engine recognises by identity.
+    ``search_order`` skips the min-fill computation when the caller already
+    has the order of an instance over the same query.
     """
     universe = database.canonical_universe()
-    domains: Dict[str, Set[Element]] = {v: universe for v in query.variables}
+    domains: Dict[str, Iterable[Element]] = {v: universe for v in query.variables}
     columnar = engine == "columnar"
     constraints: List[object] = []
     for atom in query.atoms:
@@ -67,7 +76,7 @@ def _solution_csp(
         )
     for disequality in query.disequalities:
         constraints.append(NotEqualConstraint(disequality.left, disequality.right))
-    return CSPInstance(domains, constraints, engine=engine)
+    return CSPInstance(domains, constraints, engine=engine, search_order=search_order)
 
 
 def count_solutions_exact(
@@ -77,7 +86,7 @@ def count_solutions_exact(
     query._check_signature_compatibility(database)
     if not database.universe:
         return 0
-    return _solution_csp(query, database, engine=engine).count_solutions()
+    return solution_csp(query, database, engine=engine).count_solutions()
 
 
 def enumerate_answers_exact(
@@ -91,7 +100,7 @@ def enumerate_answers_exact(
         return set()
     answers: Set[Tuple[Element, ...]] = set()
     free = query.free_variables
-    for solution in _solution_csp(query, database, engine=engine)._iter_assignments(None):
+    for solution in solution_csp(query, database, engine=engine)._iter_assignments(None):
         answers.add(tuple(solution[v] for v in free))
     return answers
 

@@ -424,9 +424,14 @@ class CSPInstance:
         architecture" section.  ``"columnar"`` resolves to ``"indexed"``
         when NumPy is not installed.
     search_order:
-        Optional pre-computed variable order (skips the min-fill computation;
-        used by callers that solve many instances over the same scopes, e.g.
-        the EdgeFree oracle).
+        Optional pre-computed variable order (skips the min-fill computation).
+        Its one caller is :func:`repro.core.exact.solution_csp`, so that the
+        two sides of a delta refresh share one min-fill computation.
+
+    :meth:`restricted` derives a sibling instance that keeps these
+    constraints (plus optional extra ones) and this instance's search order,
+    and replaces some of the domains: one compiled constraint set serves
+    many domain restrictions.
     """
 
     def __init__(
@@ -485,6 +490,26 @@ class CSPInstance:
         self._order_cache = None
         self._by_variable_cache = None
         self._columnar_ctx = _COLUMNAR_UNSET
+
+    def restricted(
+        self,
+        domains: Dict[Variable, Iterable[Value]],
+        extra_constraints: Sequence[Constraint] = (),
+    ) -> "CSPInstance":
+        """A sibling instance with this instance's constraints plus
+        ``extra_constraints``, ``domains`` replacing the matching domains,
+        and this instance's search order (the min-fill order is computed at
+        most once, on this instance, however many siblings are derived)."""
+        unknown = domains.keys() - self._domains.keys()
+        if unknown:
+            raise KeyError(f"restriction of unknown variables {sorted(unknown, key=repr)!r}")
+        sibling = CSPInstance({**self._domain_sources, **domains}, engine=self._engine)
+        # This instance's constraints were validated when they were added.
+        sibling._constraints = list(self._constraints)
+        for constraint in extra_constraints:
+            sibling.add_constraint(constraint)
+        sibling._order_cache = self.search_order()
+        return sibling
 
     # ---------------------------------------------------------------- solving
     def constraint_hypergraph(self) -> Hypergraph:

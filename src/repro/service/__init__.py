@@ -27,7 +27,7 @@ See DESIGN.md ("The service layer") for the architecture.
 from repro.queries.canonical import canonical_query_key, canonical_variable_renaming
 from repro.util.cache import CacheStats, LRUCache
 from repro.service.cost import CostModel, CostPrediction
-from repro.service.executor import EXECUTOR_MODES, execute_scheme, execute_scheme_result
+from repro.service.executor import EXECUTOR_MODES
 from repro.service.keys import database_cache_key
 from repro.service.plan import SCHEMES, Planner, PlannerConfig, QueryPlan
 from repro.service.service import (
@@ -59,8 +59,6 @@ __all__ = [
     "LRUCache",
     "CacheStats",
     "EXECUTOR_MODES",
-    "execute_scheme",
-    "execute_scheme_result",
     "canonical_query_key",
     "canonical_variable_renaming",
     "database_cache_key",

@@ -115,46 +115,6 @@ class TaskOutcome:
         return self.error is not None
 
 
-def execute_scheme_result(
-    scheme: str,
-    query: ConjunctiveQuery,
-    database: Structure,
-    epsilon: float,
-    delta: float,
-    seed: Optional[int],
-    engine: str,
-) -> SchemeCountResult:
-    """Run one counting scheme through the unified registry, returning the
-    full scheme-level :class:`~repro.core.registry.CountResult` envelope."""
-    return REGISTRY.count(
-        scheme,
-        query,
-        database,
-        epsilon=epsilon,
-        delta=delta,
-        rng=seed,
-        engine=engine,
-    )
-
-
-def execute_scheme(
-    scheme: str,
-    query: ConjunctiveQuery,
-    database: Structure,
-    epsilon: float,
-    delta: float,
-    seed: Optional[int],
-    engine: str,
-) -> float:
-    """Run one counting scheme and return the bare estimate; thin wrapper
-    over :func:`execute_scheme_result`, kept as the single dispatch point
-    shared by the service, every executor back-end, and the equivalence
-    checks in the benches (which re-run schemes with the same seeds)."""
-    return execute_scheme_result(
-        scheme, query, database, epsilon=epsilon, delta=delta, seed=seed, engine=engine
-    ).estimate
-
-
 def _run_task(task: CountTask, database: Structure) -> TaskOutcome:
     """Run one task under the failure model, retrying *in place* so the pool
     plumbing stays a plain ``map``.
@@ -198,13 +158,13 @@ def _run_task_untraced(task: CountTask, database: Structure) -> TaskOutcome:
     )
 
     def operation() -> SchemeCountResult:
-        return execute_scheme_result(
+        return REGISTRY.count(
             task.scheme,
             task.query,
             database,
             epsilon=task.epsilon,
             delta=task.delta,
-            seed=task.seed,
+            rng=task.seed,
             engine=task.engine,
         )
 

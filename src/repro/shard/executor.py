@@ -21,13 +21,13 @@ from __future__ import annotations
 import time
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.core.registry import EXACT_SCHEMES
+from repro.core.registry import EXACT_SCHEMES, REGISTRY
 from repro.obs.trace import attach, span, tracing_active
 from repro.queries.query import ConjunctiveQuery
 from repro.relational.structure import Structure
 from repro.resilience.faults import FaultPlan
 from repro.resilience.retry import Deadline, RetryPolicy, run_with_retry
-from repro.service.executor import CountTask, TaskOutcome, execute_scheme_result
+from repro.service.executor import CountTask, TaskOutcome
 from repro.shard.plan import ShardCountPlan, ShardTask, component_accuracy
 from repro.shard.sharded import ShardedStructure
 from repro.util.rng import derive_seed
@@ -126,13 +126,13 @@ def combine_shard_outcomes(
         attach_span(outcome.span)
         if outcome.failed:
             started = time.perf_counter()
-            result = execute_scheme_result(
+            result = REGISTRY.count(
                 scheme,
                 shard_task.query,
                 sharded.merged(),
                 epsilon=task_epsilon,
                 delta=task_delta,
-                seed=shard_task_seed(seed, shard_task),
+                rng=shard_task_seed(seed, shard_task),
                 engine=engine,
             )
             note = (
@@ -186,8 +186,6 @@ def count_inline(
     The count is one retryable operation at the ``shard.count[strategy]``
     fault site, bounded by ``deadline_at`` (absolute monotonic), and records
     a ``shard.count`` span with one event per absorbed fault."""
-    from repro.core.registry import REGISTRY
-
     started = time.perf_counter()
     if plan.strategy == "union":
         decomposition = plan.union

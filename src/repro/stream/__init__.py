@@ -12,8 +12,8 @@ fingerprint-keyed result cache.
 * :mod:`repro.stream.delta` — exact delta counting: turn the net fact delta
   between two database states into ``count(new) - count(old)`` by pinning
   delta facts into the CSP/join engine (inclusion–exclusion over touched
-  atoms for quantifier-free queries, candidate-projection + membership
-  probes in general).
+  atoms for quantifier-free queries, candidate projection + one batched
+  membership enumeration per side in general).
 * :mod:`repro.stream.live` — :class:`~repro.stream.live.CountSubscription` /
   :class:`~repro.stream.live.LiveCount`: the handles
   ``CountingService.subscribe`` returns, with eager / debounced / budget
@@ -29,7 +29,6 @@ from repro.stream.delta import (
     DeltaCountReport,
     delta_applicable,
     delta_count_exact,
-    is_answer,
 )
 from repro.stream.live import (
     EXACT_SCHEMES,
@@ -49,7 +48,6 @@ __all__ = [
     "DeltaCountReport",
     "delta_applicable",
     "delta_count_exact",
-    "is_answer",
     "CountSubscription",
     "LiveCount",
     "REFRESH_POLICIES",

@@ -15,9 +15,13 @@ atom* onto a *delta fact* —
   atom onto a **deleted** fact or a negated atom onto an **inserted** fact.
 
 So all the work concentrates on the (typically tiny) delta, and the existing
-indexed CSP/join engine does the counting with delta facts *pinned* in.  Two
-strategies, both verified bit-identical to a from-scratch recount by the
-differential tests:
+CSP engine does the counting with delta facts *pinned* in.  Each side builds
+one ``Sol(phi, D)`` instance (:func:`repro.core.exact.solution_csp`, the
+same construction the exact counters solve); every pinned instance is a
+:meth:`~repro.relational.csp.CSPInstance.restricted` sibling of it, and the
+old side reuses the new side's min-fill order, so a refresh builds two
+constraint sets and computes one search order.  Two strategies, both
+verified bit-identical to a from-scratch recount by the differential tests:
 
 ``inclusion_exclusion`` (quantifier-free queries)
     With no existential variables, distinct solutions project to distinct
@@ -31,9 +35,9 @@ differential tests:
 ``candidates`` (general case)
     With existential variables, projections collide, so the delta enumerates
     **candidate answers** instead: project the pinned solutions on each side
-    onto the free variables, then confirm each candidate by a satisfiability
-    probe on the *other* side — a gained answer is a candidate of the new
-    side that was not an answer of the old side, and vice versa for lost
+    onto the free variables, then confirm the candidates by one batched
+    enumeration on the *other* side — a gained answer is a candidate of the
+    new side that was not an answer of the old side, and vice versa for lost
     answers.  Candidates appearing on both sides cancel automatically (they
     are answers on both sides).
 
@@ -49,17 +53,22 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Hashable, List, Optional, Sequence, Set, Tuple
+from typing import (
+    AbstractSet,
+    Dict,
+    FrozenSet,
+    Hashable,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
+from repro.core.exact import solution_csp
 from repro.queries.query import ConjunctiveQuery
 from repro.relational.changelog import StructureDelta
-from repro.relational.csp import (
-    DEFAULT_ENGINE,
-    Constraint,
-    CSPInstance,
-    NotEqualConstraint,
-    NotInRelationConstraint,
-)
+from repro.relational.csp import DEFAULT_ENGINE, Constraint, CSPInstance
 from repro.relational.structure import Structure
 
 Element = Hashable
@@ -102,61 +111,22 @@ def delta_applicable(query: ConjunctiveQuery, universe_changed: bool) -> bool:
 
 
 # --------------------------------------------------------------- CSP plumbing
-def _base_constraints(query: ConjunctiveQuery, database: Structure) -> List[object]:
-    """The constraints of ``Sol(phi, D)`` — the same construction as
-    :func:`repro.core.exact._solution_csp`, shared indexes included."""
-    constraints: List[object] = []
-    for atom in query.atoms:
-        constraints.append(
-            Constraint.trusted(atom.args, index=database.relation_index(atom.relation))
-        )
-    for atom in query.negated_atoms:
-        forbidden = (
-            database.relation(atom.relation)
-            if atom.relation in database.signature
-            else frozenset()
-        )
-        constraints.append(
-            NotInRelationConstraint(scope=atom.args, forbidden=frozenset(forbidden))
-        )
-    for disequality in query.disequalities:
-        constraints.append(NotEqualConstraint(disequality.left, disequality.right))
-    return constraints
-
-
 def _instance(
-    query: ConjunctiveQuery,
-    database: Structure,
-    engine: str,
+    base: CSPInstance,
+    universe: AbstractSet[Element],
     extra_constraints: Sequence[object] = (),
     restrict: Optional[Dict[str, Set[Element]]] = None,
-    search_order: Optional[Sequence[str]] = None,
 ) -> Optional[CSPInstance]:
-    """A ``Sol(phi, D)`` instance with optional extra table constraints and
-    restricted (e.g. pinned singleton) variable domains; ``None`` when a
-    restriction has no value inside the universe (no solutions).
-
-    ``search_order`` lets one refresh share a single min-fill computation
-    across its many small pinned instances (the variable set never changes).
-    """
-    universe = database.canonical_universe()
-    universe_set = database.universe
+    """A restricted sibling of one side's ``Sol(phi, D)`` instance ``base``,
+    with extra table constraints and restricted (e.g. pinned singleton)
+    variable domains; ``None`` when a restriction has no value inside the
+    side's ``universe`` (no solutions)."""
     domains: Dict[str, Set[Element]] = {}
-    for variable in query.variables:
-        if restrict is not None and variable in restrict:
-            values = {
-                value for value in restrict[variable] if value in universe_set
-            }
-            if not values:
-                return None
-            domains[variable] = values
-        else:
-            domains[variable] = set(universe)
-    constraints = _base_constraints(query, database)
-    constraints.extend(extra_constraints)
-    return CSPInstance(
-        domains, constraints, engine=engine, search_order=search_order
-    )
+    for variable, values in (restrict or {}).items():
+        domains[variable] = {value for value in values if value in universe}
+        if not domains[variable]:
+            return None
+    return base.restricted(domains, extra_constraints)
 
 
 def _pin_atom(scope: Sequence[str], fact: AnswerTuple) -> Optional[Dict[str, Element]]:
@@ -199,16 +169,13 @@ def _touched_events(
 
 # --------------------------------------------------- strategy: incl-exclusion
 def _count_touching(
-    query: ConjunctiveQuery,
-    database: Structure,
+    base: CSPInstance,
     events: Sequence[Tuple[Tuple[str, ...], FrozenSet[AnswerTuple]]],
-    engine: str,
-    search_order: Optional[Sequence[str]] = None,
 ) -> Tuple[int, int]:
-    """``(count, terms)``: the number of solutions of ``phi`` over
-    ``database`` whose assignment satisfies at least one event (maps the
-    event's scope onto one of its delta facts), by inclusion–exclusion over
-    the non-empty event subsets."""
+    """``(count, terms)``: the number of solutions of the side's
+    ``Sol(phi, D)`` instance ``base`` whose assignment satisfies at least one
+    event (maps the event's scope onto one of its delta facts), by
+    inclusion–exclusion over the non-empty event subsets."""
     total = 0
     terms = 0
     for size in range(1, len(events) + 1):
@@ -217,27 +184,21 @@ def _count_touching(
             extra = [
                 Constraint.trusted(scope, allowed=facts) for scope, facts in subset
             ]
-            instance = _instance(
-                query, database, engine,
-                extra_constraints=extra, search_order=search_order,
-            )
             terms += 1
-            if instance is not None:
-                total += sign * instance.count_solutions()
+            total += sign * base.restricted({}, extra).count_solutions()
     return total, terms
 
 
 # ------------------------------------------------------- strategy: candidates
 def _pinned_projections(
-    query: ConjunctiveQuery,
-    database: Structure,
+    base: CSPInstance,
+    universe: AbstractSet[Element],
+    free: Sequence[str],
     events: Sequence[Tuple[Tuple[str, ...], FrozenSet[AnswerTuple]]],
-    engine: str,
-    search_order: Optional[Sequence[str]] = None,
 ) -> Set[AnswerTuple]:
-    """Projections onto the free variables of every solution of ``phi`` over
-    ``database`` that maps some event's scope onto one of its delta facts."""
-    free = query.free_variables
+    """Projections onto the ``free`` variables of every solution of the
+    side's ``Sol(phi, D)`` instance ``base`` that maps some event's scope
+    onto one of its delta facts."""
     projections: Set[AnswerTuple] = set()
     for scope, facts in events:
         for fact in facts:
@@ -245,9 +206,8 @@ def _pinned_projections(
             if pin is None:
                 continue
             instance = _instance(
-                query, database, engine,
+                base, universe,
                 restrict={variable: {value} for variable, value in pin.items()},
-                search_order=search_order,
             )
             if instance is None:
                 continue
@@ -257,33 +217,30 @@ def _pinned_projections(
 
 
 def _answers_among(
-    query: ConjunctiveQuery,
-    database: Structure,
+    base: CSPInstance,
+    universe: AbstractSet[Element],
+    free: Sequence[str],
     candidates: Set[AnswerTuple],
-    engine: str,
-    search_order: Optional[Sequence[str]] = None,
 ) -> Set[AnswerTuple]:
-    """The subset of ``candidates`` that are answers of ``phi`` over
-    ``database`` — one batched enumeration (free domains restricted to the
-    candidates' values plus a table constraint over the free tuple) instead
-    of a satisfiability probe per candidate, so the propagation set-up cost
-    is paid once per side, not once per candidate."""
+    """The subset of ``candidates`` that are answers on the side whose
+    ``Sol(phi, D)`` instance is ``base`` — one batched enumeration (free
+    domains restricted to the candidates' values plus a table constraint
+    over the free tuple) instead of a satisfiability probe per candidate, so
+    the propagation set-up cost is paid once per side, not once per
+    candidate."""
     if not candidates:
         return set()
-    free = query.free_variables
     if not free:
         # Boolean query: the only possible candidate is the empty tuple.
-        instance = _instance(query, database, engine, search_order=search_order)
-        return set(candidates) if instance.is_satisfiable() else set()
+        return set(candidates) if base.is_satisfiable() else set()
     restrict = {
         variable: {candidate[position] for candidate in candidates}
         for position, variable in enumerate(free)
     }
     instance = _instance(
-        query, database, engine,
+        base, universe,
         extra_constraints=(Constraint.trusted(free, allowed=frozenset(candidates)),),
         restrict=restrict,
-        search_order=search_order,
     )
     if instance is None:
         return set()
@@ -293,28 +250,6 @@ def _answers_among(
         if len(found) == len(candidates):
             break
     return found
-
-
-def is_answer(
-    query: ConjunctiveQuery,
-    database: Structure,
-    candidate: AnswerTuple,
-    engine: str = DEFAULT_ENGINE,
-) -> bool:
-    """Whether ``candidate`` is an answer of ``phi`` over ``database`` —
-    a satisfiability probe with the free variables pinned (the CSP-engine
-    analogue of :meth:`ConjunctiveQuery.is_answer`, usable on large
-    databases)."""
-    instance = _instance(
-        query,
-        database,
-        engine,
-        restrict={
-            variable: {value}
-            for variable, value in zip(query.free_variables, candidate)
-        },
-    )
-    return instance is not None and instance.is_satisfiable()
 
 
 # ----------------------------------------------------------------- entry point
@@ -362,9 +297,13 @@ def delta_count_exact(
             and max(len(new_events), len(old_events)) <= INCLUSION_EXCLUSION_LIMIT
         )
         strategy = "inclusion_exclusion" if use_ie else "candidates"
-    # One min-fill computation serves every small pinned instance of this
-    # refresh — the variable set never changes.
-    order = _instance(query, new_database, engine).search_order()
+    # One Sol(phi, D) instance per side, restricted per pinned instance; the
+    # old side reuses the new side's min-fill order (the scopes are equal),
+    # so a refresh computes one order.
+    new_csp = solution_csp(query, new_database, engine=engine)
+    old_csp = solution_csp(
+        query, old_database, engine=engine, search_order=new_csp.search_order()
+    )
 
     if strategy == "inclusion_exclusion":
         if not query.is_quantifier_free():
@@ -373,12 +312,8 @@ def delta_count_exact(
                 "existential variables projections collide — use "
                 "strategy='candidates' (or 'auto')"
             )
-        gained, terms_new = _count_touching(
-            query, new_database, new_events, engine, order
-        )
-        lost, terms_old = _count_touching(
-            query, old_database, old_events, engine, order
-        )
+        gained, terms_new = _count_touching(new_csp, new_events)
+        lost, terms_old = _count_touching(old_csp, old_events)
         return DeltaCountReport(
             delta=gained - lost,
             strategy="inclusion_exclusion",
@@ -390,17 +325,15 @@ def delta_count_exact(
             "'inclusion_exclusion' or 'candidates'"
         )
 
-    new_candidates = _pinned_projections(
-        query, new_database, new_events, engine, order
-    )
-    old_candidates = _pinned_projections(
-        query, old_database, old_events, engine, order
-    )
+    free = query.free_variables
+    new_universe, old_universe = new_database.universe, old_database.universe
+    new_candidates = _pinned_projections(new_csp, new_universe, free, new_events)
+    old_candidates = _pinned_projections(old_csp, old_universe, free, old_events)
     gained = len(new_candidates) - len(
-        _answers_among(query, old_database, new_candidates, engine, order)
+        _answers_among(old_csp, old_universe, free, new_candidates)
     )
     lost = len(old_candidates) - len(
-        _answers_among(query, new_database, old_candidates, engine, order)
+        _answers_among(new_csp, new_universe, free, old_candidates)
     )
     return DeltaCountReport(
         delta=gained - lost,
@@ -413,6 +346,5 @@ __all__ = [
     "DeltaCountReport",
     "delta_applicable",
     "delta_count_exact",
-    "is_answer",
     "INCLUSION_EXCLUSION_LIMIT",
 ]

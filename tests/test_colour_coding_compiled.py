@@ -4,7 +4,8 @@
 oracle, restricting only the domains per colouring.  These tests check that
 each such decision equals ``Hom(Â(phi), B̂(phi, D, V, f))`` on the structures
 of Definitions 26 and 28, and that the Lemma-22 estimates and statistics are
-unchanged from the structure-building implementation (golden values).
+unchanged from the structure-building implementation (golden values).  The
+direct EdgeFree oracle has golden values of its own over the same inputs.
 """
 
 from __future__ import annotations
@@ -245,23 +246,77 @@ GOLDEN = [
     ("wider", SHARED, "indexed", 2, 12.0, (23, 23, 32, False, "colour_coding")),
 ]
 
+#: The same databases and queries under ``oracle_mode="direct"`` (the
+#: deterministic Sol(phi, D) EdgeFree oracle, no Hom queries), recorded with
+#: the per-oracle constraint-building implementation at epsilon 0.5,
+#: delta 0.25.
+GOLDEN_DIRECT = [
+    ("serve", PATH, "indexed", 0, 7.0, (13, 13, 0, False, "direct")),
+    ("serve", PATH, "indexed", 1, 7.0, (13, 13, 0, False, "direct")),
+    ("serve", PATH, "columnar", 0, 7.0, (13, 13, 0, False, "direct")),
+    ("serve", PATH, "columnar", 1, 7.0, (13, 13, 0, False, "direct")),
+    ("serve", PATH, "naive", 0, 7.0, (13, 13, 0, False, "direct")),
+    ("serve", PATH, "naive", 1, 7.0, (13, 13, 0, False, "direct")),
+    ("serve", STAR, "indexed", 0, 5.0, (13, 13, 0, False, "direct")),
+    ("serve", STAR, "indexed", 1, 5.0, (13, 13, 0, False, "direct")),
+    ("serve", STAR, "columnar", 0, 5.0, (13, 13, 0, False, "direct")),
+    ("serve", STAR, "columnar", 1, 5.0, (13, 13, 0, False, "direct")),
+    ("serve", STAR, "naive", 0, 5.0, (13, 13, 0, False, "direct")),
+    ("serve", STAR, "naive", 1, 5.0, (13, 13, 0, False, "direct")),
+    ("serve", NEGATED, "indexed", 0, 7.0, (13, 13, 0, False, "direct")),
+    ("serve", NEGATED, "indexed", 1, 7.0, (13, 13, 0, False, "direct")),
+    ("serve", NEGATED, "columnar", 0, 7.0, (13, 13, 0, False, "direct")),
+    ("serve", NEGATED, "columnar", 1, 7.0, (13, 13, 0, False, "direct")),
+    ("serve", NEGATED, "naive", 0, 7.0, (13, 13, 0, False, "direct")),
+    ("serve", NEGATED, "naive", 1, 7.0, (13, 13, 0, False, "direct")),
+    ("wider", TWO_FREE, "indexed", 0, 72.0, (668, 668, 0, False, "direct")),
+    ("wider", TWO_FREE, "indexed", 1, 76.0, (621, 621, 0, False, "direct")),
+    ("wider", TWO_FREE, "columnar", 0, 72.0, (668, 668, 0, False, "direct")),
+    ("wider", TWO_FREE, "columnar", 1, 76.0, (621, 621, 0, False, "direct")),
+    ("wider", TWO_FREE, "naive", 0, 72.0, (668, 668, 0, False, "direct")),
+    ("wider", TWO_FREE, "naive", 1, 76.0, (621, 621, 0, False, "direct")),
+    ("wider", SHARED, "indexed", 0, 12.0, (23, 23, 0, False, "direct")),
+    ("wider", SHARED, "indexed", 1, 12.0, (23, 23, 0, False, "direct")),
+    ("wider", SHARED, "columnar", 0, 12.0, (23, 23, 0, False, "direct")),
+    ("wider", SHARED, "columnar", 1, 12.0, (23, 23, 0, False, "direct")),
+    ("wider", SHARED, "naive", 0, 12.0, (23, 23, 0, False, "direct")),
+    ("wider", SHARED, "naive", 1, 12.0, (23, 23, 0, False, "direct")),
+]
+
 DATABASES = {"serve": (SERVE_EDGES, 7), "wider": (WIDER_EDGES, 12)}
 
 
-@pytest.mark.parametrize("name, text, engine, seed, estimate, statistics", GOLDEN)
-def test_golden_estimates_and_statistics(name, text, engine, seed, estimate, statistics):
-    database = golden_database(*DATABASES[name])
-    got, stats = approx_count_answers_via_oracle(
-        parse_query(text), database, 0.5, 0.25, rng=seed, return_statistics=True, engine=engine
+def golden_run(name, text, engine, seed, oracle_mode="auto"):
+    return approx_count_answers_via_oracle(
+        parse_query(text), golden_database(*DATABASES[name]), 0.5, 0.25, rng=seed,
+        return_statistics=True, engine=engine, oracle_mode=oracle_mode,
     )
-    assert got == estimate
-    assert (
+
+
+def statistics_row(stats):
+    return (
         stats.edgefree_calls,
         stats.aligned_calls,
         stats.hom_queries,
         stats.colour_coding_truncated,
         stats.oracle_mode,
-    ) == statistics
+    )
+
+
+@pytest.mark.parametrize("name, text, engine, seed, estimate, statistics", GOLDEN)
+def test_golden_estimates_and_statistics(name, text, engine, seed, estimate, statistics):
+    got, stats = golden_run(name, text, engine, seed)
+    assert got == estimate
+    assert statistics_row(stats) == statistics
+
+
+@pytest.mark.parametrize("name, text, engine, seed, estimate, statistics", GOLDEN_DIRECT)
+def test_golden_direct_estimates_and_statistics(
+    name, text, engine, seed, estimate, statistics
+):
+    got, stats = golden_run(name, text, engine, seed, oracle_mode="direct")
+    assert got == estimate
+    assert statistics_row(stats) == statistics
 
 
 def test_colourings_do_not_depend_on_string_hashing(tmp_path):

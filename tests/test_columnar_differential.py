@@ -88,11 +88,11 @@ def test_columnar_counts_match_other_engines_and_bruteforce(name, query, databas
 
 @pytest.mark.parametrize("name,query,database", WORKLOADS, ids=IDS)
 def test_columnar_enumerates_solutions_in_indexed_order(name, query, database):
-    from repro.core.exact import _solution_csp
+    from repro.core.exact import solution_csp
 
-    indexed = list(_solution_csp(query, database, engine="indexed").iter_solutions())
+    indexed = list(solution_csp(query, database, engine="indexed").iter_solutions())
     columnar_run = list(
-        _solution_csp(query, database, engine="columnar").iter_solutions()
+        solution_csp(query, database, engine="columnar").iter_solutions()
     )
     assert columnar_run == indexed
 
@@ -117,10 +117,10 @@ def test_columnar_propagation_reaches_the_indexed_fixpoint():
             facts_per_relation=9,
             rng=seed + 50,
         )
-        from repro.core.exact import _solution_csp
+        from repro.core.exact import solution_csp
 
-        indexed = _solution_csp(query, database, engine="indexed").propagate()
-        vectorized = _solution_csp(query, database, engine="columnar").propagate()
+        indexed = solution_csp(query, database, engine="indexed").propagate()
+        vectorized = solution_csp(query, database, engine="columnar").propagate()
         assert vectorized == indexed
 
 

@@ -4,6 +4,7 @@ batch execution, and version-counter-based cache invalidation."""
 import pytest
 
 from repro.core import count_answers_exact
+from repro.core.registry import REGISTRY
 from repro.queries import parse_query
 from repro.relational.structure import Database
 from repro.service import (
@@ -15,7 +16,6 @@ from repro.service import (
     ServiceConfig,
     canonical_query_key,
     database_cache_key,
-    execute_scheme,
     mixed_query_workload,
     run_workload,
     workload_database,
@@ -159,15 +159,15 @@ class TestCountingService:
         ]
         report = service.count_batch(requests, seed=123)
         for index, result in enumerate(report.results):
-            direct = execute_scheme(
+            direct = REGISTRY.count(
                 result.scheme,
                 requests[index].query,
                 database,
                 epsilon=result.epsilon,
                 delta=result.delta,
-                seed=derive_seed(123, index),
+                rng=derive_seed(123, index),
                 engine="indexed",
-            )
+            ).estimate
             assert direct == result.estimate
 
     def test_resubmission_hits_the_result_cache(self, database):
