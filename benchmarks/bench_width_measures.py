@@ -19,6 +19,7 @@ from __future__ import annotations
 import pytest
 
 from repro.decomposition import (
+    adaptive_width_upper_bound,
     estimate_adaptive_width,
     exact_treewidth,
     fractional_hypertreewidth,
@@ -84,7 +85,12 @@ def test_width_landscape_summary(table_printer, benchmark):
         ("treewidth", lambda h: exact_treewidth(h)),
         ("fhw", lambda h: fractional_hypertreewidth(h)[0]),
         ("ghw", lambda h: generalized_hypertreewidth(h)[0]),
-        ("adaptive", lambda h: estimate_adaptive_width(h, samples=4, rng=0).upper_bound),
+        (
+            "adaptive",
+            lambda h: estimate_adaptive_width(
+                h, adaptive_width_upper_bound(h), samples=4, rng=0
+            ).upper_bound,
+        ),
     ],
 )
 def test_individual_width_computation(benchmark, name, computation):

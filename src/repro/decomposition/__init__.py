@@ -1,12 +1,17 @@
 """Tree decompositions and hypergraph width measures.
 
 Implements the width-measure toolbox the paper's classification is phrased in
-(Figure 1): treewidth (Definition 4), hypertree decompositions and
-hypertreewidth (Definition 37), fractional edge covers and fractional
-hypertreewidth (Definitions 39 and 41), fractional independent sets and
-adaptive width (Definition 33), the generic f-width framework (Definition 32),
-nice tree decompositions (Definition 42, Lemma 43) and the domination
-relations between the measures (Lemma 12, Observation 34).
+(Figure 1).  Every measure is an f-width (Definition 32) with its own bag
+cost, computed by the one f-width search
+:func:`~repro.decomposition.f_width.f_width_decomposition` (exact up to
+``EXACT_F_WIDTH_LIMIT`` vertices, the better of the min-fill and min-degree
+elimination orderings beyond): treewidth (Definition 4, cost ``|X| - 1``),
+generalized hypertreewidth (Definition 37, the integral edge cover number),
+fractional hypertreewidth (Definitions 39 and 41, ``fcn(H[X])``) and the
+``mu``-widths behind adaptive width (Definition 33, ``mu(X)``).  Also here:
+fractional edge covers and independent sets, nice tree decompositions
+(Definition 42, Lemma 43) and the domination relations between the measures
+(Lemma 12, Observation 34).
 """
 
 from repro.decomposition.tree_decomposition import TreeDecomposition
@@ -36,7 +41,7 @@ from repro.decomposition.adaptive import (
     uniform_fractional_independent_set,
 )
 from repro.decomposition.widths import WidthProfile, width_profile
-from repro.decomposition.f_width import exact_f_width, f_width_decomposition
+from repro.decomposition.f_width import f_width_decomposition
 
 __all__ = [
     "TreeDecomposition",
@@ -45,7 +50,6 @@ __all__ = [
     "exact_treewidth",
     "treewidth_upper_bound",
     "treewidth_decomposition",
-    "exact_f_width",
     "f_width_decomposition",
     "fractional_edge_cover",
     "fractional_edge_cover_number",

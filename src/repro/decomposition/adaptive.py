@@ -10,14 +10,17 @@ Computing adaptive width exactly requires maximising over a continuum of
 ``mu``; this module provides
 
 * :func:`mu_width` — the exact ``mu``-width for a *given* ``mu`` (small
-  hypergraphs, via the generic f-width DP; ``mu``-cost is monotone),
+  hypergraphs, via the f-width search of :mod:`repro.decomposition.f_width`;
+  ``mu``-cost is monotone),
 * :func:`adaptive_width_lower_bound` — the best ``mu``-width over a supplied or
   randomly sampled family of fractional independent sets (every member is a
-  certified lower bound on ``aw``),
+  certified lower bound on ``aw``); 0 beyond the exact regime, where a greedy
+  ``mu``-width certifies nothing,
 * :func:`adaptive_width_upper_bound` — ``fhw(H)``, since adaptive width is at
   most fractional hypertreewidth (Lemma 12: fhw is *strongly dominated by* aw,
   i.e. bounded fhw implies bounded aw via ``aw <= fhw``),
-* :func:`estimate_adaptive_width` — both bounds packaged together, and
+* :func:`estimate_adaptive_width` — both bounds packaged together, taking the
+  fhw its caller already holds, and
 * Observation 34's inequality ``tw(H) <= a * aw(H) - 1`` as a checkable
   relation (:func:`observation_34_holds`).
 """
@@ -25,13 +28,11 @@ Computing adaptive width exactly requires maximising over a continuum of
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Hashable, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Hashable, List, Optional, Sequence
 
-import numpy as np
-
-from repro.decomposition.f_width import EXACT_F_WIDTH_LIMIT, exact_f_width
+from repro.decomposition.f_width import EXACT_F_WIDTH_LIMIT, f_width_decomposition
 from repro.decomposition.fractional import fractional_hypertreewidth
-from repro.decomposition.treewidth import exact_treewidth
+from repro.decomposition.treewidth import treewidth_decomposition
 from repro.hypergraph import Hypergraph
 from repro.util.rng import RNGLike, as_generator
 
@@ -86,24 +87,18 @@ def random_fractional_independent_set(
     return weights
 
 
-def mu_width(
-    hypergraph: Hypergraph, mu: FractionalIndependentSet, exact: Optional[bool] = None
-) -> float:
+def mu_width(hypergraph: Hypergraph, mu: FractionalIndependentSet) -> float:
     """The exact ``mu``-width of a small hypergraph for a given fractional
-    independent set ``mu`` (Definition 32 with ``f(X) = mu(X)``)."""
+    independent set ``mu`` (Definition 32 with ``f(X) = mu(X)``); raises
+    ``ValueError`` beyond :data:`EXACT_F_WIDTH_LIMIT` vertices."""
     if not is_fractional_independent_set(hypergraph, mu):
         raise ValueError("mu is not a fractional independent set of the hypergraph")
-    if hypergraph.num_vertices() == 0:
-        return 0.0
-    if exact is None:
-        exact = hypergraph.num_vertices() <= EXACT_F_WIDTH_LIMIT
-    if not exact:
-        raise ValueError("mu-width is only computed exactly; hypergraph too large")
 
     def cost(bag: FrozenSet) -> float:
         return sum(mu.get(v, 0.0) for v in bag)
 
-    return exact_f_width(hypergraph, cost)
+    _, width, _ = f_width_decomposition(hypergraph, cost, exact=True)
+    return width
 
 
 def adaptive_width_lower_bound(
@@ -114,8 +109,13 @@ def adaptive_width_lower_bound(
 ) -> float:
     """A certified lower bound on ``aw(H)``: the maximum ``mu``-width over the
     supplied fractional independent sets plus ``samples`` random ones and the
-    uniform one."""
-    if hypergraph.num_vertices() == 0:
+    uniform one.
+
+    Returns 0 on hypergraphs with more than :data:`EXACT_F_WIDTH_LIMIT`
+    vertices: there a ``mu``-width is only a greedy upper bound, which bounds
+    ``aw`` from neither side."""
+    n = hypergraph.num_vertices()
+    if n == 0 or n > EXACT_F_WIDTH_LIMIT:
         return 0.0
     generator = as_generator(rng)
     candidates: List[FractionalIndependentSet] = [uniform_fractional_independent_set(hypergraph)]
@@ -139,10 +139,7 @@ def adaptive_width_upper_bound(hypergraph: Hypergraph) -> float:
     induced hypergraph is a feasible solution of the LP dual of the fractional
     edge cover LP), hence ``aw(H) <= fhw(H)``.
     """
-    if hypergraph.num_vertices() == 0:
-        return 0.0
-    value, _ = fractional_hypertreewidth(hypergraph)
-    return value
+    return fractional_hypertreewidth(hypergraph)[0]
 
 
 @dataclass(frozen=True)
@@ -167,24 +164,28 @@ class AdaptiveWidthEstimate:
 
 
 def estimate_adaptive_width(
-    hypergraph: Hypergraph, samples: int = 8, rng: RNGLike = None
+    hypergraph: Hypergraph, fhw: float, samples: int = 8, rng: RNGLike = None
 ) -> AdaptiveWidthEstimate:
-    """Lower and upper bounds on ``aw(H)`` (exact when they coincide)."""
+    """Lower and upper bounds on ``aw(H)`` (exact when they coincide).
+
+    ``fhw`` is ``fhw(H)`` (:func:`adaptive_width_upper_bound`), the upper
+    bound; width-profile callers already hold it, so it is not recomputed.
+    """
     lower = adaptive_width_lower_bound(hypergraph, samples=samples, rng=rng)
-    upper = adaptive_width_upper_bound(hypergraph)
     # Guard against numerical drift making the bracket inconsistent.
-    if lower > upper:
-        lower = upper
-    return AdaptiveWidthEstimate(lower_bound=lower, upper_bound=upper)
+    return AdaptiveWidthEstimate(lower_bound=min(lower, fhw), upper_bound=fhw)
 
 
 def observation_34_holds(hypergraph: Hypergraph, rng: RNGLike = None) -> bool:
     """Check Observation 34, ``tw(H) <= a * aw(H) - 1``, using the uniform
-    fractional independent set (whose mu-width lower-bounds aw)."""
-    if hypergraph.num_vertices() == 0 or hypergraph.num_vertices() > EXACT_F_WIDTH_LIMIT:
+    fractional independent set (whose mu-width lower-bounds aw).  Vacuously
+    true when the treewidth is only a greedy upper bound."""
+    if hypergraph.num_vertices() == 0:
+        return True
+    _, treewidth, exact = treewidth_decomposition(hypergraph)
+    if not exact:
         return True
     arity = hypergraph.arity()
-    treewidth = exact_treewidth(hypergraph)
     if arity == 0:
         return treewidth == -1
     uniform = uniform_fractional_independent_set(hypergraph)

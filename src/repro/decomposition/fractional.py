@@ -7,23 +7,22 @@ weight.  The fractional hypertreewidth ``fhw(H)`` is the f-width of ``H`` with
 bag cost ``f(X) = fcn(H[X])`` (Definition 41).
 
 ``fcn`` is computed exactly as a linear program with :mod:`scipy.optimize`.
-``fhw`` is computed exactly on small hypergraphs via the generic f-width DP
-(Observation 40 gives the monotonicity needed for correctness) and via greedy
-elimination orderings otherwise.
+``fhw`` is one call to the f-width search of :mod:`repro.decomposition.f_width`
+with that cost (Observation 40 gives the monotonicity it needs): exact on
+small hypergraphs, the better greedy elimination ordering otherwise.  A bag
+holding a vertex that no hyperedge of ``H[X]`` covers costs ``inf``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Hashable, List, Optional, Tuple
+import math
+from functools import partial
+from typing import Dict, FrozenSet, Hashable, Tuple
 
 import numpy as np
 from scipy.optimize import linprog
 
-from repro.decomposition.f_width import (
-    EXACT_F_WIDTH_LIMIT,
-    best_elimination_ordering,
-    decomposition_from_ordering,
-)
+from repro.decomposition.f_width import f_width_decomposition
 from repro.decomposition.tree_decomposition import TreeDecomposition
 from repro.hypergraph import Hypergraph
 
@@ -75,46 +74,34 @@ def fractional_edge_cover_number(hypergraph: Hypergraph) -> float:
     return value
 
 
-def _fcn_cost(hypergraph: Hypergraph):
-    """Bag-cost function ``X -> fcn(H[X])`` with memoisation."""
-    cache: Dict[FrozenSet, float] = {}
+def _fcn_cost(hypergraph: Hypergraph, bag: FrozenSet) -> float:
+    """Bag cost ``X -> fcn(H[X])``.
 
-    def cost(bag: FrozenSet) -> float:
-        if not bag:
-            return 0.0
-        key = frozenset(bag)
-        if key not in cache:
-            induced = hypergraph.induced(key)
-            # Vertices of the bag not touched by any hyperedge cannot be
-            # fractionally covered; such bags cannot occur in a decomposition
-            # of a hypergraph where every vertex lies in some edge, but we
-            # guard against them by assigning an infinite cost.
-            if induced.isolated_vertices() or induced.num_edges() == 0:
-                cache[key] = float("inf")
-            else:
-                cache[key] = fractional_edge_cover_number(induced)
-        return cache[key]
-
-    return cost
+    Vertices of the bag not touched by any hyperedge of ``H[X]`` cannot be
+    fractionally covered, so such a bag costs ``inf``; it occurs exactly when
+    some vertex of ``H`` lies in no hyperedge.
+    """
+    if not bag:
+        return 0.0
+    induced = hypergraph.induced(bag)
+    if induced.isolated_vertices() or induced.num_edges() == 0:
+        return math.inf
+    return fractional_edge_cover_number(induced)
 
 
-def fractional_hypertreewidth(
-    hypergraph: Hypergraph, exact: Optional[bool] = None
-) -> Tuple[float, bool]:
+def fractional_hypertreewidth(hypergraph: Hypergraph) -> Tuple[float, bool]:
     """``fhw(H)`` and whether the value is exact.
 
-    Exact on hypergraphs with at most :data:`EXACT_F_WIDTH_LIMIT` vertices
-    (default), otherwise an upper bound from greedy elimination orderings.
+    Exact on hypergraphs with at most
+    :data:`~repro.decomposition.f_width.EXACT_F_WIDTH_LIMIT` vertices,
+    otherwise an upper bound from greedy elimination orderings.
     """
-    decomposition, width, is_exact = fractional_hypertreewidth_decomposition(
-        hypergraph, exact=exact
-    )
-    del decomposition
+    _, width, is_exact = fractional_hypertreewidth_decomposition(hypergraph)
     return width, is_exact
 
 
 def fractional_hypertreewidth_decomposition(
-    hypergraph: Hypergraph, exact: Optional[bool] = None
+    hypergraph: Hypergraph
 ) -> Tuple[TreeDecomposition, float, bool]:
     """A tree decomposition (approximately) minimising the fractional
     hypertreewidth, the achieved fhw, and whether it is exact.
@@ -127,39 +114,4 @@ def fractional_hypertreewidth_decomposition(
     ``EXACT_F_WIDTH_LIMIT`` variables, and fall back to greedy orderings
     beyond that.
     """
-    n = hypergraph.num_vertices()
-    if n == 0:
-        return TreeDecomposition.single_bag([]), 0.0, True
-    cost = _fcn_cost(hypergraph)
-    if exact is None:
-        exact = n <= EXACT_F_WIDTH_LIMIT
-    if exact:
-        ordering, width = best_elimination_ordering(hypergraph, cost)
-        decomposition = decomposition_from_ordering(hypergraph, ordering)
-        return decomposition, float(width), True
-    # Heuristic: reuse the treewidth heuristics' orderings and evaluate fhw.
-    from repro.decomposition.treewidth import _greedy_ordering  # local import
-
-    graph = hypergraph.primal_graph()
-    best: Optional[Tuple[TreeDecomposition, float]] = None
-    for rule in ("min_fill", "min_degree"):
-        ordering = _greedy_ordering(graph, rule)
-        decomposition = decomposition_from_ordering(hypergraph, ordering)
-        width = decomposition.f_width(cost)
-        if best is None or width < best[1]:
-            best = (decomposition, width)
-    assert best is not None
-    return best[0], float(best[1]), False
-
-
-def fractional_cover_of_bag(
-    hypergraph: Hypergraph, bag: FrozenSet
-) -> Tuple[Dict[FrozenSet, float], float]:
-    """Optimal fractional edge cover of the induced hypergraph ``H[bag]``.
-
-    Used by the Grohe–Marx bag-solution enumeration (Lemma 48) to certify the
-    polynomial bound ``|Sol(phi, D, B)| <= ||D||^{fcn(H[B])}``.
-    """
-    if not bag:
-        return {}, 0.0
-    return fractional_edge_cover(hypergraph.induced(bag))
+    return f_width_decomposition(hypergraph, partial(_fcn_cost, hypergraph))

@@ -7,10 +7,12 @@ bag.  The hypertreewidth of the decomposition is the maximum guard size.
 Computing hypertreewidth exactly is NP-hard in general.  For the reproduction
 we compute the *generalized* hypertreewidth ``ghw`` (which drops the
 "descendant" condition (iv) of Definition 37 and satisfies
-``ghw <= hw <= 3·ghw + 1``); it is the f-width with bag cost equal to the
-minimum number of full hyperedges covering the bag, which is monotone, so the
-generic elimination-ordering DP applies on small hypergraphs.  Guards are then
-reconstructed per bag with an exact set cover.
+``ghw <= hw <= 3·ghw + 1``): the f-width whose bag cost is the minimum number
+of hyperedges covering the bag (``inf`` when no cover exists), which is
+monotone.  :func:`generalized_hypertreewidth` and
+:func:`hypertree_decomposition` are one call each to the f-width search of
+:mod:`repro.decomposition.f_width` with that cost, so they agree by
+construction; guards are the same exact set covers.
 
 The measure is only used for comparison with the Arenas et al. baseline
 (Theorem 38) and by the width-profile report; the paper's own algorithms need
@@ -21,66 +23,49 @@ their dedicated modules.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Dict, FrozenSet, Hashable, List, Optional, Tuple
 
-from repro.decomposition.f_width import (
-    EXACT_F_WIDTH_LIMIT,
-    best_elimination_ordering,
-    decomposition_from_ordering,
-)
+from repro.decomposition.f_width import f_width_decomposition
 from repro.decomposition.tree_decomposition import TreeDecomposition
 from repro.hypergraph import Hypergraph
 
 Vertex = Hashable
 
 
-def edge_cover_number(hypergraph: Hypergraph, bag: FrozenSet) -> int:
-    """Minimum number of hyperedges of ``hypergraph`` whose union covers
-    ``bag`` (infinite if no cover exists).
+def _minimum_edge_cover(
+    hypergraph: Hypergraph, bag: FrozenSet
+) -> Optional[Tuple[FrozenSet, ...]]:
+    """A minimum-cardinality set of hyperedges whose union covers ``bag``,
+    or ``None`` if no cover exists.
 
     Solved exactly by trying cover sizes in increasing order; bags are small
     (they come from query hypergraphs), so this is fast in practice.
     """
-    bag = frozenset(bag)
-    if not bag:
-        return 0
     edges = [edge for edge in hypergraph.edges if edge & bag]
-    union_all = frozenset().union(*edges) if edges else frozenset()
-    if not bag <= union_all:
-        return int(1e9)  # effectively infinite; bag cannot be guarded
-    # Greedy upper bound first, to cap the exact search.
-    uncovered = set(bag)
-    greedy = 0
-    while uncovered:
-        best_edge = max(edges, key=lambda e: len(e & uncovered))
-        if not best_edge & uncovered:
-            break
-        uncovered -= best_edge
-        greedy += 1
-    for size in range(1, greedy + 1):
-        for combo in itertools.combinations(edges, size):
-            covered = frozenset().union(*combo)
-            if bag <= covered:
-                return size
-    return greedy
+    if bag <= frozenset().union(*edges):
+        for size in range(len(edges) + 1):
+            for combo in itertools.combinations(edges, size):
+                if bag <= frozenset().union(*combo):
+                    return combo
+    return None
+
+
+def edge_cover_number(hypergraph: Hypergraph, bag: FrozenSet) -> float:
+    """Minimum number of hyperedges of ``hypergraph`` whose union covers
+    ``bag`` (``inf`` if no cover exists)."""
+    cover = _minimum_edge_cover(hypergraph, frozenset(bag))
+    return math.inf if cover is None else float(len(cover))
 
 
 def guard_for_bag(hypergraph: Hypergraph, bag: FrozenSet) -> List[FrozenSet]:
     """A minimum-cardinality set of hyperedges covering ``bag``."""
-    bag = frozenset(bag)
-    if not bag:
-        return []
-    edges = [edge for edge in hypergraph.edges if edge & bag]
-    target = edge_cover_number(hypergraph, bag)
-    if target >= int(1e9):
+    cover = _minimum_edge_cover(hypergraph, frozenset(bag))
+    if cover is None:
         raise ValueError("bag cannot be covered by hyperedges")
-    for size in range(0, target + 1):
-        for combo in itertools.combinations(edges, size):
-            covered = frozenset().union(*combo) if combo else frozenset()
-            if bag <= covered:
-                return list(combo)
-    raise RuntimeError("unreachable: greedy bound was attainable")
+    return list(cover)
 
 
 @dataclass
@@ -112,61 +97,25 @@ class HypertreeDecomposition:
         return True
 
 
-def _ghw_cost(hypergraph: Hypergraph):
-    cache: Dict[FrozenSet, float] = {}
-
-    def cost(bag: FrozenSet) -> float:
-        key = frozenset(bag)
-        if key not in cache:
-            cache[key] = float(edge_cover_number(hypergraph, key))
-        return cache[key]
-
-    return cost
-
-
-def generalized_hypertreewidth(
-    hypergraph: Hypergraph, exact: Optional[bool] = None
-) -> Tuple[float, bool]:
+def generalized_hypertreewidth(hypergraph: Hypergraph) -> Tuple[float, bool]:
     """The generalized hypertreewidth of ``hypergraph`` and whether it is
-    exact (exact for <= EXACT_F_WIDTH_LIMIT vertices)."""
-    n = hypergraph.num_vertices()
-    if n == 0:
-        return 0.0, True
-    cost = _ghw_cost(hypergraph)
-    if exact is None:
-        exact = n <= EXACT_F_WIDTH_LIMIT
-    if exact:
-        _, width = best_elimination_ordering(hypergraph, cost)
-        return float(width), True
-    from repro.decomposition.treewidth import _greedy_ordering  # local import
-
-    graph = hypergraph.primal_graph()
-    best = float("inf")
-    for rule in ("min_fill", "min_degree"):
-        ordering = _greedy_ordering(graph, rule)
-        decomposition = decomposition_from_ordering(hypergraph, ordering)
-        best = min(best, decomposition.f_width(cost))
-    return float(best), False
+    exact (``inf`` when some vertex lies in no hyperedge)."""
+    _, width, is_exact = f_width_decomposition(
+        hypergraph, partial(edge_cover_number, hypergraph)
+    )
+    return width, is_exact
 
 
-def hypertree_decomposition(
-    hypergraph: Hypergraph, exact: Optional[bool] = None
-) -> HypertreeDecomposition:
-    """A (generalized) hypertree decomposition of ``hypergraph``: a ghw-optimal
-    tree decomposition on small inputs with minimum guards per bag."""
-    n = hypergraph.num_vertices()
-    if n == 0:
-        return HypertreeDecomposition(TreeDecomposition.single_bag([]), {0: []})
-    cost = _ghw_cost(hypergraph)
-    if exact is None:
-        exact = n <= EXACT_F_WIDTH_LIMIT
-    if exact:
-        ordering, _ = best_elimination_ordering(hypergraph, cost)
-    else:
-        from repro.decomposition.treewidth import _greedy_ordering  # local import
+def hypertree_decomposition(hypergraph: Hypergraph) -> HypertreeDecomposition:
+    """A (generalized) hypertree decomposition of ``hypergraph``: the
+    ghw-minimising tree decomposition with a minimum guard per bag.
 
-        ordering = _greedy_ordering(hypergraph.primal_graph(), "min_fill")
-    decomposition = decomposition_from_ordering(hypergraph, ordering)
+    Raises ``ValueError`` when some vertex lies in no hyperedge (its bag
+    cannot be guarded).
+    """
+    decomposition, _, _ = f_width_decomposition(
+        hypergraph, partial(edge_cover_number, hypergraph)
+    )
     guards = {
         node: guard_for_bag(hypergraph, decomposition.bag(node))
         for node in decomposition.nodes()

@@ -182,16 +182,6 @@ class TreeDecomposition:
                 raise ValueError("rename_vertices mapping collapses a bag")
         return type(self)(self._tree, new_bags, root=self._root)
 
-    def restrict_bags(self, keep: Callable[[object], bool]) -> "TreeDecomposition":
-        """Return a decomposition whose bags are filtered by ``keep`` (used
-        when projecting a decomposition onto a sub-hypergraph).  The tree shape
-        is preserved; validity against a smaller hypergraph must be re-checked
-        by the caller."""
-        new_bags = {
-            node: frozenset(v for v in bag if keep(v)) for node, bag in self._bags.items()
-        }
-        return TreeDecomposition(self._tree, new_bags, root=self._root)
-
     @classmethod
     def single_bag(cls, vertices: Iterable) -> "TreeDecomposition":
         """The trivial decomposition with one bag containing every vertex."""

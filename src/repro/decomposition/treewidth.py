@@ -1,24 +1,18 @@
-"""Treewidth (Definition 4): exact computation for small hypergraphs and
-standard heuristics (min-fill, min-degree) for larger ones.
+"""Treewidth (Definition 4): the f-width with bag cost ``|X| - 1``.
 
-The treewidth of a hypergraph equals the treewidth of its primal graph, which
-is how all routines here operate.  Exact computation uses the
-elimination-ordering DP in :mod:`repro.decomposition.f_width`; heuristics
-produce elimination orderings greedily and convert them into tree
-decompositions with :func:`decomposition_from_ordering`.
+The treewidth of a hypergraph equals the treewidth of its primal graph.  Every
+routine here is one call to the f-width search
+:func:`~repro.decomposition.f_width.f_width_decomposition`: exact on
+hypergraphs with at most
+:data:`~repro.decomposition.f_width.EXACT_F_WIDTH_LIMIT` vertices, the better
+of the min-fill and min-degree elimination orderings beyond.
 """
 
 from __future__ import annotations
 
-from typing import FrozenSet, List, Optional, Tuple
+from typing import FrozenSet, Optional, Tuple
 
-import networkx as nx
-
-from repro.decomposition.f_width import (
-    EXACT_F_WIDTH_LIMIT,
-    best_elimination_ordering,
-    decomposition_from_ordering,
-)
+from repro.decomposition.f_width import f_width_decomposition
 from repro.decomposition.tree_decomposition import TreeDecomposition
 from repro.hypergraph import Hypergraph
 
@@ -27,101 +21,29 @@ def _treewidth_cost(bag: FrozenSet) -> float:
     return len(bag) - 1
 
 
-def exact_treewidth(hypergraph: Hypergraph) -> int:
-    """The exact treewidth of a small hypergraph (<= 18 vertices)."""
-    if hypergraph.num_vertices() == 0:
-        return -1 if hypergraph.num_edges() == 0 else 0
-    _, width = best_elimination_ordering(hypergraph, _treewidth_cost)
-    return int(width)
-
-
-def _greedy_ordering(graph: nx.Graph, strategy: str) -> List:
-    """Greedy elimination ordering using the min-degree or min-fill rule."""
-    working = graph.copy()
-    ordering: List = []
-    while working.number_of_nodes() > 0:
-        if strategy == "min_degree":
-            vertex = min(
-                working.nodes(), key=lambda v: (working.degree(v), repr(v))
-            )
-        elif strategy == "min_fill":
-
-            def fill_in(v) -> int:
-                neighbours = list(working.neighbors(v))
-                missing = 0
-                for i, u in enumerate(neighbours):
-                    for w in neighbours[i + 1 :]:
-                        if not working.has_edge(u, w):
-                            missing += 1
-                return missing
-
-            vertex = min(working.nodes(), key=lambda v: (fill_in(v), repr(v)))
-        else:
-            raise ValueError(f"unknown strategy {strategy!r}")
-        neighbours = list(working.neighbors(vertex))
-        for i, u in enumerate(neighbours):
-            for w in neighbours[i + 1 :]:
-                working.add_edge(u, w)
-        working.remove_node(vertex)
-        ordering.append(vertex)
-    return ordering
-
-
-def treewidth_upper_bound(hypergraph: Hypergraph, strategy: str = "min_fill") -> int:
-    """A treewidth upper bound from a greedy elimination ordering."""
-    if hypergraph.num_vertices() == 0:
-        return -1
-    graph = hypergraph.primal_graph()
-    ordering = _greedy_ordering(graph, strategy)
-    decomposition = decomposition_from_ordering(hypergraph, ordering)
-    return decomposition.width()
-
-
 def treewidth_decomposition(
-    hypergraph: Hypergraph,
-    exact: Optional[bool] = None,
-    strategy: str = "min_fill",
+    hypergraph: Hypergraph, exact: Optional[bool] = None
 ) -> Tuple[TreeDecomposition, int, bool]:
-    """A tree decomposition of ``hypergraph`` together with its width.
+    """A tree decomposition of ``hypergraph`` together with its width and
+    whether that width is the exact treewidth.
 
-    Parameters
-    ----------
-    exact:
-        Force exact (True) or heuristic (False) computation.  By default the
-        exact algorithm is used whenever the hypergraph has at most
-        :data:`~repro.decomposition.f_width.EXACT_F_WIDTH_LIMIT` vertices.
-    strategy:
-        Heuristic elimination rule, ``"min_fill"`` or ``"min_degree"``.
-
-    Returns
-    -------
-    (decomposition, width, is_exact)
+    ``exact`` forces the exact DP (True) or the greedy orderings (False); by
+    default the exact DP runs whenever the hypergraph has at most
+    :data:`~repro.decomposition.f_width.EXACT_F_WIDTH_LIMIT` vertices.  The
+    empty hypergraph has treewidth -1.
     """
-    n = hypergraph.num_vertices()
-    if n == 0:
-        return TreeDecomposition.single_bag([]), -1, True
-    if exact is None:
-        exact = n <= EXACT_F_WIDTH_LIMIT
-    if exact:
-        ordering, width = best_elimination_ordering(hypergraph, _treewidth_cost)
-        decomposition = decomposition_from_ordering(hypergraph, ordering)
-        return decomposition, int(width), True
-    graph = hypergraph.primal_graph()
-    best_decomposition: Optional[TreeDecomposition] = None
-    for rule in (strategy, "min_degree" if strategy != "min_degree" else "min_fill"):
-        ordering = _greedy_ordering(graph, rule)
-        decomposition = decomposition_from_ordering(hypergraph, ordering)
-        if best_decomposition is None or decomposition.width() < best_decomposition.width():
-            best_decomposition = decomposition
-    assert best_decomposition is not None
-    return best_decomposition, best_decomposition.width(), False
+    decomposition, width, is_exact = f_width_decomposition(
+        hypergraph, _treewidth_cost, exact
+    )
+    return decomposition, int(width), is_exact
 
 
-def has_bounded_treewidth(hypergraph: Hypergraph, bound: int) -> bool:
-    """Whether the (exact or upper-bounded) treewidth is at most ``bound``.
+def exact_treewidth(hypergraph: Hypergraph) -> int:
+    """The exact treewidth of a small hypergraph (raises ``ValueError``
+    beyond :data:`~repro.decomposition.f_width.EXACT_F_WIDTH_LIMIT` vertices)."""
+    return treewidth_decomposition(hypergraph, exact=True)[1]
 
-    Uses the exact algorithm when feasible, so a ``True`` answer from the
-    heuristic path is still sound (the heuristic only over-estimates)."""
-    if hypergraph.num_vertices() <= EXACT_F_WIDTH_LIMIT:
-        return exact_treewidth(hypergraph) <= bound
-    return treewidth_upper_bound(hypergraph) <= bound
+
+def treewidth_upper_bound(hypergraph: Hypergraph) -> int:
+    """A treewidth upper bound from the greedy elimination orderings."""
+    return treewidth_decomposition(hypergraph, exact=False)[1]

@@ -13,13 +13,11 @@ about the tractability regime of a query.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.decomposition.adaptive import AdaptiveWidthEstimate, estimate_adaptive_width
 from repro.decomposition.fractional import fractional_hypertreewidth
 from repro.decomposition.hypertree import generalized_hypertreewidth
-from repro.decomposition.treewidth import exact_treewidth, treewidth_upper_bound
-from repro.decomposition.f_width import EXACT_F_WIDTH_LIMIT
+from repro.decomposition.treewidth import treewidth_decomposition
 from repro.hypergraph import Hypergraph
 from repro.util.rng import RNGLike
 
@@ -72,34 +70,22 @@ def width_profile(
     adaptive_samples: int = 8,
 ) -> WidthProfile:
     """Compute every width measure of ``hypergraph`` (exactly on small
-    hypergraphs, via upper bounds otherwise)."""
-    n = hypergraph.num_vertices()
-    exact_feasible = 0 < n <= EXACT_F_WIDTH_LIMIT
-
-    if n == 0:
-        treewidth, treewidth_exact = -1, True
-    elif exact_feasible:
-        treewidth, treewidth_exact = exact_treewidth(hypergraph), True
-    else:
-        treewidth, treewidth_exact = treewidth_upper_bound(hypergraph), False
-
+    hypergraphs, via upper bounds otherwise); fhw is computed once and is
+    also the adaptive width's upper bound."""
+    _, treewidth, treewidth_exact = treewidth_decomposition(hypergraph)
     hypertreewidth, hw_exact = generalized_hypertreewidth(hypergraph)
     fhw, fhw_exact = fractional_hypertreewidth(hypergraph)
-    adaptive = (
-        estimate_adaptive_width(hypergraph, samples=adaptive_samples, rng=rng)
-        if exact_feasible or n == 0
-        else AdaptiveWidthEstimate(lower_bound=0.0, upper_bound=fhw)
-    )
-
     return WidthProfile(
-        num_vertices=n,
+        num_vertices=hypergraph.num_vertices(),
         num_edges=hypergraph.num_edges(),
         arity=hypergraph.arity(),
-        treewidth=int(treewidth),
+        treewidth=treewidth,
         treewidth_exact=treewidth_exact,
-        hypertreewidth=float(hypertreewidth),
+        hypertreewidth=hypertreewidth,
         hypertreewidth_exact=hw_exact,
-        fractional_hypertreewidth=float(fhw),
+        fractional_hypertreewidth=fhw,
         fractional_hypertreewidth_exact=fhw_exact,
-        adaptive_width=adaptive,
+        adaptive_width=estimate_adaptive_width(
+            hypergraph, fhw, samples=adaptive_samples, rng=rng
+        ),
     )

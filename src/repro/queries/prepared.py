@@ -37,12 +37,11 @@ from repro.decomposition.adaptive import (
     AdaptiveWidthEstimate,
     estimate_adaptive_width,
 )
-from repro.decomposition.f_width import EXACT_F_WIDTH_LIMIT
 from repro.decomposition.fractional import fractional_hypertreewidth_decomposition
 from repro.decomposition.hypertree import generalized_hypertreewidth
 from repro.decomposition.nice import NiceTreeDecomposition, make_nice
 from repro.decomposition.tree_decomposition import TreeDecomposition
-from repro.decomposition.treewidth import exact_treewidth, treewidth_upper_bound
+from repro.decomposition.treewidth import treewidth_decomposition
 from repro.decomposition.widths import WidthProfile
 from repro.hypergraph import Hypergraph
 from repro.queries.canonical import canonical_query_key, canonical_variable_renaming
@@ -152,7 +151,8 @@ class PreparedQuery:
 
     def treewidth(self) -> int:
         """``tw(H(phi))`` — exact on hypergraphs with at most
-        :data:`EXACT_F_WIDTH_LIMIT` vertices, a greedy upper bound beyond."""
+        :data:`~repro.decomposition.f_width.EXACT_F_WIDTH_LIMIT` vertices, a
+        greedy upper bound beyond."""
         return self._get("treewidth", "treewidth", self._compute_treewidth)[0]
 
     def treewidth_is_exact(self) -> bool:
@@ -161,13 +161,8 @@ class PreparedQuery:
         return self._get("treewidth", "treewidth", self._compute_treewidth)[1]
 
     def _compute_treewidth(self) -> Tuple[int, bool]:
-        hypergraph = self.hypergraph()
-        n = hypergraph.num_vertices()
-        if n == 0:
-            return -1, True
-        if n <= EXACT_F_WIDTH_LIMIT:
-            return exact_treewidth(hypergraph), True
-        return treewidth_upper_bound(hypergraph), False
+        _, width, is_exact = treewidth_decomposition(self.hypergraph())
+        return width, is_exact
 
     def hypertreewidth(self) -> Tuple[float, bool]:
         """``(hw(H(phi)), exact?)`` (generalized hypertreewidth)."""
@@ -194,31 +189,24 @@ class PreparedQuery:
 
     def adaptive_width_upper(self) -> Optional[float]:
         """The fhw-based upper bound on the adaptive width used by the
-        Theorem-13 bound check (``aw <= fhw``, Lemma 12); ``None`` beyond the
-        exact-width regime, mirroring the historical ``fptras_count_dcq``
-        behaviour (a heuristic fhw upper bound proves nothing about aw)."""
-        if self.hypergraph().num_vertices() > EXACT_F_WIDTH_LIMIT:
-            return None
-        return self.fractional_hypertreewidth()[0]
+        Theorem-13 bound check (``aw <= fhw``, Lemma 12); ``None`` when fhw
+        is only a greedy upper bound, mirroring the historical
+        ``fptras_count_dcq`` behaviour (a heuristic fhw upper bound proves
+        nothing about aw)."""
+        fhw, is_exact = self.fractional_hypertreewidth()
+        return fhw if is_exact else None
 
     def adaptive_width_estimate(self, rng: RNGLike = None) -> AdaptiveWidthEstimate:
-        """Bracketing estimate of ``aw(H(phi))`` (Definition 33).  Memoised on
-        first use: the sampled lower bound of the first caller's ``rng`` is
-        reused by everyone (the upper bound — all the algorithms need — is
-        deterministic)."""
+        """Bracketing estimate of ``aw(H(phi))`` (Definition 33), its upper
+        bound the memoised fhw.  Memoised on first use: the sampled lower
+        bound of the first caller's ``rng`` is reused by everyone (the upper
+        bound — all the algorithms need — is deterministic)."""
         return self._get(
             "adaptive_width_estimate",
             "adaptive_width_estimate",
-            lambda: self._compute_adaptive_estimate(rng),
-        )
-
-    def _compute_adaptive_estimate(self, rng: RNGLike) -> AdaptiveWidthEstimate:
-        hypergraph = self.hypergraph()
-        n = hypergraph.num_vertices()
-        if 0 < n <= EXACT_F_WIDTH_LIMIT or n == 0:
-            return estimate_adaptive_width(hypergraph, samples=8, rng=rng)
-        return AdaptiveWidthEstimate(
-            lower_bound=0.0, upper_bound=self.fractional_hypertreewidth()[0]
+            lambda: estimate_adaptive_width(
+                self.hypergraph(), self.fractional_hypertreewidth()[0], rng=rng
+            ),
         )
 
     def width_profile(self, rng: RNGLike = None) -> WidthProfile:

@@ -532,13 +532,13 @@ class CSPInstance:
                     v for v in self.variables if v not in known
                 ]
             else:
-                from repro.decomposition.treewidth import _greedy_ordering  # local import
+                from repro.decomposition.f_width import greedy_ordering  # local import
 
                 hypergraph = self.constraint_hypergraph()
                 if hypergraph.num_edges() == 0:
                     self._order_cache = self.variables
                 else:
-                    ordering = _greedy_ordering(hypergraph.primal_graph(), "min_fill")
+                    ordering = greedy_ordering(hypergraph.primal_graph(), "min_fill")
                     ordered = list(reversed(ordering))
                     remaining = [v for v in self.variables if v not in set(ordered)]
                     self._order_cache = ordered + remaining

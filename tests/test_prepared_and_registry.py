@@ -4,6 +4,7 @@ calls under the same seed, alpha-renamed queries must share one prepared
 cache entry (artifact identity + counters), and the satellite fixes
 (greedy-treewidth warn instead of raise, per-width ``explain`` guards)."""
 
+import math
 import warnings
 
 import pytest
@@ -30,6 +31,8 @@ from repro.relational.structure import Database
 from repro.service import Planner, PlannerConfig
 from repro.service.plan import QueryPlan
 from repro.unions.karp_luby import approx_count_union
+from repro.workloads.databases import database_from_graph
+from repro.workloads.graphs import erdos_renyi_graph
 
 EPS, DELTA = 0.5, 0.2
 
@@ -281,3 +284,66 @@ class TestWidthsComputedOncePerProcess:
             result.plan.treewidth is None
         )
         assert "adaptive_width_upper_bound" in result.widths
+
+    def test_fhw_runs_once_per_width_profile(self, monkeypatch):
+        """The adaptive-width bracket reuses the profile's fhw as its upper
+        bound, so a cold profile solves exactly the fractional-cover LPs of
+        one fhw search."""
+        from repro.decomposition import fractional, fractional_hypertreewidth, width_profile
+
+        solves = []
+        solve = fractional.fractional_edge_cover_number
+        monkeypatch.setattr(
+            fractional,
+            "fractional_edge_cover_number",
+            lambda hypergraph: solves.append(hypergraph) or solve(hypergraph),
+        )
+        query = parse_query(CQ)
+        fractional_hypertreewidth(query.hypergraph())
+        one_search = len(solves)
+        assert one_search > 0
+        solves.clear()
+        PreparedQuery(query).width_profile(rng=0)
+        assert len(solves) == one_search
+        solves.clear()
+        width_profile(query.hypergraph(), rng=0)
+        assert len(solves) == one_search
+
+
+# ------------------------------------------------ uncoverable query variables
+class TestUncoverableVariable:
+    """``y`` occurs only in a disequality, so it is an isolated vertex of
+    H(phi): every fhw bag holding it costs inf.  The query is valid and must
+    plan, classify and count instead of crashing the width search."""
+
+    QUERY = "Ans(x, y) :- E(x, z), x != y"
+
+    def test_width_profile_has_infinite_fhw(self):
+        profile = PreparedQuery(parse_query(self.QUERY)).width_profile(rng=0)
+        assert profile.fractional_hypertreewidth == math.inf
+        assert profile.hypertreewidth == math.inf
+        assert profile.fractional_hypertreewidth_exact
+
+    def test_large_database_plans_fptras_dcq(self):
+        from repro.service import CountingService, ServiceConfig
+
+        database = database_from_graph(erdos_renyi_graph(60, 0.3, rng=1))
+        assert database.size() == 2169
+        service = CountingService(database, ServiceConfig(executor="serial"))
+        assert service.plan(parse_query(self.QUERY)).scheme == "fptras_dcq"
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_fptras_dcq_counts_within_epsilon(self, seed):
+        query = parse_query(self.QUERY)
+        database = database_from_graph(erdos_renyi_graph(12, 0.4, rng=1))
+        assert count_answers_exact(query, database) == 132
+        estimate = REGISTRY.count(
+            "fptras_dcq", query, database, epsilon=0.5, delta=0.25, rng=seed
+        ).estimate
+        assert 0.5 * 132 <= estimate <= 1.5 * 132
+
+    def test_classify_command_reports_infinite_widths(self, capsys):
+        from repro.cli import main
+
+        assert main(["classify", "--query", self.QUERY]) == 0
+        assert "hw=inf fhw=inf" in capsys.readouterr().out

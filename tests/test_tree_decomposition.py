@@ -3,6 +3,8 @@ decompositions (Definitions 4, 32, 42 and Lemma 43)."""
 
 from __future__ import annotations
 
+import math
+
 import networkx as nx
 import pytest
 from hypothesis import given, settings
@@ -11,7 +13,6 @@ from hypothesis import strategies as st
 from repro.decomposition import (
     NiceTreeDecomposition,
     TreeDecomposition,
-    exact_f_width,
     exact_treewidth,
     f_width_decomposition,
     make_nice,
@@ -29,6 +30,14 @@ from repro.hypergraph import (
     star_hypergraph,
     tree_hypergraph,
 )
+
+
+def gnp_hypergraph(seed: int) -> Hypergraph:
+    """G(22, 0.2) without isolated vertices: beyond the exact-width limit,
+    where min-fill and min-degree disagree for seeds 152 and 1."""
+    graph = nx.gnp_random_graph(22, 0.2, seed=seed)
+    graph.remove_nodes_from(list(nx.isolates(graph)))
+    return Hypergraph.from_graph(graph)
 
 
 class TestTreeDecomposition:
@@ -126,25 +135,43 @@ class TestExactTreewidth:
         hypergraph = grid_hypergraph(3, 4)
         assert treewidth_upper_bound(hypergraph) >= exact_treewidth(hypergraph)
 
-    def test_heuristic_decomposition_valid(self):
-        hypergraph = grid_hypergraph(4, 5)
+    @pytest.mark.parametrize(
+        "hypergraph",
+        [grid_hypergraph(4, 5), gnp_hypergraph(152), gnp_hypergraph(1)],
+        ids=["grid4x5", "gnp22-152", "gnp22-1"],
+    )
+    def test_heuristic_decomposition_valid(self, hypergraph):
         decomposition, width, is_exact = treewidth_decomposition(hypergraph, exact=False)
         assert not is_exact
         assert decomposition.is_valid_for(hypergraph)
         assert width >= 4 - 1  # heuristic width is at least something sensible
+        # Every treewidth entry point makes the same greedy choice.
+        assert treewidth_upper_bound(hypergraph) == width
+        assert treewidth_decomposition(hypergraph)[1] == width
 
 
 class TestFWidth:
     def test_f_width_with_cardinality_cost_matches_treewidth(self):
         hypergraph = cycle_hypergraph(5)
-        value = exact_f_width(hypergraph, lambda bag: len(bag) - 1)
+        _, value, is_exact = f_width_decomposition(hypergraph, lambda bag: len(bag) - 1)
+        assert is_exact
         assert value == exact_treewidth(hypergraph)
 
     def test_f_width_decomposition_valid(self):
         hypergraph = grid_hypergraph(2, 4)
-        decomposition, value = f_width_decomposition(hypergraph, lambda bag: len(bag) - 1)
+        decomposition, value, _ = f_width_decomposition(hypergraph, lambda bag: len(bag) - 1)
         assert decomposition.is_valid_for(hypergraph)
         assert value == exact_treewidth(hypergraph)
+
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_all_infinite_costs_still_give_a_decomposition(self, exact):
+        hypergraph = cycle_hypergraph(5)
+        decomposition, value, is_exact = f_width_decomposition(
+            hypergraph, lambda bag: math.inf, exact=exact
+        )
+        assert is_exact == exact
+        assert value == math.inf
+        assert decomposition.is_valid_for(hypergraph)
 
     def test_decomposition_from_ordering_valid_for_any_ordering(self):
         hypergraph = cycle_hypergraph(6)
@@ -160,7 +187,7 @@ class TestFWidth:
     def test_too_large_rejected(self):
         hypergraph = path_hypergraph(25)
         with pytest.raises(ValueError):
-            exact_f_width(hypergraph, lambda bag: len(bag) - 1)
+            f_width_decomposition(hypergraph, lambda bag: len(bag) - 1, exact=True)
 
 
 class TestNiceTreeDecomposition:

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -40,6 +41,20 @@ from repro.hypergraph import (
     star_hypergraph,
 )
 from repro.hypergraph.generators import single_edge_hypergraph
+
+
+def gnp_hypergraph(seed: int) -> Hypergraph:
+    """G(22, 0.2) without isolated vertices: beyond the exact-width limit,
+    where min-fill and min-degree disagree for seeds 152 and 1."""
+    graph = nx.gnp_random_graph(22, 0.2, seed=seed)
+    graph.remove_nodes_from(list(nx.isolates(graph)))
+    return Hypergraph.from_graph(graph)
+
+
+def estimate(hypergraph, samples, rng):
+    return estimate_adaptive_width(
+        hypergraph, adaptive_width_upper_bound(hypergraph), samples=samples, rng=rng
+    )
 
 
 class TestFractionalEdgeCover:
@@ -116,11 +131,17 @@ class TestHypertreewidth:
         assert exact
         assert value == pytest.approx(1.0)
 
-    def test_hypertree_decomposition_valid(self):
-        hypergraph = cycle_hypergraph(5)
+    @pytest.mark.parametrize(
+        "hypergraph",
+        [cycle_hypergraph(5), gnp_hypergraph(152), gnp_hypergraph(1)],
+        ids=["cycle5", "gnp22-152", "gnp22-1"],
+    )
+    def test_hypertree_decomposition_valid(self, hypergraph):
         decomposition = hypertree_decomposition(hypergraph)
         assert decomposition.is_valid_for(hypergraph)
         assert decomposition.width() >= 1
+        # Both ghw entry points make the same choice, exact or greedy.
+        assert decomposition.width() == generalized_hypertreewidth(hypergraph)[0]
 
     def test_triangle_hypertreewidth(self):
         value, _ = generalized_hypertreewidth(cycle_hypergraph(3))
@@ -151,14 +172,14 @@ class TestAdaptiveWidth:
 
     def test_bounds_bracket(self):
         for hypergraph in [path_hypergraph(5), cycle_hypergraph(5), grid_hypergraph(2, 3)]:
-            estimate = estimate_adaptive_width(hypergraph, samples=4, rng=0)
-            assert estimate.lower_bound <= estimate.upper_bound + 1e-9
+            bracket = estimate(hypergraph, samples=4, rng=0)
+            assert bracket.lower_bound <= bracket.upper_bound + 1e-9
 
     def test_single_edge_adaptive_width_one(self):
         hypergraph = single_edge_hypergraph(5)
-        estimate = estimate_adaptive_width(hypergraph, samples=4, rng=0)
-        assert estimate.upper_bound == pytest.approx(1.0)
-        assert estimate.lower_bound <= 1.0 + 1e-9
+        bracket = estimate(hypergraph, samples=4, rng=0)
+        assert bracket.upper_bound == pytest.approx(1.0)
+        assert bracket.lower_bound <= 1.0 + 1e-9
 
     def test_observation_34(self):
         for hypergraph in [
@@ -171,9 +192,9 @@ class TestAdaptiveWidth:
             assert observation_34_holds(hypergraph, rng=0)
 
     def test_bounded_by_resolution(self):
-        estimate = estimate_adaptive_width(path_hypergraph(4), samples=2, rng=0)
-        assert estimate.bounded_by(2.0) is True
-        assert estimate.bounded_by(0.1) is False
+        bracket = estimate(path_hypergraph(4), samples=2, rng=0)
+        assert bracket.bounded_by(2.0) is True
+        assert bracket.bounded_by(0.1) is False
 
 
 class TestWidthProfile:
@@ -197,6 +218,20 @@ class TestWidthProfile:
         profile = width_profile(Hypergraph(), rng=0)
         assert profile.num_vertices == 0
         assert profile.treewidth == -1
+
+    def test_uncoverable_vertex_has_infinite_hypergraph_widths(self):
+        """A vertex in no hyperedge: every bag holding it costs inf, so ghw
+        and fhw are inf while treewidth and the mu-widths stay finite."""
+        hypergraph = Hypergraph(vertices=[1, 2, 3], edges=[(1, 2)])
+        profile = width_profile(hypergraph, rng=0)
+        assert profile.treewidth == 1
+        assert profile.hypertreewidth == math.inf
+        assert profile.fractional_hypertreewidth == math.inf
+        assert profile.adaptive_width.upper_bound == math.inf
+        assert profile.adaptive_width.lower_bound < math.inf
+        assert edge_cover_number(hypergraph, frozenset({3})) == math.inf
+        with pytest.raises(ValueError):
+            hypertree_decomposition(hypergraph)
 
 
 @settings(max_examples=20, deadline=None)
