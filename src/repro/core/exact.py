@@ -13,14 +13,16 @@ counters:
 
 Two exact counters are provided: a pure brute-force enumeration over all
 assignments (the ``||D||^{O(||phi||)}`` algorithm from the introduction) and a
-backtracking counter that enumerates solutions with the CSP engine and counts
-distinct projections — usually much faster, still exponential in the worst
-case.
+backtracking counter over the ``Sol(phi, D)`` CSP.  The backtracking counter
+does not enumerate Sol(phi, D): :meth:`CSPInstance.iter_answers` searches
+for answers (Definition 2), reaching each one once and stopping below the
+free variables at its first witness solution — usually much faster, still
+exponential in the worst case.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.queries.query import ConjunctiveQuery
 from repro.relational.csp import (
@@ -89,20 +91,25 @@ def count_solutions_exact(
     return solution_csp(query, database, engine=engine).count_solutions()
 
 
+def _iter_answers(
+    query: ConjunctiveQuery, database: Structure, engine: str
+) -> Iterator[Tuple[Element, ...]]:
+    """Each answer of ``Ans(phi, D)`` once, ordered like
+    ``query.free_variables``."""
+    query._check_signature_compatibility(database)
+    if not database.universe:
+        return iter(())
+    csp = solution_csp(query, database, engine=engine)
+    return csp.iter_answers(query.free_variables)
+
+
 def enumerate_answers_exact(
     query: ConjunctiveQuery, database: Structure, engine: str = DEFAULT_ENGINE
 ) -> Set[Tuple[Element, ...]]:
     """Exact ``Ans(phi, D)`` (Definition 2) as a set of tuples ordered like
-    ``query.free_variables`` — computed by enumerating solutions with the CSP
-    engine and projecting."""
-    query._check_signature_compatibility(database)
-    if not database.universe:
-        return set()
-    answers: Set[Tuple[Element, ...]] = set()
-    free = query.free_variables
-    for solution in solution_csp(query, database, engine=engine)._iter_assignments(None):
-        answers.add(tuple(solution[v] for v in free))
-    return answers
+    ``query.free_variables`` — one witness search per answer with the CSP
+    engine (:meth:`CSPInstance.iter_answers`)."""
+    return set(_iter_answers(query, database, engine))
 
 
 def count_answers_exact(
@@ -113,15 +120,15 @@ def count_answers_exact(
 ) -> int:
     """Exact ``|Ans(phi, D)|``.
 
-    ``method="backtracking"`` (default) enumerates solutions with the CSP
-    engine and counts distinct projections; ``method="bruteforce"`` is the
-    plain ``|U(D)|^{|vars(phi)|}`` enumeration from the introduction (kept as
-    an independent reference implementation for differential testing).
-    ``engine`` selects the CSP engine (``"indexed"``/``"naive"``/
+    ``method="backtracking"`` (default) counts the answers the CSP engine's
+    answer search yields, without storing them; ``method="bruteforce"`` is
+    the plain ``|U(D)|^{|vars(phi)|}`` enumeration from the introduction
+    (kept as an independent reference implementation for differential
+    testing).  ``engine`` selects the CSP engine (``"indexed"``/``"naive"``/
     ``"columnar"``) for the backtracking method.
     """
     if method == "bruteforce":
         return query.count_answers_bruteforce(database)
     if method == "backtracking":
-        return len(enumerate_answers_exact(query, database, engine=engine))
+        return sum(1 for _ in _iter_answers(query, database, engine))
     raise ValueError(f"unknown method {method!r}")

@@ -18,7 +18,8 @@ The engine combines
   practice — the role Theorem 31 plays in the paper.
 
 It supports deciding satisfiability, finding one solution, enumerating, and
-counting all solutions.
+counting all solutions, and enumerating the distinct projections of the
+solutions onto a set of free variables (:meth:`CSPInstance.iter_answers`).
 
 Engine architecture
 -------------------
@@ -45,14 +46,27 @@ sets *and* identical enumeration order); select one with
       (repr-sorted) per-variable value order **once**, and forward-checks
       each assignment: the surviving tuple ids of every touched constraint
       prune the unassigned neighbours' domains (with an undo trail), so dead
-      branches are cut before recursing.
+      branches are cut before recursing;
+    * the answer search (:meth:`CSPInstance.iter_answers`) reuses that
+      backtrack with one of two orders and a witness cut.  When every free
+      variable after the first (in min-fill order) shares a table constraint
+      with an earlier one, the free variables go first and the existential
+      ones after them, both in min-fill order; each node at the depth of the
+      last free variable is then a different answer.  Otherwise the min-fill
+      order stays, so forward checking prunes free variables that share no
+      table through their existential neighbours instead of walking their
+      cross product, and the answers are deduplicated on their values.
+      Either way, a node below the deepest free variable (the *cut*)
+      returns after its first solution: an answer costs one witness, not
+      all of its solutions.
 
 ``engine="naive"``
     The original scan-based engine, retained verbatim for differential
     testing and benchmarking: ``consistent_with_partial`` scans ``allowed``,
     ``propagate`` re-filters every table to its live tuples until a full
     fixpoint round changes nothing, and the search re-sorts the domain of the
-    current variable at every node.
+    current variable at every node.  Its answer search projects every
+    solution of that unchanged search and deduplicates.
 
 ``engine="columnar"``
     The vectorized engine over :mod:`repro.relational.columnar` storage:
@@ -68,7 +82,9 @@ sets *and* identical enumeration order); select one with
       neighbour domains through scatter masks instead of Python set algebra;
     * search walks codes in ascending order — which *is* the repr-sorted
       value order — so it enumerates the exact solutions, in the exact order,
-      of the indexed engine, decoding codes to values only at yield time.
+      of the indexed engine, decoding codes to values only at yield time; it
+      takes the answer search's order and witness cut unchanged, so the two
+      engines also yield the same answers in the same order.
 
     When NumPy is not installed the engine resolves to ``"indexed"`` at
     construction; when a universe exceeds the int32 code space (or a caller
@@ -896,15 +912,20 @@ class CSPInstance:
             domains[variable] = {values[code] for code in np.flatnonzero(masks[vi])}
         return domains
 
-    def _iter_columnar(self, limit: Optional[int]) -> Iterator[Dict[Variable, Value]]:
+    def _iter_columnar(
+        self,
+        limit: Optional[int],
+        order: Optional[List[Variable]] = None,
+        cut: Optional[int] = None,
+    ) -> Iterator[Dict[Variable, Value]]:
         """Vectorized search over the interned columns: same variable order,
-        same (ascending-code = repr-sorted) value order, and sound
-        forward-checking — hence the same solutions in the same order as the
-        indexed engine, decoded to values only at assignment time."""
+        same (ascending-code = repr-sorted) value order, same witness cut and
+        sound forward-checking — hence the same solutions in the same order
+        as the indexed engine, decoded to values only at assignment time."""
         domains = {v: set(values) for v, values in self._domains.items()}
         outcome = self._columnar_fixpoint(domains, True)
         if outcome is _COLUMNAR_UNSET:
-            yield from self._iter_indexed(limit)
+            yield from self._iter_indexed(limit, order, cut)
             return
         if outcome is None:
             return
@@ -914,7 +935,10 @@ class CSPInstance:
         values = encoder.values
         n_codes = len(encoder)
         var_index = ctx.var_index
-        order = self.search_order()
+        if order is None:
+            order = self.search_order()
+        if cut is None:
+            cut = len(order)
         by_variable = self._constraints_by_variable()
         search_tables: Dict[int, _ColumnarSearchTable] = {
             id(state.constraint): _ColumnarSearchTable(state, n_codes)
@@ -1048,9 +1072,12 @@ class CSPInstance:
                 assigned_codes[variable] = code
                 trail = forward_check(variable, code)
                 if trail is not None:
+                    before = produced
                     yield from backtrack(position + 1)
                     undo(trail)
-                    if limit is not None and produced >= limit:
+                    if (limit is not None and produced >= limit) or (
+                        position >= cut and produced > before
+                    ):
                         del assignment[variable]
                         del assigned_codes[variable]
                         return
@@ -1124,14 +1151,25 @@ class CSPInstance:
 
         yield from backtrack(0, {})
 
-    def _iter_indexed(self, limit: Optional[int]) -> Iterator[Dict[Variable, Value]]:
+    def _iter_indexed(
+        self,
+        limit: Optional[int],
+        order: Optional[List[Variable]] = None,
+        cut: Optional[int] = None,
+    ) -> Iterator[Dict[Variable, Value]]:
         """Index-driven search: canonical value orders computed once, and
         forward checking prunes neighbour domains through the tuple indexes
-        (with an undo trail) before recursing."""
+        (with an undo trail) before recursing.  ``order`` defaults to
+        :meth:`search_order`; a node at position ``cut`` or deeper returns
+        after its first solution (the witness cut of :meth:`iter_answers`;
+        the default, ``len(order)``, cuts nothing)."""
         domains = self.propagate()
         if domains is None:
             return
-        order = self.search_order()
+        if order is None:
+            order = self.search_order()
+        if cut is None:
+            cut = len(order)
         by_variable = self._constraints_by_variable()
         # Canonical per-variable value order, computed once (not per node).
         value_order: Dict[Variable, List[Value]] = {
@@ -1244,9 +1282,12 @@ class CSPInstance:
                 assignment[variable] = value
                 trail = forward_check(variable, value)
                 if trail is not None:
+                    before = produced
                     yield from backtrack(position + 1)
                     undo(trail)
-                    if limit is not None and produced >= limit:
+                    if (limit is not None and produced >= limit) or (
+                        position >= cut and produced > before
+                    ):
                         del assignment[variable]
                         return
                 del assignment[variable]
@@ -1269,6 +1310,87 @@ class CSPInstance:
         for the small instances used as test baselines).  Avoids copying each
         solution dict."""
         return sum(1 for _ in self._iter_assignments(None))
+
+    # ---------------------------------------------------------------- answers
+    def iter_answers(self, free: Sequence[Variable]) -> Iterator[AssignmentTuple]:
+        """Each distinct projection of a solution onto ``free`` (an answer of
+        Definition 2 when this is a ``Sol(phi, D)`` instance), exactly once.
+
+        The indexed and columnar engines search in the order of
+        :meth:`_answer_order` and stop every subtree below its witness cut at
+        its first solution, so an answer costs one witness, not all of its
+        solutions; projections are deduplicated only where they can repeat.
+        Both engines yield the same answers in the same order.  The naive
+        engine deduplicates the projections of its unchanged search.
+        """
+        free = tuple(free)
+        if self._engine == "naive":
+            return _distinct_projections(self._iter_naive(None), free)
+        order, cut = self._answer_order(free)
+        if self._engine == "columnar":
+            assignments = self._iter_columnar(None, order, cut)
+        else:
+            assignments = self._iter_indexed(None, order, cut)
+        if cut > len(set(free)):
+            return _distinct_projections(assignments, free)
+        # The free variables are a prefix of the order: every node at the
+        # cut holds a different answer.
+        return (tuple(assignment[v] for v in free) for assignment in assignments)
+
+    def _answer_order(self, free: Sequence[Variable]) -> Tuple[List[Variable], int]:
+        """``(order, cut)`` for :meth:`iter_answers`.
+
+        Let F be the free variables in min-fill order.  When every variable
+        of F after the first shares a table constraint with an earlier one
+        (vacuously so for at most one), F is searched first and the
+        existential variables after it, both in min-fill order.  Otherwise
+        the min-fill order stays: free variables that share no table would
+        be walked over their whole cross product, whereas min-fill lets
+        forward checking prune them through their existential neighbours.
+        ``cut`` is one plus the position of the deepest free variable.
+        """
+        order = self.search_order()
+        wanted = set(free)
+        ranked = [variable for variable in order if variable in wanted]
+        by_variable = self._constraints_by_variable()
+        for position in range(1, len(ranked)):
+            earlier = set(ranked[:position])
+            if not any(
+                isinstance(constraint, Constraint)
+                and not earlier.isdisjoint(constraint.scope)
+                for constraint in by_variable[ranked[position]]
+            ):
+                cut = max(order.index(variable) for variable in ranked) + 1
+                return order, cut
+        return ranked + [v for v in order if v not in wanted], len(ranked)
+
+
+def _distinct_projections(
+    assignments: Iterator[Dict[Variable, Value]], free: Tuple[Variable, ...]
+) -> Iterator[AssignmentTuple]:
+    """The distinct projections of ``assignments`` onto ``free``, in
+    first-seen order.  Seen answers are keyed on their values in nested
+    dicts, one level per free variable, and a tuple is built only for a new
+    answer."""
+    if not free:
+        for _ in assignments:
+            yield ()
+            return
+        return
+    *prefix, last = free
+    seen: Dict[Value, object] = {}
+    for assignment in assignments:
+        node = seen
+        for variable in prefix:
+            value = assignment[variable]
+            child = node.get(value)
+            if child is None:
+                child = node[value] = {}
+            node = child
+        value = assignment[last]
+        if value not in node:
+            node[value] = None
+            yield tuple(assignment[v] for v in free)
 
 
 _EMPTY: FrozenSet[int] = frozenset()

@@ -34,9 +34,10 @@ verified bit-identical to a from-scratch recount by the differential tests:
 
 ``candidates`` (general case)
     With existential variables, projections collide, so the delta enumerates
-    **candidate answers** instead: project the pinned solutions on each side
-    onto the free variables, then confirm the candidates by one batched
-    enumeration on the *other* side — a gained answer is a candidate of the
+    **candidate answers** instead: the answers of the pinned instances on
+    each side (:meth:`~repro.relational.csp.CSPInstance.iter_answers`, one
+    witness per answer), then confirm the candidates by one batched answer
+    search on the *other* side — a gained answer is a candidate of the
     new side that was not an answer of the old side, and vice versa for lost
     answers.  Candidates appearing on both sides cancel automatically (they
     are answers on both sides).
@@ -209,10 +210,8 @@ def _pinned_projections(
                 base, universe,
                 restrict={variable: {value} for variable, value in pin.items()},
             )
-            if instance is None:
-                continue
-            for solution in instance._iter_assignments(None):
-                projections.add(tuple(solution[v] for v in free))
+            if instance is not None:
+                projections.update(instance.iter_answers(free))
     return projections
 
 
@@ -223,16 +222,17 @@ def _answers_among(
     candidates: Set[AnswerTuple],
 ) -> Set[AnswerTuple]:
     """The subset of ``candidates`` that are answers on the side whose
-    ``Sol(phi, D)`` instance is ``base`` — one batched enumeration (free
+    ``Sol(phi, D)`` instance is ``base`` — one batched answer search (free
     domains restricted to the candidates' values plus a table constraint
     over the free tuple) instead of a satisfiability probe per candidate, so
     the propagation set-up cost is paid once per side, not once per
-    candidate."""
+    candidate.  The candidate table links the free variables, so the search
+    assigns them first and stops at one witness per candidate."""
     if not candidates:
         return set()
     if not free:
         # Boolean query: the only possible candidate is the empty tuple.
-        return set(candidates) if base.is_satisfiable() else set()
+        return set(base.iter_answers(()))
     restrict = {
         variable: {candidate[position] for candidate in candidates}
         for position, variable in enumerate(free)
@@ -244,12 +244,7 @@ def _answers_among(
     )
     if instance is None:
         return set()
-    found: Set[AnswerTuple] = set()
-    for solution in instance._iter_assignments(None):
-        found.add(tuple(solution[v] for v in free))
-        if len(found) == len(candidates):
-            break
-    return found
+    return set(instance.iter_answers(free))
 
 
 # ----------------------------------------------------------------- entry point

@@ -5,10 +5,14 @@ on every instance it has to produce exactly the same solutions — and in the
 same enumeration order — as the retained naive scan path, and the same counts
 as the independent ``count_answers_bruteforce`` reference.  These tests sweep
 seeded random workloads (CQs with disequalities and negations included) from
-:mod:`repro.workloads` across all three implementations.
+:mod:`repro.workloads` across all three implementations, fuzz the exact
+answer search (``CSPInstance.iter_answers``) on every engine against the
+brute-force ``Ans(phi, D)``, and pin which search order it picks.
 """
 
 from __future__ import annotations
+
+import random
 
 import pytest
 
@@ -16,8 +20,12 @@ from repro.core.exact import (
     count_answers_exact,
     count_solutions_exact,
     enumerate_answers_exact,
+    solution_csp,
 )
+from repro.queries.atoms import Atom, Disequality, NegatedAtom
 from repro.queries.builders import path_query, star_query
+from repro.queries.parser import parse_query
+from repro.queries.query import ConjunctiveQuery
 from repro.relational import (
     Constraint,
     CSPInstance,
@@ -25,6 +33,7 @@ from repro.relational import (
     count_homomorphisms,
     enumerate_homomorphisms,
 )
+from repro.relational.signature import Signature
 from repro.relational.structure import Structure
 from repro.workloads import (
     database_from_graph,
@@ -137,3 +146,152 @@ def test_canonical_universe_cached_and_copy_shares_caches():
     duplicate.add_fact("E", (9, 9))
     assert not database.has_fact("E", (9, 9))
     assert duplicate.relation_index("E") is not index
+
+
+# ------------------------------------------------- answer search (Ans(φ, D))
+FUZZ_CASES = 320
+FUZZ_VARIABLES = ("a", "b", "c", "d", "e")
+
+
+def _fuzz_case(rng):
+    """One random ECQ over ``E`` (binary), ``T`` (ternary) and ``F``
+    (binary, negated only) with a database over at most 5 elements.
+
+    Atoms draw their arguments with replacement from a small variable pool,
+    so repeated variables inside one atom and cycles are common; some
+    queries start from a path or cycle through the pool.  Heads are
+    Boolean, all-free, a random proper subset of the variables or two
+    variables two steps apart on the path."""
+    pool = FUZZ_VARIABLES[: rng.randint(1, len(FUZZ_VARIABLES))]
+    atoms = []
+    path = len(pool) >= 3 and rng.random() < 0.4
+    if path:
+        # A path (or, closed, a cycle) through the pool, whose far-apart
+        # free variables share no atom.
+        atoms = [Atom("E", (left, right)) for left, right in zip(pool, pool[1:])]
+        if rng.random() < 0.5:
+            atoms.append(Atom("E", (pool[-1], pool[0])))
+    for _ in range(rng.randint(0 if atoms else 1, 3)):
+        relation, arity = rng.choice((("E", 2), ("E", 2), ("T", 3)))
+        atoms.append(Atom(relation, tuple(rng.choice(pool) for _ in range(arity))))
+    used = sorted({v for atom in atoms for v in atom.args})
+    negated = []
+    for _ in range(rng.choice((0, 0, 1, 2))):
+        # A negated atom may introduce a variable no positive atom covers.
+        negated.append(NegatedAtom("F", (rng.choice(used), rng.choice(pool))))
+    occurring = sorted(set(used) | {v for atom in negated for v in atom.args})
+    disequalities = []
+    if len(occurring) >= 2:
+        for _ in range(rng.choice((0, 0, 1, 2))):
+            left, right = rng.sample(occurring, 2)
+            disequalities.append(Disequality(left, right))
+    head = rng.choice(("boolean", "all", "proper", "proper", "apart"))
+    if head == "apart" and path:
+        # Two variables two steps apart on the path (adjacent only when a
+        # 3-cycle closes it).
+        free = [pool[0], pool[2]]
+    elif head == "boolean":
+        free = []
+    elif head == "all":
+        free = list(occurring)
+    else:
+        free = rng.sample(occurring, rng.randint(1, max(1, len(occurring) - 1)))
+    query = ConjunctiveQuery(free, atoms, negated, disequalities)
+
+    size = rng.randint(1, 5)
+    database = Structure(
+        Signature.from_arities({"E": 2, "T": 3, "F": 2}), universe=range(size)
+    )
+    for relation, arity, facts in (("E", 2, 14), ("T", 3, 20), ("F", 2, 6)):
+        for _ in range(rng.randint(0, facts)):
+            database.add_fact(relation, tuple(rng.randrange(size) for _ in range(arity)))
+    return query, database
+
+
+def test_answer_search_agrees_with_bruteforce_on_fuzzed_queries():
+    """Every exact answer count and answer set equals the brute-force
+    Ans(φ, D) on every engine; iter_answers never repeats an answer, and the
+    indexed and columnar engines yield the same answer sequence."""
+    rng = random.Random(20)
+    mismatches = []
+    for case in range(FUZZ_CASES):
+        query, database = _fuzz_case(rng)
+        expected = query.answers(database)
+        sequences = {}
+        for engine in ("naive", "indexed", "columnar"):
+            count = count_answers_exact(query, database, engine=engine)
+            answers = enumerate_answers_exact(query, database, engine=engine)
+            sequence = list(
+                solution_csp(query, database, engine=engine).iter_answers(
+                    query.free_variables
+                )
+            )
+            sequences[engine] = sequence
+            if count != len(expected) or answers != expected:
+                mismatches.append(f"case {case} {engine}: {query} -> {count}, want {len(expected)}")
+            if len(set(sequence)) != len(sequence) or set(sequence) != expected:
+                mismatches.append(f"case {case} {engine}: iter_answers {sequence} for {query}")
+        if sequences["indexed"] != sequences["columnar"]:
+            mismatches.append(f"case {case}: indexed and columnar order differ for {query}")
+    assert not mismatches, "\n".join(mismatches[:10])
+
+
+def test_repeated_existential_variable_needs_both_positions():
+    """``R(a, x, x)`` holds only if a row repeats its last two values; a
+    shortcut that counted distinct variables instead of positions answered 1
+    here."""
+    query = parse_query("Ans(a) :- R(a, x, x)")
+    database = Structure(
+        Signature.from_arities({"R": 3}), relations={"R": [(1, 1, 2), (1, 2, 1)]}
+    )
+    assert query.answers(database) == set()
+    for engine in ("naive", "indexed", "columnar"):
+        assert count_answers_exact(query, database, engine=engine) == 0
+        assert enumerate_answers_exact(query, database, engine=engine) == set()
+
+
+FREE_FIRST_SHAPES = (
+    "Ans() :- E(x, y), E(y, z), E(z, x)",
+    "Ans(x) :- E(x, y), E(y, x)",
+    "Ans(x) :- E(x, y), E(x, z), y != z",
+    "Ans(x, y) :- E(x, y)",
+)
+MIN_FILL_SHAPES = (
+    "Ans(x, y) :- E(x, z), E(z, y)",
+    "Ans(x, z) :- E(x, y), E(y, z), x != z",
+    "Ans(x, w) :- E(x, y), E(y, z), E(z, w)",
+    "Ans(x, u) :- E(x, y), E(y, z), G(u, v)",
+)
+
+
+def _order_database():
+    return Structure(
+        Signature.from_arities({"E": 2, "G": 2}),
+        relations={"E": [(0, 1), (1, 0)], "G": [(0, 1)]},
+    )
+
+
+@pytest.mark.parametrize("text", FREE_FIRST_SHAPES)
+def test_linked_free_variables_are_searched_first(text):
+    query = parse_query(text)
+    csp = solution_csp(query, _order_database())
+    free = query.free_variables
+    order, cut = csp._answer_order(free)
+    assert cut == len(free)
+    assert set(order[:cut]) == set(free)
+    if not free:
+        assert order == csp.search_order()
+
+
+@pytest.mark.parametrize("text", MIN_FILL_SHAPES)
+def test_free_variables_sharing_no_atom_keep_the_min_fill_order(text):
+    """Putting such free variables first walks their cross product (33x
+    slower on a sparse 3-path), so the answer search keeps min-fill and
+    deduplicates."""
+    query = parse_query(text)
+    csp = solution_csp(query, _order_database())
+    free = query.free_variables
+    order, cut = csp._answer_order(free)
+    assert order == csp.search_order()
+    assert cut == 1 + max(order.index(v) for v in free)
+    assert cut > len(free)
