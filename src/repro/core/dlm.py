@@ -16,7 +16,8 @@ partition classes and an EdgeFree oracle.  Behind the interface we provide
   exactly.
 * :func:`approx_count_via_oracle` — an adaptive subsample-then-count
   estimator: find a sampling rate at which the (exactly counted) number of
-  surviving edges is of moderate size, scale back up, and median-amplify.
+  surviving edges is of moderate size, scale back up, and median-amplify
+  over as many repetitions as the caller's delta needs (no cap).
   This matches DLM's oracle access pattern and, on the non-adversarial answer
   hypergraphs produced by our workloads, its (epsilon, delta) contract; the
   worst-case polylogarithmic call bound of the original algorithm is not
@@ -34,9 +35,8 @@ from typing import Callable, Hashable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from repro.util.estimation import required_repetitions
+from repro.util.estimation import Budget
 from repro.util.rng import RNGLike, as_generator
-from repro.util.validation import check_epsilon_delta
 
 Vertex = Hashable
 #: An EdgeFree oracle: given one subset per partition class, return True iff
@@ -189,22 +189,15 @@ def _subsample_estimate(
     level: int,
     cap: int,
     rng: np.random.Generator,
-    repeats: int = 1,
 ) -> float:
-    """One (unamplified) estimate of |E| at sampling level ``level``: average
-    the exactly-counted number of surviving edges over ``repeats`` independent
-    subsamples and rescale by the per-edge survival probability."""
-    num_classes = len(classes)
+    """One (unamplified) estimate of |E| at sampling level ``level``: the
+    exactly-counted number of edges surviving one subsample, rescaled by the
+    per-edge survival probability."""
     per_edge_survival = 2.0 ** (-level)
-    per_class_probability = per_edge_survival ** (1.0 / num_classes)
-    total = 0.0
-    for _ in range(repeats):
-        sample = [set(_subsample(block, per_class_probability, rng)) for block in classes]
-        count, complete = exact_count_via_oracle(sample, oracle, cap=4 * cap)
-        if not complete:
-            count = 4 * cap
-        total += float(count)
-    return (total / repeats) / per_edge_survival
+    per_class_probability = per_edge_survival ** (1.0 / len(classes))
+    sample = [set(_subsample(block, per_class_probability, rng)) for block in classes]
+    count, complete = exact_count_via_oracle(sample, oracle, cap=4 * cap)
+    return float(count if complete else 4 * cap) / per_edge_survival
 
 
 def approx_count_via_oracle(
@@ -213,7 +206,6 @@ def approx_count_via_oracle(
     epsilon: float,
     delta: float,
     rng: RNGLike = None,
-    max_repetitions: int = 7,
 ) -> float:
     """An (epsilon, delta)-style approximation of the number of hyperedges of
     ``H[V_1, ..., V_l]`` using only EdgeFree oracle calls (the Theorem-17
@@ -222,10 +214,10 @@ def approx_count_via_oracle(
     Instances with at most ``~8 / epsilon^2`` edges are counted *exactly*
     (via the splitting counter), so the scheme degrades gracefully to exact
     counting — a property the downstream FPTRAS tests rely on.  Larger
-    instances are estimated by subsample-then-count with median amplification
-    over at most ``max_repetitions`` repetitions.
+    instances are estimated by subsample-then-count, amplified by a median of
+    ``Budget.repetitions(0.3)`` repetitions, which spends the whole delta.
     """
-    check_epsilon_delta(epsilon, delta)
+    budget = Budget(epsilon, delta)
     generator = as_generator(rng)
     class_lists = [_sorted_class(set(block)) for block in classes]
     if any(not block for block in class_lists):
@@ -242,13 +234,11 @@ def approx_count_via_oracle(
 
     # Phase 2: the count exceeds the budget — subsample and rescale.
     level = _find_sampling_level(class_lists, oracle, cap, generator)
-    repetitions = min(
-        required_repetitions(delta, base_failure=0.3), max(1, max_repetitions)
-    )
     estimates: List[float] = [
         _subsample_estimate(class_lists, oracle, level, cap, generator)
-        for _ in range(repetitions)
+        for _ in range(budget.repetitions(0.3))
     ]
     estimate = float(np.median(estimates))
+    budget.spend("dlm.median")
     # The exact phase certified at least ``cap`` edges; never report fewer.
     return max(estimate, float(count))

@@ -28,13 +28,13 @@ from dataclasses import dataclass, field
 from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.core.answer_hypergraph import DirectEdgeFreeOracle, vertex_classes
-from repro.core.colour_coding import ColourCodingEdgeFreeOracle
+from repro.core.colour_coding import ColourCodingEdgeFreeOracle, required_colouring_repetitions
 from repro.core.dlm import approx_count_via_oracle, exact_count_via_oracle
 from repro.queries.query import ConjunctiveQuery
 from repro.relational.csp import DEFAULT_ENGINE
 from repro.relational.structure import Structure
+from repro.util.estimation import SPEND, UNDERIVED, Budget
 from repro.util.rng import RNGLike, as_generator
-from repro.util.validation import check_epsilon_delta
 
 Element = Hashable
 TaggedValue = Tuple[Element, int]
@@ -158,7 +158,7 @@ def approx_count_answers_via_oracle(
         both the direct EdgeFree oracle and the Hom queries of the
         colour-coding simulation.
     """
-    check_epsilon_delta(epsilon, delta)
+    budget = Budget(epsilon, delta)
     generator = as_generator(rng)
     query._check_signature_compatibility(database)
 
@@ -166,20 +166,18 @@ def approx_count_answers_via_oracle(
     num_free = query.num_free()
     classes = vertex_classes(query, database)
 
-    # Split the failure budget: half for the DLM estimator, half for the
-    # one-sided error of the oracle simulations (as in the proof of Lemma 22).
-    estimator_delta = delta / 2.0
+    # Half the failure budget for the DLM estimator, half shared by the T * l!
+    # aligned calls of its T EdgeFree calls (as in the proof of Lemma 22).
+    estimator_budget = budget.split_delta(2)
     call_budget = _estimate_dlm_call_budget(
         num_free, max(len(database.universe), 2), epsilon, delta
     )
-    per_call_failure = delta / (2.0 * call_budget * math.factorial(max(num_free, 1)))
-    per_call_failure = min(max(per_call_failure, 1e-12), 0.25)
+    per_call = estimator_budget.split_delta(call_budget * math.factorial(max(num_free, 1)))
+    per_call_failure = min(max(per_call.delta, 1e-12), 0.25)
 
     if oracle_mode not in ("auto", "direct", "colour_coding"):
         raise ValueError(f"unknown oracle_mode {oracle_mode!r}")
     if oracle_mode == "auto":
-        from repro.core.colour_coding import required_colouring_repetitions
-
         needed = required_colouring_repetitions(len(query.delta()), per_call_failure)
         oracle_mode = (
             "colour_coding"
@@ -208,11 +206,17 @@ def approx_count_answers_via_oracle(
         estimate = 1.0 if has_edge else 0.0
     else:
         estimate = approx_count_via_oracle(
-            classes, general, epsilon=epsilon, delta=estimator_delta, rng=generator
+            classes, general, epsilon=epsilon, delta=estimator_budget.delta, rng=generator
         )
 
     statistics.hom_queries = getattr(aligned, "hom_queries", 0)
     statistics.colour_coding_truncated = getattr(aligned, "truncated", False)
+    if oracle_mode == "colour_coding":
+        # Each call spent the clamped failure (an overspend when the clamp
+        # binds); a truncated colouring count misses it altogether.
+        kind = UNDERIVED if statistics.colour_coding_truncated else SPEND
+        call = Budget(epsilon, per_call_failure)
+        call.spend("lemma22.colour_coding_call", statistics.aligned_calls, kind)
 
     if return_statistics:
         return estimate, statistics

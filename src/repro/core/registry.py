@@ -34,6 +34,7 @@ from repro.queries.prepared import PreparedQuery, prepare
 from repro.queries.query import ConjunctiveQuery, QueryClass
 from repro.relational.csp import DEFAULT_ENGINE
 from repro.relational.structure import Structure
+from repro.util.estimation import budget_ledger
 from repro.util.rng import RNGLike
 
 QueryLike = Union[ConjunctiveQuery, PreparedQuery]
@@ -209,7 +210,8 @@ class SchemeRegistry:
             query_class=query_class.value,
             engine=engine,
         ):
-            estimate, widths, statistics, trace = spec.runner(
+            estimate, widths, statistics, trace = _run_with_ledger(
+                spec.runner,
                 prepared,
                 query,
                 database,
@@ -252,7 +254,8 @@ class SchemeRegistry:
             raise ValueError(f"scheme {scheme!r} is not a union scheme")
         prepared_queries = [prepare(query) for query in queries]
         plain = [item.query for item in prepared_queries]
-        estimate, widths, statistics, trace = spec.runner(
+        estimate, widths, statistics, trace = _run_with_ledger(
+            spec.runner,
             prepared_queries,
             plain,
             database,
@@ -275,6 +278,14 @@ class SchemeRegistry:
             statistics=statistics,
             trace=trace,
         )
+
+
+def _run_with_ledger(runner: Runner, *args: Any, **kwargs: Any):
+    """Run a scheme under a budget ledger; unless an enclosing ledger
+    collects them, its rows end the trace, one line each."""
+    with budget_ledger() as ledger:
+        estimate, widths, statistics, trace = runner(*args, **kwargs)
+    return estimate, widths, statistics, trace + (ledger.lines() if ledger else ())
 
 
 # ------------------------------------------------------------ built-in runners

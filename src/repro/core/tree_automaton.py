@@ -49,8 +49,8 @@ from typing import (
 
 import numpy as np
 
+from repro.util.estimation import UNDERIVED, Budget
 from repro.util.rng import RNGLike, as_generator, choice_cdf
-from repro.util.validation import check_epsilon_delta
 
 State = Hashable
 Label = Hashable
@@ -277,13 +277,11 @@ class TreeAutomaton:
         Lemma-52 reduction supplies this hint for transitions that re-bind a
         *free* variable, where disjointness holds by construction.)
         """
-        check_epsilon_delta(epsilon, delta)
         return LanguageEstimator(
             automaton=self,
             tree=tree,
             rng=as_generator(rng),
-            epsilon=epsilon,
-            delta=delta,
+            budget=Budget(epsilon, delta),
             disjoint_union_hints=disjoint_union_hints,
             samples_per_union=samples_per_union,
         )
@@ -363,8 +361,7 @@ class LanguageEstimator:
         automaton: TreeAutomaton,
         tree: RootedTree,
         rng: np.random.Generator,
-        epsilon: float,
-        delta: float,
+        budget: Budget,
         disjoint_union_hints: Optional[Callable[[State, Label], bool]],
         samples_per_union: Optional[int],
     ) -> None:
@@ -372,12 +369,13 @@ class LanguageEstimator:
         self._tree = tree
         self._kids = tree._kid_positions
         self._random = rng.random
-        self._epsilon = epsilon
-        self._delta = delta
+        self._budget = budget
         self._hints = disjoint_union_hints
         if samples_per_union is None:
-            samples_per_union = int(min(max(64, math.ceil(12.0 / (epsilon ** 2))), 4000))
+            samples_per_union = int(min(max(64, math.ceil(12.0 / (budget.epsilon ** 2))), 4000))
         self._samples_per_union = samples_per_union
+        #: Karp–Luby union estimates made and not yet recorded in the ledger.
+        self._sampled_unions = 0
         self._estimates: Dict[Tuple[int, State], float] = {}
         # The labels with a positive estimate of |U(position, state, label)|,
         # in repr order, with that estimate and the label's union.
@@ -392,8 +390,13 @@ class LanguageEstimator:
 
     # ------------------------------------------------------------ estimation
     def count(self) -> float:
-        """The estimate of the whole language: the root in the initial state."""
-        return self._estimate(0, self._automaton.initial_state)
+        """The estimate of the whole language: the root in the initial state.
+        Its unions' sample count is not derived from the budget (underived)."""
+        estimate = self._estimate(0, self._automaton.initial_state)
+        site = f"tree_automaton.union[{self._samples_per_union} samples]"
+        self._budget.spend(site, self._sampled_unions, UNDERIVED)
+        self._sampled_unions = 0
+        return estimate
 
     def estimate(self, node: NodeId, state: State) -> float:
         return self._estimate(self._tree._position[node], state)
@@ -455,6 +458,7 @@ class LanguageEstimator:
             # exact sum.
             return sum(union.sizes)
         # Karp–Luby union estimation.
+        self._sampled_unions += 1
         samples = self._samples_per_union
         successes = sum(self._attempt(union, kids)[1] for _ in range(samples))
         fraction = successes / samples if samples else 0.0

@@ -10,9 +10,10 @@ To draw an (approximately) uniform answer of ``(phi, D)``:
 3. Choose ``v`` with probability proportional to the estimates and recurse.
 
 With exact counts the sampler is exactly uniform; with (epsilon, delta)
-counts it is approximately uniform (the standard JVV argument).  The exact
-variant is used as ground truth in tests; the approximate variant demonstrates
-Section 6's reduction.
+counts it is approximately uniform (the standard JVV argument) when all of
+its ``1 + num_samples * l * |U(D)|`` counts succeed, so it splits delta over
+them.  The exact variant is used as ground truth in tests; the approximate
+variant demonstrates Section 6's reduction.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from repro.queries.query import ConjunctiveQuery
 from repro.queries.rewriting import add_constant_constraint
 from repro.relational.csp import DEFAULT_ENGINE
 from repro.relational.structure import Structure
+from repro.util.estimation import Budget
 from repro.util.rng import RNGLike, as_generator, weighted_choice
 
 Element = Hashable
@@ -47,6 +49,23 @@ def exact_uniform_answer_sampler(
         return []
     indices = generator.integers(0, len(answers), size=num_samples)
     return [answers[int(index)] for index in indices]
+
+
+def approximate_count(
+    query: ConjunctiveQuery, database: Structure, budget: Budget, rng: RNGLike, engine: str
+) -> float:
+    """A ``budget`` estimate of ``|Ans(query, database)|`` by the registry's
+    FPTRAS for the query's class.  The registry prepares (and caches) each
+    query shape once, and the pinned queries of one recursion depth share
+    a shape: only the pinned value in the database changes."""
+    from repro.core.registry import REGISTRY
+    from repro.queries.query import QueryClass
+
+    scheme = "fptras_ecq" if query.query_class() is QueryClass.ECQ else "fptras_dcq"
+    return REGISTRY.count(
+        scheme, query, database, epsilon=budget.epsilon, delta=budget.delta,
+        rng=rng, engine=engine,
+    ).estimate
 
 
 def _pin_value(
@@ -94,24 +113,12 @@ def sample_answers(
         if exact:
             counter = lambda q, d: float(count_answers_exact(q, d, engine=engine))  # noqa: E731
         else:
-            # Dispatch through the unified scheme registry.  The pinned
-            # queries of the self-reducibility recursion share one *shape*
-            # per (recursion depth, variable) — only the pinned value in the
-            # database changes — so the prepared-query cache computes each
-            # shape's widths once instead of once per candidate value.
-            from repro.core.registry import REGISTRY
-            from repro.queries.query import QueryClass
-
-            def counter(q: ConjunctiveQuery, d: Structure) -> float:
-                scheme = (
-                    "fptras_ecq"
-                    if q.query_class() is QueryClass.ECQ
-                    else "fptras_dcq"
-                )
-                return REGISTRY.count(
-                    scheme, q, d, epsilon=epsilon, delta=delta,
-                    rng=generator, engine=engine,
-                ).estimate
+            # The total and every pinned count must all succeed: split delta
+            # over the 1 + num_samples * l * |U(D)| counts (union bound).
+            count_budget = Budget(epsilon, delta).split_delta(
+                1 + num_samples * len(query.free_variables) * len(database.universe)
+            )
+            counter = lambda q, d: approximate_count(q, d, count_budget, generator, engine)  # noqa: E731
 
     total = counter(query, database)
     if total <= 0.5:

@@ -45,7 +45,6 @@ from repro.shard.plan import (
     ShardTask,
     UnionDecomposition,
     build_union_decomposition,
-    component_accuracy,
     component_relation_names,
     plan_sharded_count,
     query_components,
@@ -79,7 +78,6 @@ __all__ = [
     "plan_sharded_count",
     "query_components",
     "component_relation_names",
-    "component_accuracy",
     "build_union_decomposition",
     "MAX_UNION_COMPONENTS",
     "shard_task_seed",

@@ -28,8 +28,9 @@ from repro.relational.structure import Structure
 from repro.resilience.faults import FaultPlan
 from repro.resilience.retry import Deadline, RetryPolicy, run_with_retry
 from repro.service.executor import CountTask, TaskOutcome
-from repro.shard.plan import ShardCountPlan, ShardTask, component_accuracy
+from repro.shard.plan import ShardCountPlan, ShardTask
 from repro.shard.sharded import ShardedStructure
+from repro.util.estimation import PRODUCT, Budget
 from repro.util.rng import derive_seed
 
 
@@ -66,11 +67,11 @@ def shard_count_tasks(
     task, numbered from ``first_index``, plus the per-shard structures they
     read (keyed by structure token).
 
-    Each task runs at the plan's :func:`component_accuracy` of the request's
-    ``(epsilon, delta)`` with its :func:`shard_task_seed`, and is faultable
-    at ``shard.count[shard, component]``.  The service's batch folds these
-    tasks into its one ``run_tasks`` call."""
-    task_epsilon, task_delta = component_accuracy(plan, scheme, epsilon, delta)
+    Each task runs at the plan's :meth:`~ShardCountPlan.task_budget` of the
+    request's ``(epsilon, delta)`` with its :func:`shard_task_seed`, and is
+    faultable at ``shard.count[shard, component]``.  The service's batch
+    folds these tasks into its one ``run_tasks`` call."""
+    task_budget = plan.task_budget(scheme, Budget(epsilon, delta))
     traced = tracing_active()
     tasks: List[CountTask] = []
     databases: Dict[int, Structure] = {}
@@ -83,8 +84,8 @@ def shard_count_tasks(
                 query=shard_task.query,
                 scheme=scheme,
                 engine=engine,
-                epsilon=task_epsilon,
-                delta=task_delta,
+                epsilon=task_budget.epsilon,
+                delta=task_budget.delta,
                 seed=shard_task_seed(seed, shard_task),
                 database_token=shard_structure.structure_token,
                 fault_sites=(("shard.count", (shard_task.shard, shard_task.component)),),
@@ -114,12 +115,13 @@ def combine_shard_outcomes(
     Each outcome's worker span goes to ``attach_span`` (by default the open
     span).  A shard task that exhausted its retries (its shard is "down") is
     recounted on the ``merged()`` view with the *same* derived seed and
-    component accuracy — the degradation of last resort.  Shards keep the
-    full universe and whole relations of their components, so the recount
-    is bit-identical to the healthy shard's answer, just not
-    shard-parallel.  The estimate is the product of the component counts;
-    ``widths`` are the one task's widths, or ``{"components": [...]}``."""
-    task_epsilon, task_delta = component_accuracy(plan, scheme, epsilon, delta)
+    task budget — the degradation of last resort.  Shards keep the full
+    universe and whole relations of their components, so the recount is
+    bit-identical to the healthy shard's answer, just not shard-parallel.
+    The estimate is the product of the component counts; ``widths`` are
+    the one task's widths, or ``{"components": [...]}``."""
+    budget = Budget(epsilon, delta)
+    task_budget = plan.task_budget(scheme, budget)
     notes: List[str] = []
     repaired: List[TaskOutcome] = []
     for shard_task, outcome in zip(plan.tasks, outcomes):
@@ -130,8 +132,8 @@ def combine_shard_outcomes(
                 scheme,
                 shard_task.query,
                 sharded.merged(),
-                epsilon=task_epsilon,
-                delta=task_delta,
+                epsilon=task_budget.epsilon,
+                delta=task_budget.delta,
                 rng=shard_task_seed(seed, shard_task),
                 engine=engine,
             )
@@ -152,6 +154,8 @@ def combine_shard_outcomes(
             notes.extend(outcome.degradations)
         repaired.append(outcome)
     estimate = combine_local_estimates([outcome.estimate for outcome in repaired])
+    if task_budget != budget:
+        task_budget.spend("shard.product", len(plan.tasks), kind=PRODUCT)
     if len(repaired) == 1:
         widths = repaired[0].widths
     else:

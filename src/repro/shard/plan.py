@@ -19,7 +19,7 @@ service executor's back-ends with deterministic ``derive_seed(seed, shard,
 component)`` seeds.  Exact per-component counts make the product bit-identical
 to the unsharded count; approximate products are reproducible from the seed
 and keep the caller's ``(epsilon, delta)`` guarantee, because each of the
-``c`` components runs at the tighter :func:`component_accuracy`.
+``c`` components runs at the tighter :meth:`ShardCountPlan.task_budget`.
 
 **union** — some component's relations are split across shards (the normal
 state under hash-by-tuple partitioning).  Shards partition facts, so every
@@ -51,6 +51,7 @@ from repro.queries.query import ConjunctiveQuery
 from repro.relational.signature import RelationSymbol
 from repro.relational.structure import Structure
 from repro.shard.sharded import ShardedStructure
+from repro.util.estimation import Budget
 
 #: Union decompositions larger than this degrade to the merged fallback
 #: (``shards ** atoms`` grows fast; the cap keeps planning predictable).
@@ -173,6 +174,12 @@ class ShardCountPlan:
     def shards_involved(self) -> Tuple[int, ...]:
         return tuple(sorted({task.shard for task in self.tasks}))
 
+    def task_budget(self, scheme: str, budget: Budget) -> Budget:
+        """The budget each task runs at: the tasks' estimates multiply, so
+        an approximate scheme splits ``budget`` with :meth:`Budget.product`
+        (a one-task plan keeps it); an exact scheme spends none."""
+        return budget if scheme in EXACT_SCHEMES else budget.product(len(self.tasks))
+
 
 def _tagged_relation_name(relation: str, shard: int) -> str:
     # "@" cannot occur in parsed relation names, so slice names never collide
@@ -231,22 +238,6 @@ def build_union_decomposition(
             )
         )
     return UnionDecomposition(tagged=tagged, queries=tuple(queries))
-
-
-def component_accuracy(
-    plan: ShardCountPlan, scheme: str, epsilon: float, delta: float
-) -> Tuple[float, float]:
-    """The ``(epsilon', delta')`` each task of ``plan`` runs at so that the
-    product of the ``c`` task estimates is an ``(epsilon, delta)``
-    approximation: ``epsilon' = (1+epsilon)^(1/c) - 1`` makes the product's
-    upper error ``(1+epsilon')^c = 1+epsilon`` and its lower error
-    ``(1-epsilon')^c >= 1 - c*epsilon' >= 1-epsilon``, and ``delta' = delta/c``
-    bounds the chance that any task misses (union bound).  A one-task plan
-    or an exact scheme runs at the caller's ``(epsilon, delta)``."""
-    components = len(plan.tasks)
-    if components < 2 or scheme in EXACT_SCHEMES:
-        return epsilon, delta
-    return (1.0 + epsilon) ** (1.0 / components) - 1.0, delta / components
 
 
 def plan_sharded_count(query: ConjunctiveQuery, sharded: ShardedStructure) -> ShardCountPlan:

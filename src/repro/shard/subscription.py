@@ -50,13 +50,13 @@ from repro.queries.query import ConjunctiveQuery
 from repro.shard.executor import combine_local_estimates
 from repro.shard.plan import (
     ShardCountPlan,
-    component_accuracy,
     component_relation_names,
     plan_sharded_count,
 )
 from repro.shard.sharded import ShardedStructure
 from repro.stream.delta import delta_applicable
 from repro.stream.live import CountSubscription, Fingerprint, ticks_between
+from repro.util.estimation import Budget
 
 
 @dataclass
@@ -123,13 +123,13 @@ class ShardSubscription(CountSubscription):
 
         shard = self._database.shards[state.shard]
         seed = self._seed_for(refresh_index, state.component)
-        epsilon, delta = component_accuracy(self.shard_plan, self.scheme, self.epsilon, self.delta)
+        budget = self.shard_plan.task_budget(self.scheme, Budget(self.epsilon, self.delta))
         state.estimate = REGISTRY.count(
             self.scheme,
             state.query,
             shard,
-            epsilon=epsilon,
-            delta=delta,
+            epsilon=budget.epsilon,
+            delta=budget.delta,
             rng=seed,
             engine=self.plan.engine,
         ).estimate

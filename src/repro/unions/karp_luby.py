@@ -12,6 +12,9 @@ where ``(i, a)`` is drawn by picking ``i`` with probability proportional to
 ``i`` is the *smallest* index ``j`` with ``a ∈ A_j``.  Membership ``a ∈ A_j``
 is decided exactly (:meth:`ConjunctiveQuery.is_answer`), per-query counts come
 from the package's counters and per-query samples from the Section-6 sampler.
+The Karp–Luby–Madras bound takes ``⌈4k ln(2/delta) / epsilon^2⌉`` draws for
+``k`` queries, uncapped; with approximate components delta is split over the
+counts, that bound and the draws (:class:`~repro.util.estimation.Budget`).
 """
 
 from __future__ import annotations
@@ -23,9 +26,9 @@ from repro.core.exact import enumerate_answers_exact
 from repro.queries.query import ConjunctiveQuery
 from repro.relational.csp import DEFAULT_ENGINE
 from repro.relational.structure import Structure
-from repro.sampling.jvv import sample_answers
+from repro.sampling.jvv import approximate_count, sample_answers
+from repro.util.estimation import SPEND, UNDERIVED, Budget
 from repro.util.rng import RNGLike, as_generator, choice_cdf, draw_index
-from repro.util.validation import check_epsilon_delta
 
 Element = Hashable
 AnswerTuple = Tuple[Element, ...]
@@ -69,53 +72,46 @@ def approx_count_union(
 
     ``exact_components=True`` uses exact per-query counts and exactly uniform
     per-query samples (the estimator is then a plain Monte-Carlo Karp–Luby
-    scheme whose only error is sampling error); otherwise the per-query
-    counters/samplers are the package's approximation schemes, matching the
-    construction sketched in Section 6.  ``engine`` selects the CSP engine
-    backing the per-query counters and samplers.
+    scheme whose only error is sampling error, and the sampling keeps all of
+    delta); otherwise the per-query counters/samplers are the package's
+    approximation schemes, matching the construction sketched in Section 6,
+    and delta is split three ways: over the counts, the sampling bound and
+    the per-draw samplers.  ``engine`` selects the CSP engine backing the
+    per-query counters and samplers.
     """
-    check_epsilon_delta(epsilon, delta)
+    budget = Budget(epsilon, delta)
     _validate_union(queries)
     generator = as_generator(rng)
+    if not exact_components:
+        budget = budget.split_delta(3)
 
-    # Per-query counts, dispatched through the unified scheme registry: the
-    # prepared-query layer shares width/decomposition artifacts across
+    # Per-query counts; approximate ones go through the scheme registry,
+    # whose prepared-query layer shares width/decomposition artifacts across
     # repeated component shapes (common in unions built by renaming).
     counts: List[float] = []
     for query in queries:
         if exact_components:
             count = float(len(enumerate_answers_exact(query, database, engine=engine)))
         else:
-            from repro.core.registry import REGISTRY
-            from repro.queries.prepared import prepare
-            from repro.queries.query import QueryClass
-
-            prepared = prepare(query)
-            scheme = (
-                "fptras_ecq"
-                if query.query_class() is QueryClass.ECQ
-                else "fptras_dcq"
+            count = approximate_count(
+                query, database, budget.split_delta(len(queries)), generator, engine
             )
-            count = REGISTRY.count(
-                scheme,
-                prepared,
-                database,
-                epsilon=epsilon / 3.0,
-                delta=delta / (3 * len(queries)),
-                rng=generator,
-                engine=engine,
-            ).estimate
         counts.append(max(0.0, float(count)))
 
     total = sum(counts)
     if total <= 0:
         return 0.0
 
+    # The Chernoff bound on the canonical fraction assumes exact counts and
+    # uniform draws; composing approximate components' error into it is
+    # still open, so then (as with a caller's sample count) it is underived.
+    derived = exact_components and num_samples is None
     if num_samples is None:
         num_samples = int(
-            math.ceil(4.0 * len(queries) * math.log(2.0 / delta) / (epsilon ** 2))
+            math.ceil(4.0 * len(queries) * math.log(2.0 / budget.delta) / (budget.epsilon ** 2))
         )
-        num_samples = min(num_samples, 20000)
+    budget.spend("karp_luby.sampling", kind=SPEND if derived else UNDERIVED)
+    draw_budget = budget.split_delta(num_samples)
 
     cdf = choice_cdf([count / total for count in counts])
     successes = 0
@@ -126,8 +122,8 @@ def approx_count_union(
             queries[index],
             database,
             num_samples=1,
-            epsilon=epsilon,
-            delta=delta,
+            epsilon=draw_budget.epsilon,
+            delta=draw_budget.delta,
             rng=generator,
             exact=exact_components,
             engine=engine,

@@ -1,13 +1,11 @@
-"""Shared utilities: RNG handling, (epsilon, delta) estimation helpers and
-validation helpers used across the package."""
+"""Shared utilities: RNG handling, the (epsilon, delta) budget and its
+ledger, and validation helpers used across the package."""
 
 from repro.util.rng import as_generator, spawn_generators
 from repro.util.estimation import (
-    ApproximationParameters,
-    median_of_means,
-    median_amplify,
+    Budget,
+    budget_ledger,
     relative_error,
-    required_repetitions,
 )
 from repro.util.validation import (
     check_epsilon_delta,
@@ -18,11 +16,9 @@ from repro.util.validation import (
 __all__ = [
     "as_generator",
     "spawn_generators",
-    "ApproximationParameters",
-    "median_of_means",
-    "median_amplify",
+    "Budget",
+    "budget_ledger",
     "relative_error",
-    "required_repetitions",
     "check_epsilon_delta",
     "check_positive_int",
     "check_probability",

@@ -1,35 +1,35 @@
-"""Helpers for building (epsilon, delta)-approximation algorithms.
+"""The (epsilon, delta) budget of an approximation scheme, and its ledger.
 
-The paper's algorithms all return *(epsilon, delta)-approximations*: random
-variables X with Pr(|X - V| <= epsilon * V) >= 1 - delta (Section 1.1).  The
-standard toolkit for building such estimators out of unbiased but noisy
-estimates is median-of-means amplification; this module provides it together
-with a small dataclass bundling the approximation parameters that get threaded
-through the algorithms.
+The paper's algorithms return *(epsilon, delta)-approximations*: random
+variables X with Pr(|X - V| <= epsilon * V) >= 1 - delta (Section 1.1).  A
+scheme built out of randomised sub-steps keeps that promise only if their
+budgets add up, so child budgets come only from :class:`Budget`'s methods,
+and every leaf that spends budget records it with :meth:`Budget.spend` in
+the :func:`budget_ledger` open around it.  Recording draws no random
+numbers, so it never moves an estimate.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
-from typing import Callable, List, Sequence
-
-import numpy as np
+from typing import Iterator, Optional, Tuple
 
 from repro.util.validation import check_epsilon_delta
 
+#: Ledger row kinds: a leaf that spends its delta each time it runs; a leaf
+#: whose accuracy is not derived from its budget; a product split, whose
+#: components' leaves spend the delta (the row carries their epsilon).
+SPEND, UNDERIVED, PRODUCT = "spend", "underived", "product"
+
 
 @dataclass(frozen=True)
-class ApproximationParameters:
-    """The (epsilon, delta) contract of an approximation scheme.
-
-    Attributes
-    ----------
-    epsilon:
-        Target relative error, in (0, 1).
-    delta:
-        Target failure probability, in (0, 1).
-    """
+class Budget:
+    """The (epsilon, delta) contract of one estimate: relative error
+    ``epsilon`` and failure probability ``delta``, both in (0, 1)."""
 
     epsilon: float
     delta: float
@@ -37,18 +37,79 @@ class ApproximationParameters:
     def __post_init__(self) -> None:
         check_epsilon_delta(self.epsilon, self.delta)
 
-    def split_delta(self, parts: int) -> "ApproximationParameters":
-        """Return parameters with the failure budget split across ``parts``
-        independent sub-steps (union bound)."""
+    def split_delta(self, parts: int) -> "Budget":
+        """The budget of each of ``parts`` sub-steps that must all succeed
+        (union bound): the same epsilon, ``delta / parts``."""
         if parts <= 0:
             raise ValueError("parts must be positive")
-        return ApproximationParameters(self.epsilon, self.delta / parts)
+        return Budget(self.epsilon, self.delta / parts)
 
-    def with_epsilon(self, epsilon: float) -> "ApproximationParameters":
-        return ApproximationParameters(epsilon, self.delta)
+    def product(self, components: int) -> "Budget":
+        """The budget of each of ``c`` estimates whose product estimates the
+        whole: ``epsilon' = (1+epsilon)^(1/c) - 1`` makes the product's upper
+        error ``(1+epsilon')^c = 1+epsilon`` and its lower error
+        ``(1-epsilon')^c >= 1 - c*epsilon' >= 1-epsilon``, and
+        ``delta' = delta/c`` bounds the chance that any component misses
+        (union bound).  One component keeps this budget."""
+        if components <= 0:
+            raise ValueError("components must be positive")
+        if components == 1:
+            return self
+        return Budget((1.0 + self.epsilon) ** (1.0 / components) - 1.0, self.delta / components)
 
-    def with_delta(self, delta: float) -> "ApproximationParameters":
-        return ApproximationParameters(self.epsilon, delta)
+    def repetitions(self, base_failure: float) -> int:
+        """How many independent runs, each failing with probability at most
+        ``base_failure`` < 1/2, a median needs to fail with probability at
+        most ``delta``: the standard Chernoff-bound computation of median
+        amplification (see e.g. the proof of Lemma 22), uncapped and odd."""
+        if not 0 < base_failure < 0.5:
+            raise ValueError("base_failure must be in (0, 1/2)")
+        gap = 0.5 - base_failure
+        repetitions = math.ceil(math.log(1.0 / self.delta) / (2.0 * gap * gap))
+        # Always use an odd number so the median is unambiguous.
+        return repetitions + 1 - repetitions % 2
+
+    def spend(self, site: str, multiplicity: int = 1, kind: str = SPEND) -> None:
+        """Record in the open ledger that ``site`` spent this budget
+        ``multiplicity`` times (a :data:`PRODUCT` row: split it into that
+        many components)."""
+        ledger = _LEDGER.get()
+        if ledger is not None and multiplicity > 0:
+            ledger[(site, self.epsilon, self.delta, kind)] += multiplicity
+
+
+class BudgetLedger(Counter):
+    """The budget spent inside one :func:`budget_ledger`: the multiplicity
+    of every ``(site, epsilon, delta, kind)``, in first-spent order."""
+
+    def delta_spent(self) -> float:
+        """The union bound over the leaves: the sum of multiplicity * delta."""
+        return sum(count * delta for (_, _, delta, kind), count in self.items() if kind != PRODUCT)
+
+    def lines(self) -> Tuple[str, ...]:
+        return tuple(
+            f"budget {site}: eps={epsilon:.6g} delta={delta:.6g} x{count}"
+            + ("" if kind == SPEND else f" ({kind})")
+            for (site, epsilon, delta, kind), count in self.items()
+        )
+
+
+_LEDGER: ContextVar[Optional[BudgetLedger]] = ContextVar("budget_ledger", default=None)
+
+
+@contextmanager
+def budget_ledger() -> Iterator[Optional[BudgetLedger]]:
+    """Open a ledger for the estimates computed inside the block and yield
+    it; inside an open ledger, join it and yield ``None`` (nested estimates
+    add to the outermost ledger, whose opener reports it)."""
+    if _LEDGER.get() is not None:
+        yield None
+        return
+    token = _LEDGER.set(BudgetLedger())
+    try:
+        yield _LEDGER.get()
+    finally:
+        _LEDGER.reset(token)
 
 
 def relative_error(estimate: float, truth: float) -> float:
@@ -56,70 +117,3 @@ def relative_error(estimate: float, truth: float) -> float:
     if truth == 0:
         return 0.0 if estimate == 0 else math.inf
     return abs(estimate - truth) / abs(truth)
-
-
-def required_repetitions(delta: float, base_failure: float = 1.0 / 3.0) -> int:
-    """Number of independent repetitions needed so that the median of the
-    repetitions fails with probability at most ``delta``, given that a single
-    repetition fails with probability at most ``base_failure`` < 1/2.
-
-    This is the standard Chernoff-bound computation used for median
-    amplification (see e.g. the proof of Lemma 22).
-    """
-    if not 0 < delta < 1:
-        raise ValueError("delta must be in (0, 1)")
-    if not 0 < base_failure < 0.5:
-        raise ValueError("base_failure must be in (0, 1/2)")
-    gap = 0.5 - base_failure
-    repetitions = math.ceil(math.log(1.0 / delta) / (2.0 * gap * gap))
-    # Always use an odd number so the median is unambiguous.
-    if repetitions % 2 == 0:
-        repetitions += 1
-    return max(repetitions, 1)
-
-
-def median_amplify(
-    estimator: Callable[[], float],
-    delta: float,
-    base_failure: float = 1.0 / 3.0,
-) -> float:
-    """Run ``estimator`` independently and return the median of the results.
-
-    If each run of ``estimator`` returns a value outside the desired accuracy
-    window with probability at most ``base_failure`` < 1/2, then the median of
-    ``required_repetitions(delta, base_failure)`` runs is outside the window
-    with probability at most ``delta``.
-    """
-    repetitions = required_repetitions(delta, base_failure)
-    values = [float(estimator()) for _ in range(repetitions)]
-    return float(np.median(values))
-
-
-def median_of_means(
-    samples: Sequence[float],
-    groups: int,
-) -> float:
-    """Median-of-means estimator over ``samples`` split into ``groups`` groups.
-
-    A robust estimator of the mean of the sampled distribution: split the
-    samples into groups, average within each group and take the median of the
-    group averages.
-    """
-    if groups <= 0:
-        raise ValueError("groups must be positive")
-    data = np.asarray(list(samples), dtype=float)
-    if data.size == 0:
-        raise ValueError("samples must be non-empty")
-    groups = min(groups, data.size)
-    chunks: List[np.ndarray] = np.array_split(data, groups)
-    means = [float(chunk.mean()) for chunk in chunks if chunk.size > 0]
-    return float(np.median(means))
-
-
-def chernoff_sample_size(epsilon: float, delta: float, scale: float = 3.0) -> int:
-    """Sample size sufficient for a multiplicative (epsilon, delta) estimate of
-    a Bernoulli/Poisson-type mean via the standard Chernoff bound, assuming the
-    per-sample relative variance is at most ``scale``.
-    """
-    check_epsilon_delta(epsilon, delta)
-    return int(math.ceil(scale * math.log(2.0 / delta) / (epsilon * epsilon)))

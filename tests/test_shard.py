@@ -15,13 +15,13 @@ from repro.shard import (
     HashTuplePartitioner,
     ShardedStructure,
     build_union_decomposition,
-    component_accuracy,
     component_relation_names,
     make_partitioner,
     plan_sharded_count,
     query_components,
     shard_task_seed,
 )
+from repro.util.estimation import Budget
 from repro.util.rng import derive_seed
 from repro.workloads import database_from_graph, erdos_renyi_graph
 
@@ -276,9 +276,10 @@ class TestShardedDifferentials:
             database, ByRelationPartitioner(2, assignment={"E": 0, "F": 1})
         )
         plan = plan_sharded_count(query, sharded)
-        epsilon, delta = component_accuracy(plan, "fpras_cq", 0.5, 0.25)
-        assert (1.0 + epsilon) ** 2 == pytest.approx(1.5) and delta == 0.125
-        assert component_accuracy(plan, "exact", 0.5, 0.25) == (0.5, 0.25)
+        budget = plan.task_budget("fpras_cq", Budget(0.5, 0.25))
+        assert budget == Budget(0.5, 0.25).product(2)
+        assert (1.0 + budget.epsilon) ** 2 == pytest.approx(1.5) and budget.delta == 0.125
+        assert plan.task_budget("exact", Budget(0.5, 0.25)) == Budget(0.5, 0.25)
         result = sharded_count(sharded, query, "fpras_cq", seed=17)
         assert result.estimate == self._manual_local_product(sharded, plan, "fpras_cq", 17)
         unsplit = 1.0
@@ -301,7 +302,7 @@ class TestShardedDifferentials:
         )
         plan = plan_sharded_count(parse_query(MULTI), sharded)
         assert plan.strategy == "single"
-        assert component_accuracy(plan, "fpras_cq", 0.5, 0.25) == (0.5, 0.25)
+        assert plan.task_budget("fpras_cq", Budget(0.5, 0.25)) == Budget(0.5, 0.25)
 
     def test_union_estimates_are_reproducible_under_equal_seeds(self, database):
         query = parse_query(DCQ)

@@ -11,15 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.util import (
-    ApproximationParameters,
+    Budget,
     as_generator,
     check_epsilon_delta,
     check_positive_int,
     check_probability,
-    median_amplify,
-    median_of_means,
     relative_error,
-    required_repetitions,
     spawn_generators,
 )
 from repro.util.rng import (
@@ -103,34 +100,22 @@ class TestRNG:
 
 
 class TestEstimationHelpers:
-    def test_approximation_parameters_validation(self):
+    def test_budget_validation(self):
         with pytest.raises(ValueError):
-            ApproximationParameters(epsilon=1.5, delta=0.1)
+            Budget(epsilon=1.5, delta=0.1)
         with pytest.raises(ValueError):
-            ApproximationParameters(epsilon=0.1, delta=0.0)
-        params = ApproximationParameters(0.1, 0.2)
-        assert params.split_delta(2).delta == pytest.approx(0.1)
-        assert params.with_epsilon(0.3).epsilon == 0.3
+            Budget(epsilon=0.1, delta=0.0)
+        budget = Budget(0.1, 0.2)
+        assert budget.split_delta(2).delta == pytest.approx(0.1)
 
     def test_relative_error(self):
         assert relative_error(110, 100) == pytest.approx(0.1)
         assert relative_error(0, 0) == 0.0
         assert math.isinf(relative_error(1, 0))
 
-    def test_required_repetitions_monotone_in_delta(self):
-        assert required_repetitions(0.01) >= required_repetitions(0.2)
-        assert required_repetitions(0.1) % 2 == 1
-
-    def test_median_amplify(self):
-        values = iter([1.0, 100.0, 1.0, 1.0, 1.0] * 20)
-        result = median_amplify(lambda: next(values), delta=0.2)
-        assert result == pytest.approx(1.0)
-
-    def test_median_of_means(self):
-        samples = [1.0] * 50 + [1000.0]
-        assert median_of_means(samples, groups=10) < 200
-        with pytest.raises(ValueError):
-            median_of_means([], groups=3)
+    def test_repetitions_monotone_in_delta(self):
+        assert Budget(0.5, 0.01).repetitions(1 / 3) >= Budget(0.5, 0.2).repetitions(1 / 3)
+        assert Budget(0.5, 0.1).repetitions(1 / 3) % 2 == 1
 
     def test_validation_helpers(self):
         assert check_probability(0.5) == 0.5
