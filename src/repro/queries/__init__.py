@@ -6,15 +6,22 @@
 * ECQ — CQ extended with disequalities and negated atoms ``not R(...)``
   (equalities are allowed in the input but rewritten away, as in the paper).
 
-The model lives in :mod:`repro.queries.query`, a small text parser in
+The model lives in :mod:`repro.queries.query`, its connected components
+(the one split the shard planner and the delta counter share) in
+:mod:`repro.queries.components`, a small text parser in
 :mod:`repro.queries.parser`, and programmatic builders for the query families
 used throughout the paper (Hamiltonian path, locally injective homomorphisms,
 star queries, ...) in :mod:`repro.queries.builders`.
 """
 
 from repro.queries.atoms import Atom, Disequality, Equality, NegatedAtom
-from repro.queries.canonical import canonical_query_key, canonical_variable_renaming
+from repro.queries.canonical import (
+    canonical_query_key,
+    canonical_variable_renaming,
+    query_relation_names,
+)
 from repro.queries.query import ConjunctiveQuery, QueryClass
+from repro.queries.components import query_components, subquery
 from repro.queries.parser import parse_query
 from repro.queries.prepared import (
     PreparedQuery,
@@ -49,6 +56,9 @@ __all__ = [
     "clear_prepared_cache",
     "canonical_query_key",
     "canonical_variable_renaming",
+    "query_relation_names",
+    "query_components",
+    "subquery",
     "parse_query",
     "eliminate_equalities",
     "add_constant_constraint",

@@ -30,6 +30,7 @@ the CLI's ``shard`` subcommand and ``benchmarks/record_perf.py --suite
 shard`` drive the layer end-to-end.  See DESIGN.md ("The shard layer").
 """
 
+from repro.queries.components import query_components
 from repro.shard.executor import shard_task_seed
 from repro.shard.partition import (
     PARTITIONER_KINDS,
@@ -45,9 +46,7 @@ from repro.shard.plan import (
     ShardTask,
     UnionDecomposition,
     build_union_decomposition,
-    component_relation_names,
     plan_sharded_count,
-    query_components,
 )
 from repro.shard.sharded import ShardedStructure
 
@@ -77,7 +76,6 @@ __all__ = [
     "UnionDecomposition",
     "plan_sharded_count",
     "query_components",
-    "component_relation_names",
     "build_union_decomposition",
     "MAX_UNION_COMPONENTS",
     "shard_task_seed",

@@ -43,10 +43,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import List, Optional, Tuple
 
 from repro.core.registry import EXACT_SCHEMES
 from repro.queries.atoms import Atom
+from repro.queries.canonical import query_relation_names
+from repro.queries.components import query_components
 from repro.queries.query import ConjunctiveQuery
 from repro.relational.signature import RelationSymbol
 from repro.relational.structure import Structure
@@ -56,76 +58,6 @@ from repro.util.estimation import Budget
 #: Union decompositions larger than this degrade to the merged fallback
 #: (``shards ** atoms`` grows fast; the cap keeps planning predictable).
 MAX_UNION_COMPONENTS = 256
-
-
-# ------------------------------------------------------------------ components
-def query_components(query: ConjunctiveQuery) -> List[ConjunctiveQuery]:
-    """Split a query into its connected components.
-
-    Connectivity is over *all* couplings — positive atoms, negated atoms,
-    **and disequalities** (a disequality ties its two variables even though
-    ``H(phi)`` gives it no hyperedge: components joined by a disequality are
-    not independent and must not be counted separately).  Free variables keep
-    their original relative order inside each component, and components are
-    ordered by their earliest variable in the query's canonical variable
-    order, so the decomposition — and hence per-component seed derivation —
-    is deterministic.
-    """
-    position = {
-        v: i
-        for i, v in enumerate(
-            list(query.free_variables) + sorted(query.existential_variables, key=str)
-        )
-    }
-    parent: Dict[str, str] = {v: v for v in query.variables}
-
-    def find(v: str) -> str:
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    def join(a: str, b: str) -> None:
-        root_a, root_b = find(a), find(b)
-        if root_a != root_b:
-            parent[root_a] = root_b
-
-    for atom in itertools.chain(query.atoms, query.negated_atoms):
-        first = atom.args[0]
-        for other in atom.args[1:]:
-            join(first, other)
-    for disequality in query.disequalities:
-        join(disequality.left, disequality.right)
-
-    groups: Dict[str, Set[str]] = {}
-    for v in query.variables:
-        groups.setdefault(find(v), set()).add(v)
-    if len(groups) <= 1:
-        return [query]
-
-    ordered = sorted(groups.values(), key=lambda members: min(position[v] for v in members))
-    components = []
-    for members in ordered:
-        components.append(
-            ConjunctiveQuery(
-                free_variables=[v for v in query.free_variables if v in members],
-                atoms=[a for a in query.atoms if set(a.args) <= members],
-                negated_atoms=[a for a in query.negated_atoms if set(a.args) <= members],
-                disequalities=[
-                    d for d in query.disequalities if {d.left, d.right} <= members
-                ],
-                existential_variables=query.existential_variables & frozenset(members),
-            )
-        )
-    return components
-
-
-def component_relation_names(component: ConjunctiveQuery) -> Tuple[str, ...]:
-    """Every relation whose *content* the component's answers depend on
-    (positive and negated atoms alike — negation reads the full relation)."""
-    names = {atom.relation for atom in component.atoms}
-    names |= {atom.relation for atom in component.negated_atoms}
-    return tuple(sorted(names))
 
 
 # ----------------------------------------------------------------------- plans
@@ -243,7 +175,7 @@ def build_union_decomposition(
 def plan_sharded_count(query: ConjunctiveQuery, sharded: ShardedStructure) -> ShardCountPlan:
     """Choose the sharded counting strategy for ``query`` over ``sharded``."""
     components = query_components(query)
-    owners = [sharded.owner_shards(component_relation_names(component)) for component in components]
+    owners = [sharded.owner_shards(query_relation_names(component)) for component in components]
 
     if all(owners):
         common = frozenset(range(sharded.num_shards))

@@ -46,13 +46,10 @@ import time
 from dataclasses import dataclass
 from typing import Tuple
 
+from repro.queries.canonical import query_relation_names
 from repro.queries.query import ConjunctiveQuery
 from repro.shard.executor import combine_local_estimates
-from repro.shard.plan import (
-    ShardCountPlan,
-    component_relation_names,
-    plan_sharded_count,
-)
+from repro.shard.plan import ShardCountPlan, plan_sharded_count
 from repro.shard.sharded import ShardedStructure
 from repro.stream.delta import delta_applicable
 from repro.stream.live import CountSubscription, Fingerprint, ticks_between
@@ -109,7 +106,7 @@ class ShardSubscription(CountSubscription):
                 shard=task.shard,
                 component=task.component,
                 query=task.query,
-                relations=component_relation_names(task.query),
+                relations=query_relation_names(task.query),
                 universe_sensitive=not delta_applicable(task.query, True),
                 fingerprint=(0, ()),
                 estimate=0.0,

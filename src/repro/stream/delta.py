@@ -20,7 +20,8 @@ one ``Sol(phi, D)`` instance (:func:`repro.core.exact.solution_csp`, the
 same construction the exact counters solve); every pinned instance is a
 :meth:`~repro.relational.csp.CSPInstance.restricted` sibling of it, and the
 old side reuses the new side's min-fill order, so a refresh builds two
-constraint sets and computes one search order.  Two strategies, both
+constraint sets and computes at most one search order (none once the query's
+split is memoised, see Components below).  Two strategies, both
 verified bit-identical to a from-scratch recount by the differential tests:
 
 ``inclusion_exclusion`` (quantifier-free queries)
@@ -42,6 +43,19 @@ verified bit-identical to a from-scratch recount by the differential tests:
     answers.  Candidates appearing on both sides cancel automatically (they
     are answers on both sides).
 
+Components
+    Parts of ``phi`` that share no variable, atom, negated atom or
+    disequality answer independently (:func:`repro.queries.query_components`,
+    the split the shard planner uses too), so ``|Ans(phi)|`` is the product
+    of the parts' counts.  The strategies run on the *touched block* only —
+    the components mentioning a relation with a non-empty delta — and its
+    delta is multiplied by the exact answer count of the untouched rest,
+    which the write cannot have changed (a connected query is its own
+    touched block).  Without the split the candidates strategy would
+    enumerate the gained answers times every answer of the untouched
+    components.  The split and each block's min-fill order are memoised per
+    query and touched-relation set in a :data:`SPLIT_CACHE_SIZE`-entry LRU.
+
 Soundness requires the assignment space itself not to have drifted: when the
 universe grew between the two states, variables that occur only in
 disequalities or negated atoms range over elements no delta fact mentions.
@@ -53,7 +67,7 @@ this automatically).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import (
     AbstractSet,
     Dict,
@@ -67,10 +81,13 @@ from typing import (
 )
 
 from repro.core.exact import solution_csp
+from repro.queries.canonical import query_relation_names
+from repro.queries.components import query_components, subquery
 from repro.queries.query import ConjunctiveQuery
 from repro.relational.changelog import StructureDelta
 from repro.relational.csp import DEFAULT_ENGINE, Constraint, CSPInstance
 from repro.relational.structure import Structure
+from repro.util.cache import LRUCache
 
 Element = Hashable
 AnswerTuple = Tuple[Element, ...]
@@ -247,44 +264,80 @@ def _answers_among(
     return set(instance.iter_answers(free))
 
 
-# ----------------------------------------------------------------- entry point
-def delta_count_exact(
-    query: ConjunctiveQuery,
+# ------------------------------------------------------------ components
+#: How many ``(query, touched relations)`` splits :func:`delta_count_exact`
+#: keeps, each with the min-fill orders of its blocks.  A live subscription
+#: refreshes one query against a handful of touched-relation sets, so a small
+#: LRU serves every refresh after the first of each.
+SPLIT_CACHE_SIZE = 256
+
+_SPLITS = LRUCache(SPLIT_CACHE_SIZE)
+
+
+class _Block:
+    """One block of a query's component split, and the min-fill order of its
+    ``Sol(phi, D)`` instance once a refresh has built one (the order depends
+    on the block's constraint scopes only, never on the database)."""
+
+    __slots__ = ("query", "search_order")
+
+    def __init__(self, query: ConjunctiveQuery) -> None:
+        self.query = query
+        self.search_order: Optional[List[str]] = None
+
+    def solution_csp(self, database: Structure, engine: str) -> CSPInstance:
+        csp = solution_csp(
+            self.query, database, engine=engine, search_order=self.search_order
+        )
+        if self.search_order is None:
+            self.search_order = csp.search_order()
+        return csp
+
+
+def _split(
+    query: ConjunctiveQuery, touched_relations: FrozenSet[str]
+) -> Tuple[_Block, Optional[_Block]]:
+    """``(touched, untouched)``: the sub-query over the components that
+    mention a touched relation, and the sub-query over the rest (``None``
+    when every component is touched — then the touched block is ``query``
+    itself).  Memoised per query and touched-relation set."""
+    # Keyed on the atom tuples, not on the query: query equality ignores
+    # atom order, which the min-fill order's tie-breaks depend on.
+    key = (
+        query.free_variables,
+        query.atoms,
+        query.negated_atoms,
+        query.disequalities,
+        query.existential_variables,
+        touched_relations,
+    )
+    split = _SPLITS.get(key)
+    if split is None:
+        touched: Set[str] = set()
+        untouched: Set[str] = set()
+        for component in query_components(query):
+            hit = touched_relations.intersection(query_relation_names(component))
+            (touched if hit else untouched).update(component.variables)
+        if untouched:
+            split = (_Block(subquery(query, touched)), _Block(subquery(query, untouched)))
+        else:
+            split = (_Block(query), None)
+        _SPLITS.put(key, split)
+    return split
+
+
+def _touched_delta(
+    block: _Block,
     old_database: Structure,
     new_database: Structure,
     delta: StructureDelta,
-    engine: str = DEFAULT_ENGINE,
-    strategy: str = "auto",
+    engine: str,
+    strategy: str,
 ) -> DeltaCountReport:
-    """Compute ``|Ans(phi, new)| - |Ans(phi, old)|`` from the net delta.
-
-    ``old_database`` is typically :func:`repro.relational.changelog.rewind`
-    applied to ``new_database``; both sides must genuinely differ by exactly
-    ``delta`` on the query's relations.  ``strategy`` is ``"auto"``
-    (inclusion–exclusion for quantifier-free queries with few touched atom
-    occurrences, candidates otherwise) or one of the two names; requesting
-    ``"inclusion_exclusion"`` for a quantified query raises, since solution
-    deltas do not equal answer deltas under projection.
-
-    The caller is responsible for :func:`delta_applicable` (the refresh loop
-    in :mod:`repro.stream.live` checks it and falls back to a recount).
-    """
-    query._check_signature_compatibility(new_database)
-    relevant = {
-        name
-        for name in delta
-        if not delta[name].is_empty()
-        and any(
-            atom.relation == name
-            for atom in itertools.chain(query.atoms, query.negated_atoms)
-        )
-    }
-    if not relevant:
-        return DeltaCountReport(delta=0, strategy="noop", work_units=0)
-    restricted = {name: delta[name] for name in relevant}
-
-    new_events = _touched_events(query, restricted, "new")
-    old_events = _touched_events(query, restricted, "old")
+    """The delta of the touched block's answer count, by ``strategy``."""
+    query = block.query
+    new_events = _touched_events(query, delta, "new")
+    old_events = _touched_events(query, delta, "old")
 
     if strategy == "auto":
         use_ie = (
@@ -294,8 +347,8 @@ def delta_count_exact(
         strategy = "inclusion_exclusion" if use_ie else "candidates"
     # One Sol(phi, D) instance per side, restricted per pinned instance; the
     # old side reuses the new side's min-fill order (the scopes are equal),
-    # so a refresh computes one order.
-    new_csp = solution_csp(query, new_database, engine=engine)
+    # and the block keeps it for the next refresh.
+    new_csp = block.solution_csp(new_database, engine)
     old_csp = solution_csp(
         query, old_database, engine=engine, search_order=new_csp.search_order()
     )
@@ -335,6 +388,52 @@ def delta_count_exact(
         strategy="candidates",
         work_units=len(new_candidates) + len(old_candidates),
     )
+
+
+# ----------------------------------------------------------------- entry point
+def delta_count_exact(
+    query: ConjunctiveQuery,
+    old_database: Structure,
+    new_database: Structure,
+    delta: StructureDelta,
+    engine: str = DEFAULT_ENGINE,
+    strategy: str = "auto",
+) -> DeltaCountReport:
+    """Compute ``|Ans(phi, new)| - |Ans(phi, old)|`` from the net delta.
+
+    ``old_database`` is typically :func:`repro.relational.changelog.rewind`
+    applied to ``new_database``; both sides must genuinely differ by exactly
+    ``delta`` on the query's relations.  ``strategy`` is ``"auto"``
+    (inclusion–exclusion for quantifier-free touched blocks with few touched
+    atom occurrences, candidates otherwise) or one of the two names;
+    requesting ``"inclusion_exclusion"`` when the touched block has
+    existential variables raises, since solution deltas do not equal answer
+    deltas under projection.
+
+    The caller is responsible for :func:`delta_applicable` (the refresh loop
+    in :mod:`repro.stream.live` checks it and falls back to a recount).
+    """
+    query._check_signature_compatibility(new_database)
+    names = query_relation_names(query)
+    relevant = frozenset(
+        name for name in delta if not delta[name].is_empty() and name in names
+    )
+    if not relevant:
+        return DeltaCountReport(delta=0, strategy="noop", work_units=0)
+    touched, untouched = _split(query, relevant)
+    report = _touched_delta(
+        touched, old_database, new_database,
+        {name: delta[name] for name in relevant}, engine, strategy,
+    )
+    if untouched is None or report.delta == 0:
+        return report
+    factor = sum(
+        1
+        for _ in untouched.solution_csp(new_database, engine).iter_answers(
+            untouched.query.free_variables
+        )
+    )
+    return replace(report, delta=report.delta * factor)
 
 
 __all__ = [

@@ -7,7 +7,7 @@ import pytest
 
 from repro.core import count_answers_exact
 from repro.core.registry import REGISTRY
-from repro.queries import parse_query
+from repro.queries import parse_query, query_relation_names
 from repro.relational.signature import RelationSymbol
 from repro.service import CountingService, CountRequest, ServiceConfig
 from repro.shard import (
@@ -15,7 +15,6 @@ from repro.shard import (
     HashTuplePartitioner,
     ShardedStructure,
     build_union_decomposition,
-    component_relation_names,
     make_partitioner,
     plan_sharded_count,
     query_components,
@@ -181,7 +180,7 @@ class TestQueryComponents:
     def test_component_relations_include_negations(self):
         query = parse_query("Ans(x) :- E(x, y), !F(x, y)")
         (component,) = query_components(query)
-        assert component_relation_names(component) == ("E", "F")
+        assert query_relation_names(component) == ("E", "F")
 
     def test_component_counts_multiply(self, database):
         query = parse_query(MULTI)

@@ -12,12 +12,13 @@ bit-identical against a from-scratch recount of the same database state
 from __future__ import annotations
 
 import random
+import zlib
 
 import pytest
 
 from repro.core import count_answers_exact
 from repro.core.registry import REGISTRY
-from repro.queries import parse_query
+from repro.queries import parse_query, query_components
 from repro.relational import Database, TupleIndex
 from repro.relational.changelog import ChangeLog, ChangeLogGap, rewind
 from repro.service import CountingService, CountRequest, ServiceConfig
@@ -338,6 +339,47 @@ class TestDeltaCountExact:
                 strategy="inclusion_exclusion",
             )
 
+    def test_inclusion_exclusion_refuses_a_quantified_touched_block(self):
+        # Several components, and the touched E block is still quantified.
+        query = parse_query("Ans(x, u) :- E(x, y), G(u, v)")
+        db = Database.from_relations(
+            {"E": [(1, 2), (2, 3), (3, 1)], "G": [(1, 2), (2, 1)]}
+        )
+        log = ChangeLog(db)
+        fingerprint = db.version_fingerprint(["E"])
+        db.add_fact("E", (2, 1))
+        delta = log.delta_since(fingerprint)
+        with pytest.raises(ValueError, match="existential"):
+            delta_count_exact(
+                query, rewind(db, delta), db, delta,
+                strategy="inclusion_exclusion",
+            )
+
+    def test_inclusion_exclusion_on_a_quantifier_free_touched_block(self):
+        # The G component is quantified but untouched: inclusion-exclusion
+        # counts the E block only, so an explicit request is honoured.
+        query = parse_query("Ans(x, y) :- E(x, y), G(u, v)")
+        db = Database.from_relations(
+            {"E": [(1, 2), (2, 3), (3, 1)], "G": [(1, 2), (2, 1)]}
+        )
+        before = count_answers_exact(query, db)
+        log = ChangeLog(db)
+        fingerprint = db.version_fingerprint(["E", "G"])
+        db.add_fact("E", (2, 1))
+        db.add_fact("E", (1, 1))
+        db.remove_fact("E", (3, 1))
+        delta = log.delta_since(fingerprint)
+        reports = {
+            strategy: delta_count_exact(
+                query, rewind(db, delta), db, delta, strategy=strategy
+            )
+            for strategy in ("inclusion_exclusion", "candidates")
+        }
+        assert reports["inclusion_exclusion"].strategy == "inclusion_exclusion"
+        assert reports["inclusion_exclusion"].delta == reports["candidates"].delta
+        assert before + reports["candidates"].delta == count_answers_exact(query, db)
+        assert reports["candidates"].delta == 1
+
     def test_untouched_relations_are_a_noop(self):
         query = parse_query("Ans(x, y) :- E(x, y)")
         db = triangle()
@@ -355,6 +397,141 @@ class TestDeltaCountExact:
         assert delta_applicable(covered, True)
         assert delta_applicable(uncovered, False)
         assert not delta_applicable(uncovered, True)
+
+
+# ---------------------------------------------------- multi-component deltas
+#: (query, number of connected components).  The last two are coupled across
+#: E and G by a disequality or a negated atom and must not be split.
+COMPONENT_QUERIES = [
+    ("Ans(x, u) :- E(x, y), E(y, z), G(u, v)", 2),
+    # The G component is Boolean: it contributes a factor of 0 or 1.
+    ("Ans(x) :- E(x, y), G(u, v)", 2),
+    ("Ans(x, u, w) :- E(x, y), G(u, v), F(w, w)", 3),
+    ("Ans(x, u) :- E(x, y), G(u, v), x != u", 1),
+    ("Ans(x, u) :- E(x, y), G(u, v), !F(y, v)", 1),
+]
+
+
+def three_relation_database() -> Database:
+    """E and G from two random graphs, F a few loops and one edge."""
+    from repro.relational.signature import RelationSymbol
+
+    db = database_from_graph(erdos_renyi_graph(9, 0.3, rng=3))
+    db.add_relation(RelationSymbol("G", 2))
+    for u, v in sorted(erdos_renyi_graph(9, 0.25, rng=4).edges()):
+        db.add_fact("G", (u, v))
+    db.add_relation(RelationSymbol("F", 2))
+    for fact in [(0, 0), (2, 2), (0, 1)]:
+        db.add_fact("F", fact)
+    return db
+
+
+def replay_deltas(query, db, engine, rng, steps, relations):
+    """Mutate ``db`` ``steps`` times and patch the exact count after each
+    step from the change log; returns ``[(report, patched, recount)]``."""
+    count = count_answers_exact(query, db, engine=engine)
+    log = ChangeLog(db)
+    fingerprint = db.version_fingerprint(relations)
+    outcomes = []
+    for _ in range(steps):
+        mutate(db, rng, relations=relations)
+        delta = log.delta_since(fingerprint)
+        report = delta_count_exact(query, rewind(db, delta), db, delta, engine=engine)
+        count += report.delta
+        outcomes.append((report, count, count_answers_exact(query, db, engine=engine)))
+        fingerprint = db.version_fingerprint(relations)
+        log.trim(fingerprint)
+    return outcomes
+
+
+class TestComponentDeltas:
+    @pytest.mark.parametrize("engine", ["indexed", "columnar", "naive"])
+    @pytest.mark.parametrize("query_text,components", COMPONENT_QUERIES)
+    def test_differential_against_recounts_over_randomized_schedules(
+        self, query_text, components, engine
+    ):
+        """Mutations over E, F and G, one to three per step, so a step may
+        touch one component, several, or none; each patched count equals a
+        recount on the same engine."""
+        query = parse_query(query_text)
+        assert len(query_components(query)) == components
+        db = three_relation_database()
+        rng = random.Random(zlib.crc32(query_text.encode()))
+        outcomes = replay_deltas(query, db, engine, rng, 40, ("E", "F", "G"))
+        for step, (_, patched, recount) in enumerate(outcomes):
+            assert patched == recount, f"step {step}: {patched} != {recount}"
+        assert any(report.delta for report, _, _ in outcomes)
+
+    @pytest.mark.parametrize("engine", ["indexed", "columnar", "naive"])
+    def test_connected_query_reports_are_pinned(self, engine):
+        """A connected query is its own touched block: the reports
+        (delta, strategy, work_units) of a fixed schedule are pinned to the
+        values of the unsplit delta counter."""
+        pinned = {
+            "Ans(x, y) :- E(x, y), E(y, z)": [
+                (1, "candidates", 2), (0, "noop", 0), (1, "candidates", 3),
+                (1, "candidates", 5), (-1, "candidates", 4), (1, "candidates", 3),
+                (-1, "candidates", 4), (2, "candidates", 8),
+            ],
+            "Ans(x, y, z) :- E(x, y), E(y, z), x != z": [
+                (4, "inclusion_exclusion", 3), (0, "noop", 0),
+                (4, "inclusion_exclusion", 3), (4, "inclusion_exclusion", 3),
+                (-5, "inclusion_exclusion", 3), (5, "inclusion_exclusion", 3),
+                (-5, "inclusion_exclusion", 3), (13, "inclusion_exclusion", 3),
+            ],
+            "Ans(x) :- E(x, y), E(x, z), y != z": [
+                (1, "candidates", 1), (0, "noop", 0), (0, "candidates", 1),
+                (0, "candidates", 1), (0, "candidates", 1), (0, "candidates", 1),
+                (0, "candidates", 1), (0, "candidates", 2),
+            ],
+        }
+        from repro.relational.signature import RelationSymbol
+
+        for query_text, expected in pinned.items():
+            db = database_from_graph(erdos_renyi_graph(9, 0.3, rng=3))
+            db.add_relation(RelationSymbol("F", 2))
+            db.add_fact("F", (0, 1))
+            outcomes = replay_deltas(
+                parse_query(query_text), db, engine, random.Random(2022), 8, ("E", "F")
+            )
+            reports = [
+                (report.delta, report.strategy, report.work_units)
+                for report, _, _ in outcomes
+            ]
+            assert reports == expected, query_text
+
+    def test_untouched_block_without_answers_zeroes_the_delta(self):
+        query = parse_query("Ans(x, u) :- E(x, y), G(u, v)")
+        db = triangle()
+        from repro.relational.signature import RelationSymbol
+
+        db.add_relation(RelationSymbol("G", 2))
+        log = ChangeLog(db)
+        fingerprint = db.version_fingerprint(["E", "G"])
+        db.add_fact("E", (4, 1))
+        delta = log.delta_since(fingerprint)
+        report = delta_count_exact(query, rewind(db, delta), db, delta)
+        # The E block gained the answer x = 4; the empty G block has none.
+        assert report.strategy == "candidates" and report.work_units == 1
+        assert report.delta == 0 == count_answers_exact(query, db)
+
+    def test_split_and_block_orders_are_memoised(self):
+        from repro.core.exact import solution_csp
+        from repro.stream.delta import _split
+
+        query = parse_query("Ans(x, u) :- E(x, y), E(y, z), G(u, v)")
+        db = three_relation_database()
+        touched, untouched = _split(query, frozenset({"E"}))
+        assert str(touched.query) == "Ans(x) :- E(x, y), E(y, z)"
+        assert str(untouched.query) == "Ans(u) :- G(u, v)"
+        assert _split(parse_query(str(query)), frozenset({"E"})) == (touched, untouched)
+        csp = touched.solution_csp(db, "indexed")
+        expected = solution_csp(touched.query, db).search_order()
+        assert touched.search_order == expected == csp.search_order()
+        # A connected query (or one whose every component is touched) is
+        # its own block.
+        whole, rest = _split(query, frozenset({"E", "G"}))
+        assert whole.query == query and rest is None
 
 
 # ---------------------------------------------------------- live subscriptions
