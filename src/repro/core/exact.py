@@ -14,15 +14,18 @@ counters:
 Two exact counters are provided: a pure brute-force enumeration over all
 assignments (the ``||D||^{O(||phi||)}`` algorithm from the introduction) and a
 backtracking counter over the ``Sol(phi, D)`` CSP.  The backtracking counter
-does not enumerate Sol(phi, D): :meth:`CSPInstance.iter_answers` searches
-for answers (Definition 2), reaching each one once and stopping below the
-free variables at its first witness solution — usually much faster, still
-exponential in the worst case.
+does not enumerate Sol(phi, D): :meth:`CSPInstance.count_answers` counts
+the answers (Definition 2) that :meth:`CSPInstance.iter_answers` reaches
+once each, stopping below the free variables at the first witness
+solution — usually much faster, still exponential in the worst case.  On
+the columnar engine, when the free variables do not all share tables (the
+search would then walk every witness), it eliminates the existential
+variables by NumPy joins instead and counts the projected rows.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.queries.query import ConjunctiveQuery
 from repro.relational.csp import (
@@ -91,25 +94,17 @@ def count_solutions_exact(
     return solution_csp(query, database, engine=engine).count_solutions()
 
 
-def _iter_answers(
-    query: ConjunctiveQuery, database: Structure, engine: str
-) -> Iterator[Tuple[Element, ...]]:
-    """Each answer of ``Ans(phi, D)`` once, ordered like
-    ``query.free_variables``."""
-    query._check_signature_compatibility(database)
-    if not database.universe:
-        return iter(())
-    csp = solution_csp(query, database, engine=engine)
-    return csp.iter_answers(query.free_variables)
-
-
 def enumerate_answers_exact(
     query: ConjunctiveQuery, database: Structure, engine: str = DEFAULT_ENGINE
 ) -> Set[Tuple[Element, ...]]:
     """Exact ``Ans(phi, D)`` (Definition 2) as a set of tuples ordered like
     ``query.free_variables`` — one witness search per answer with the CSP
     engine (:meth:`CSPInstance.iter_answers`)."""
-    return set(_iter_answers(query, database, engine))
+    query._check_signature_compatibility(database)
+    if not database.universe:
+        return set()
+    csp = solution_csp(query, database, engine=engine)
+    return set(csp.iter_answers(query.free_variables))
 
 
 def count_answers_exact(
@@ -120,15 +115,20 @@ def count_answers_exact(
 ) -> int:
     """Exact ``|Ans(phi, D)|``.
 
-    ``method="backtracking"`` (default) counts the answers the CSP engine's
-    answer search yields, without storing them; ``method="bruteforce"`` is
-    the plain ``|U(D)|^{|vars(phi)|}`` enumeration from the introduction
-    (kept as an independent reference implementation for differential
-    testing).  ``engine`` selects the CSP engine (``"indexed"``/``"naive"``/
-    ``"columnar"``) for the backtracking method.
+    ``method="backtracking"`` (default) counts the answers through
+    :meth:`CSPInstance.count_answers`, without storing them;
+    ``method="bruteforce"`` is the plain ``|U(D)|^{|vars(phi)|}``
+    enumeration from the introduction (kept as an independent reference
+    implementation for differential testing).  ``engine`` selects the CSP
+    engine (``"indexed"``/``"naive"``/``"columnar"``) for the backtracking
+    method.
     """
     if method == "bruteforce":
         return query.count_answers_bruteforce(database)
     if method == "backtracking":
-        return sum(1 for _ in _iter_answers(query, database, engine))
+        query._check_signature_compatibility(database)
+        if not database.universe:
+            return 0
+        csp = solution_csp(query, database, engine=engine)
+        return csp.count_answers(query.free_variables)
     raise ValueError(f"unknown method {method!r}")

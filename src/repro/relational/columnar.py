@@ -7,8 +7,9 @@ array per position — the struct-of-arrays idiom — over a per-structure
 
 * constraint-consistency checks become vectorized row-mask intersections,
 * GAC support counting becomes ``np.bincount`` arithmetic, and
-* bag joins (:mod:`repro.core.bag_solutions`) become hash/merge joins on
-  integer key columns.
+* bag joins (:mod:`repro.core.bag_solutions`) and the join–project
+  elimination of ``CSPInstance.count_answers`` become sort/merge joins on
+  packed int64 row keys (:func:`packed_keys`).
 
 Code assignment is the load-bearing determinism trick: codes are assigned by
 position in the **repr-sorted** universe (exactly
@@ -39,6 +40,9 @@ Value = Hashable
 #: Largest universe representable in int32 codes.  Module-level (rather than
 #: inlined) so tests can monkeypatch it down to force the overflow fallback.
 _INT32_LIMIT = 2**31 - 1
+
+#: Largest int64 value: the bound :func:`packed_keys` keeps every key under.
+_INT64_LIMIT = 2**63 - 1
 
 
 def columnar_available() -> bool:
@@ -146,42 +150,68 @@ class ColumnarRelation:
 
 
 # --------------------------------------------------------------- join kernels
-def matching_pairs(left_keys, right_keys):
+def packed_keys(*matrices):
+    """One int64 key per row of each ``(n, s)`` non-negative code matrix:
+    equal rows get equal keys, and keys sort like the rows
+    (lexicographically), across all the matrices together.
+
+    Column by column the key grows as ``key * base + code``, where ``base``
+    bounds the column's codes; a prefix whose next step would overflow
+    int64 is first rank-compressed (``np.unique``'s inverse over every
+    matrix), which keeps both properties.
+    """
+    keys = [np.zeros(matrix.shape[0], dtype=np.int64) for matrix in matrices]
+    span = 1  # every key so far lies in [0, span)
+    for position in range(matrices[0].shape[1]):
+        columns = [matrix[:, position] for matrix in matrices]
+        base = 1 + max((int(column.max()) for column in columns if column.size), default=0)
+        if span > _INT64_LIMIT // base:
+            ranks, inverse = np.unique(np.concatenate(keys), return_inverse=True)
+            bounds = np.cumsum([key.size for key in keys])[:-1]
+            keys = np.split(inverse.reshape(-1).astype(np.int64), bounds)
+            span = max(ranks.size, 1)
+        for key, column in zip(keys, columns):
+            key *= base
+            key += column
+        span *= base
+    return keys
+
+
+def matching_pairs(left_keys, right_keys, limit: Optional[int] = None):
     """Equi-join two key matrices: return ``(left_rows, right_rows)`` index
     arrays such that ``left_keys[left_rows[i]] == right_keys[right_rows[i]]``
-    for every matching pair.
+    for every matching pair — left rows ascending, and each left row's
+    partners in ascending right-row order.
 
-    Both inputs are ``(n, s)`` int arrays over the same code space.  The join
-    runs by collapsing each distinct key tuple to one group id
-    (``np.unique(..., axis=0, return_inverse=True)`` over the concatenation)
-    and merging the sorted group ids — no Python-level hashing per row.
+    Both inputs are ``(n, s)`` int arrays over the same code space.  Each
+    row collapses to one :func:`packed_keys` integer, the right keys are
+    stably sorted and every left key binary-searches its run — no
+    Python-level hashing per row.  The output size is known from the run
+    lengths before any pair is materialised: with ``limit`` set, a join of
+    more than ``limit`` pairs returns ``None`` instead.
     """
     num_left = left_keys.shape[0]
     num_right = right_keys.shape[0]
     if num_left == 0 or num_right == 0:
         empty = np.zeros(0, dtype=np.intp)
         return empty, empty
-    combined = np.concatenate([left_keys, right_keys], axis=0)
-    _, inverse = np.unique(combined, axis=0, return_inverse=True)
-    inverse = inverse.reshape(-1)
-    left_groups = inverse[:num_left]
-    right_groups = inverse[num_left:]
-    right_order = np.argsort(right_groups, kind="stable")
-    right_sorted = right_groups[right_order]
-    lo = np.searchsorted(right_sorted, left_groups, side="left")
-    hi = np.searchsorted(right_sorted, left_groups, side="right")
+    left_packed, right_packed = packed_keys(left_keys, right_keys)
+    right_order = np.argsort(right_packed, kind="stable")
+    right_sorted = right_packed[right_order]
+    lo = np.searchsorted(right_sorted, left_packed, side="left")
+    hi = np.searchsorted(right_sorted, left_packed, side="right")
     counts = hi - lo
     total = int(counts.sum())
+    if limit is not None and total > limit:
+        return None
     if total == 0:
         empty = np.zeros(0, dtype=np.intp)
         return empty, empty
     left_rows = np.repeat(np.arange(num_left, dtype=np.intp), counts)
-    starts = np.repeat(lo, counts)
-    within = np.arange(total, dtype=np.intp) - np.repeat(
-        np.cumsum(counts) - counts, counts
-    )
-    right_rows = right_order[starts + within]
-    return left_rows, right_rows
+    # Pair k of left row i takes right position lo[i] + (k - first pair of i).
+    positions = np.repeat(lo - (np.cumsum(counts) - counts), counts)
+    positions += np.arange(total, dtype=np.intp)
+    return left_rows, right_order[positions]
 
 
 def cross_pairs(num_left: int, num_right: int):
@@ -192,7 +222,14 @@ def cross_pairs(num_left: int, num_right: int):
 
 
 def distinct_rows(matrix):
-    """The distinct rows of a code matrix (order not significant)."""
+    """The distinct rows of a code matrix, in lexicographic order."""
     if matrix.shape[0] == 0 or matrix.shape[1] == 0:
         return matrix[:1] if matrix.shape[1] == 0 and matrix.shape[0] else matrix
-    return np.unique(matrix, axis=0)
+    (keys,) = packed_keys(matrix)
+    # Rows with equal keys are equal, so an unstable sort picks as good a
+    # representative as any.
+    order = np.argsort(keys)
+    ordered = keys[order]
+    first = np.ones(ordered.size, dtype=bool)
+    first[1:] = ordered[1:] != ordered[:-1]
+    return matrix[order[first]]

@@ -18,8 +18,9 @@ The engine combines
   practice — the role Theorem 31 plays in the paper.
 
 It supports deciding satisfiability, finding one solution, enumerating, and
-counting all solutions, and enumerating the distinct projections of the
-solutions onto a set of free variables (:meth:`CSPInstance.iter_answers`).
+counting all solutions, and enumerating and counting the distinct
+projections of the solutions onto a set of free variables
+(:meth:`CSPInstance.iter_answers`, :meth:`CSPInstance.count_answers`).
 
 Engine architecture
 -------------------
@@ -84,7 +85,16 @@ sets *and* identical enumeration order); select one with
       value order — so it enumerates the exact solutions, in the exact order,
       of the indexed engine, decoding codes to values only at yield time; it
       takes the answer search's order and witness cut unchanged, so the two
-      engines also yield the same answers in the same order.
+      engines also yield the same answers in the same order;
+    * :meth:`CSPInstance.count_answers` counts that search, except where
+      :meth:`CSPInstance._answer_order` cuts below the free variables (the
+      search would walk every witness): there it eliminates the existential
+      variables in min-fill order, joining the GAC-live rows of the tables
+      that mention each one (disequalities as column compares, negated atoms
+      as anti-joins on packed keys, domains as code masks) and projecting it
+      away with a distinct; free-variable groups that nothing links multiply
+      their counts.  A join step over :data:`_ELIMINATION_ROW_LIMIT` rows
+      counts the search instead.
 
     When NumPy is not installed the engine resolves to ``"indexed"`` at
     construction; when a universe exceeds the int32 code space (or a caller
@@ -422,6 +432,121 @@ class _ColumnarSearchTable:
                 mask[self.cols[1 - assigned_position][bucket]] = True
             masks[code] = mask
         return mask
+
+
+#: Most rows one join step of :meth:`CSPInstance.count_answers`'s
+#: elimination may materialise; a larger step counts the answer search.  A
+#: step at the limit peaks near 200 MB (its index arrays, then the packed
+#: keys of its projection).  Module-level so tests can monkeypatch it.
+_ELIMINATION_ROW_LIMIT = 4_000_000
+
+
+class _CodeRelation:
+    """A relation over variable indexes, one code column per variable: the
+    unit that join–project elimination joins, filters and projects."""
+
+    __slots__ = ("variables", "columns")
+
+    def __init__(self, variables: List[int], columns: List[object]) -> None:
+        self.variables = variables
+        self.columns = columns
+
+    @property
+    def num_rows(self) -> int:
+        return int(self.columns[0].size)
+
+    def column(self, vi: int):
+        return self.columns[self.variables.index(vi)]
+
+    def select(self, keep) -> "_CodeRelation":
+        rows = _columnar.np.flatnonzero(keep)
+        return _CodeRelation(self.variables, [column[rows] for column in self.columns])
+
+    def project(self, keep: List[int]) -> "_CodeRelation":
+        """The distinct rows over ``keep``."""
+        matrix = _columnar.np.stack([self.column(vi) for vi in keep], axis=1)
+        rows = _columnar.distinct_rows(matrix)
+        return _CodeRelation(list(keep), [rows[:, j] for j in range(len(keep))])
+
+    def join(self, other: "_CodeRelation") -> Optional["_CodeRelation"]:
+        """The natural join, or ``None`` past :data:`_ELIMINATION_ROW_LIMIT`
+        rows (known before any row is materialised)."""
+        np = _columnar.np
+        shared = [vi for vi in self.variables if vi in other.variables]
+        if shared:
+            pairs = _columnar.matching_pairs(
+                np.stack([self.column(vi) for vi in shared], axis=1),
+                np.stack([other.column(vi) for vi in shared], axis=1),
+                limit=_ELIMINATION_ROW_LIMIT,
+            )
+            if pairs is None:
+                return None
+        elif self.num_rows * other.num_rows > _ELIMINATION_ROW_LIMIT:
+            return None
+        else:
+            pairs = _columnar.cross_pairs(self.num_rows, other.num_rows)
+        left_rows, right_rows = pairs
+        extra = [vi for vi in other.variables if vi not in self.variables]
+        return _CodeRelation(
+            self.variables + extra,
+            [column[left_rows] for column in self.columns]
+            + [other.column(vi)[right_rows] for vi in extra],
+        )
+
+
+class _Filter:
+    """A disequality (``forbidden is None``) or a negated atom (``forbidden``
+    holds its relation's code rows) over variable indexes."""
+
+    __slots__ = ("variables", "forbidden")
+
+    def __init__(self, variables: List[int], forbidden) -> None:
+        self.variables = variables
+        self.forbidden = forbidden
+
+    def apply(self, relation: _CodeRelation) -> _CodeRelation:
+        np = _columnar.np
+        columns = [relation.column(vi) for vi in self.variables]
+        if self.forbidden is None:
+            return relation.select(columns[0] != columns[1])
+        keys, banned = _columnar.packed_keys(np.stack(columns, axis=1), self.forbidden)
+        return relation.select(~np.isin(keys, banned))
+
+
+def _join_bucket(
+    relations: List[_CodeRelation],
+    filters: List[_Filter],
+    universe: List[object],
+    needed: Iterable[int] = (),
+) -> Optional[_CodeRelation]:
+    """The natural join of ``relations`` — smallest first, then always one
+    that shares a variable with the join so far when there is one — with
+    each filter applied as soon as its variables are joined.  A variable of
+    ``filters`` or ``needed`` that no relation covers is crossed in over its
+    domain ``universe[vi]``.  ``None`` when a join step is over the limit;
+    the join stops early once it is empty."""
+    pending = sorted(relations, key=lambda relation: relation.num_rows)
+    covered = {vi for relation in relations for vi in relation.variables}
+    for vi in sorted({vi for f in filters for vi in f.variables}.union(needed)):
+        if vi not in covered:
+            covered.add(vi)
+            pending.append(_CodeRelation([vi], [universe[vi]]))
+    waiting = list(filters)
+    current = pending.pop(0)
+    while True:
+        joined = set(current.variables)
+        for f in [f for f in waiting if joined.issuperset(f.variables)]:
+            current = f.apply(current)
+            waiting.remove(f)
+        if not pending or not current.num_rows:
+            return current
+        linked = next(
+            (r for r in pending if not joined.isdisjoint(r.variables)), pending[0]
+        )
+        pending.remove(linked)
+        current = current.join(linked)
+        if current is None:
+            return None
 
 
 class CSPInstance:
@@ -1336,6 +1461,125 @@ class CSPInstance:
         # The free variables are a prefix of the order: every node at the
         # cut holds a different answer.
         return (tuple(assignment[v] for v in free) for assignment in assignments)
+
+    def count_answers(self, free: Sequence[Variable]) -> int:
+        """``|Ans|``: the number of answers :meth:`iter_answers` yields.
+
+        On the columnar engine, when some free variable shares no table
+        with the earlier ones (:meth:`_answer_order` cuts below the free
+        variables, so the search walks every witness), the existential
+        variables are eliminated by joins instead
+        (:meth:`_count_by_elimination`).  Every other case — and a join
+        that would exceed :data:`_ELIMINATION_ROW_LIMIT` rows — counts the
+        answer search.
+        """
+        free = tuple(free)
+        if self._engine == "columnar" and self._answer_order(free)[1] > len(set(free)):
+            count = self._count_by_elimination(free)
+            if count is not None:
+                return count
+        return sum(1 for _ in self.iter_answers(free))
+
+    def _count_by_elimination(self, free: Tuple[Variable, ...]) -> Optional[int]:
+        """Count the answers by bucket elimination over the columnar codes,
+        or ``None`` when the columnar engine cannot serve the call or a join
+        step would exceed :data:`_ELIMINATION_ROW_LIMIT` rows.
+
+        After GAC, every table becomes a relation over its live rows, and
+        disequalities and negated atoms become filters.  Each existential
+        variable, in min-fill elimination order, joins the relations and
+        filters that mention it (crossing in the domain of a filter variable
+        no relation covers) and is projected away by a distinct on the
+        rest.  The free variables left then fall into groups that no
+        relation or filter links; each group's join counts its distinct
+        rows, and the counts multiply.
+        """
+        domains = {v: set(values) for v, values in self._domains.items()}
+        outcome = self._columnar_fixpoint(domains, True)
+        if outcome is _COLUMNAR_UNSET:
+            return None
+        if outcome is None:
+            return 0
+        np = _columnar.np
+        masks, states, ctx = outcome
+        var_index = ctx.var_index
+        if not all(mask.any() for mask in masks):
+            # A variable no table mentions has an empty domain.
+            return 0
+        relations: List[_CodeRelation] = []
+        for state in states:
+            variables: List[int] = []
+            columns = []
+            live = state.live.copy()
+            for position, vi in enumerate(state.scope_idx):
+                column = state.rel.columns[position]
+                if vi in variables:
+                    live &= column == columns[variables.index(vi)]
+                else:
+                    variables.append(vi)
+                    columns.append(column)
+            if variables:
+                rows = np.flatnonzero(live)
+                relations.append(_CodeRelation(variables, [c[rows] for c in columns]))
+        code_of = ctx.encoder.code_of
+        filters: List[_Filter] = []
+        for constraint in self._constraints:
+            if isinstance(constraint, Constraint):
+                continue
+            scope = [var_index[variable] for variable in constraint.scope]
+            if isinstance(constraint, NotEqualConstraint):
+                filters.append(_Filter(scope, None))
+            elif not isinstance(constraint, NotInRelationConstraint) or not scope:
+                return None
+            else:
+                forbidden = [
+                    [code_of[value] for value in tup]
+                    for tup in constraint.forbidden
+                    if all(value in code_of for value in tup)
+                ]
+                if forbidden:
+                    filters.append(_Filter(scope, np.array(forbidden, dtype=np.int64)))
+        universe = [np.flatnonzero(mask) for mask in masks]
+        wanted = {var_index[variable] for variable in free}
+        for variable in reversed(self.search_order()):
+            vi = var_index[variable]
+            if vi in wanted:
+                continue
+            bucket = [r for r in relations if vi in r.variables]
+            bucket_filters = [f for f in filters if vi in f.variables]
+            if not bucket and not bucket_filters:
+                continue
+            joined = _join_bucket(bucket, bucket_filters, universe)
+            if joined is None:
+                return None
+            if not joined.num_rows:
+                return 0
+            relations = [r for r in relations if vi not in r.variables]
+            filters = [f for f in filters if vi not in f.variables]
+            rest = [u for u in joined.variables if u != vi]
+            if rest:
+                relations.append(joined.project(rest))
+        # Only free variables remain: merge them into groups along every
+        # relation and filter left, then count each group on its own.
+        groups = [{vi} for vi in sorted(wanted)]
+        for scope in [r.variables for r in relations] + [f.variables for f in filters]:
+            linked = [group for group in groups if not group.isdisjoint(scope)]
+            groups = [group for group in groups if group.isdisjoint(scope)]
+            groups.append(set().union(*linked))
+        count = 1
+        for members in groups:
+            joined = _join_bucket(
+                [r for r in relations if members.intersection(r.variables)],
+                [f for f in filters if members.intersection(f.variables)],
+                universe,
+                needed=members,
+            )
+            if joined is None:
+                return None
+            # Tables, projections and domains hold distinct rows, and so
+            # do their joins: each row is one answer of the group.
+            count *= joined.num_rows
+        return count
 
     def _answer_order(self, free: Sequence[Variable]) -> Tuple[List[Variable], int]:
         """``(order, cut)`` for :meth:`iter_answers`.

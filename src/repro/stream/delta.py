@@ -427,11 +427,8 @@ def delta_count_exact(
     )
     if untouched is None or report.delta == 0:
         return report
-    factor = sum(
-        1
-        for _ in untouched.solution_csp(new_database, engine).iter_answers(
-            untouched.query.free_variables
-        )
+    factor = untouched.solution_csp(new_database, engine).count_answers(
+        untouched.query.free_variables
     )
     return replace(report, delta=report.delta * factor)
 

@@ -176,6 +176,33 @@ def test_bag_solutions_columnar_matches_python_join_pipeline():
             )
 
 
+# ------------------------------------------------------------- join kernels
+@pytest.mark.parametrize("high", [3, 70_000, 2**31 - 1])
+def test_join_kernels_match_a_row_by_row_reference(high):
+    """``matching_pairs`` yields left rows ascending and each one's partners
+    in ascending right-row order; ``distinct_rows`` yields the sorted
+    distinct rows.  Four columns of codes near 2**31 overflow int64 keys,
+    so the packing must rank-compress on the way."""
+    np = columnar.np
+    rng = np.random.default_rng(high)
+    for width in (1, 2, 4):
+        codes = rng.integers(0, high, size=(6, width))
+        left = codes[rng.integers(0, 6, size=40)].astype(np.int32)
+        right = codes[rng.integers(0, 6, size=30)].astype(np.int32)
+        left_rows, right_rows = columnar.matching_pairs(left, right)
+        expected = [
+            (i, j)
+            for i in range(len(left))
+            for j in range(len(right))
+            if (left[i] == right[j]).all()
+        ]
+        assert list(zip(left_rows.tolist(), right_rows.tolist())) == expected
+        assert columnar.matching_pairs(left, right, limit=len(expected) - 1) is None
+        distinct = columnar.distinct_rows(left)
+        assert distinct.dtype == left.dtype
+        assert [tuple(row) for row in distinct.tolist()] == sorted(set(map(tuple, left.tolist())))
+
+
 # ------------------------------------------------------------ encoder caching
 class TestEncoderCaches:
     def test_universe_encoder_is_interned_and_version_keyed(self):

@@ -33,7 +33,9 @@ from repro.relational import (
     count_homomorphisms,
     enumerate_homomorphisms,
 )
-from repro.relational.signature import Signature
+from repro.relational import columnar
+from repro.relational import csp as csp_module
+from repro.relational.signature import RelationSymbol, Signature
 from repro.relational.structure import Structure
 from repro.workloads import (
     database_from_graph,
@@ -295,3 +297,198 @@ def test_free_variables_sharing_no_atom_keep_the_min_fill_order(text):
     assert order == csp.search_order()
     assert cut == 1 + max(order.index(v) for v in free)
     assert cut > len(free)
+
+
+# ------------------------------------ answer counts by join–project elimination
+needs_numpy = pytest.mark.skipif(
+    not columnar.columnar_available(), reason="the elimination runs on NumPy columns"
+)
+
+
+@pytest.fixture
+def eliminations(monkeypatch):
+    """Every result of ``_count_by_elimination`` in the test (``None``: the
+    count fell back to the answer search)."""
+    results = []
+    original = CSPInstance._count_by_elimination
+
+    def spy(self, free):
+        result = original(self, free)
+        results.append(result)
+        return result
+
+    monkeypatch.setattr(CSPInstance, "_count_by_elimination", spy)
+    return results
+
+
+def _elimination_database():
+    """G(8, 0.3) as a symmetric ``E``; ``G`` and a functional ``F`` over
+    the same vertices; an empty ``H``; two isolated universe values."""
+    database = database_from_graph(erdos_renyi_graph(8, 0.3, rng=0))
+    for name in ("F", "G", "H"):
+        database.add_relation(RelationSymbol(name, 2))
+    for vertex in range(8):
+        database.add_fact("F", (vertex, (3 * vertex + 1) % 8))
+    for fact in ((0, 5), (2, 5), (2, 6), (7, 1)):
+        database.add_fact("G", fact)
+    database.add_element("isolated-a")
+    database.add_element("isolated-b")
+    return database
+
+
+@needs_numpy
+@pytest.mark.parametrize("text", MIN_FILL_SHAPES + FREE_FIRST_SHAPES)
+def test_columnar_count_eliminates_exactly_the_min_fill_shapes(text, eliminations):
+    """The trigger is the answer search's own: free variables that do not
+    all share tables, so that the search would cut below them."""
+    query = parse_query(text)
+    database = _elimination_database()
+    count = count_answers_exact(query, database, engine="columnar")
+    assert count == count_answers_exact(query, database, engine="indexed")
+    assert count == len(query.answers(database))
+    assert eliminations == ([count] if text in MIN_FILL_SHAPES else [])
+
+
+#: Shapes the columnar count eliminates, with their counts on
+#: ``_elimination_database()`` (where the 2-hop has 40 answers and
+#: ``Ans(x, y) :- E(x, z), E(y, w)`` has 64).
+ELIMINATED_COUNTS = {
+    # A disequality and a negated atom inside an eliminated bucket.
+    "Ans(x, y) :- E(x, z), E(y, w), z != w": 61,
+    "Ans(x, y) :- E(x, z), E(z, y), !F(z, y)": 36,
+    # Free variables linked only by a disequality.
+    "Ans(x, y) :- E(x, z), G(y, w), x != y": 21,
+    # A variable that occurs only in a disequality: existential u, free y
+    # (which ranges over the two isolated values too).
+    "Ans(x, y) :- E(x, z), E(z, y), z != u": 40,
+    "Ans(x, y) :- E(x, z), y != z": 77,
+    # An empty relation, positive and negated.
+    "Ans(x, y) :- E(x, z), H(z, y)": 0,
+    "Ans(x, y) :- E(x, z), E(z, y), !H(x, y)": 40,
+    # Two groups of free variables that nothing links.
+    "Ans(x, u) :- E(x, y), E(y, z), G(u, v)": 24,
+}
+
+
+@needs_numpy
+@pytest.mark.parametrize("text", ELIMINATED_COUNTS)
+def test_eliminated_counts_match_the_search_and_bruteforce(text, eliminations):
+    query = parse_query(text)
+    database = _elimination_database()
+    count = count_answers_exact(query, database, engine="columnar")
+    assert eliminations == [count] == [ELIMINATED_COUNTS[text]]
+    assert count == count_answers_exact(query, database, engine="indexed")
+    assert count == count_answers_exact(query, database, engine="naive")
+    assert count == len(query.answers(database))
+
+
+@needs_numpy
+def test_elimination_agrees_with_bruteforce_on_every_fuzzed_query():
+    """The count path runs on the fuzz's min-fill cases only; run the
+    elimination itself on all of them (Boolean, single- and all-free heads
+    included)."""
+    rng = random.Random(20)
+    mismatches = []
+    for case in range(FUZZ_CASES):
+        query, database = _fuzz_case(rng)
+        csp = solution_csp(query, database, engine="columnar")
+        count = csp._count_by_elimination(tuple(query.free_variables))
+        if count != len(query.answers(database)):
+            mismatches.append(f"case {case}: {query} -> {count}")
+    assert not mismatches, "\n".join(mismatches[:10])
+
+
+@needs_numpy
+def test_unlinked_free_variable_groups_multiply_their_counts():
+    database = _elimination_database()
+    both = parse_query("Ans(x, u) :- E(x, y), E(y, z), G(u, v)")
+    left = parse_query("Ans(x) :- E(x, y), E(y, z)")
+    right = parse_query("Ans(u) :- G(u, v)")
+    assert count_answers_exact(both, database, engine="columnar") == (
+        count_answers_exact(left, database, engine="columnar")
+        * count_answers_exact(right, database, engine="columnar")
+    )
+
+
+@needs_numpy
+def test_a_join_over_the_row_limit_counts_the_search(monkeypatch, eliminations):
+    monkeypatch.setattr(csp_module, "_ELIMINATION_ROW_LIMIT", 0)
+    query = parse_query(MIN_FILL_SHAPES[0])
+    database = _elimination_database()
+    count = count_answers_exact(query, database, engine="columnar")
+    assert eliminations == [None]
+    assert count == count_answers_exact(query, database, engine="indexed") > 0
+
+
+@needs_numpy
+def test_without_numpy_the_count_is_the_search(monkeypatch, eliminations):
+    monkeypatch.setattr(columnar, "HAS_NUMPY", False)
+    query = parse_query(MIN_FILL_SHAPES[0])
+    database = _elimination_database()
+    count = count_answers_exact(query, database, engine="columnar")
+    assert eliminations == []
+    assert count == count_answers_exact(query, database, engine="indexed") > 0
+
+
+@needs_numpy
+def test_past_int32_codes_the_count_is_the_search(monkeypatch, eliminations):
+    monkeypatch.setattr(columnar, "_INT32_LIMIT", 2)
+    query = parse_query(MIN_FILL_SHAPES[0])
+    database = _elimination_database()
+    count = count_answers_exact(query, database, engine="columnar")
+    assert eliminations == [None]
+    assert count == count_answers_exact(query, database, engine="indexed") > 0
+
+
+#: Exact counts on G(120, 1250) seed 5, the served large-exact database.
+SCALE_COUNTS = {
+    "Ans(x, y) :- E(x, z), E(z, y)": 14_034,
+    "Ans(x, w) :- E(x, y), E(y, z), E(z, w)": 14_400,
+    "Ans(x, z) :- E(x, y), E(y, z), x != z": 13_914,
+    "Ans(x, y) :- E(x, y)": 2_500,
+    "Ans(x) :- E(x, y), E(y, x)": 120,
+    "Ans() :- E(x, y), E(y, z), E(z, x)": 1,
+}
+
+
+@needs_numpy
+def test_columnar_counts_equal_indexed_at_scale():
+    import networkx as nx
+
+    database = database_from_graph(nx.gnm_random_graph(120, 1250, seed=5))
+    for text, expected in SCALE_COUNTS.items():
+        query = parse_query(text)
+        assert count_answers_exact(query, database, engine="columnar") == expected, text
+        assert count_answers_exact(query, database, engine="indexed") == expected, text
+
+
+@needs_numpy
+def test_packed_keys_past_sixteen_bit_codes_are_int64(eliminations):
+    """70,001 values, so projected pairs pack past 2**32.  The rows
+    (100, 14059) and (61455, 70000) pack to keys exactly 2**32 apart
+    (61355 * 70001 + 55941 == 2**32): 32-bit keys would merge two of the
+    four answers."""
+    values = [f"v{code:05d}" for code in range(70_001)]  # codes = positions
+    a, b, hub, c, f = (values[code] for code in (100, 61_455, 5, 14_059, 70_000))
+    database = Structure(
+        Signature.from_arities({"E": 2}),
+        universe=values,
+        relations={"E": [(a, hub), (b, hub), (hub, c), (hub, f)]},
+    )
+    query = parse_query(MIN_FILL_SHAPES[0])
+    assert count_answers_exact(query, database, engine="columnar") == 4
+    assert eliminations == [4]
+    assert count_answers_exact(query, database, engine="indexed") == 4
+
+
+@needs_numpy
+def test_an_empty_domain_that_no_constraint_mentions_leaves_no_answers(eliminations):
+    table = frozenset({(1, 2), (2, 1)})
+    csp = CSPInstance(
+        {"x": {1, 2}, "y": {1, 2}, "z": {1, 2}, "u": set()},
+        [Constraint(("x", "z"), table), Constraint(("z", "y"), table)],
+        engine="columnar",
+    )
+    assert list(csp.iter_answers(("x", "y"))) == []
+    assert csp.count_answers(("x", "y")) == 0
+    assert eliminations == [0]
