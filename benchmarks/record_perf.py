@@ -978,18 +978,15 @@ def run_columnar(smoke: bool, out_path: Path, repeats: int) -> tuple:
     probes, so it is the honest place to claim the vectorization win.  Each
     timed run rebuilds the CSP from the shared database caches — identical
     work for both engines — and the propagated domains are compared
-    set-for-set.  The join pipeline and exact counts are verified identical
-    and timed as secondary, ungated numbers (search-bound counting is only
-    modestly faster: the backtracking recursion itself stays in Python).
+    set-for-set.  Exact counts are verified identical across engines
+    (search-bound counting is only modestly faster: the backtracking
+    recursion itself stays in Python), and the bag-solution join pipeline
+    (one implementation, on code matrices) is timed as a secondary,
+    ungated number with its solution count.
     """
     from repro.core import count_answers_exact as _exact
     from repro.core.bag_solutions import bag_solutions
     from repro.core.exact import solution_csp
-    from repro.relational import columnar
-
-    if not columnar.columnar_available():
-        print("[record_perf] columnar suite skipped: NumPy unavailable")
-        return 0, {}
 
     failures = 0
     three_path = path_query(3)
@@ -1036,30 +1033,15 @@ def run_columnar(smoke: bool, out_path: Path, repeats: int) -> tuple:
                 f"fixpoint_identical={identical}"
             )
 
-    # -- join pipeline (verified + timed, not gated) --
+    # -- bag-solution join pipeline (timed, not gated) --
     join_size, join_prob = (60, 0.15) if smoke else (200, 0.1)
     join_db = database_from_graph(erdos_renyi_graph(join_size, join_prob, rng=join_size))
     join_bag = set(three_path.variables)
-    join_sets = {
-        engine: bag_solutions(three_path, join_db, join_bag, engine=engine)
-        for engine in ("indexed", "columnar")
-    }
-    join_identical = join_sets["indexed"] == join_sets["columnar"]
-    if not join_identical:
-        failures += 1
-        print("[record_perf] FAIL: join-pipeline solution sets diverged")
-    join_indexed = _best_of(
-        lambda: bag_solutions(three_path, join_db, join_bag, engine="indexed"), repeats
-    )
-    join_columnar = _best_of(
-        lambda: bag_solutions(three_path, join_db, join_bag, engine="columnar"), repeats
-    )
-    join_speedup = join_indexed / join_columnar if join_columnar > 0 else float("inf")
+    join_solutions = len(bag_solutions(three_path, join_db, join_bag))
+    join_seconds = _best_of(lambda: bag_solutions(three_path, join_db, join_bag), repeats)
     print(
         f"[record_perf] join|three-path|U={join_size}: "
-        f"|solutions|={len(join_sets['indexed'])} "
-        f"indexed={join_indexed:.2f}s columnar={join_columnar:.2f}s "
-        f"speedup={join_speedup:.1f}x identical={join_identical}"
+        f"|solutions|={join_solutions} seconds={join_seconds:.2f}s"
     )
 
     # -- exact counts, all three engines (verified, untimed) --
@@ -1090,11 +1072,8 @@ def run_columnar(smoke: bool, out_path: Path, repeats: int) -> tuple:
         "configs": gac_results,
         "join": {
             "config": f"join|three-path|U={join_size} p={join_prob}",
-            "solutions": len(join_sets["indexed"]),
-            "sets_identical": join_identical,
-            "indexed_seconds": round(join_indexed, 4),
-            "columnar_seconds": round(join_columnar, 4),
-            "speedup": round(join_speedup, 2),
+            "solutions": join_solutions,
+            "seconds": round(join_seconds, 4),
         },
         "count_checks": count_checks,
         "min_speedup": round(min((r["speedup"] for r in gac_results), default=0.0), 2),

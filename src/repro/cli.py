@@ -166,9 +166,8 @@ def _add_engine_argument(parser: argparse.ArgumentParser) -> None:
         choices=list(ENGINES),
         default=DEFAULT_ENGINE,
         help="CSP engine the schemes solve with: indexed (default), naive "
-        "(differential oracle), or columnar (vectorized NumPy; falls back "
-        "to indexed when NumPy is unavailable); estimates are bit-identical "
-        "across engines under equal seeds",
+        "(differential oracle), or columnar (vectorized NumPy); estimates "
+        "are bit-identical across engines under equal seeds",
     )
 
 

@@ -36,7 +36,7 @@ from repro.core.answer_hypergraph import (
     build_answer_hypergraph,
     vertex_classes,
 )
-from repro.core.bag_solutions import bag_solutions, project_solutions
+from repro.core.bag_solutions import bag_solutions
 from repro.core.colour_coding import ColourCodingEdgeFreeOracle
 from repro.core.dichotomy import (
     ClassVerdict,
@@ -151,7 +151,6 @@ __all__ = [
     "approx_count_answers_via_oracle",
     "exact_count_answers_via_oracle",
     "bag_solutions",
-    "project_solutions",
     "build_tree_automaton",
     "TreeAutomaton",
     "RootedTree",

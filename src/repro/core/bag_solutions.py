@@ -11,14 +11,15 @@ every atom of ``phi`` there exists a full assignment, consistent with
 and Lemma 48 (Grohe–Marx) bounds the time to enumerate it — and its size —
 polynomially when the fractional edge cover number of ``H(phi)[B]`` is
 bounded.  This module implements the enumeration by per-atom projection and
-hash joins; it is the workhorse of the Theorem-16 FPRAS (it computes the bag
+joins; it is the workhorse of the Theorem-16 FPRAS (it computes the bag
 relations ``Sol_t`` of Lemma 52).
 
-The joins are index-driven: each atom's internally-consistent rows are
-computed once per database (memoised on the structure's version-keyed
-scratch cache, see :meth:`Structure.derived_cache`) and every pairwise join
-hashes on the shared-variable projection of the canonical assignment keys —
-no per-entry dict materialisation in the hot path.
+The joins run on int32 code matrices over the database's interned universe
+(:mod:`repro.relational.columnar`): each atom's internally-consistent rows
+are computed once per database (memoised on the structure's version-keyed
+scratch cache, see :meth:`Structure.derived_cache`), every pairwise join is a
+sort/merge on packed integer keys, and codes are decoded to assignments only
+once at the end.
 
 Assignments are represented as immutable, canonically ordered tuples of
 ``(variable, value)`` pairs so they can serve as automaton states.
@@ -26,12 +27,11 @@ Assignments are represented as immutable, canonically ordered tuples of
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Hashable, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Hashable, Iterable, List, Set, Tuple
 
 from repro.queries.atoms import Atom, Variable
 from repro.queries.query import ConjunctiveQuery
 from repro.relational import columnar as _columnar
-from repro.relational.csp import DEFAULT_ENGINE
 from repro.relational.structure import Structure
 
 Element = Hashable
@@ -44,181 +44,23 @@ def assignment_key(assignment: Dict[Variable, Element]) -> AssignmentKey:
     return tuple(sorted(assignment.items(), key=lambda item: item[0]))
 
 
-def assignment_dict(key: AssignmentKey) -> Dict[Variable, Element]:
-    """Inverse of :func:`assignment_key`."""
-    return dict(key)
-
-
-def are_consistent(first: Dict[Variable, Element], second: Dict[Variable, Element]) -> bool:
-    """Definition 44: two assignments are consistent if they agree on every
-    shared variable."""
-    if len(second) < len(first):
-        first, second = second, first
-    return all(second.get(v, value) == value for v, value in first.items())
-
-
-def compose(first: Dict[Variable, Element], second: Dict[Variable, Element]) -> Dict[Variable, Element]:
-    """Definition 45: the composition of two consistent assignments."""
-    if not are_consistent(first, second):
-        raise ValueError("cannot compose inconsistent assignments")
-    combined = dict(first)
-    combined.update(second)
-    return combined
-
-
-def project(assignment: Dict[Variable, Element], variables: Iterable[Variable]) -> Dict[Variable, Element]:
-    """Definition 44/46: the projection of an assignment onto a variable set
-    (only variables the assignment actually defines are kept)."""
-    wanted = set(variables)
-    return {v: value for v, value in assignment.items() if v in wanted}
-
-
-def _atom_base(atom: Atom, database: Structure) -> Tuple[Tuple[Variable, ...], List[Tuple[Element, ...]]]:
-    """The atom's internally-consistent value rows, deduplicated per distinct
-    variable (repeated variables must receive equal values), memoised on the
-    database's version-keyed scratch cache so every bag projection of the
-    same atom reuses one relation scan."""
+def _atom_codes(atom: Atom, database: Structure):
+    """The atom's internally-consistent rows (repeated variables must
+    receive equal values), deduplicated per distinct variable, as an
+    ``(n, len(distinct))`` int32 code matrix over the database's interned
+    universe; memoised on the version-keyed scratch cache so every bag
+    projection of the same atom reuses one relation scan."""
     cache = database.derived_cache()
-    key = ("atom_base", atom.relation, atom.args)
-    cached = cache.get(key)
-    if cached is not None:
-        return cached
-    distinct: List[Variable] = []
-    positions: List[int] = []
-    seen: Dict[Variable, int] = {}
-    checks: List[Tuple[int, int]] = []  # (position, position of first occurrence)
-    for position, variable in enumerate(atom.args):
-        first = seen.get(variable)
-        if first is None:
-            seen[variable] = position
-            distinct.append(variable)
-            positions.append(position)
-        else:
-            checks.append((position, first))
-    rows: List[Tuple[Element, ...]] = []
-    for fact in database.relation(atom.relation):
-        if all(fact[position] == fact[first] for position, first in checks):
-            rows.append(tuple(fact[position] for position in positions))
-    result = (tuple(distinct), rows)
-    cache[key] = result
-    return result
-
-
-def _atom_projection(
-    atom: Atom, database: Structure, bag: FrozenSet[Variable]
-) -> Optional[Set[AssignmentKey]]:
-    """The set of partial assignments of ``B ∩ vars(atom)`` that extend to a
-    tuple of the atom's relation (respecting repeated variables within the
-    atom).  Returns ``None`` when the relation admits *no* internally
-    consistent tuple at all — in that case ``Sol(phi, D, B)`` is empty no
-    matter what ``B`` is.
-    """
-    variables, rows = _atom_base(atom, database)
-    if not rows:
-        return None
-    # Canonically ordered (variable-sorted) projection columns.
-    columns = sorted(
-        (column for column, variable in enumerate(variables) if variable in bag),
-        key=lambda column: variables[column],
-    )
-    ordered = tuple(variables[column] for column in columns)
-    return {
-        tuple(zip(ordered, (row[column] for column in columns))) for row in rows
-    }
-
-
-def _merge_sorted_keys(left: AssignmentKey, right: AssignmentKey) -> AssignmentKey:
-    """Union of two consistent assignment keys, both sorted by variable."""
-    if not left:
-        return right
-    if not right:
-        return left
-    merged: List[Tuple[Variable, Element]] = []
-    i = j = 0
-    while i < len(left) and j < len(right):
-        lv, rv = left[i][0], right[j][0]
-        if lv == rv:
-            merged.append(left[i])
-            i += 1
-            j += 1
-        elif lv < rv:
-            merged.append(left[i])
-            i += 1
-        else:
-            merged.append(right[j])
-            j += 1
-    merged.extend(left[i:])
-    merged.extend(right[j:])
-    return tuple(merged)
-
-
-def _hash_join(
-    left: Set[AssignmentKey], right: Set[AssignmentKey]
-) -> Set[AssignmentKey]:
-    """Natural join of two sets of partial assignments: a true hash join
-    keyed on the shared-variable projection (no per-entry dict probing)."""
-    if not left or not right:
-        return set()
-    # Keys built by this module always share one variable set per side.  For
-    # ragged inputs, grouping by variable tuple gives standard natural-join
-    # semantics per group pair (each pair joins on its own shared variables).
-    left_groups: Dict[Tuple[Variable, ...], List[AssignmentKey]] = {}
-    for key in left:
-        left_groups.setdefault(tuple(v for v, _ in key), []).append(key)
-    right_groups: Dict[Tuple[Variable, ...], List[AssignmentKey]] = {}
-    for key in right:
-        right_groups.setdefault(tuple(v for v, _ in key), []).append(key)
-
-    joined: Set[AssignmentKey] = set()
-    for left_vars, left_keys in left_groups.items():
-        left_var_set = set(left_vars)
-        left_positions_by_var = {v: i for i, v in enumerate(left_vars)}
-        for right_vars, right_keys in right_groups.items():
-            shared = sorted(left_var_set & set(right_vars))
-            left_shared = tuple(left_positions_by_var[v] for v in shared)
-            right_positions_by_var = {v: i for i, v in enumerate(right_vars)}
-            right_shared = tuple(right_positions_by_var[v] for v in shared)
-            # Build the hash table on the smaller side and probe with the
-            # larger (the signature-matched merge is symmetric).
-            if len(right_keys) <= len(left_keys):
-                build_keys, build_shared = right_keys, right_shared
-                probe_keys, probe_shared = left_keys, left_shared
-            else:
-                build_keys, build_shared = left_keys, left_shared
-                probe_keys, probe_shared = right_keys, right_shared
-            table: Dict[Tuple[Element, ...], List[AssignmentKey]] = {}
-            for key in build_keys:
-                signature = tuple(key[i][1] for i in build_shared)
-                table.setdefault(signature, []).append(key)
-            for key in probe_keys:
-                signature = tuple(key[i][1] for i in probe_shared)
-                partners = table.get(signature)
-                if not partners:
-                    continue
-                for partner in partners:
-                    joined.add(_merge_sorted_keys(key, partner))
-    return joined
-
-
-def _atom_base_columnar(atom: Atom, database: Structure):
-    """Columnar twin of :func:`_atom_base`: the atom's internally-consistent
-    rows as an ``(n, len(distinct))`` int32 code matrix over the database's
-    interned universe, memoised on the version-keyed scratch cache.  Returns
-    ``None`` when the database has no columnar mirror (NumPy absent or int32
-    overflow) — callers then fall back to the Python path."""
-    cache = database.derived_cache()
-    key = ("atom_base_columnar", atom.relation, atom.args)
+    key = ("atom_codes", atom.relation, atom.args)
     cached = cache.get(key)
     if cached is not None:
         return cached
     rel = database.columnar_relation(atom.relation)
-    if rel is None:
-        return None
     np = _columnar.np
     distinct: List[Variable] = []
     positions: List[int] = []
     seen: Dict[Variable, int] = {}
-    checks: List[Tuple[int, int]] = []
+    checks: List[Tuple[int, int]] = []  # (position, position of first occurrence)
     for position, variable in enumerate(atom.args):
         first = seen.get(variable)
         if first is None:
@@ -244,36 +86,41 @@ def _atom_base_columnar(atom: Atom, database: Structure):
     return result
 
 
-def _bag_solutions_columnar(
-    query: ConjunctiveQuery, database: Structure, bag_set: FrozenSet[Variable]
-) -> Optional[Set[AssignmentKey]]:
-    """The vectorized join pipeline behind ``engine="columnar"``: per-atom
-    bases and projections are int32 code matrices, every pairwise join is a
-    sort/merge on integer group ids (:func:`repro.relational.columnar.
-    matching_pairs`), and codes are decoded to canonical assignment keys only
-    once at the end.  Returns ``None`` when columnar storage is unavailable
-    (caller falls back to the Python hash joins); otherwise the result is
-    set-identical to theirs.
+def bag_solutions(
+    query: ConjunctiveQuery, database: Structure, bag: Iterable[Variable]
+) -> Set[AssignmentKey]:
+    """``Sol(phi, D, B)`` as a set of canonical assignment keys (Lemma 48).
+
+    Only defined for CQs (the FPRAS of Theorem 16 is restricted to queries
+    without disequalities and negations); raises ``ValueError`` otherwise,
+    and when the database's universe exceeds the int32 code space.  Atoms
+    are joined in order of decreasing overlap with the variables seen so
+    far, so intermediate results stay small.
     """
+    if query.negated_atoms or query.disequalities:
+        raise ValueError("bag solutions are defined for plain CQs only (Theorem 16)")
+    bag_set = frozenset(bag)
+    unknown = bag_set - query.variables
+    if unknown:
+        raise ValueError(f"bag contains unknown variables {sorted(unknown)}")
+    query._check_signature_compatibility(database)
     encoder = database.universe_encoder()
     if encoder is None:
-        return None
+        raise ValueError("the database's universe exceeds the int32 code space")
+
     np = _columnar.np
-    # current = (variable tuple sorted ascending, distinct row matrix).
+    # current = (variable tuple sorted ascending, distinct row matrix); the
+    # empty bag starts from the unique empty assignment.
     current_vars: Tuple[Variable, ...] = ()
     current_rows = np.zeros((1, 0), dtype=np.int32)
-    atoms = list(query.atoms)
     processed_vars: Set[Variable] = set()
-    remaining = list(atoms)
+    remaining = list(query.atoms)
     while remaining:
         remaining.sort(
             key=lambda atom: (-len(set(atom.args) & (processed_vars | bag_set)), str(atom))
         )
         atom = remaining.pop(0)
-        base = _atom_base_columnar(atom, database)
-        if base is None:
-            return None
-        variables, matrix = base
+        variables, matrix = _atom_codes(atom, database)
         if matrix.shape[0] == 0:
             return set()
         columns = sorted(
@@ -309,7 +156,7 @@ def _bag_solutions_columnar(
         current_vars, current_rows = merged_vars, merged
         processed_vars |= set(atom.args) & bag_set
     if not current_vars:
-        return {()} if current_rows.shape[0] else set()
+        return {()}
     # Decode column-wise: one (variable, value) pair list per column indexed
     # by code, then a single C-level map/zip pass — decoding row-by-row in
     # Python costs more than the whole vectorized join pipeline.
@@ -319,80 +166,3 @@ def _bag_solutions_columnar(
         pairs = [(variable, value) for value in values]
         per_column.append(map(pairs.__getitem__, current_rows[:, j].tolist()))
     return set(zip(*per_column))
-
-
-def bag_solutions(
-    query: ConjunctiveQuery,
-    database: Structure,
-    bag: Iterable[Variable],
-    engine: str = DEFAULT_ENGINE,
-) -> Set[AssignmentKey]:
-    """``Sol(phi, D, B)`` as a set of canonical assignment keys (Lemma 48).
-
-    Only defined for CQs (the FPRAS of Theorem 16 is restricted to queries
-    without disequalities and negations); raises otherwise.  With
-    ``engine="columnar"`` the per-atom projections and joins run as
-    vectorized integer-key kernels (same result set, decoded once at the
-    end), falling back to the Python hash joins when NumPy is unavailable.
-    """
-    if query.negated_atoms or query.disequalities:
-        raise ValueError("bag solutions are defined for plain CQs only (Theorem 16)")
-    bag_set = frozenset(bag)
-    unknown = bag_set - query.variables
-    if unknown:
-        raise ValueError(f"bag contains unknown variables {sorted(unknown)}")
-    query._check_signature_compatibility(database)
-
-    if engine == "columnar":
-        columnar_result = _bag_solutions_columnar(query, database, bag_set)
-        if columnar_result is not None:
-            return columnar_result
-
-    # The empty bag: the unique empty assignment is a solution iff every
-    # atom's relation contains an internally consistent tuple.
-    current: Set[AssignmentKey] = {assignment_key({})}
-    # Join atoms in order of decreasing overlap with the accumulated variable
-    # set so intermediate results stay small.
-    atoms = list(query.atoms)
-    processed_vars: Set[Variable] = set()
-    remaining = list(atoms)
-    while remaining:
-        remaining.sort(
-            key=lambda atom: (-len(set(atom.args) & (processed_vars | bag_set)), str(atom))
-        )
-        atom = remaining.pop(0)
-        projection = _atom_projection(atom, database, bag_set)
-        if projection is None:
-            return set()
-        current = _hash_join(current, projection)
-        if not current:
-            return set()
-        processed_vars |= set(atom.args) & bag_set
-    return current
-
-
-def project_solutions(
-    solutions: Iterable[AssignmentKey], variables: Iterable[Variable]
-) -> Set[AssignmentKey]:
-    """Project a set of assignment keys onto a variable set (Definition 46)."""
-    wanted = set(variables)
-    projected: Set[AssignmentKey] = set()
-    for key in solutions:
-        projected.add(tuple((v, value) for v, value in key if v in wanted))
-    return projected
-
-
-def solutions_consistent_with(
-    solutions: Iterable[AssignmentKey], anchor: AssignmentKey
-) -> List[AssignmentKey]:
-    """The assignments among ``solutions`` that are consistent with
-    ``anchor`` (the sets ``A_alpha`` used in the Lemma-52 automaton)."""
-    anchor_dict = dict(anchor)
-    result: List[AssignmentKey] = []
-    for key in solutions:
-        candidate = dict(key)
-        if are_consistent(anchor_dict, candidate):
-            result.append(key)
-    # key=repr: value types may be mixed (e.g. int vertices joined by string
-    # vertices streamed in later), which plain tuple comparison cannot order.
-    return sorted(result, key=repr)

@@ -8,11 +8,11 @@ Pipeline (Section 5.2):
     Marx's cubic approximation; see :mod:`repro.decomposition.fractional`.)
 2.  Lemma 48 — for every bag ``B_t`` compute the bag solutions
     ``Sol_t = Sol(phi, D, B_t)`` and their projections
-    ``Sol'_t = proj(Sol_t, free(phi))``.  The enumeration runs on the indexed
-    join engine of :mod:`repro.core.bag_solutions`: per-atom consistent rows
+    ``Sol'_t = proj(Sol_t, free(phi))``.  The enumeration runs on the code
+    matrix joins of :mod:`repro.core.bag_solutions`: per-atom consistent rows
     are scanned once per database (version-keyed cache) and bags are joined
-    with hash joins keyed on the shared-variable projection, so the per-bag
-    cost is dominated by the output size as Lemma 48 requires.
+    by sort/merge on packed integer keys, so the per-bag cost is dominated
+    by the output size as Lemma 48 requires.
 3.  Lemma 52 — build the tree automaton whose accepted labelled trees are in
     bijection with ``Ans(phi, D)``:
       * states ``(t, alpha)`` with ``alpha ∈ Sol_t``; initial state
@@ -30,18 +30,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Hashable, List, Optional, Set, Tuple
 
-from repro.core.bag_solutions import (
-    AssignmentKey,
-    assignment_key,
-    bag_solutions,
-    project_solutions,
-    solutions_consistent_with,
-)
+from repro.core.bag_solutions import AssignmentKey, assignment_key, bag_solutions
 from repro.core.tree_automaton import RootedTree, TreeAutomaton
 from repro.decomposition.nice import NiceTreeDecomposition
 from repro.queries.prepared import PreparedQuery, prepare
 from repro.queries.query import ConjunctiveQuery, QueryClass
-from repro.relational.csp import DEFAULT_ENGINE
 from repro.relational.structure import Structure
 from repro.util.rng import RNGLike
 from repro.util.validation import check_epsilon_delta
@@ -101,13 +94,16 @@ def build_tree_automaton(
     query: ConjunctiveQuery,
     database: Structure,
     prepared: Optional[PreparedQuery] = None,
-    engine: str = DEFAULT_ENGINE,
+    engine: Optional[str] = None,
 ) -> Lemma52Reduction:
     """Construct the Lemma-52 tree automaton for a CQ instance.
 
     The fhw-optimal decomposition and its nice form come from the shared
     ``prepared`` query (computed once per query shape and cached process-wide
-    when omitted), translated into this query's variable names."""
+    when omitted), translated into this query's variable names.  ``engine``
+    is accepted and ignored: ``Sol(phi, D, B)`` has one join pipeline, and
+    callers that pass every scheme a CSP engine (``perfbench/layers.py``)
+    keep working."""
     if query.query_class() is not QueryClass.CQ:
         raise ValueError(
             "Theorem 16 applies to plain CQs (no disequalities or negations); "
@@ -128,7 +124,7 @@ def build_tree_automaton(
     for node in nice.nodes():
         bag = nice.bag(node)
         if bag not in solutions_by_bag:
-            solutions_by_bag[bag] = bag_solutions(query, database, bag, engine=engine)
+            solutions_by_bag[bag] = bag_solutions(query, database, bag)
         node_solutions[node] = solutions_by_bag[bag]
 
     states: Set[State] = set()
@@ -152,42 +148,57 @@ def build_tree_automaton(
 
     for node in nice.nodes():
         children = nice.children(node)
-        for alpha in node_solutions[node]:
-            state: State = (node, alpha)
-            label = label_of(node, alpha)
-            if not children:
-                # Leaf: empty bag, empty assignment, transition to ∅.
-                add_transition(state, label, ())
-                continue
-            if len(children) == 2:
-                left, right = children
-                add_transition(state, label, ((left, alpha), (right, alpha)))
-                continue
-            (child,) = children
-            node_bag, child_bag = nice.bag(node), nice.bag(child)
-            if child_bag <= node_bag and len(node_bag - child_bag) == 1:
-                # Introduce node: project the assignment down to the child bag.
+        solutions = node_solutions[node]
+        if not children:
+            # Leaf: empty bag, empty assignment, transition to ∅.
+            for alpha in solutions:
+                add_transition((node, alpha), label_of(node, alpha), ())
+            continue
+        if len(children) == 2:
+            left, right = children
+            for alpha in solutions:
+                add_transition(
+                    (node, alpha), label_of(node, alpha), ((left, alpha), (right, alpha))
+                )
+            continue
+        (child,) = children
+        node_bag, child_bag = nice.bag(node), nice.bag(child)
+        if child_bag <= node_bag and len(node_bag - child_bag) == 1:
+            # Introduce node: project the assignment down to the child bag.
+            for alpha in solutions:
                 child_alpha = assignment_key(
                     {v: value for v, value in alpha if v in child_bag}
                 )
                 if child_alpha in node_solutions[child]:
-                    add_transition(state, label, ((child, child_alpha),))
-                continue
-            if node_bag <= child_bag and len(child_bag - node_bag) == 1:
-                # Forget node: one transition per consistent extension.
-                (forgotten,) = tuple(child_bag - node_bag)
-                extensions = solutions_consistent_with(node_solutions[child], alpha)
+                    add_transition(
+                        (node, alpha), label_of(node, alpha), ((child, child_alpha),)
+                    )
+            continue
+        if node_bag <= child_bag and len(child_bag - node_bag) == 1:
+            # Forget node: one transition per consistent extension.  Both
+            # assignments are total on their bags, so the extensions of alpha
+            # are the child solutions that restrict to alpha on this bag:
+            # group the child's solutions by that restriction once.
+            (forgotten,) = tuple(child_bag - node_bag)
+            extensions_of: Dict[AssignmentKey, List[AssignmentKey]] = {}
+            for child_alpha in node_solutions[child]:
+                restriction = tuple(pair for pair in child_alpha if pair[0] != forgotten)
+                extensions_of.setdefault(restriction, []).append(child_alpha)
+            for alpha in solutions:
+                state: State = (node, alpha)
+                label = label_of(node, alpha)
+                extensions = extensions_of.get(alpha, ())
                 for child_alpha in extensions:
                     add_transition(state, label, ((child, child_alpha),))
                 if len(extensions) > 1 and forgotten in free_variables:
                     # Extensions differ on a free variable, so the target
                     # languages carry different labels below and are disjoint.
                     disjoint_pairs.add((state, label))
-                continue
-            raise RuntimeError(
-                f"node {node!r} of the nice decomposition is neither a join, "
-                "introduce, forget nor leaf node"
-            )
+            continue
+        raise RuntimeError(
+            f"node {node!r} of the nice decomposition is neither a join, "
+            "introduce, forget nor leaf node"
+        )
 
     tree = RootedTree(
         root=nice.root,
@@ -225,7 +236,7 @@ def fpras_count_cq(
     return_result: bool = False,
     samples_per_union: Optional[int] = None,
     prepared: Optional[PreparedQuery] = None,
-    engine: str = DEFAULT_ENGINE,
+    engine: Optional[str] = None,
 ):
     """Theorem 16: FPRAS for #CQ on queries with bounded fractional
     hypertreewidth.
@@ -233,10 +244,11 @@ def fpras_count_cq(
     Returns the (epsilon, delta)-approximation of ``|Ans(phi, D)|`` (a float),
     or a :class:`FPRASResult` when ``return_result`` is true.  The Lemma-43
     decomposition is read from the shared ``prepared`` query (prepared and
-    cached process-wide when omitted).
+    cached process-wide when omitted).  ``engine`` is ignored, as in
+    :func:`build_tree_automaton`.
     """
     check_epsilon_delta(epsilon, delta)
-    reduction = build_tree_automaton(query, database, prepared=prepared, engine=engine)
+    reduction = build_tree_automaton(query, database, prepared=prepared)
     fhw = reduction.fractional_hypertreewidth
 
     estimate, fallback_samples = 0.0, 0

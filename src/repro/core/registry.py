@@ -316,7 +316,6 @@ def _run_fpras_cq(prepared, query, database, epsilon, delta, rng, engine, **kwar
         rng=rng,
         return_result=True,
         prepared=prepared,
-        engine=engine,
         **kwargs,
     )
     widths = {"fractional_hypertreewidth": result.fractional_hypertreewidth}

@@ -18,22 +18,16 @@ subset equals ``sorted(subset, key=repr)`` — the canonical value order the
 indexed engine uses.  A columnar search that walks codes in ascending order
 therefore reproduces the indexed engine's enumeration order bit for bit.
 
-Everything here degrades gracefully: when NumPy is not installed
-(``HAS_NUMPY`` is ``False``) or a universe exceeds the int32 code space, the
-builders return ``None`` and callers fall back to the indexed engine.
+When a universe exceeds the int32 code space the builders return ``None``
+and the CSP engine falls back to its indexed code paths; bag solutions
+refuse such a database.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
-try:  # pragma: no cover - exercised via the HAS_NUMPY monkeypatch tests
-    import numpy as np
-
-    HAS_NUMPY = True
-except ImportError:  # pragma: no cover
-    np = None  # type: ignore[assignment]
-    HAS_NUMPY = False
+import numpy as np
 
 Value = Hashable
 
@@ -46,8 +40,10 @@ _INT64_LIMIT = 2**63 - 1
 
 
 def columnar_available() -> bool:
-    """Whether the columnar engine can run at all (NumPy importable)."""
-    return HAS_NUMPY
+    """Always true: NumPy is a hard requirement of the package (the RNG, DLM
+    and the tree-automaton sampler import it too).  Kept because
+    ``perfbench/harness.py`` records it with each run's machine."""
+    return True
 
 
 class UniverseEncoder:
@@ -91,9 +87,7 @@ class UniverseEncoder:
 
 def build_encoder(ordered_values: Sequence[Value]) -> Optional[UniverseEncoder]:
     """An encoder over ``ordered_values`` (already canonical-ordered), or
-    ``None`` when NumPy is missing or the universe exceeds int32 codes."""
-    if not HAS_NUMPY:
-        return None
+    ``None`` when the universe exceeds int32 codes."""
     if len(ordered_values) > _INT32_LIMIT:
         return None
     return UniverseEncoder(ordered_values)

@@ -96,10 +96,9 @@ sets *and* identical enumeration order); select one with
       their counts.  A join step over :data:`_ELIMINATION_ROW_LIMIT` rows
       counts the search instead.
 
-    When NumPy is not installed the engine resolves to ``"indexed"`` at
-    construction; when a universe exceeds the int32 code space (or a caller
-    passes domains outside the interned universe) the instance silently runs
-    the indexed code paths instead — same answers, scalar speed.
+    When a universe exceeds the int32 code space (or a caller passes
+    domains outside the interned universe) the instance silently runs the
+    indexed code paths instead — same answers, scalar speed.
 
 All engines treat :class:`NotEqualConstraint` and
 :class:`NotInRelationConstraint` the same way during propagation (they do not
@@ -562,8 +561,7 @@ class CSPInstance:
         ``"indexed"`` (default) for the propagation-based engine,
         ``"naive"`` for the original scan-based one, or ``"columnar"`` for
         the vectorized NumPy engine; see the module docstring's "Engine
-        architecture" section.  ``"columnar"`` resolves to ``"indexed"``
-        when NumPy is not installed.
+        architecture" section.
     search_order:
         Optional pre-computed variable order (skips the min-fill computation).
         Its one caller is :func:`repro.core.exact.solution_csp`, so that the
@@ -584,8 +582,6 @@ class CSPInstance:
     ) -> None:
         if engine not in ENGINES:
             raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
-        if engine == "columnar" and not _columnar.columnar_available():
-            engine = "indexed"
         self._engine = engine
         # Keep the raw domain iterables: the columnar context recognises the
         # shared canonical-universe tuple by identity and skips per-value
@@ -838,15 +834,13 @@ class CSPInstance:
     # ------------------------------------------------------------- columnar
     def _columnar_context(self) -> Optional[_ColumnarContext]:
         """Build (and cache) the columnar preliminaries, or ``None`` when the
-        instance cannot be interned (NumPy absent, int32 overflow)."""
+        instance cannot be interned (int32 overflow, foreign domain values)."""
         if self._columnar_ctx is not _COLUMNAR_UNSET:
             return self._columnar_ctx
         self._columnar_ctx = self._build_columnar_context()
         return self._columnar_ctx
 
     def _build_columnar_context(self) -> Optional[_ColumnarContext]:
-        if not _columnar.columnar_available():
-            return None
         table_constraints = [c for c in self._constraints if isinstance(c, Constraint)]
         # Preferred path: every table carries a shared ColumnarRelation from
         # one structure (one encoder), and every domain is covered by it.

@@ -322,9 +322,9 @@ class Structure:
     def universe_encoder(self):
         """The interned value <-> int32 code bijection over this structure's
         canonical universe (see :mod:`repro.relational.columnar`), cached
-        until the universe changes; ``None`` when NumPy is unavailable or the
-        universe exceeds the int32 code space (callers then fall back to the
-        indexed engine)."""
+        until the universe changes; ``None`` when the universe exceeds the
+        int32 code space (the CSP engine then falls back to its indexed
+        paths)."""
         from repro.relational import columnar
 
         cached = self._universe_encoder_cache

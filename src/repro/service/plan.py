@@ -59,7 +59,6 @@ from repro.core.registry import REGISTRY
 from repro.obs.profile import fingerprint_class
 from repro.queries.prepared import PreparedQuery, prepare
 from repro.queries.query import ConjunctiveQuery, QueryClass
-from repro.relational.columnar import columnar_available
 from repro.relational.csp import DEFAULT_ENGINE, ENGINES
 from repro.relational.structure import Structure
 from repro.util.cache import LRUCache
@@ -86,9 +85,9 @@ class PlannerConfig:
     fhw_alarm: float = 3.0
     #: Databases with ``size()`` at least this run the chosen scheme on the
     #: vectorized columnar CSP engine when the planner's default engine is
-    #: ``"indexed"`` and NumPy is available (estimates are bit-identical
-    #: across engines, so the upgrade only changes speed).  ``None`` disables
-    #: the upgrade; an explicit planner engine always wins.
+    #: ``"indexed"`` (estimates are bit-identical across engines, so the
+    #: upgrade only changes speed).  ``None`` disables the upgrade; an
+    #: explicit planner engine always wins.
     columnar_size_threshold: Optional[int] = 5000
     #: When ``True`` (and the planner holds a :class:`CostModel`), overlay
     #: observed per-scheme costs on the static decision table: pick the
@@ -320,7 +319,6 @@ class Planner:
             self.engine == "indexed"
             and threshold is not None
             and database_size >= threshold
-            and columnar_available()
         )
         adaptive = config.adaptive and self.cost_model is not None
         if adaptive:

@@ -3,46 +3,96 @@ the Lemma-52 reduction used by the Theorem-16 FPRAS."""
 
 from __future__ import annotations
 
-import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
+import itertools
 
-from repro.core.bag_solutions import (
-    are_consistent,
-    assignment_dict,
-    assignment_key,
-    bag_solutions,
-    compose,
-    project,
-    project_solutions,
-    solutions_consistent_with,
-)
+import pytest
+
+from repro.core.bag_solutions import assignment_key, bag_solutions
 from repro.core.fpras import build_tree_automaton
 from repro.core.tree_automaton import RootedTree, TreeAutomaton, _enumerate_trees
 from repro.core import count_answers_exact
 from repro.queries import parse_query
-from repro.queries.builders import path_query, star_query
+from repro.queries.builders import star_query
 from repro.relational import Database
-from repro.workloads import database_from_graph, erdos_renyi_graph
+from repro.workloads import random_database, random_tree_query
 
 
-class TestAssignmentHelpers:
-    def test_key_round_trip(self):
-        assignment = {"x": 1, "y": 2}
-        assert assignment_dict(assignment_key(assignment)) == assignment
+def definition_47_solutions(query, database, bag):
+    """``Sol(phi, D, B)`` by brute force over Definition 47: every
+    assignment ``alpha : B -> U(D)`` such that each atom has a fact that
+    agrees with ``alpha`` and gives a repeated variable one value."""
+    variables = sorted(bag)
+    universe = sorted(database.universe, key=repr)
+    expected = set()
+    for values in itertools.product(universe, repeat=len(variables)):
+        alpha = dict(zip(variables, values))
+        if all(_atom_extends(atom, database, alpha) for atom in query.atoms):
+            expected.add(assignment_key(alpha))
+    return expected
 
-    def test_consistency(self):
-        assert are_consistent({"x": 1}, {"y": 2})
-        assert are_consistent({"x": 1, "y": 2}, {"y": 2})
-        assert not are_consistent({"x": 1}, {"x": 2})
 
-    def test_compose(self):
-        assert compose({"x": 1}, {"y": 2}) == {"x": 1, "y": 2}
-        with pytest.raises(ValueError):
-            compose({"x": 1}, {"x": 2})
+def _atom_extends(atom, database, alpha):
+    for fact in database.relation(atom.relation):
+        witness = dict(alpha)
+        if all(witness.setdefault(v, value) == value for v, value in zip(atom.args, fact)):
+            return True
+    return False
 
-    def test_project(self):
-        assert project({"x": 1, "y": 2}, ["y", "z"]) == {"y": 2}
+
+def _mixed_universe_database():
+    database = Database(universe=[1, 2, 3, "a", "b"])
+    for fact in [(1, "a"), ("a", 2), (2, "b"), ("b", "b"), (3, 1), ("a", "a")]:
+        database.add_fact("E", fact)
+    return database
+
+
+def _definition_47_cases():
+    """(id, query, database, bag): random tree queries with empty, partial
+    and full bags, a repeated variable, a universe mixing ints and strings,
+    and relations without a consistent tuple."""
+    cases = []
+    for seed in range(6):
+        query = random_tree_query(num_variables=5, num_free=2, rng=seed)
+        database = random_database(
+            universe_size=6,
+            relations={"E": 2, "F": 2},
+            facts_per_relation=12,
+            rng=seed + 30,
+        )
+        variables = sorted(query.variables)
+        for name, bag in (("empty", ()), ("partial", variables[:2]), ("full", variables)):
+            cases.append((f"tree-seed{seed}-{name}", query, database, bag))
+    loops = Database.from_graph_edges([(1, 2), (2, 3)])
+    loops.add_fact("E", (3, 3))
+    repeated = parse_query("Ans(x) :- E(x, x), E(x, y)")
+    for name, bag in (("empty", ()), ("x", ["x"]), ("y", ["y"]), ("full", ["x", "y"])):
+        cases.append((f"repeated-variable-{name}", repeated, loops, bag))
+    mixed = _mixed_universe_database()
+    for text, bag in (
+        ("Ans(x, z) :- E(x, y), E(y, z)", ["x", "z"]),
+        ("Ans(x, z) :- E(x, y), E(y, z)", ["x", "y", "z"]),
+        ("Ans(x) :- E(x, x), E(y, x)", ["x", "y"]),
+    ):
+        cases.append((f"mixed-universe-{'-'.join(bag)}", parse_query(text), mixed, bag))
+    loopless = Database.from_graph_edges([(1, 2), (2, 3)])
+    no_loop = parse_query("Ans(x) :- E(x, y), E(y, y)")
+    for name, bag in (("empty", ()), ("x", ["x"]), ("full", ["x", "y"])):
+        cases.append((f"no-consistent-tuple-{name}", no_loop, loopless, bag))
+    return cases
+
+
+DEFINITION_47_CASES = _definition_47_cases()
+
+
+@pytest.mark.parametrize(
+    "query,database,bag",
+    [case[1:] for case in DEFINITION_47_CASES],
+    ids=[case[0] for case in DEFINITION_47_CASES],
+)
+def test_bag_solutions_match_definition_47(query, database, bag):
+    assert bag_solutions(query, database, bag) == definition_47_solutions(
+        query, database, bag
+    )
 
 
 class TestBagSolutions:
@@ -68,37 +118,8 @@ class TestBagSolutions:
         query = parse_query("Ans(x) :- E(x, y), E(y, z)")
         bag = {"x", "y"}
         computed = bag_solutions(query, small_database, bag)
-
-        universe = sorted(small_database.universe, key=repr)
-        expected = set()
-        import itertools
-
-        for values in itertools.product(universe, repeat=len(bag)):
-            alpha = dict(zip(sorted(bag), values))
-            ok = True
-            for atom in query.atoms:
-                exists = False
-                for fact in small_database.relation(atom.relation):
-                    consistent = True
-                    witness = {}
-                    for position, variable in enumerate(atom.args):
-                        value = fact[position]
-                        if variable in alpha and alpha[variable] != value:
-                            consistent = False
-                            break
-                        if variable in witness and witness[variable] != value:
-                            consistent = False
-                            break
-                        witness[variable] = value
-                    if consistent:
-                        exists = True
-                        break
-                if not exists:
-                    ok = False
-                    break
-            if ok:
-                expected.add(assignment_key(alpha))
-        assert computed == expected
+        assert computed == definition_47_solutions(query, small_database, bag)
+        assert computed
 
     def test_full_bag_equals_solutions(self, triangle_database):
         from repro.core import count_solutions_exact
@@ -107,18 +128,13 @@ class TestBagSolutions:
         full = bag_solutions(query, triangle_database, query.variables)
         assert len(full) == count_solutions_exact(query, triangle_database)
 
-    def test_project_solutions(self, triangle_database):
-        query = parse_query("Ans(x, y) :- E(x, y)")
-        solutions = bag_solutions(query, triangle_database, {"x", "y"})
-        projected = project_solutions(solutions, ["x"])
-        assert projected == {assignment_key({"x": v}) for v in triangle_database.universe}
+    def test_universe_past_int32_codes_is_refused(self, monkeypatch, triangle_database):
+        from repro.relational import columnar
 
-    def test_solutions_consistent_with(self, triangle_database):
+        monkeypatch.setattr(columnar, "_INT32_LIMIT", 2)
         query = parse_query("Ans(x, y) :- E(x, y)")
-        solutions = bag_solutions(query, triangle_database, {"x", "y"})
-        anchored = solutions_consistent_with(solutions, assignment_key({"x": 1}))
-        assert all(dict(key)["x"] == 1 for key in anchored)
-        assert len(anchored) == 2  # 1-2 and 1-3 in the symmetric triangle
+        with pytest.raises(ValueError, match="int32"):
+            bag_solutions(query, triangle_database, {"x"})
 
     def test_unknown_bag_variable(self, triangle_database):
         query = parse_query("Ans(x, y) :- E(x, y)")

@@ -300,11 +300,6 @@ def test_free_variables_sharing_no_atom_keep_the_min_fill_order(text):
 
 
 # ------------------------------------ answer counts by join–project elimination
-needs_numpy = pytest.mark.skipif(
-    not columnar.columnar_available(), reason="the elimination runs on NumPy columns"
-)
-
-
 @pytest.fixture
 def eliminations(monkeypatch):
     """Every result of ``_count_by_elimination`` in the test (``None``: the
@@ -336,7 +331,6 @@ def _elimination_database():
     return database
 
 
-@needs_numpy
 @pytest.mark.parametrize("text", MIN_FILL_SHAPES + FREE_FIRST_SHAPES)
 def test_columnar_count_eliminates_exactly_the_min_fill_shapes(text, eliminations):
     """The trigger is the answer search's own: free variables that do not
@@ -370,7 +364,6 @@ ELIMINATED_COUNTS = {
 }
 
 
-@needs_numpy
 @pytest.mark.parametrize("text", ELIMINATED_COUNTS)
 def test_eliminated_counts_match_the_search_and_bruteforce(text, eliminations):
     query = parse_query(text)
@@ -382,7 +375,6 @@ def test_eliminated_counts_match_the_search_and_bruteforce(text, eliminations):
     assert count == len(query.answers(database))
 
 
-@needs_numpy
 def test_elimination_agrees_with_bruteforce_on_every_fuzzed_query():
     """The count path runs on the fuzz's min-fill cases only; run the
     elimination itself on all of them (Boolean, single- and all-free heads
@@ -398,7 +390,6 @@ def test_elimination_agrees_with_bruteforce_on_every_fuzzed_query():
     assert not mismatches, "\n".join(mismatches[:10])
 
 
-@needs_numpy
 def test_unlinked_free_variable_groups_multiply_their_counts():
     database = _elimination_database()
     both = parse_query("Ans(x, u) :- E(x, y), E(y, z), G(u, v)")
@@ -410,7 +401,6 @@ def test_unlinked_free_variable_groups_multiply_their_counts():
     )
 
 
-@needs_numpy
 def test_a_join_over_the_row_limit_counts_the_search(monkeypatch, eliminations):
     monkeypatch.setattr(csp_module, "_ELIMINATION_ROW_LIMIT", 0)
     query = parse_query(MIN_FILL_SHAPES[0])
@@ -420,17 +410,6 @@ def test_a_join_over_the_row_limit_counts_the_search(monkeypatch, eliminations):
     assert count == count_answers_exact(query, database, engine="indexed") > 0
 
 
-@needs_numpy
-def test_without_numpy_the_count_is_the_search(monkeypatch, eliminations):
-    monkeypatch.setattr(columnar, "HAS_NUMPY", False)
-    query = parse_query(MIN_FILL_SHAPES[0])
-    database = _elimination_database()
-    count = count_answers_exact(query, database, engine="columnar")
-    assert eliminations == []
-    assert count == count_answers_exact(query, database, engine="indexed") > 0
-
-
-@needs_numpy
 def test_past_int32_codes_the_count_is_the_search(monkeypatch, eliminations):
     monkeypatch.setattr(columnar, "_INT32_LIMIT", 2)
     query = parse_query(MIN_FILL_SHAPES[0])
@@ -451,7 +430,6 @@ SCALE_COUNTS = {
 }
 
 
-@needs_numpy
 def test_columnar_counts_equal_indexed_at_scale():
     import networkx as nx
 
@@ -462,7 +440,6 @@ def test_columnar_counts_equal_indexed_at_scale():
         assert count_answers_exact(query, database, engine="indexed") == expected, text
 
 
-@needs_numpy
 def test_packed_keys_past_sixteen_bit_codes_are_int64(eliminations):
     """70,001 values, so projected pairs pack past 2**32.  The rows
     (100, 14059) and (61455, 70000) pack to keys exactly 2**32 apart
@@ -481,7 +458,6 @@ def test_packed_keys_past_sixteen_bit_codes_are_int64(eliminations):
     assert count_answers_exact(query, database, engine="indexed") == 4
 
 
-@needs_numpy
 def test_an_empty_domain_that_no_constraint_mentions_leaves_no_answers(eliminations):
     table = frozenset({(1, 2), (2, 1)})
     csp = CSPInstance(
