@@ -987,6 +987,7 @@ def run_columnar(smoke: bool, out_path: Path, repeats: int) -> tuple:
     from repro.core import count_answers_exact as _exact
     from repro.core.bag_solutions import bag_solutions
     from repro.core.exact import solution_csp
+    from repro.queries import parse_query
 
     failures = 0
     three_path = path_query(3)
@@ -1045,10 +1046,16 @@ def run_columnar(smoke: bool, out_path: Path, repeats: int) -> tuple:
     )
 
     # -- exact counts, all three engines (verified, untimed) --
+    # The 2-hop and 3-path count by elimination on the columnar engine
+    # (free variables that share no atom), the all-free triangle by
+    # elimination too (no existential variable), the Boolean triangle by
+    # the answer search.
     count_checks = []
     for size, prob, query, label in (
         (60, 0.3, TWO_HOP, "two-hop"),
         (40, 0.2, three_path, "three-path"),
+        (40, 0.2, parse_query("Ans(x, y, z) :- E(x, y), E(y, z), E(z, x)"), "all-free-triangle"),
+        (40, 0.2, parse_query("Ans() :- E(x, y), E(y, z), E(z, x)"), "boolean-triangle"),
     ):
         database = database_from_graph(erdos_renyi_graph(size, prob, rng=size))
         counts = {

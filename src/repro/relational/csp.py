@@ -363,8 +363,9 @@ class _ColumnarSearchTable:
     dict/set lookups — the per-node work must not pay NumPy's per-call
     overhead on tiny arrays:
 
-    * ``buckets(position)`` — code -> row-id array (group-by, built from one
-      stable argsort);
+    * ``bucket(position, code)`` — the ascending row ids holding ``code``
+      at ``position``: one stable argsort per position, plus the start and
+      end of every code present in it; a lookup slices the argsort;
     * ``has_pair`` — binary tables get an int-keyed row set, turning the
       "both scope variables assigned" check into one Python set probe;
     * ``support_mask`` — binary tables get a cached boolean mask over the
@@ -383,28 +384,32 @@ class _ColumnarSearchTable:
             live_idx = np.flatnonzero(state.live)
             self.cols = tuple(column[live_idx] for column in rel.columns)
         self.n_codes = n_codes
-        self._buckets: List[Optional[Dict[int, object]]] = [None] * len(self.cols)
+        # Per position: (stable argsort, code -> (start, end) in it).
+        self._buckets: List[Optional[tuple]] = [None] * len(self.cols)
         self._masks: List[Optional[Dict[int, object]]] = [None] * len(self.cols)
         self._pairs: Optional[Set[int]] = None
 
-    def buckets(self, position: int) -> Dict[int, object]:
-        """code -> ascending row-id array at ``position`` (codes with rows)."""
-        groups = self._buckets[position]
-        if groups is None:
+    def bucket(self, position: int, code: int):
+        """The ascending row ids with ``code`` at ``position``, or ``None``
+        when no row has it."""
+        buckets = self._buckets[position]
+        if buckets is None:
             np = _columnar.np
-            groups = {}
             column = self.cols[position]
+            order = np.argsort(column, kind="stable")
+            spans = {}
             if column.size:
-                order = np.argsort(column, kind="stable")
                 sorted_codes = column[order]
                 boundaries = np.flatnonzero(sorted_codes[1:] != sorted_codes[:-1]) + 1
-                starts = np.concatenate(([0], boundaries))
-                for code, chunk in zip(
-                    sorted_codes[starts].tolist(), np.split(order, boundaries)
-                ):
-                    groups[code] = chunk
-            self._buckets[position] = groups
-        return groups
+                starts = [0] + boundaries.tolist()
+                ends = starts[1:] + [column.size]
+                spans = dict(zip(sorted_codes[starts].tolist(), zip(starts, ends)))
+            buckets = self._buckets[position] = (order, spans)
+        order, spans = buckets
+        span = spans.get(code)
+        if span is None:
+            return None
+        return order[span[0] : span[1]]
 
     def has_pair(self, code0: int, code1: int) -> bool:
         """Membership probe for binary tables: is ``(code0, code1)`` a row?"""
@@ -426,7 +431,7 @@ class _ColumnarSearchTable:
         if mask is None:
             np = _columnar.np
             mask = np.zeros(self.n_codes, dtype=bool)
-            bucket = self.buckets(assigned_position).get(code)
+            bucket = self.bucket(assigned_position, code)
             if bucket is not None:
                 mask[self.cols[1 - assigned_position][bucket]] = True
             masks[code] = mask
@@ -1115,8 +1120,8 @@ class CSPInstance:
                     failed = False
                     for position, scope_variable in enumerate(scope):
                         if scope_variable in assignment:
-                            bucket = table.buckets(position).get(
-                                assigned_codes[scope_variable]
+                            bucket = table.bucket(
+                                position, assigned_codes[scope_variable]
                             )
                             if bucket is None:
                                 failed = True
@@ -1459,16 +1464,27 @@ class CSPInstance:
     def count_answers(self, free: Sequence[Variable]) -> int:
         """``|Ans|``: the number of answers :meth:`iter_answers` yields.
 
-        On the columnar engine, when some free variable shares no table
+        On the columnar engine, with at least one free variable, the
+        existential variables are eliminated by joins
+        (:meth:`_count_by_elimination`) when the answer search would walk
+        one leaf per answer anyway: when some free variable shares no table
         with the earlier ones (:meth:`_answer_order` cuts below the free
-        variables, so the search walks every witness), the existential
-        variables are eliminated by joins instead
-        (:meth:`_count_by_elimination`).  Every other case — and a join
-        that would exceed :data:`_ELIMINATION_ROW_LIMIT` rows — counts the
-        answer search.
+        variables, so the search walks every witness), or when every
+        variable is free (no first witness to stop at).  Every other case —
+        Boolean queries, existential variables below a free-first cut, and a
+        join that would exceed :data:`_ELIMINATION_ROW_LIMIT` rows — counts
+        the answer search, which stops each subtree at its first witness.
         """
         free = tuple(free)
-        if self._engine == "columnar" and self._answer_order(free)[1] > len(set(free)):
+        wanted = set(free)
+        if (
+            self._engine == "columnar"
+            and wanted
+            and (
+                wanted.issuperset(self._domains)
+                or self._answer_order(free)[1] > len(wanted)
+            )
+        ):
             count = self._count_by_elimination(free)
             if count is not None:
                 return count

@@ -24,10 +24,12 @@ did not previously own the component is still seen):
 * universe growth is folded in only for components with a variable outside
   the positive atoms (the :func:`repro.stream.delta.delta_applicable`
   criterion, per component);
-* stale reads **re-plan before recounting**: hash-by-tuple placement can
-  move a relation's owning shard, so recounts follow the fresh plan — and
-  when the decomposition stops localising entirely, the subscription
-  degrades to always-correct whole-query recomputes.
+* stale reads **check ownership before recounting**: hash-by-tuple
+  placement can move a relation's owning shard, so when some component's
+  owner set moved the subscription re-plans and recounts follow the fresh
+  plan — and when the decomposition stops localising entirely, it degrades
+  to always-correct whole-query recomputes.  Unmoved owner sets keep the
+  pinned plan (a single/local plan depends on nothing else).
 
 Union/merged-strategy queries (answers span shards) have no per-shard
 locality to exploit: the subscription keeps the core's one aggregate
@@ -44,9 +46,10 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Tuple
+from typing import FrozenSet, Tuple
 
 from repro.queries.canonical import query_relation_names
+from repro.queries.components import query_components
 from repro.queries.query import ConjunctiveQuery
 from repro.shard.executor import combine_local_estimates
 from repro.shard.plan import ShardCountPlan, plan_sharded_count
@@ -96,6 +99,14 @@ class ShardSubscription(CountSubscription):
     """
 
     def _count_initial(self) -> None:
+        # A single/local plan is a function of the components and their
+        # owner shards only: keep the components' relation names and the
+        # owner sets the plan was made from, so a refresh re-plans only
+        # when an owner set moved.
+        self._component_relations = tuple(
+            query_relation_names(component) for component in query_components(self.query)
+        )
+        self._owners = self._owner_sets()
         self.shard_plan: ShardCountPlan = plan_sharded_count(self.query, self._database)
         self._components = []
         if self.shard_plan.strategy not in ("single", "local"):
@@ -114,6 +125,11 @@ class ShardSubscription(CountSubscription):
             self._recount_component(state, refresh_index=0)
             self._components.append(state)
         self._estimate = self._combined()
+
+    def _owner_sets(self) -> Tuple[FrozenSet[int], ...]:
+        return tuple(
+            self._database.owner_shards(relations) for relations in self._component_relations
+        )
 
     def _recount_component(self, state: _ComponentState, refresh_index: int) -> None:
         from repro.core.registry import REGISTRY
@@ -185,18 +201,23 @@ class ShardSubscription(CountSubscription):
 
     def _replan_shards(self, stale, refresh_index: int) -> bool:
         """Re-plan before recounting stale components: mutations can move a
-        relation's owning shard (hash-by-tuple placement).  Returns ``False``
-        when the fresh plan no longer matches the pinned decomposition (the
-        caller then degrades to whole-query recomputes); otherwise updates
-        each component's owning shard and recounts the stale ones."""
-        fresh = plan_sharded_count(self.query, self._database)
-        self.shard_plan = fresh
-        if fresh.strategy not in ("single", "local"):
-            return False
-        if len(fresh.tasks) != len(self._components):
-            return False
-        for state, task in zip(self._components, fresh.tasks):
-            state.shard = task.shard
+        relation's owning shard (hash-by-tuple placement).  The plan is
+        rebuilt only when some component's owner set moved.  Returns
+        ``False`` when the fresh plan no longer matches the pinned
+        decomposition (the caller then degrades to whole-query recomputes);
+        otherwise updates each component's owning shard and recounts the
+        stale ones."""
+        owners = self._owner_sets()
+        if owners != self._owners:
+            fresh = plan_sharded_count(self.query, self._database)
+            self.shard_plan = fresh
+            self._owners = owners
+            if fresh.strategy not in ("single", "local"):
+                return False
+            if len(fresh.tasks) != len(self._components):
+                return False
+            for state, task in zip(self._components, fresh.tasks):
+                state.shard = task.shard
         for state in stale:
             self._recount_component(state, refresh_index)
         return True

@@ -331,16 +331,32 @@ def _elimination_database():
     return database
 
 
-@pytest.mark.parametrize("text", MIN_FILL_SHAPES + FREE_FIRST_SHAPES)
-def test_columnar_count_eliminates_exactly_the_min_fill_shapes(text, eliminations):
-    """The trigger is the answer search's own: free variables that do not
-    all share tables, so that the search would cut below them."""
+#: Queries with no existential variable: the search has no first witness
+#: to stop at and walks one leaf per answer.
+ALL_FREE_SHAPES = (
+    "Ans(x, y) :- E(x, y)",
+    "Ans(x, y, z) :- E(x, y), E(y, z), E(z, x)",
+)
+#: Boolean, or existential variables below a free-first cut: the search
+#: stops every subtree at its first witness, so it keeps the count.
+SEARCHED_SHAPES = (
+    "Ans() :- E(x, y), E(y, z), E(z, x)",
+    "Ans(x) :- E(x, y), E(y, x)",
+    "Ans(x) :- E(x, y), E(x, z), y != z",
+)
+
+
+@pytest.mark.parametrize("text", MIN_FILL_SHAPES + ALL_FREE_SHAPES + SEARCHED_SHAPES)
+def test_columnar_count_eliminates_the_min_fill_and_all_free_shapes(text, eliminations):
+    """Elimination runs where the search would walk one leaf per answer:
+    free variables that do not all share tables (the search cuts below
+    them), or no existential variable at all."""
     query = parse_query(text)
     database = _elimination_database()
     count = count_answers_exact(query, database, engine="columnar")
     assert count == count_answers_exact(query, database, engine="indexed")
     assert count == len(query.answers(database))
-    assert eliminations == ([count] if text in MIN_FILL_SHAPES else [])
+    assert eliminations == ([] if text in SEARCHED_SHAPES else [count])
 
 
 #: Shapes the columnar count eliminates, with their counts on
@@ -361,6 +377,13 @@ ELIMINATED_COUNTS = {
     "Ans(x, y) :- E(x, z), E(z, y), !H(x, y)": 40,
     # Two groups of free variables that nothing links.
     "Ans(x, u) :- E(x, y), E(y, z), G(u, v)": 24,
+    # All free: unlinked groups multiply (the search walks their product).
+    "Ans(x, y, u, v) :- E(x, y), G(u, v)": 72,
+    # All free, with a negated atom or a disequality over the atom's row.
+    "Ans(x, y) :- E(x, y), !F(x, y)": 16,
+    "Ans(x, y) :- E(x, y), x != y": 18,
+    # All free, u only in a disequality: it ranges over the universe.
+    "Ans(x, y, u) :- E(x, y), x != u": 162,
 }
 
 
@@ -468,3 +491,66 @@ def test_an_empty_domain_that_no_constraint_mentions_leaves_no_answers(eliminati
     assert list(csp.iter_answers(("x", "y"))) == []
     assert csp.count_answers(("x", "y")) == 0
     assert eliminations == [0]
+
+
+# --------------------------------------------- search-table bucket lookups
+def _search_table(columns, live=None):
+    """A ``_ColumnarSearchTable`` over raw int32 ``columns``; ``live`` marks
+    the rows propagation kept (all of them by default)."""
+    import numpy as np
+    from types import SimpleNamespace
+
+    columns = tuple(np.asarray(column, dtype=np.int32) for column in columns)
+    if live is None:
+        live = np.ones(columns[0].size, dtype=bool)
+    state = SimpleNamespace(rel=SimpleNamespace(columns=columns), live=np.asarray(live))
+    n_codes = int(max((int(c.max()) for c in columns if c.size), default=0)) + 1
+    return csp_module._ColumnarSearchTable(state, n_codes)
+
+
+def _assert_buckets_match_a_row_by_row_group_by(table, probes):
+    import numpy as np
+
+    for position, column in enumerate(table.cols):
+        groups = {}
+        for row, code in enumerate(column.tolist()):
+            groups.setdefault(code, []).append(row)
+        for code in probes:
+            bucket = table.bucket(position, code)
+            if code not in groups:
+                assert bucket is None, (position, code)
+                continue
+            expected = np.array(groups[code], dtype=np.intp)
+            assert bucket.dtype == expected.dtype
+            assert np.array_equal(bucket, expected), (position, code)
+
+
+def test_bucket_lookup_matches_a_row_by_row_group_by_on_random_columns():
+    import numpy as np
+
+    rng = np.random.default_rng(7)
+    for size, n_codes in ((1, 1), (40, 5), (300, 60), (1000, 997)):
+        columns = [rng.integers(0, n_codes, size=size) for _ in range(3)]
+        live = rng.random(size) < 0.7
+        live[0] = True
+        for kept in (None, live):
+            table = _search_table(columns, kept)
+            # Every code in range, some with no rows, then one past the end.
+            _assert_buckets_match_a_row_by_row_group_by(table, range(n_codes + 1))
+
+
+def test_bucket_lookup_on_an_empty_column_finds_no_bucket():
+    table = _search_table([[], []])
+    _assert_buckets_match_a_row_by_row_group_by(table, range(3))
+    assert table.bucket(0, 0) is None and table.bucket(1, 5) is None
+
+
+def test_bucket_lookup_over_a_seventy_thousand_code_universe():
+    """Codes as far apart as the packed-keys test's 70,001 values: lookups
+    return the same rows, and nothing is kept for codes with no row."""
+    codes = (100, 61_455, 5, 14_059, 70_000)
+    column = [codes[i % len(codes)] for i in range(23)]
+    table = _search_table([column, list(reversed(column))])
+    probes = sorted(set(codes) | {0, 6, 61_454, 69_999})
+    _assert_buckets_match_a_row_by_row_group_by(table, probes)
+    assert all(len(spans) == len(codes) for _, spans in table._buckets)

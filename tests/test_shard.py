@@ -524,6 +524,44 @@ class TestShardSubscription:
         live = subscription.refresh()
         assert live.fresh and live.refreshed
 
+    def test_unmoved_ownership_keeps_the_subscribe_time_plan(self, monkeypatch):
+        """On a by-relation partition no write moves an owner set, so the
+        plan made at subscribe time serves every refresh."""
+        import numpy
+
+        from repro.shard import subscription as subscription_module
+
+        plans = []
+
+        def counting_plan(query, sharded):
+            plans.append(query)
+            return plan_sharded_count(query, sharded)
+
+        monkeypatch.setattr(subscription_module, "plan_sharded_count", counting_plan)
+        service, sharded, subscription = self.make_subscribed()
+        query = parse_query(MULTI)
+        generator = numpy.random.default_rng(11)
+        universe = sorted(sharded.universe)
+        added = []
+        for step in range(30):
+            if added and step % 3 == 2:
+                # Only facts added here are removed, so neither relation
+                # empties (an empty relation is owned by every shard).
+                sharded.remove_fact(*added.pop(int(generator.integers(len(added)))))
+            else:
+                name = "E" if generator.random() < 0.5 else "F"
+                fact = tuple(
+                    universe[int(generator.integers(len(universe)))] for _ in range(2)
+                )
+                if not sharded.has_fact(name, fact):
+                    sharded.add_fact(name, fact)
+                    added.append((name, fact))
+            live = subscription.read()
+            assert live.fresh
+            assert live.estimate == count_answers_exact(query, sharded.merged())
+        assert len(plans) == 1
+        assert sum(subscription.component_refreshes) > 0
+
     def test_ownership_migration_is_detected(self):
         """A hash-by-tuple relation whose facts initially land on one shard
         localises — but a later fact can route to another shard.  The
