@@ -46,8 +46,9 @@ sets *and* identical enumeration order); select one with
     * search computes the min-fill variable order and a canonical
       (repr-sorted) per-variable value order **once**, and forward-checks
       each assignment: the surviving tuple ids of every touched constraint
-      prune the unassigned neighbours' domains (with an undo trail), so dead
-      branches are cut before recursing;
+      narrow each unassigned neighbour's domain to a new, intersected set
+      (the undo trail keeps the previous set), so dead branches are cut
+      before recursing;
     * the answer search (:meth:`CSPInstance.iter_answers`) reuses that
       backtrack with one of two orders and a witness cut.  When every free
       variable after the first (in min-fill order) shares a table constraint
@@ -78,27 +79,26 @@ sets *and* identical enumeration order); select one with
     * GAC propagation keeps per-(constraint, position) support counts as
       ``np.bincount`` arrays over codes, killing rows with boolean-mask
       intersections and decrementing supports in bulk when domain values die;
-    * forward checking intersects per-column row groups (stable argsort +
-      binary-searched group boundaries) with ``np.intersect1d`` and prunes
-      neighbour domains through scatter masks instead of Python set algebra;
-    * search walks codes in ascending order — which *is* the repr-sorted
-      value order — so it enumerates the exact solutions, in the exact order,
-      of the indexed engine, decoding codes to values only at yield time; it
-      takes the answer search's order and witness cut unchanged, so the two
-      engines also yield the same answers in the same order;
-    * :meth:`CSPInstance.count_answers` counts that search, except where
-      :meth:`CSPInstance._answer_order` cuts below the free variables (the
-      search would walk every witness): there it eliminates the existential
-      variables in min-fill order, joining the GAC-live rows of the tables
-      that mention each one (disequalities as column compares, negated atoms
-      as anti-joins on packed keys, domains as code masks) and projecting it
-      away with a distinct; free-variable groups that nothing links multiply
-      their counts.  A join step over :data:`_ELIMINATION_ROW_LIMIT` rows
-      counts the search instead.
+    * search is the indexed engine's backtrack (same orders, witness cut and
+      forward checking over the tuple indexes), started from the domains
+      that vectorized GAC leaves, so the two engines enumerate the same
+      solutions and answers in the same order;
+    * :meth:`CSPInstance.count_answers` eliminates the existential
+      variables instead of searching wherever the search would walk one leaf
+      per answer: where :meth:`CSPInstance._answer_order` cuts below the
+      free variables, and where every variable is free.  It joins, in
+      min-fill order, the GAC-live rows of the tables that mention each
+      existential variable (disequalities as column compares, negated atoms
+      as anti-joins on packed keys, domains as code masks) and projects the
+      variable away with a distinct; free-variable groups that nothing links
+      multiply their counts.  Boolean queries, existential variables below a
+      free-first cut, and a join step over :data:`_ELIMINATION_ROW_LIMIT`
+      rows count the search instead.
 
     When a universe exceeds the int32 code space (or a caller passes
     domains outside the interned universe) the instance silently runs the
-    indexed code paths instead — same answers, scalar speed.
+    indexed propagation and counts by the search — same answers, scalar
+    speed.
 
 All engines treat :class:`NotEqualConstraint` and
 :class:`NotInRelationConstraint` the same way during propagation (they do not
@@ -333,7 +333,7 @@ class _ColumnarContext:
         self,
         encoder: UniverseEncoder,
         var_list: List[Variable],
-        tables: List[Tuple[Constraint, ColumnarRelation, Tuple[int, ...]]],
+        tables: List[Tuple[ColumnarRelation, Tuple[int, ...]]],
     ) -> None:
         self.encoder = encoder
         self.var_list = var_list
@@ -345,97 +345,13 @@ class _ColumnarTableState:
     """Mutable vectorized GAC bookkeeping for one table constraint: a live-row
     boolean mask and one ``np.bincount`` support array per scope position."""
 
-    __slots__ = ("constraint", "rel", "scope_idx", "live", "counts")
+    __slots__ = ("rel", "scope_idx", "live", "counts")
 
-    def __init__(self, constraint, rel, scope_idx, live, counts) -> None:
-        self.constraint = constraint
+    def __init__(self, rel, scope_idx, live, counts) -> None:
         self.rel = rel
         self.scope_idx = scope_idx
         self.live = live
         self.counts = counts
-
-
-class _ColumnarSearchTable:
-    """Search-time view of one table constraint: columns compressed to the
-    propagation-live rows, plus lazily built per-node lookup structures.
-    The live rows never change during search (only the domain masks do), so
-    everything here is computed at most once per search and then served by
-    dict/set lookups — the per-node work must not pay NumPy's per-call
-    overhead on tiny arrays:
-
-    * ``bucket(position, code)`` — the ascending row ids holding ``code``
-      at ``position``: one stable argsort per position, plus the start and
-      end of every code present in it; a lookup slices the argsort;
-    * ``has_pair`` — binary tables get an int-keyed row set, turning the
-      "both scope variables assigned" check into one Python set probe;
-    * ``support_mask`` — binary tables get a cached boolean mask over the
-      codes of the opposite position, so forward-checking one assignment is
-      a single vectorized AND against the domain mask.
-    """
-
-    __slots__ = ("cols", "n_codes", "_buckets", "_masks", "_pairs")
-
-    def __init__(self, state: _ColumnarTableState, n_codes: int) -> None:
-        np = _columnar.np
-        rel = state.rel
-        if state.live.all():
-            self.cols = rel.columns
-        else:
-            live_idx = np.flatnonzero(state.live)
-            self.cols = tuple(column[live_idx] for column in rel.columns)
-        self.n_codes = n_codes
-        # Per position: (stable argsort, code -> (start, end) in it).
-        self._buckets: List[Optional[tuple]] = [None] * len(self.cols)
-        self._masks: List[Optional[Dict[int, object]]] = [None] * len(self.cols)
-        self._pairs: Optional[Set[int]] = None
-
-    def bucket(self, position: int, code: int):
-        """The ascending row ids with ``code`` at ``position``, or ``None``
-        when no row has it."""
-        buckets = self._buckets[position]
-        if buckets is None:
-            np = _columnar.np
-            column = self.cols[position]
-            order = np.argsort(column, kind="stable")
-            spans = {}
-            if column.size:
-                sorted_codes = column[order]
-                boundaries = np.flatnonzero(sorted_codes[1:] != sorted_codes[:-1]) + 1
-                starts = [0] + boundaries.tolist()
-                ends = starts[1:] + [column.size]
-                spans = dict(zip(sorted_codes[starts].tolist(), zip(starts, ends)))
-            buckets = self._buckets[position] = (order, spans)
-        order, spans = buckets
-        span = spans.get(code)
-        if span is None:
-            return None
-        return order[span[0] : span[1]]
-
-    def has_pair(self, code0: int, code1: int) -> bool:
-        """Membership probe for binary tables: is ``(code0, code1)`` a row?"""
-        pairs = self._pairs
-        if pairs is None:
-            np = _columnar.np
-            keys = self.cols[0].astype(np.int64) * self.n_codes + self.cols[1]
-            pairs = self._pairs = set(keys.tolist())
-        return code0 * self.n_codes + code1 in pairs
-
-    def support_mask(self, assigned_position: int, code: int):
-        """For binary tables: the boolean mask (over codes) of the opposite
-        position's values co-occurring with ``code`` — cached per code."""
-        masks = self._masks[assigned_position]
-        if masks is None:
-            masks = {}
-            self._masks[assigned_position] = masks
-        mask = masks.get(code)
-        if mask is None:
-            np = _columnar.np
-            mask = np.zeros(self.n_codes, dtype=bool)
-            bucket = self.bucket(assigned_position, code)
-            if bucket is not None:
-                mask[self.cols[1 - assigned_position][bucket]] = True
-            masks[code] = mask
-        return mask
 
 
 #: Most rows one join step of :meth:`CSPInstance.count_answers`'s
@@ -874,7 +790,6 @@ class CSPInstance:
         if use_shared and shared is not None:
             tables = [
                 (
-                    constraint,
                     constraint.__dict__["_table"],
                     tuple(var_pos[v] for v in constraint.scope),
                 )
@@ -900,9 +815,7 @@ class CSPInstance:
             )
             if rel is None:
                 return None
-            tables.append(
-                (constraint, rel, tuple(var_pos[v] for v in constraint.scope))
-            )
+            tables.append((rel, tuple(var_pos[v] for v in constraint.scope)))
         return _ColumnarContext(encoder, var_list, tables)
 
     def _columnar_masks(self, ctx, domains, trusted_sources):
@@ -960,7 +873,7 @@ class CSPInstance:
                 queued.add(vi)
                 pending.append(vi)
 
-        for constraint, rel, scope_idx in ctx.tables:
+        for rel, scope_idx in ctx.tables:
             if rel.num_rows == 0:
                 return None
             live = np.ones(rel.num_rows, dtype=bool)
@@ -973,7 +886,7 @@ class CSPInstance:
                 np.bincount(rel.columns[position][live_idx], minlength=n_codes)
                 for position in range(len(scope_idx))
             ]
-            state = _ColumnarTableState(constraint, rel, scope_idx, live, counts)
+            state = _ColumnarTableState(rel, scope_idx, live, counts)
             states.append(state)
             positions_by_vi: Dict[int, List[int]] = {}
             for position, vi in enumerate(scope_idx):
@@ -1036,180 +949,6 @@ class CSPInstance:
             domains[variable] = {values[code] for code in np.flatnonzero(masks[vi])}
         return domains
 
-    def _iter_columnar(
-        self,
-        limit: Optional[int],
-        order: Optional[List[Variable]] = None,
-        cut: Optional[int] = None,
-    ) -> Iterator[Dict[Variable, Value]]:
-        """Vectorized search over the interned columns: same variable order,
-        same (ascending-code = repr-sorted) value order, same witness cut and
-        sound forward-checking — hence the same solutions in the same order
-        as the indexed engine, decoded to values only at assignment time."""
-        domains = {v: set(values) for v, values in self._domains.items()}
-        outcome = self._columnar_fixpoint(domains, True)
-        if outcome is _COLUMNAR_UNSET:
-            yield from self._iter_indexed(limit, order, cut)
-            return
-        if outcome is None:
-            return
-        np = _columnar.np
-        masks, states, ctx = outcome
-        encoder = ctx.encoder
-        values = encoder.values
-        n_codes = len(encoder)
-        var_index = ctx.var_index
-        if order is None:
-            order = self.search_order()
-        if cut is None:
-            cut = len(order)
-        by_variable = self._constraints_by_variable()
-        search_tables: Dict[int, _ColumnarSearchTable] = {
-            id(state.constraint): _ColumnarSearchTable(state, n_codes)
-            for state in states
-        }
-        # Canonical per-variable value order: ascending codes, computed once.
-        codes_order: Dict[Variable, List[int]] = {
-            variable: [int(code) for code in np.flatnonzero(masks[var_index[variable]])]
-            for variable in order
-        }
-        assignment: Dict[Variable, Value] = {}
-        assigned_codes: Dict[Variable, int] = {}
-        produced = 0
-        Trail = List[Tuple[int, object]]
-
-        def undo(trail: Trail) -> None:
-            for vi, removed in trail:
-                masks[vi] |= removed
-
-        def forward_check(variable: Variable, code: int) -> Optional[Trail]:
-            trail: Trail = []
-            for constraint in by_variable[variable]:
-                if isinstance(constraint, Constraint):
-                    table = search_tables[id(constraint)]
-                    scope = constraint.scope
-                    if len(scope) == 2:
-                        # Binary fast path: one set probe (both assigned) or
-                        # one cached-mask AND (one assigned) per node.
-                        left, right = scope
-                        left_code = assigned_codes.get(left)
-                        right_code = assigned_codes.get(right)
-                        if left_code is not None and right_code is not None:
-                            if not table.has_pair(left_code, right_code):
-                                undo(trail)
-                                return None
-                            continue
-                        if left_code is not None:
-                            supported = table.support_mask(0, left_code)
-                            other = right
-                        else:
-                            supported = table.support_mask(1, right_code)
-                            other = left
-                        vi = var_index[other]
-                        current = masks[vi]
-                        removed = current & ~supported
-                        if removed.any():
-                            current &= supported
-                            trail.append((vi, removed))
-                            if not current.any():
-                                undo(trail)
-                                return None
-                        continue
-                    rows = None
-                    unassigned: List[Tuple[int, Variable]] = []
-                    failed = False
-                    for position, scope_variable in enumerate(scope):
-                        if scope_variable in assignment:
-                            bucket = table.bucket(
-                                position, assigned_codes[scope_variable]
-                            )
-                            if bucket is None:
-                                failed = True
-                                break
-                            if rows is None:
-                                rows = bucket
-                            else:
-                                rows = np.intersect1d(rows, bucket, assume_unique=True)
-                                if rows.size == 0:
-                                    failed = True
-                                    break
-                        else:
-                            unassigned.append((position, scope_variable))
-                    if failed:
-                        undo(trail)
-                        return None
-                    if rows is None:
-                        continue
-                    for position, scope_variable in unassigned:
-                        vi = var_index[scope_variable]
-                        current = masks[vi]
-                        supported = np.zeros(n_codes, dtype=bool)
-                        supported[table.cols[position][rows]] = True
-                        removed = current & ~supported
-                        if removed.any():
-                            current &= supported
-                            trail.append((vi, removed))
-                            if not current.any():
-                                undo(trail)
-                                return None
-                elif isinstance(constraint, NotEqualConstraint):
-                    other = (
-                        constraint.right
-                        if variable == constraint.left
-                        else constraint.left
-                    )
-                    if other in assignment:
-                        if assigned_codes[other] == code:
-                            undo(trail)
-                            return None
-                    else:
-                        vi = var_index[other]
-                        current = masks[vi]
-                        if current[code]:
-                            removed = np.zeros(n_codes, dtype=bool)
-                            removed[code] = True
-                            current[code] = False
-                            trail.append((vi, removed))
-                            if not current.any():
-                                undo(trail)
-                                return None
-                else:
-                    if not constraint.consistent_with_partial(assignment):
-                        undo(trail)
-                        return None
-            return trail
-
-        def backtrack(position: int) -> Iterator[Dict[Variable, Value]]:
-            nonlocal produced
-            if limit is not None and produced >= limit:
-                return
-            if position == len(order):
-                produced += 1
-                yield assignment
-                return
-            variable = order[position]
-            live = masks[var_index[variable]]
-            for code in codes_order[variable]:
-                if not live[code]:
-                    continue
-                assignment[variable] = values[code]
-                assigned_codes[variable] = code
-                trail = forward_check(variable, code)
-                if trail is not None:
-                    before = produced
-                    yield from backtrack(position + 1)
-                    undo(trail)
-                    if (limit is not None and produced >= limit) or (
-                        position >= cut and produced > before
-                    ):
-                        del assignment[variable]
-                        del assigned_codes[variable]
-                        return
-                del assignment[variable]
-                del assigned_codes[variable]
-
-        yield from backtrack(0)
-
     def _constraints_by_variable(self) -> Dict[Variable, List[Constraint]]:
         if self._by_variable_cache is None:
             index: Dict[Variable, List[Constraint]] = {v: [] for v in self._domains}
@@ -1221,8 +960,8 @@ class CSPInstance:
 
     # ---------------------------------------------------------------- search
     def iter_solutions(self, limit: Optional[int] = None) -> Iterator[Dict[Variable, Value]]:
-        """Enumerate solutions by propagation + backtracking search.  Both
-        engines yield the same solutions in the same order."""
+        """Enumerate solutions by propagation + backtracking search.  Every
+        engine yields the same solutions in the same order."""
         for assignment in self._iter_assignments(limit):
             yield dict(assignment)
 
@@ -1231,8 +970,6 @@ class CSPInstance:
         solution; callers must copy if they keep it."""
         if self._engine == "naive":
             yield from self._iter_naive(limit)
-        elif self._engine == "columnar":
-            yield from self._iter_columnar(limit)
         else:
             yield from self._iter_indexed(limit)
 
@@ -1281,12 +1018,14 @@ class CSPInstance:
         order: Optional[List[Variable]] = None,
         cut: Optional[int] = None,
     ) -> Iterator[Dict[Variable, Value]]:
-        """Index-driven search: canonical value orders computed once, and
-        forward checking prunes neighbour domains through the tuple indexes
-        (with an undo trail) before recursing.  ``order`` defaults to
-        :meth:`search_order`; a node at position ``cut`` or deeper returns
-        after its first solution (the witness cut of :meth:`iter_answers`;
-        the default, ``len(order)``, cuts nothing)."""
+        """Index-driven search, shared by the indexed and columnar engines
+        (:meth:`propagate` runs each engine's own GAC first): canonical value
+        orders computed once, and forward checking prunes neighbour domains
+        through the tuple indexes (with an undo trail) before recursing.
+        ``order`` defaults to :meth:`search_order`; a node at position
+        ``cut`` or deeper returns after its first solution (the witness cut
+        of :meth:`iter_answers`; the default, ``len(order)``, cuts
+        nothing)."""
         domains = self.propagate()
         if domains is None:
             return
@@ -1304,11 +1043,19 @@ class CSPInstance:
         }
         assignment: Dict[Variable, Value] = {}
         produced = 0
-        Trail = List[Tuple[Variable, Set[Value]]]
+        # A table check replaces a domain by the narrowed set and trails the
+        # previous set object; a disequality discards one value in place and
+        # trails it (``previous`` is ``None``).  Only unassigned variables
+        # are narrowed, so a ``backtrack`` frame's ``live`` set is never
+        # replaced while it iterates.
+        Trail = List[Tuple[Variable, Optional[Set[Value]], Optional[Value]]]
 
         def undo(trail: Trail) -> None:
-            for variable, removed in trail:
-                current[variable] |= removed
+            for variable, previous, value in reversed(trail):
+                if previous is None:
+                    current[variable].add(value)
+                else:
+                    current[variable] = previous
 
         def forward_check(variable: Variable, value: Value) -> Optional[Trail]:
             """Check the constraints touching ``variable`` and prune the
@@ -1351,21 +1098,22 @@ class CSPInstance:
                     for position, scope_variable in unassigned:
                         domain = current[scope_variable]
                         if len(ids) <= 4 * len(domain):
-                            supported = {tuples[tid][position] for tid in ids}
-                            removed = domain - supported
+                            kept = domain.intersection(
+                                [tuples[tid][position] for tid in ids]
+                            )
                         else:
                             bucket = index.by_position[position]
-                            removed = {
+                            kept = {
                                 candidate
                                 for candidate in domain
-                                if ids.isdisjoint(bucket.get(candidate, _EMPTY))
+                                if not ids.isdisjoint(bucket.get(candidate, _EMPTY))
                             }
-                        if removed:
-                            domain -= removed
-                            trail.append((scope_variable, removed))
-                            if not domain:
+                        if len(kept) < len(domain):
+                            if not kept:
                                 undo(trail)
                                 return None
+                            current[scope_variable] = kept
+                            trail.append((scope_variable, domain, None))
                 elif isinstance(constraint, NotEqualConstraint):
                     other = (
                         constraint.right
@@ -1380,7 +1128,7 @@ class CSPInstance:
                         domain = current[other]
                         if value in domain:
                             domain.discard(value)
-                            trail.append((other, {value}))
+                            trail.append((other, None, value))
                             if not domain:
                                 undo(trail)
                                 return None
@@ -1440,21 +1188,18 @@ class CSPInstance:
         """Each distinct projection of a solution onto ``free`` (an answer of
         Definition 2 when this is a ``Sol(phi, D)`` instance), exactly once.
 
-        The indexed and columnar engines search in the order of
-        :meth:`_answer_order` and stop every subtree below its witness cut at
-        its first solution, so an answer costs one witness, not all of its
-        solutions; projections are deduplicated only where they can repeat.
-        Both engines yield the same answers in the same order.  The naive
-        engine deduplicates the projections of its unchanged search.
+        The indexed and columnar engines share one search: it runs in the
+        order of :meth:`_answer_order` and stops every subtree below its
+        witness cut at its first solution, so an answer costs one witness,
+        not all of its solutions; projections are deduplicated only where
+        they can repeat.  The naive engine deduplicates the projections of
+        its unchanged search.
         """
         free = tuple(free)
         if self._engine == "naive":
             return _distinct_projections(self._iter_naive(None), free)
         order, cut = self._answer_order(free)
-        if self._engine == "columnar":
-            assignments = self._iter_columnar(None, order, cut)
-        else:
-            assignments = self._iter_indexed(None, order, cut)
+        assignments = self._iter_indexed(None, order, cut)
         if cut > len(set(free)):
             return _distinct_projections(assignments, free)
         # The free variables are a prefix of the order: every node at the

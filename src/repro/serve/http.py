@@ -21,6 +21,7 @@ REASONS = {
     403: "Forbidden",
     404: "Not Found",
     405: "Method Not Allowed",
+    408: "Request Timeout",
     413: "Payload Too Large",
     429: "Too Many Requests",
     431: "Request Header Fields Too Large",
@@ -36,6 +37,11 @@ MAX_BODY_BYTES = 8 * 1024 * 1024
 #: Refuse requests with more header lines than this (the v1 clients send a
 #: handful; ``http.client`` caps responses at the same 100).
 MAX_HEADER_LINES = 100
+
+#: Answer 408 and close a connection whose next request has not fully
+#: arrived within this many seconds (a half-sent request, or a keep-alive
+#: connection left idle), so no client can hold a connection task forever.
+READ_DEADLINE_SECONDS = 30.0
 
 
 class HTTPError(Exception):

@@ -281,7 +281,19 @@ class CountingServer:
         try:
             while not self._closing:
                 try:
-                    request = await http.read_request(reader)
+                    request = await asyncio.wait_for(
+                        http.read_request(reader), http.READ_DEADLINE_SECONDS
+                    )
+                except asyncio.TimeoutError:
+                    writer.write(
+                        self._error_response(
+                            408,
+                            f"request not received within "
+                            f"{http.READ_DEADLINE_SECONDS:g} s",
+                        )
+                    )
+                    await writer.drain()
+                    break
                 except http.HTTPError as error:
                     writer.write(
                         self._error_response(error.status, error.message)

@@ -213,28 +213,36 @@ def _fuzz_case(rng):
 def test_answer_search_agrees_with_bruteforce_on_fuzzed_queries():
     """Every exact answer count and answer set equals the brute-force
     Ans(φ, D) on every engine; iter_answers never repeats an answer, and the
-    indexed and columnar engines yield the same answer sequence."""
+    indexed and columnar engines yield the same answer sequence.  The
+    indexed and columnar engines share one search, so their solution order
+    is also checked against the naive engine's separate search: the same
+    ``iter_solutions()`` sequence, and ``limit=k`` yields its first k
+    solutions, on all three engines."""
     rng = random.Random(20)
     mismatches = []
     for case in range(FUZZ_CASES):
         query, database = _fuzz_case(rng)
         expected = query.answers(database)
         sequences = {}
+        solutions = {}
         for engine in ("naive", "indexed", "columnar"):
             count = count_answers_exact(query, database, engine=engine)
             answers = enumerate_answers_exact(query, database, engine=engine)
-            sequence = list(
-                solution_csp(query, database, engine=engine).iter_answers(
-                    query.free_variables
-                )
-            )
+            csp = solution_csp(query, database, engine=engine)
+            sequence = list(csp.iter_answers(query.free_variables))
             sequences[engine] = sequence
+            solutions[engine] = list(csp.iter_solutions())
+            for k in (1, 2, 3):
+                if list(csp.iter_solutions(limit=k)) != solutions[engine][:k]:
+                    mismatches.append(f"case {case} {engine}: limit={k} prefix for {query}")
             if count != len(expected) or answers != expected:
                 mismatches.append(f"case {case} {engine}: {query} -> {count}, want {len(expected)}")
             if len(set(sequence)) != len(sequence) or set(sequence) != expected:
                 mismatches.append(f"case {case} {engine}: iter_answers {sequence} for {query}")
         if sequences["indexed"] != sequences["columnar"]:
             mismatches.append(f"case {case}: indexed and columnar order differ for {query}")
+        if not solutions["naive"] == solutions["indexed"] == solutions["columnar"]:
+            mismatches.append(f"case {case}: solution orders differ for {query}")
     assert not mismatches, "\n".join(mismatches[:10])
 
 
@@ -491,66 +499,3 @@ def test_an_empty_domain_that_no_constraint_mentions_leaves_no_answers(eliminati
     assert list(csp.iter_answers(("x", "y"))) == []
     assert csp.count_answers(("x", "y")) == 0
     assert eliminations == [0]
-
-
-# --------------------------------------------- search-table bucket lookups
-def _search_table(columns, live=None):
-    """A ``_ColumnarSearchTable`` over raw int32 ``columns``; ``live`` marks
-    the rows propagation kept (all of them by default)."""
-    import numpy as np
-    from types import SimpleNamespace
-
-    columns = tuple(np.asarray(column, dtype=np.int32) for column in columns)
-    if live is None:
-        live = np.ones(columns[0].size, dtype=bool)
-    state = SimpleNamespace(rel=SimpleNamespace(columns=columns), live=np.asarray(live))
-    n_codes = int(max((int(c.max()) for c in columns if c.size), default=0)) + 1
-    return csp_module._ColumnarSearchTable(state, n_codes)
-
-
-def _assert_buckets_match_a_row_by_row_group_by(table, probes):
-    import numpy as np
-
-    for position, column in enumerate(table.cols):
-        groups = {}
-        for row, code in enumerate(column.tolist()):
-            groups.setdefault(code, []).append(row)
-        for code in probes:
-            bucket = table.bucket(position, code)
-            if code not in groups:
-                assert bucket is None, (position, code)
-                continue
-            expected = np.array(groups[code], dtype=np.intp)
-            assert bucket.dtype == expected.dtype
-            assert np.array_equal(bucket, expected), (position, code)
-
-
-def test_bucket_lookup_matches_a_row_by_row_group_by_on_random_columns():
-    import numpy as np
-
-    rng = np.random.default_rng(7)
-    for size, n_codes in ((1, 1), (40, 5), (300, 60), (1000, 997)):
-        columns = [rng.integers(0, n_codes, size=size) for _ in range(3)]
-        live = rng.random(size) < 0.7
-        live[0] = True
-        for kept in (None, live):
-            table = _search_table(columns, kept)
-            # Every code in range, some with no rows, then one past the end.
-            _assert_buckets_match_a_row_by_row_group_by(table, range(n_codes + 1))
-
-
-def test_bucket_lookup_on_an_empty_column_finds_no_bucket():
-    table = _search_table([[], []])
-    _assert_buckets_match_a_row_by_row_group_by(table, range(3))
-    assert table.bucket(0, 0) is None and table.bucket(1, 5) is None
-
-
-def test_bucket_lookup_over_a_seventy_thousand_code_universe():
-    """Codes as far apart as the packed-keys test's 70,001 values: lookups
-    return the same rows, and nothing is kept for codes with no row."""
-    codes = (100, 61_455, 5, 14_059, 70_000)
-    column = [codes[i % len(codes)] for i in range(23)]
-    table = _search_table([column, list(reversed(column))])
-    probes = sorted(set(codes) | {0, 6, 61_454, 69_999})
-    _assert_buckets_match_a_row_by_row_group_by(table, probes)
-    assert all(len(spans) == len(codes) for _, spans in table._buckets)

@@ -661,6 +661,34 @@ class TestServerEndToEnd:
             # The server survives and answers on a new connection.
             assert client_for(handle).health()["status"] == "ok"
 
+    def test_half_sent_request_is_408_and_closed(self, medium_database, monkeypatch):
+        """A client that sends its headers and part of the promised body
+        does not hold the connection: the read deadline answers 408 (or
+        closes) and the server keeps serving new connections."""
+        import socket
+
+        monkeypatch.setattr("repro.serve.http.READ_DEADLINE_SECONDS", 0.2)
+        with running_server(medium_database) as (_, handle):
+            with socket.create_connection((handle.host, handle.port), timeout=5) as raw:
+                raw.sendall(
+                    b"POST /v1/count HTTP/1.1\r\nContent-Type: application/json\r\n"
+                    b"Content-Length: 100\r\n\r\n{\"query\": "
+                )
+                started = time.monotonic()
+                reply = b""
+                try:
+                    while True:
+                        chunk = raw.recv(65536)
+                        if not chunk:
+                            break
+                        reply += chunk
+                except socket.timeout:
+                    pytest.fail("the half-sent request held its connection for 5 s")
+                elapsed = time.monotonic() - started
+            assert elapsed < 2.0
+            assert reply == b"" or reply.startswith(b"HTTP/1.1 408 ")
+            assert client_for(handle).health()["status"] == "ok"
+
     def test_server_default_deadline_applies(self, medium_database):
         config = ServeConfig(default_deadline_seconds=1e-9)
         with running_server(medium_database, serve_config=config) as (_, handle):
