@@ -260,6 +260,50 @@ def test_repeated_existential_variable_needs_both_positions():
         assert enumerate_answers_exact(query, database, engine=engine) == set()
 
 
+def test_forward_check_narrows_by_position_on_both_branches():
+    """Search order is z, y, x, w.  Assigning z leaves 24-48 rows of the
+    ternary table: more than four times y's four-value domain (the
+    ``isdisjoint`` filter) and at most four times x's (the intersection of
+    the rows' values).  Either branch reading the wrong position, or keeping
+    the wrong side of the filter, drops solutions; every engine must list
+    the rows a scan of the table finds, in the naive engine's order."""
+    rows = frozenset(
+        (x, y, z)
+        for z in range(3)
+        for x in range(24)
+        for y in (x % 5, (x + z) % 7)
+        if (x + y + z) % 3
+    )
+    links = frozenset({(1, 2), (2, 5), (4, 1), (6, 0)})
+    expected = {
+        (x, y, z, w)
+        for x, y, z in rows
+        for linked, w in links
+        if linked == y and x != w
+    }
+
+    def instance(engine):
+        domains = {variable: set(range(30)) for variable in ("x", "y", "z", "w")}
+        constraints = [
+            Constraint(scope=("x", "y", "z"), allowed=rows),
+            Constraint(scope=("y", "w"), allowed=links),
+            NotEqualConstraint("x", "w"),
+        ]
+        return CSPInstance(domains, constraints, engine=engine)
+
+    orders = {}
+    for engine in ("naive", "indexed", "columnar"):
+        csp = instance(engine)
+        assert csp.search_order() == ["z", "y", "x", "w"]
+        solutions = [dict(solution) for solution in csp.iter_solutions()]
+        found = [tuple(s[v] for v in ("x", "y", "z", "w")) for s in solutions]
+        assert len(set(found)) == len(found) and set(found) == expected, engine
+        for k in (1, 5, 20):
+            assert list(csp.iter_solutions(limit=k)) == solutions[:k], (engine, k)
+        orders[engine] = solutions
+    assert orders["naive"] == orders["indexed"] == orders["columnar"]
+
+
 FREE_FIRST_SHAPES = (
     "Ans() :- E(x, y), E(y, z), E(z, x)",
     "Ans(x) :- E(x, y), E(y, x)",

@@ -689,6 +689,36 @@ class TestServerEndToEnd:
             assert reply == b"" or reply.startswith(b"HTTP/1.1 408 ")
             assert client_for(handle).health()["status"] == "ok"
 
+    def test_read_deadline_restarts_for_each_keep_alive_request(
+        self, medium_database, monkeypatch
+    ):
+        """The deadline bounds one request's read, not the connection: three
+        slow requests on one keep-alive connection, each arriving in two
+        pieces within 0.5 s, are all answered although together they take
+        longer than the 1-s deadline."""
+        import socket
+
+        monkeypatch.setattr("repro.serve.http.READ_DEADLINE_SECONDS", 1.0)
+        with running_server(medium_database) as (_, handle):
+            with socket.create_connection((handle.host, handle.port), timeout=5) as raw:
+                replies = raw.makefile("rb")
+                started = time.monotonic()
+                for _ in range(3):
+                    time.sleep(0.25)
+                    raw.sendall(b"GET /v1/healthz HTTP/1.1\r\nHost: test\r\n")
+                    time.sleep(0.25)
+                    raw.sendall(b"\r\n")
+                    status = replies.readline()
+                    assert status.startswith(b"HTTP/1.1 200 "), status
+                    length = 0
+                    for line in iter(replies.readline, b"\r\n"):
+                        name, _, value = line.decode("latin-1").partition(":")
+                        if name.lower() == "content-length":
+                            length = int(value)
+                    assert json.loads(replies.read(length))["status"] == "ok"
+                assert time.monotonic() - started > 1.0
+                replies.close()
+
     def test_server_default_deadline_applies(self, medium_database):
         config = ServeConfig(default_deadline_seconds=1e-9)
         with running_server(medium_database, serve_config=config) as (_, handle):
