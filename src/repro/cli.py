@@ -243,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     sample.add_argument(
         "--exact",
         action="store_true",
-        help="use exact counts inside the sampler (exactly uniform, slower)",
+        help="draw exactly uniform answers from the enumerated answer set",
     )
 
     plan = subparsers.add_parser(

@@ -6,6 +6,6 @@ approximate counting and approximately uniform sampling are interchangeable
 self-reducibility sampler on top of the package's counters.
 """
 
-from repro.sampling.jvv import exact_uniform_answer_sampler, sample_answers
+from repro.sampling.jvv import sample_answers
 
-__all__ = ["sample_answers", "exact_uniform_answer_sampler"]
+__all__ = ["sample_answers"]

@@ -9,46 +9,67 @@ To draw an (approximately) uniform answer of ``(phi, D)``:
    relations" trick of Section 1.1 to pin already-chosen values).
 3. Choose ``v`` with probability proportional to the estimates and recurse.
 
-With exact counts the sampler is exactly uniform; with (epsilon, delta)
-counts it is approximately uniform (the standard JVV argument) when all of
-its ``1 + num_samples * l * |U(D)|`` counts succeed, so it splits delta over
-them.  The exact variant is used as ground truth in tests; the approximate
-variant demonstrates Section 6's reduction.
+With (epsilon, delta) counts the sampler is approximately uniform (the
+standard JVV argument) when all of its ``1 + num_samples * l * |U(D)|``
+counts succeed, so it splits delta over them.  With exact counts it is
+exactly uniform, and each pinned count is the size of a block of
+``Ans(phi, D)``: :class:`AnswerTable` enumerates once and walks the blocks.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, List, Tuple
 
-from repro.core.exact import count_answers_exact, enumerate_answers_exact
+import numpy as np
+
+from repro.core.exact import enumerate_answers_exact
 from repro.queries.query import ConjunctiveQuery
 from repro.queries.rewriting import add_constant_constraint
 from repro.relational.csp import DEFAULT_ENGINE
 from repro.relational.structure import Structure
 from repro.util.estimation import Budget
-from repro.util.rng import RNGLike, as_generator, weighted_choice
+from repro.util.rng import RNGLike, as_generator, choice_cdf, draw_index, weighted_choice
 
 Element = Hashable
 AnswerTuple = Tuple[Element, ...]
-#: A counting procedure: (query, database) -> (approximate) answer count.
-Counter = Callable[[ConjunctiveQuery, Structure], float]
 
 
-def exact_uniform_answer_sampler(
-    query: ConjunctiveQuery,
-    database: Structure,
-    num_samples: int,
-    rng: RNGLike = None,
-    engine: str = DEFAULT_ENGINE,
-) -> List[AnswerTuple]:
-    """Exactly uniform answer samples, by enumerating Ans(phi, D) (ground
-    truth for the approximate sampler's tests)."""
-    generator = as_generator(rng)
-    answers = sorted(enumerate_answers_exact(query, database, engine=engine), key=repr)
-    if not answers:
-        return []
-    indices = generator.integers(0, len(answers), size=num_samples)
-    return [answers[int(index)] for index in indices]
+class AnswerTable:
+    """``Ans(phi, D)`` enumerated once, for exactly uniform draws.
+
+    The rows are sorted by canonical-universe rank at each position, so the
+    answers extending a prefix form one row range, split into one block per
+    next value in universe order.  :meth:`draw` picks a block with
+    probability proportional to its size at every position: the candidates,
+    weights and random draws of the pinning recursion with exact counts.
+    """
+
+    def __init__(
+        self, query: ConjunctiveQuery, database: Structure, engine: str = DEFAULT_ENGINE
+    ) -> None:
+        rank = {value: index for index, value in enumerate(database.canonical_universe())}
+        self.answers = frozenset(enumerate_answers_exact(query, database, engine=engine))
+        self._rows = sorted(self.answers, key=lambda row: [rank[value] for value in row])
+        # (low, position) -> (the range's block starts and its end, the block sizes' cdf)
+        self._blocks: Dict[Tuple[int, int], Tuple[List[int], List[float]]] = {}
+
+    def _split(self, low: int, high: int, position: int) -> Tuple[List[int], List[float]]:
+        rows = self._rows
+        starts = [low] + [
+            row for row in range(low + 1, high) if rows[row][position] != rows[row - 1][position]
+        ] + [high]
+        # Sizes over their sum, as weighted_choice normalises: the draws match bit for bit.
+        cdf = choice_cdf(np.diff(starts) / (high - low))
+        return self._blocks.setdefault((low, position), (starts, cdf))
+
+    def draw(self, generator: np.random.Generator) -> AnswerTuple:
+        """One exactly uniform answer of a non-empty table."""
+        low, high = 0, len(self._rows)
+        for position in range(len(self._rows[0])):
+            starts, cdf = self._blocks.get((low, position)) or self._split(low, high, position)
+            block = draw_index(cdf, generator)
+            low, high = starts[block], starts[block + 1]
+        return self._rows[low]
 
 
 def approximate_count(
@@ -68,16 +89,12 @@ def approximate_count(
     ).estimate
 
 
-def _pin_value(
-    query: ConjunctiveQuery,
-    database: Structure,
-    variable: str,
-    value: Element,
-    tag: int,
+def _pin(
+    pinned: Tuple[ConjunctiveQuery, Structure], variable: str, value: Element, tag: int
 ) -> Tuple[ConjunctiveQuery, Structure]:
     """Pin ``variable = value`` via a fresh singleton unary relation."""
     return add_constant_constraint(
-        query, database, variable, value, relation_name=f"R_pin_{tag}_{variable}"
+        *pinned, variable, value, relation_name=f"R_pin_{tag}_{variable}"
     )
 
 
@@ -88,7 +105,6 @@ def sample_answers(
     epsilon: float = 0.25,
     delta: float = 0.1,
     rng: RNGLike = None,
-    counter: Optional[Counter] = None,
     exact: bool = False,
     engine: str = DEFAULT_ENGINE,
 ) -> List[AnswerTuple]:
@@ -96,60 +112,45 @@ def sample_answers(
 
     Parameters
     ----------
-    counter:
-        The counting procedure used inside the self-reducibility recursion.
-        Defaults to the exact counter when ``exact`` is true and to the
-        appropriate approximation scheme otherwise.
     exact:
-        Use exact counts, yielding an exactly uniform sampler (slower).
+        Draw exactly uniform answers from an :class:`AnswerTable`; otherwise
+        run the pinning recursion over the (epsilon, delta) FPTRAS for the
+        query's class.
     engine:
-        The CSP engine (``"indexed"``/``"naive"``) backing the default
-        counters; ignored when an explicit ``counter`` is given.
+        The CSP engine (``"indexed"``, ``"columnar"`` or ``"naive"``) that
+        enumerates the answers or backs the approximate counts.
 
     Returns an empty list when the query has no answers.
     """
     generator = as_generator(rng)
-    if counter is None:
-        if exact:
-            counter = lambda q, d: float(count_answers_exact(q, d, engine=engine))  # noqa: E731
-        else:
-            # The total and every pinned count must all succeed: split delta
-            # over the 1 + num_samples * l * |U(D)| counts (union bound).
-            count_budget = Budget(epsilon, delta).split_delta(
-                1 + num_samples * len(query.free_variables) * len(database.universe)
-            )
-            counter = lambda q, d: approximate_count(q, d, count_budget, generator, engine)  # noqa: E731
+    if exact:
+        table = AnswerTable(query, database, engine=engine)
+        return [table.draw(generator) for _ in range(num_samples)] if table.answers else []
 
-    total = counter(query, database)
-    if total <= 0.5:
+    # The total and every pinned count must all succeed: split delta over
+    # the 1 + num_samples * l * |U(D)| counts (union bound).
+    count_budget = Budget(epsilon, delta).split_delta(
+        1 + num_samples * len(query.free_variables) * len(database.universe)
+    )
+    if approximate_count(query, database, count_budget, generator, engine) <= 0.5:
         return []
 
     universe = database.canonical_universe()
     samples: List[AnswerTuple] = []
     for _ in range(num_samples):
-        current_query, current_database = query, database
-        chosen: Dict[str, Element] = {}
-        failed = False
+        pinned, chosen = (query, database), []
         for position, variable in enumerate(query.free_variables):
-            weights: List[float] = []
-            candidates: List[Element] = []
+            weights: Dict[Element, float] = {}
             for value in universe:
-                pinned_query, pinned_database = _pin_value(
-                    current_query, current_database, variable, value, tag=position
+                weight = approximate_count(
+                    *_pin(pinned, variable, value, position), count_budget, generator, engine
                 )
-                weight = max(0.0, float(counter(pinned_query, pinned_database)))
                 if weight > 0:
-                    candidates.append(value)
-                    weights.append(weight)
-            if not candidates:
-                failed = True
+                    weights[value] = weight
+            if not weights:
                 break
-            value = weighted_choice(candidates, weights, rng=generator)
-            chosen[variable] = value
-            current_query, current_database = _pin_value(
-                current_query, current_database, variable, value, tag=position
-            )
-        if failed:
-            continue
-        samples.append(tuple(chosen[v] for v in query.free_variables))
+            chosen.append(weighted_choice(list(weights), list(weights.values()), rng=generator))
+            pinned = _pin(pinned, variable, chosen[-1], position)
+        else:
+            samples.append(tuple(chosen))
     return samples

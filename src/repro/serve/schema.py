@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from repro.queries import parse_query
 from repro.service.plan import QueryPlan
@@ -146,13 +146,16 @@ def count_request_from_payload(payload: Dict[str, Any]) -> CountRequest:
     query_text = payload.get("query")
     if not isinstance(query_text, str):
         raise WireError("count_request needs a 'query' string")
-    seed = payload.get("seed")
+    try:
+        query = parse_query(query_text)
+    except ValueError as error:
+        raise WireError(f"bad query: {error}")
     return CountRequest(
-        query=parse_query(query_text),
+        query=query,
         epsilon=_opt_float(payload, "epsilon"),
         delta=_opt_float(payload, "delta"),
-        seed=None if seed is None else int(seed),
-        method=payload.get("method"),
+        seed=_opt_int(payload, "seed"),
+        method=_opt_str(payload, "method"),
         latency_budget_seconds=_opt_float(payload, "latency_budget_seconds"),
         deadline_seconds=_opt_float(payload, "deadline_seconds"),
     )
@@ -165,6 +168,22 @@ def _opt_float(payload: Dict[str, Any], key: str) -> Optional[float]:
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise WireError(f"{key} must be a number, got {value!r}")
     return float(value)
+
+
+def _opt_int(payload: Dict[str, Any], key: str) -> Optional[int]:
+    value = payload.get(key)
+    if value is None:
+        return None
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise WireError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
+def _opt_str(payload: Dict[str, Any], key: str) -> Optional[str]:
+    value = payload.get(key)
+    if value is not None and not isinstance(value, str):
+        raise WireError(f"{key} must be a string, got {value!r}")
+    return value
 
 
 def query_plan_payload(plan: QueryPlan) -> Dict[str, Any]:
@@ -266,13 +285,13 @@ def batch_request_from_payload(payload: Dict[str, Any]) -> BatchRequest:
     entries = payload.get("requests")
     if not isinstance(entries, list) or not entries:
         raise WireError("batch_request needs a non-empty 'requests' list")
-    seed = payload.get("seed")
-    workers = payload.get("max_workers")
+    if not all(isinstance(entry, dict) for entry in entries):
+        raise WireError("every batch_request entry must be a count_request object")
     return BatchRequest(
         requests=tuple(count_request_from_payload(entry) for entry in entries),
-        seed=None if seed is None else int(seed),
-        executor=payload.get("executor"),
-        max_workers=None if workers is None else int(workers),
+        seed=_opt_int(payload, "seed"),
+        executor=_opt_str(payload, "executor"),
+        max_workers=_opt_int(payload, "max_workers"),
         deadline_seconds=_opt_float(payload, "deadline_seconds"),
     )
 
@@ -332,23 +351,30 @@ def facts_update_from_payload(payload: Dict[str, Any]) -> FactsUpdate:
     )
 
 
-def _decode_facts(entries: Iterable) -> Tuple[Tuple[str, Tuple[Any, ...]], ...]:
+def _decode_facts(entries: Any) -> Tuple[Tuple[str, Tuple[Any, ...]], ...]:
+    if not isinstance(entries, (list, tuple)):
+        raise WireError(f"facts must be a list of [relation, [values]], got {entries!r}")
     facts = []
     for entry in entries:
-        try:
-            name, values = entry
-        except (TypeError, ValueError):
+        if not (
+            isinstance(entry, (list, tuple)) and len(entry) == 2
+            and isinstance(entry[0], str) and isinstance(entry[1], (list, tuple))
+        ):
             raise WireError(f"bad fact entry {entry!r}; expected [relation, [values]]")
-        if not isinstance(name, str):
-            raise WireError(f"relation name must be a string, got {name!r}")
-        facts.append((name, tuple(_normalise(value) for value in values)))
+        facts.append((entry[0], tuple(_normalise(value) for value in entry[1])))
     return tuple(facts)
+
+
+#: The JSON scalars a fact value may be (besides lists of fact values).
+_SCALARS = (str, int, float, bool, type(None))
 
 
 def _normalise(value: Any) -> Any:
     """JSON turns tuples into lists; keep decoded fact values hashable."""
     if isinstance(value, list):
         return tuple(_normalise(item) for item in value)
+    if not isinstance(value, _SCALARS):
+        raise WireError(f"a fact value must be a scalar or a list, got {value!r}")
     return value
 
 
@@ -438,6 +464,6 @@ def from_json(text: str, expect: Optional[str] = None) -> Any:
     round-trip inverse of :func:`to_json`)."""
     try:
         message = json.loads(text)
-    except json.JSONDecodeError as error:
+    except (json.JSONDecodeError, RecursionError) as error:
         raise WireError(f"invalid JSON: {error}")
     return decode(message, expect=expect)

@@ -233,7 +233,7 @@ class CountingServer:
     def _decode_body(self, request: http.Request, expect: str) -> Any:
         try:
             message = json.loads(request.body.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as error:
+        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as error:
             raise schema.WireError(f"invalid JSON body: {error}")
         return schema.decode(message, expect=expect)
 

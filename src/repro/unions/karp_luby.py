@@ -9,9 +9,11 @@ estimator writes the union as a fraction of the disjoint sum:
 
 where ``(i, a)`` is drawn by picking ``i`` with probability proportional to
 ``|A_i|`` and then ``a`` uniformly from ``A_i``, and the pair is canonical if
-``i`` is the *smallest* index ``j`` with ``a ∈ A_j``.  Membership ``a ∈ A_j``
-is decided exactly (:meth:`ConjunctiveQuery.is_answer`), per-query counts come
-from the package's counters and per-query samples from the Section-6 sampler.
+``i`` is the *smallest* index ``j`` with ``a ∈ A_j``.  An exact component is
+enumerated once into an :class:`~repro.sampling.jvv.AnswerTable` that gives
+its count, its uniform draws and its membership tests; an approximate one is
+counted by the registry's FPTRAS, drawn from by the Section-6 sampler and
+decided exactly by :meth:`ConjunctiveQuery.is_answer`.
 The Karp–Luby–Madras bound takes ``⌈4k ln(2/delta) / epsilon^2⌉`` draws for
 ``k`` queries, uncapped; with approximate components delta is split over the
 counts, that bound and the draws (:class:`~repro.util.estimation.Budget`).
@@ -20,13 +22,13 @@ counts, that bound and the draws (:class:`~repro.util.estimation.Budget`).
 from __future__ import annotations
 
 import math
-from typing import Callable, Hashable, List, Optional, Sequence, Set, Tuple
+from typing import Hashable, Optional, Sequence, Set, Tuple
 
 from repro.core.exact import enumerate_answers_exact
 from repro.queries.query import ConjunctiveQuery
 from repro.relational.csp import DEFAULT_ENGINE
 from repro.relational.structure import Structure
-from repro.sampling.jvv import approximate_count, sample_answers
+from repro.sampling.jvv import AnswerTable, approximate_count, sample_answers
 from repro.util.estimation import SPEND, UNDERIVED, Budget
 from repro.util.rng import RNGLike, as_generator, choice_cdf, draw_index
 
@@ -85,18 +87,20 @@ def approx_count_union(
     if not exact_components:
         budget = budget.split_delta(3)
 
-    # Per-query counts; approximate ones go through the scheme registry,
-    # whose prepared-query layer shares width/decomposition artifacts across
-    # repeated component shapes (common in unions built by renaming).
-    counts: List[float] = []
-    for query in queries:
-        if exact_components:
-            count = float(len(enumerate_answers_exact(query, database, engine=engine)))
-        else:
-            count = approximate_count(
-                query, database, budget.split_delta(len(queries)), generator, engine
-            )
-        counts.append(max(0.0, float(count)))
+    # Per-query counts.  An exact component keeps its enumeration as the
+    # answer table it is drawn from and looked up in; approximate counts go
+    # through the scheme registry, whose prepared-query layer shares
+    # width/decomposition artifacts across repeated component shapes (common
+    # in unions built by renaming).
+    if exact_components:
+        tables = [AnswerTable(query, database, engine=engine) for query in queries]
+        counts = [float(len(table.answers)) for table in tables]
+    else:
+        share = budget.split_delta(len(queries))
+        counts = [
+            max(0.0, float(approximate_count(query, database, share, generator, engine)))
+            for query in queries
+        ]
 
     total = sum(counts)
     if total <= 0:
@@ -118,29 +122,23 @@ def approx_count_union(
     performed = 0
     for _ in range(num_samples):
         index = draw_index(cdf, generator)
-        samples = sample_answers(
-            queries[index],
-            database,
-            num_samples=1,
-            epsilon=draw_budget.epsilon,
-            delta=draw_budget.delta,
-            rng=generator,
-            exact=exact_components,
-            engine=engine,
-        )
-        if not samples:
+        if exact_components:
+            answer = tables[index].draw(generator)
+        else:
+            answer = next(iter(sample_answers(
+                queries[index], database, num_samples=1, epsilon=draw_budget.epsilon,
+                delta=draw_budget.delta, rng=generator, engine=engine,
+            )), None)
+        if answer is None:
             continue
-        answer = samples[0]
         performed += 1
-        canonical = True
-        for smaller in range(index):
-            if counts[smaller] <= 0:
-                continue
-            if queries[smaller].is_answer(answer, database):
-                canonical = False
-                break
-        if canonical:
-            successes += 1
+        if exact_components:
+            successes += not any(answer in table.answers for table in tables[:index])
+        else:
+            successes += not any(
+                count > 0 and query.is_answer(answer, database)
+                for query, count in zip(queries[:index], counts)
+            )
     if performed == 0:
         return 0.0
     return total * successes / performed

@@ -24,6 +24,7 @@ from repro.queries.builders import friends_query
 from repro.relational import Database
 from repro.relational.signature import RelationSymbol
 from repro.sampling import sample_answers
+from repro.sampling.jvv import AnswerTable
 from repro.service import CountingService, CountRequest, ServiceConfig
 from repro.shard import ByRelationPartitioner, ShardedStructure, plan_sharded_count
 from repro.unions import karp_luby
@@ -179,15 +180,16 @@ def test_budget_children():
 
 def test_karp_luby_honours_its_sample_bound(monkeypatch):
     """k = 3, epsilon = 0.05, delta = 0.01 with exact components takes
-    ceil(4 k ln(2/delta) / epsilon^2) draws; nothing caps them.  The stub
-    sampler stands in for exact draws, which cost ~1 ms each."""
+    ceil(4 k ln(2/delta) / epsilon^2) draws; nothing caps them.  The real
+    estimator runs, and a wrapper around the answer table's draw counts."""
     draws = []
+    draw = AnswerTable.draw
 
-    def stub_sample_answers(*args, **kwargs):
+    def counted_draw(table, generator):
         draws.append(1)
-        return []
+        return draw(table, generator)
 
-    monkeypatch.setattr(karp_luby, "sample_answers", stub_sample_answers)
+    monkeypatch.setattr(AnswerTable, "draw", counted_draw)
     queries = [parse_query(text) for text in UNION + ("Ans(x) :- E(x, y)",)]
     karp_luby.approx_count_union(
         queries, PATH_EDGES, epsilon=0.05, delta=0.01, rng=0, exact_components=True

@@ -1,0 +1,119 @@
+"""Seeded fuzzing of the untrusted edges: the v1 wire decoders and the query
+parser.  Mutated inputs must either decode (parse) or raise the one error
+type the server maps to 400, never anything else.  Stdlib generators only,
+each test under a fixed ``random.Random`` seed so a failure reproduces."""
+
+from __future__ import annotations
+
+import random
+
+from repro.queries import parse_query
+from repro.serve import BatchRequest, FactsUpdate, WireError, schema
+from repro.service import CountRequest
+
+QUERIES = (
+    "Ans(x, y) :- E(x, z), E(z, y)",
+    "Ans(x) :- E(x, y), E(x, z), y != z",
+    "Ans(x, y) :- E(x, y), not F(y, x), x != y",
+    "Ans() :- E(x, y), E(y, z), E(z, x)",
+    "Ans(x, w) :- E(x, y), y = z, E(z, w)",
+)
+
+#: Replacement values: every JSON type, including nestings and hostile sizes.
+VALUES = (
+    None, True, False, 0, -1, 7, 2**70, 1.5, -0.0, float("inf"), "", "x", "exact",
+    QUERIES[0], [], [1], ["E", [1, 2]], [["E", [1]]], {}, {"a": 1}, [[["deep"]]],
+    {"kind": "count_request"},
+)
+KEYS = ("api", "kind", "query", "seed", "method", "epsilon", "delta", "requests",
+        "executor", "max_workers", "deadline_seconds", "adds", "removes", "extra")
+
+
+def mutate(value, rng):
+    """One random edit somewhere inside a JSON value."""
+    if isinstance(value, dict) and value and rng.random() < 0.75:
+        mutated = dict(value)
+        key = rng.choice(sorted(mutated))
+        operation = rng.randrange(3)
+        if operation == 0:
+            del mutated[key]
+        elif operation == 1:
+            mutated[key] = mutate(mutated[key], rng)
+        else:
+            mutated[rng.choice(KEYS)] = rng.choice(VALUES)
+        return mutated
+    if isinstance(value, list) and value and rng.random() < 0.75:
+        mutated = list(value)
+        index = rng.randrange(len(mutated))
+        operation = rng.randrange(3)
+        if operation == 0:
+            del mutated[index]
+        elif operation == 1:
+            mutated[index] = mutate(mutated[index], rng)
+        else:
+            mutated.insert(index, rng.choice(VALUES))
+        return mutated
+    if isinstance(value, str) and value and rng.random() < 0.5:
+        return mutate_text(value, rng)
+    return rng.choice(VALUES)
+
+
+ALPHABET = "(),:-!=<> \t\nxyzwEFAnsot0123_'\"."
+
+
+def mutate_text(text, rng):
+    """Delete, duplicate, insert or replace a short span of ``text``."""
+    start = rng.randrange(len(text) + 1)
+    end = min(len(text), start + rng.randrange(1, 6))
+    operation = rng.randrange(4)
+    if operation == 0:
+        return text[:start] + text[end:]
+    if operation == 1:
+        return text[:end] + text[start:end] + text[end:]
+    noise = "".join(rng.choice(ALPHABET) for _ in range(rng.randrange(1, 4)))
+    if operation == 2:
+        return text[:start] + noise + text[start:]
+    return text[:start] + noise + text[end:]
+
+
+def test_wire_decoders_return_or_raise_wire_error():
+    rng = random.Random(2024)
+    valid = [
+        schema.encode(CountRequest(
+            query=parse_query(QUERIES[1]), epsilon=0.5, delta=0.25, seed=3, method="exact",
+        )),
+        schema.encode(BatchRequest(
+            requests=(CountRequest(query=parse_query(QUERIES[0]), seed=1),
+                      CountRequest(query=parse_query(QUERIES[2]))),
+            seed=7, executor="serial", max_workers=2, deadline_seconds=5.0,
+        )),
+        schema.encode(FactsUpdate(adds=(("E", (0, 1)), ("F", ((1, 2), "a"))),
+                                  removes=(("E", (1, 0)),))),
+    ]
+    decoded = 0
+    for _ in range(6000):
+        message = rng.choice(valid)
+        for _ in range(rng.randrange(1, 4)):
+            message = mutate(message, rng)
+        try:
+            schema.decode(message)
+        except WireError:
+            continue
+        decoded += 1
+    # The mutations leave a good share of the messages well-formed.
+    assert 500 < decoded < 5500
+
+
+def test_parser_returns_or_raises_value_error():
+    rng = random.Random(2024)
+    parsed = 0
+    for _ in range(10000):
+        text = rng.choice(QUERIES)
+        for _ in range(rng.randrange(1, 5)):
+            text = mutate_text(text, rng)
+        try:
+            parse_query(text)
+        except ValueError:
+            continue
+        parsed += 1
+    assert 200 < parsed < 5000

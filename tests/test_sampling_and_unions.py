@@ -4,6 +4,7 @@ and Karp–Luby counting for unions of queries."""
 from __future__ import annotations
 
 import collections
+import math
 
 import pytest
 
@@ -11,7 +12,7 @@ from repro.core import count_answers_exact, enumerate_answers_exact
 from repro.queries import parse_query
 from repro.queries.builders import friends_query, path_query
 from repro.relational import Database
-from repro.sampling import exact_uniform_answer_sampler, sample_answers
+from repro.sampling import sample_answers
 from repro.unions import approx_count_union, exact_count_union
 from repro.workloads import database_from_graph, erdos_renyi_graph
 
@@ -19,7 +20,7 @@ from repro.workloads import database_from_graph, erdos_renyi_graph
 class TestExactSampler:
     def test_samples_are_answers(self, triangle_database):
         query = parse_query("Ans(x, y) :- E(x, y)")
-        samples = exact_uniform_answer_sampler(query, triangle_database, 20, rng=0)
+        samples = sample_answers(query, triangle_database, num_samples=20, rng=0, exact=True)
         answers = enumerate_answers_exact(query, triangle_database)
         assert len(samples) == 20
         assert all(sample in answers for sample in samples)
@@ -27,7 +28,7 @@ class TestExactSampler:
     def test_empty_answer_set(self):
         database = Database.from_relations({"E": [(1, 1)]}, universe=[1, 2])
         query = parse_query("Ans(x, y) :- E(x, y), x != y")
-        assert exact_uniform_answer_sampler(query, database, 5, rng=0) == []
+        assert sample_answers(query, database, num_samples=5, rng=0, exact=True) == []
 
 
 class TestJVVSampler:
@@ -48,6 +49,26 @@ class TestJVVSampler:
         assert set(counts) == answers
         # Uniform over 3 answers with 60 samples: each should appear often.
         assert min(counts.values()) >= 8
+
+    def test_exact_draws_pass_a_chi_square_uniformity_test(self):
+        """100 exact draws per answer of the 2-hop on G(9, 0.35) seed 33 (71
+        answers): the chi-square statistic stays under its 0.999 quantile,
+        by the Wilson–Hilferty approximation (CI installs no scipy)."""
+        database = database_from_graph(erdos_renyi_graph(9, 0.35, rng=33))
+        query = parse_query("Ans(x, y) :- E(x, z), E(z, y)")
+        answers = enumerate_answers_exact(query, database)
+        assert len(answers) == 71
+        expected = 100
+        samples = sample_answers(
+            query, database, num_samples=expected * len(answers), rng=0, exact=True
+        )
+        counts = collections.Counter(samples)
+        assert set(counts) <= answers
+        statistic = sum((counts[answer] - expected) ** 2 for answer in answers) / expected
+        dof = len(answers) - 1
+        z = 3.090232  # the standard normal 0.999 quantile
+        bound = dof * (1 - 2 / (9 * dof) + z * math.sqrt(2 / (9 * dof))) ** 3
+        assert statistic < bound, (statistic, bound)
 
     def test_approximate_counter_path(self, friends_db):
         query = friends_query()

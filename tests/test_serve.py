@@ -628,6 +628,47 @@ class TestServerEndToEnd:
             connection.close()
 
     @pytest.mark.parametrize(
+        "path, message",
+        [
+            ("/v1/count", {"kind": "count_request", "query": "Ans(x) :- E(x, y)", "seed": [1]}),
+            ("/v1/count", {"kind": "count_request", "query": "Ans(x) :- E(x, y)", "seed": 1.7}),
+            (
+                "/v1/count",
+                {"kind": "count_request", "query": "Ans(x) :- E(x, y)", "method": ["exact"]},
+            ),
+            ("/v1/batch", {"kind": "batch_request", "requests": [5]}),
+            ("/v1/facts", {"kind": "facts_update", "adds": [["E", 5]]}),
+            ("/v1/facts", {"kind": "facts_update", "adds": [["E", [0, {"a": 1}]]]}),
+            # Nested past the JSON decoder's recursion limit.
+            ("/v1/count", None),
+        ],
+        ids=[
+            "seed-list", "seed-float", "method-list", "batch-entry", "fact-values", "fact-dict",
+            "deeply-nested",
+        ],
+    )
+    def test_malformed_fields_are_400_and_keep_the_connection(
+        self, medium_database, path, message
+    ):
+        import http.client
+
+        if message is None:
+            body = b"[" * 100_000
+        else:
+            body = json.dumps({"api": schema.API_VERSION, **message}).encode()
+        with running_server(medium_database) as (_, handle):
+            connection = http.client.HTTPConnection(handle.host, handle.port, timeout=10)
+            for _ in range(2):
+                connection.request(
+                    "POST", path, body=body, headers={"Content-Type": "application/json"}
+                )
+                response = connection.getresponse()
+                assert response.status == 400
+                assert json.loads(response.read())["kind"] == "error"
+                assert not response.will_close
+            connection.close()
+
+    @pytest.mark.parametrize(
         "head, status",
         [
             # one 70 KB header line, over the 64 KB StreamReader limit
