@@ -79,22 +79,6 @@ class CountResult:
         integers)."""
         return int(round(self.estimate))
 
-    def rounded(self) -> int:
-        return self.count
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "estimate": self.estimate,
-            "count": self.count,
-            "scheme": self.scheme,
-            "query_class": self.query_class,
-            "epsilon": self.epsilon,
-            "delta": self.delta,
-            "engine": self.engine,
-            "widths": dict(self.widths),
-            "trace": list(self.trace),
-        }
-
 
 #: A scheme runner: (prepared, query, database, epsilon, delta, rng, engine,
 #: **kwargs) -> (estimate, widths, statistics, trace).

@@ -169,9 +169,6 @@ class ConjunctiveQuery:
         """``∆(phi)``: the set of unordered disequality pairs."""
         return frozenset(d.pair for d in self._disequalities)
 
-    def is_quantifier_free(self) -> bool:
-        return not self._existential
-
     # ------------------------------------------------------------ descriptors
     def query_class(self) -> QueryClass:
         """CQ / DCQ / ECQ classification of this query."""

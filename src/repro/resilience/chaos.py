@@ -227,6 +227,8 @@ def run_chaos_stream(seed: int, rate: float, num_events: int = 30) -> ChaosCase:
     queries = [
         parse_query("Ans(x) :- E(x, y), E(y, z)"),
         parse_query("Ans(x) :- E(x, y), E(y, z), x != z"),
+        # Quantifier-free: every solution is its own answer.
+        parse_query("Ans(x, y, z) :- E(x, y), E(y, z), x != z"),
     ]
     plan = uniform_plan(seed, rate, sites=("stream.refresh",))
 

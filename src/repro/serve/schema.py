@@ -161,28 +161,64 @@ def count_request_from_payload(payload: Dict[str, Any]) -> CountRequest:
     )
 
 
-def _opt_float(payload: Dict[str, Any], key: str) -> Optional[float]:
+# Field readers: each returns ``default`` for a missing or null field and
+# raises WireError for a value of the wrong JSON type.
+def _opt_float(payload: Dict[str, Any], key: str, default: Any = None) -> Any:
     value = payload.get(key)
     if value is None:
-        return None
+        return default
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise WireError(f"{key} must be a number, got {value!r}")
     return float(value)
 
 
-def _opt_int(payload: Dict[str, Any], key: str) -> Optional[int]:
+def _opt_int(payload: Dict[str, Any], key: str, default: Any = None) -> Any:
     value = payload.get(key)
     if value is None:
-        return None
+        return default
     if not isinstance(value, int) or isinstance(value, bool):
         raise WireError(f"{key} must be an integer, got {value!r}")
     return value
 
 
-def _opt_str(payload: Dict[str, Any], key: str) -> Optional[str]:
+def _opt_str(payload: Dict[str, Any], key: str, default: Any = None) -> Any:
     value = payload.get(key)
-    if value is not None and not isinstance(value, str):
+    if value is None:
+        return default
+    if not isinstance(value, str):
         raise WireError(f"{key} must be a string, got {value!r}")
+    return value
+
+
+def _opt_bool(payload: Dict[str, Any], key: str, default: bool) -> bool:
+    value = payload.get(key)
+    if value is None:
+        return default
+    if not isinstance(value, bool):
+        raise WireError(f"{key} must be a boolean, got {value!r}")
+    return value
+
+
+def _opt_dict(payload: Dict[str, Any], key: str) -> Optional[Dict[str, Any]]:
+    value = payload.get(key)
+    if value is not None and not isinstance(value, dict):
+        raise WireError(f"{key} must be an object, got {value!r}")
+    return value
+
+
+def _str_tuple(payload: Dict[str, Any], key: str) -> Tuple[str, ...]:
+    value = payload.get(key)
+    if value is None:
+        return ()
+    if not isinstance(value, list) or not all(isinstance(item, str) for item in value):
+        raise WireError(f"{key} must be a list of strings, got {value!r}")
+    return tuple(value)
+
+
+def _number(payload: Dict[str, Any], key: str) -> float:
+    value = _opt_float(payload, key)
+    if value is None:
+        raise WireError(f"missing number {key!r}")
     return value
 
 
@@ -191,6 +227,17 @@ def query_plan_payload(plan: QueryPlan) -> Dict[str, Any]:
 
 
 def query_plan_from_payload(payload: Dict[str, Any]) -> QueryPlan:
+    # Type-check every field QueryPlan.from_dict reads, so a malformed plan
+    # is a WireError rather than whatever the constructor trips over.
+    for key in ("scheme", "query_class", "engine", "size_class", "reference", "override"):
+        _opt_str(payload, key)
+    for key in ("database_size", "treewidth", "arity"):
+        _opt_int(payload, key)
+    for key in ("fractional_hypertreewidth", "adaptive_width_upper"):
+        _opt_float(payload, key)
+    for key in ("observed", "predicted"):
+        _opt_dict(payload, key)
+    _str_tuple(payload, "trace")
     return QueryPlan.from_dict(payload)
 
 
@@ -220,21 +267,21 @@ def count_result_from_payload(payload: Dict[str, Any]) -> CountResult:
     if not isinstance(plan_payload, dict):
         raise WireError("count_result needs a 'plan' object")
     return CountResult(
-        index=int(payload.get("index", 0)),
-        estimate=float(payload["estimate"]),
-        scheme=payload.get("scheme", ""),
-        query_class=payload.get("query_class", ""),
+        index=_opt_int(payload, "index", 0),
+        estimate=_number(payload, "estimate"),
+        scheme=_opt_str(payload, "scheme", ""),
+        query_class=_opt_str(payload, "query_class", ""),
         plan=query_plan_from_payload(plan_payload),
-        seed=payload.get("seed"),
-        epsilon=float(payload.get("epsilon", 0.0)),
-        delta=float(payload.get("delta", 0.0)),
-        cache=payload.get("cache", "miss"),
-        plan_seconds=float(payload.get("plan_seconds", 0.0)),
-        execute_seconds=float(payload.get("execute_seconds", 0.0)),
-        widths=payload.get("widths"),
-        shard_strategy=payload.get("shard_strategy"),
-        degradations=tuple(payload.get("degradations", ())),
-        coalesced=bool(payload.get("coalesced", False)),
+        seed=_opt_int(payload, "seed"),
+        epsilon=_opt_float(payload, "epsilon", 0.0),
+        delta=_opt_float(payload, "delta", 0.0),
+        cache=_opt_str(payload, "cache", "miss"),
+        plan_seconds=_opt_float(payload, "plan_seconds", 0.0),
+        execute_seconds=_opt_float(payload, "execute_seconds", 0.0),
+        widths=_opt_dict(payload, "widths"),
+        shard_strategy=_opt_str(payload, "shard_strategy"),
+        degradations=_str_tuple(payload, "degradations"),
+        coalesced=_opt_bool(payload, "coalesced", False),
     )
 
 
@@ -255,19 +302,19 @@ def batch_report_payload(report: BatchReport) -> Dict[str, Any]:
 
 
 def batch_report_from_payload(payload: Dict[str, Any]) -> BatchReport:
+    entries = payload.get("results", [])
+    if not isinstance(entries, list) or not all(isinstance(entry, dict) for entry in entries):
+        raise WireError("batch_report 'results' must be a list of count_result objects")
     return BatchReport(
-        results=[
-            count_result_from_payload(entry)
-            for entry in payload.get("results", ())
-        ],
-        wall_seconds=float(payload.get("wall_seconds", 0.0)),
-        requested_executor=payload.get("requested_executor", ""),
-        executed_executor=payload.get("executed_executor", ""),
-        max_workers=int(payload.get("max_workers", 0)),
-        cache_hits=int(payload.get("cache_hits", 0)),
-        cache_misses=int(payload.get("cache_misses", 0)),
-        degradations=list(payload.get("degradations", ())),
-        retries=int(payload.get("retries", 0)),
+        results=[count_result_from_payload(entry) for entry in entries],
+        wall_seconds=_opt_float(payload, "wall_seconds", 0.0),
+        requested_executor=_opt_str(payload, "requested_executor", ""),
+        executed_executor=_opt_str(payload, "executed_executor", ""),
+        max_workers=_opt_int(payload, "max_workers", 0),
+        cache_hits=_opt_int(payload, "cache_hits", 0),
+        cache_misses=_opt_int(payload, "cache_misses", 0),
+        degradations=list(_str_tuple(payload, "degradations")),
+        retries=_opt_int(payload, "retries", 0),
     )
 
 
@@ -319,21 +366,21 @@ def live_count_payload(live: LiveCount) -> Dict[str, Any]:
 
 def live_count_from_payload(payload: Dict[str, Any]) -> LiveCount:
     return LiveCount(
-        estimate=float(payload["estimate"]),
-        scheme=payload.get("scheme", ""),
-        query_class=payload.get("query_class", ""),
-        fresh=bool(payload.get("fresh", True)),
-        refreshed=bool(payload.get("refreshed", False)),
-        mode=payload.get("mode", "initial"),
-        pending_ticks=int(payload.get("pending_ticks", 0)),
-        refresh_count=int(payload.get("refresh_count", 0)),
-        seed=payload.get("seed"),
-        epsilon=float(payload.get("epsilon", 0.0)),
-        delta=float(payload.get("delta", 0.0)),
-        degradations=tuple(payload.get("degradations", ())),
-        gap_recounts=int(payload.get("gap_recounts", 0)),
-        replans=int(payload.get("replans", 0)),
-        replan_events=tuple(payload.get("replan_events", ())),
+        estimate=_number(payload, "estimate"),
+        scheme=_opt_str(payload, "scheme", ""),
+        query_class=_opt_str(payload, "query_class", ""),
+        fresh=_opt_bool(payload, "fresh", True),
+        refreshed=_opt_bool(payload, "refreshed", False),
+        mode=_opt_str(payload, "mode", "initial"),
+        pending_ticks=_opt_int(payload, "pending_ticks", 0),
+        refresh_count=_opt_int(payload, "refresh_count", 0),
+        seed=_opt_int(payload, "seed"),
+        epsilon=_opt_float(payload, "epsilon", 0.0),
+        delta=_opt_float(payload, "delta", 0.0),
+        degradations=_str_tuple(payload, "degradations"),
+        gap_recounts=_opt_int(payload, "gap_recounts", 0),
+        replans=_opt_int(payload, "replans", 0),
+        replan_events=_str_tuple(payload, "replan_events"),
     )
 
 
@@ -397,8 +444,8 @@ def error_payload(error: ServeError) -> Dict[str, Any]:
 
 def error_from_payload(payload: Dict[str, Any]) -> ServeError:
     return ServeError(
-        status=int(payload.get("status", 500)),
-        error=str(payload.get("error", "")),
+        status=_opt_int(payload, "status", 500),
+        error=_opt_str(payload, "error", ""),
         retry_after=_opt_float(payload, "retry_after"),
     )
 

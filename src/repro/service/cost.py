@@ -31,7 +31,7 @@ Design rules, all load-bearing:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from repro.obs.profile import ProfileStore, fingerprint_class
 
@@ -62,16 +62,6 @@ class CostPrediction:
     @property
     def cold(self) -> bool:
         return self.seconds is None
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "scheme": self.scheme,
-            "engine": self.engine,
-            "fingerprint_class": self.fingerprint_class,
-            "seconds": None if self.seconds is None else round(self.seconds, 9),
-            "runs": self.runs,
-            "cold": self.cold,
-        }
 
 
 class CostModel:

@@ -11,22 +11,18 @@ trace that led there.  The decision table (see DESIGN.md):
    configured thresholds) use the **exact** CSP-backtracking counter: it is
    error-free and, on small inputs, faster than setting up an approximation
    scheme.
-2. With ``adaptive=True`` and a :class:`~repro.service.cost.CostModel`
-   attached, the planner overlays **observed costs** on the static table: it
-   predicts every sound scheme's latency (p95 of the recorded sketch for
-   this canonical form in this database-size bucket) and picks the cheapest
-   one under the request's ``latency_budget_seconds``.  Schemes whose
-   sketches are *cold* (fewer than ``min_observations`` recorded runs) are
-   never chosen adaptively, and when **every** candidate is cold the plan
-   falls through to the static rules below, byte-identical to a
-   non-adaptive plan — the cold-start contract.
-3. Small instances (database ``size()`` and query variable count under the
-   configured thresholds) use the **exact** CSP-backtracking counter: it is
-   error-free and, on small inputs, faster than setting up an approximation
-   scheme.
-4. Otherwise the Figure-1 dichotomy picks the scheme by query class, exactly
+3. Otherwise the Figure-1 dichotomy picks the scheme by query class, exactly
    as :func:`repro.core.classify_query` recommends: plain CQs get the
    Theorem-16 FPRAS, DCQs the Theorem-13 FPTRAS, ECQs the Theorem-5 FPTRAS.
+4. With ``adaptive=True`` and a :class:`~repro.service.cost.CostModel`
+   attached, the planner then overlays **observed costs** on the pick of
+   rules 2-3 (never on an override): it predicts every sound scheme's
+   latency (p95 of the recorded sketch for this canonical form in this
+   database-size bucket) and picks the cheapest one under the request's
+   ``latency_budget_seconds``.  Schemes whose sketches are *cold* (fewer
+   than ``min_observations`` recorded runs) are never chosen adaptively,
+   and when **every** candidate is cold the static pick stands,
+   byte-identical to a non-adaptive plan — the cold-start contract.
 
 Adaptive choice never touches *how* a scheme runs — estimates stay
 bit-identical to a direct registry call under equal seeds; only *which*

@@ -182,25 +182,6 @@ class CountResult:
         integers)."""
         return int(round(self.estimate))
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "index": self.index,
-            "estimate": self.estimate,
-            "count": self.count,
-            "scheme": self.scheme,
-            "query_class": self.query_class,
-            "seed": self.seed,
-            "epsilon": self.epsilon,
-            "delta": self.delta,
-            "cache": self.cache,
-            "plan_seconds": round(self.plan_seconds, 6),
-            "execute_seconds": round(self.execute_seconds, 6),
-            "widths": self.widths,
-            "shard_strategy": self.shard_strategy,
-            "degradations": list(self.degradations),
-            "coalesced": self.coalesced,
-        }
-
 
 @dataclass
 class BatchReport:
@@ -225,21 +206,6 @@ class BatchReport:
 
     def estimates(self) -> List[float]:
         return [result.estimate for result in self.results]
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "num_queries": len(self.results),
-            "wall_seconds": round(self.wall_seconds, 6),
-            "throughput_qps": round(self.throughput_qps, 3),
-            "requested_executor": self.requested_executor,
-            "executed_executor": self.executed_executor,
-            "max_workers": self.max_workers,
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
-            "degradations": list(self.degradations),
-            "retries": self.retries,
-            "results": [result.to_dict() for result in self.results],
-        }
 
 
 RequestLike = Union[CountRequest, ConjunctiveQuery]

@@ -10,7 +10,7 @@ service's batch throughput — the building block of ``benchmarks/record_perf.py
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.queries.query import ConjunctiveQuery
 from repro.relational.structure import Database
@@ -98,12 +98,6 @@ class WorkloadReport:
     @property
     def throughput_qps(self) -> float:
         return self.batch.throughput_qps
-
-    def to_dict(self) -> Dict[str, Any]:
-        payload = self.batch.to_dict()
-        payload["scheme_counts"] = dict(self.scheme_counts)
-        payload["class_counts"] = dict(self.class_counts)
-        return payload
 
 
 def run_workload(

@@ -51,11 +51,12 @@ from typing import FrozenSet, Tuple
 from repro.queries.canonical import query_relation_names
 from repro.queries.components import query_components
 from repro.queries.query import ConjunctiveQuery
+from repro.relational.changelog import Fingerprint
 from repro.shard.executor import combine_local_estimates
 from repro.shard.plan import ShardCountPlan, plan_sharded_count
 from repro.shard.sharded import ShardedStructure
 from repro.stream.delta import delta_applicable
-from repro.stream.live import CountSubscription, Fingerprint, ticks_between
+from repro.stream.live import CountSubscription, ticks_between
 from repro.util.estimation import Budget
 
 

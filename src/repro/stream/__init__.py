@@ -11,9 +11,8 @@ fingerprint-keyed result cache.
 
 * :mod:`repro.stream.delta` — exact delta counting: turn the net fact delta
   between two database states into ``count(new) - count(old)`` by pinning
-  delta facts into the CSP/join engine (inclusion–exclusion over touched
-  atoms for quantifier-free queries, candidate projection + one batched
-  membership enumeration per side in general).
+  delta facts into the CSP/join engine (candidate answers of the pinned
+  instances, confirmed by one batched answer search per side).
 * :mod:`repro.stream.live` — :class:`~repro.stream.live.CountSubscription` /
   :class:`~repro.stream.live.LiveCount`: the handles
   ``CountingService.subscribe`` returns, with eager / debounced / budget
@@ -25,11 +24,7 @@ fingerprint-keyed result cache.
 See DESIGN.md ("The streaming layer") for the architecture.
 """
 
-from repro.stream.delta import (
-    DeltaCountReport,
-    delta_applicable,
-    delta_count_exact,
-)
+from repro.stream.delta import delta_applicable, delta_count_exact
 from repro.stream.live import (
     EXACT_SCHEMES,
     REFRESH_POLICIES,
@@ -45,7 +40,6 @@ from repro.stream.workload import (
 )
 
 __all__ = [
-    "DeltaCountReport",
     "delta_applicable",
     "delta_count_exact",
     "CountSubscription",

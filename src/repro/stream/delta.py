@@ -21,37 +21,28 @@ same construction the exact counters solve); every pinned instance is a
 :meth:`~repro.relational.csp.CSPInstance.restricted` sibling of it, and the
 old side reuses the new side's min-fill order, so a refresh builds two
 constraint sets and computes at most one search order (none once the query's
-split is memoised, see Components below).  Two strategies, both
-verified bit-identical to a from-scratch recount by the differential tests:
+split is memoised, see Components below).
 
-``inclusion_exclusion`` (quantifier-free queries)
-    With no existential variables, distinct solutions project to distinct
-    answers, so ``|Ans| = |Sol|`` and the delta is a difference of *solution*
-    counts.  "Solutions touching the delta" is counted by
-    inclusion–exclusion over the touched atom occurrences: for every
-    non-empty subset, constrain each chosen atom to its delta facts (an extra
-    table constraint whose allowed set is the delta — GAC propagation then
-    collapses the search space around those few facts) and count.
-
-``candidates`` (general case)
-    With existential variables, projections collide, so the delta enumerates
-    **candidate answers** instead: the answers of the pinned instances on
-    each side (:meth:`~repro.relational.csp.CSPInstance.iter_answers`, one
-    witness per answer), then confirm the candidates by one batched answer
-    search on the *other* side — a gained answer is a candidate of the
-    new side that was not an answer of the old side, and vice versa for lost
-    answers.  Candidates appearing on both sides cancel automatically (they
-    are answers on both sides).
+Projections of distinct solutions may collide on the free variables, so the
+delta is taken over **candidate answers**, not solutions: the answers of the
+pinned instances on each side
+(:meth:`~repro.relational.csp.CSPInstance.iter_answers`, one witness per
+answer), confirmed by one batched answer search on the *other* side — a
+gained answer is a candidate of the new side that was not an answer of the
+old side, and vice versa for lost answers.  Candidates appearing on both
+sides cancel automatically (they are answers on both sides).  The
+differential tests check every patched count bit-identical to a
+from-scratch recount.
 
 Components
     Parts of ``phi`` that share no variable, atom, negated atom or
     disequality answer independently (:func:`repro.queries.query_components`,
     the split the shard planner uses too), so ``|Ans(phi)|`` is the product
-    of the parts' counts.  The strategies run on the *touched block* only —
-    the components mentioning a relation with a non-empty delta — and its
-    delta is multiplied by the exact answer count of the untouched rest,
-    which the write cannot have changed (a connected query is its own
-    touched block).  Without the split the candidates strategy would
+    of the parts' counts.  Candidates are searched on the *touched block*
+    only — the components mentioning a relation with a non-empty delta —
+    and its delta is multiplied by the exact answer count of the untouched
+    rest, which the write cannot have changed (a connected query is its
+    own touched block).  Without the split the candidate search would
     enumerate the gained answers times every answer of the untouched
     components.  The split and each block's min-fill order are memoised per
     query and touched-relation set in a :data:`SPLIT_CACHE_SIZE`-entry LRU.
@@ -66,8 +57,6 @@ this automatically).
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, replace
 from typing import (
     AbstractSet,
     Dict,
@@ -91,24 +80,6 @@ from repro.util.cache import LRUCache
 
 Element = Hashable
 AnswerTuple = Tuple[Element, ...]
-
-#: Above this many touched atom occurrences the ``2^k - 1`` terms of
-#: inclusion–exclusion stop being worth it and the candidate strategy is used
-#: instead.
-INCLUSION_EXCLUSION_LIMIT = 4
-
-
-@dataclass(frozen=True)
-class DeltaCountReport:
-    """The outcome of one incremental recount step."""
-
-    #: ``|Ans(new)| - |Ans(old)|``.
-    delta: int
-    #: ``"inclusion_exclusion"`` | ``"candidates"`` | ``"noop"``.
-    strategy: str
-    #: Candidate answers confirmed against the other side ("candidates")
-    #: or inclusion–exclusion terms evaluated ("inclusion_exclusion").
-    work_units: int
 
 
 def delta_applicable(query: ConjunctiveQuery, universe_changed: bool) -> bool:
@@ -185,29 +156,7 @@ def _touched_events(
     return events
 
 
-# --------------------------------------------------- strategy: incl-exclusion
-def _count_touching(
-    base: CSPInstance,
-    events: Sequence[Tuple[Tuple[str, ...], FrozenSet[AnswerTuple]]],
-) -> Tuple[int, int]:
-    """``(count, terms)``: the number of solutions of the side's
-    ``Sol(phi, D)`` instance ``base`` whose assignment satisfies at least one
-    event (maps the event's scope onto one of its delta facts), by
-    inclusion–exclusion over the non-empty event subsets."""
-    total = 0
-    terms = 0
-    for size in range(1, len(events) + 1):
-        sign = 1 if size % 2 else -1
-        for subset in itertools.combinations(events, size):
-            extra = [
-                Constraint.trusted(scope, allowed=facts) for scope, facts in subset
-            ]
-            terms += 1
-            total += sign * base.restricted({}, extra).count_solutions()
-    return total, terms
-
-
-# ------------------------------------------------------- strategy: candidates
+# ------------------------------------------------------- candidate answers
 def _pinned_projections(
     base: CSPInstance,
     universe: AbstractSet[Element],
@@ -332,19 +281,9 @@ def _touched_delta(
     new_database: Structure,
     delta: StructureDelta,
     engine: str,
-    strategy: str,
-) -> DeltaCountReport:
-    """The delta of the touched block's answer count, by ``strategy``."""
+) -> int:
+    """The delta of the touched block's answer count."""
     query = block.query
-    new_events = _touched_events(query, delta, "new")
-    old_events = _touched_events(query, delta, "old")
-
-    if strategy == "auto":
-        use_ie = (
-            query.is_quantifier_free()
-            and max(len(new_events), len(old_events)) <= INCLUSION_EXCLUSION_LIMIT
-        )
-        strategy = "inclusion_exclusion" if use_ie else "candidates"
     # One Sol(phi, D) instance per side, restricted per pinned instance; the
     # old side reuses the new side's min-fill order (the scopes are equal),
     # and the block keeps it for the next refresh.
@@ -352,42 +291,21 @@ def _touched_delta(
     old_csp = solution_csp(
         query, old_database, engine=engine, search_order=new_csp.search_order()
     )
-
-    if strategy == "inclusion_exclusion":
-        if not query.is_quantifier_free():
-            raise ValueError(
-                "inclusion_exclusion maintains solution counts; with "
-                "existential variables projections collide — use "
-                "strategy='candidates' (or 'auto')"
-            )
-        gained, terms_new = _count_touching(new_csp, new_events)
-        lost, terms_old = _count_touching(old_csp, old_events)
-        return DeltaCountReport(
-            delta=gained - lost,
-            strategy="inclusion_exclusion",
-            work_units=terms_new + terms_old,
-        )
-    if strategy != "candidates":
-        raise ValueError(
-            f"unknown strategy {strategy!r}; expected 'auto', "
-            "'inclusion_exclusion' or 'candidates'"
-        )
-
     free = query.free_variables
     new_universe, old_universe = new_database.universe, old_database.universe
-    new_candidates = _pinned_projections(new_csp, new_universe, free, new_events)
-    old_candidates = _pinned_projections(old_csp, old_universe, free, old_events)
+    new_candidates = _pinned_projections(
+        new_csp, new_universe, free, _touched_events(query, delta, "new")
+    )
+    old_candidates = _pinned_projections(
+        old_csp, old_universe, free, _touched_events(query, delta, "old")
+    )
     gained = len(new_candidates) - len(
         _answers_among(old_csp, old_universe, free, new_candidates)
     )
     lost = len(old_candidates) - len(
         _answers_among(new_csp, new_universe, free, old_candidates)
     )
-    return DeltaCountReport(
-        delta=gained - lost,
-        strategy="candidates",
-        work_units=len(new_candidates) + len(old_candidates),
-    )
+    return gained - lost
 
 
 # ----------------------------------------------------------------- entry point
@@ -397,18 +315,12 @@ def delta_count_exact(
     new_database: Structure,
     delta: StructureDelta,
     engine: str = DEFAULT_ENGINE,
-    strategy: str = "auto",
-) -> DeltaCountReport:
+) -> int:
     """Compute ``|Ans(phi, new)| - |Ans(phi, old)|`` from the net delta.
 
     ``old_database`` is typically :func:`repro.relational.changelog.rewind`
     applied to ``new_database``; both sides must genuinely differ by exactly
-    ``delta`` on the query's relations.  ``strategy`` is ``"auto"``
-    (inclusion–exclusion for quantifier-free touched blocks with few touched
-    atom occurrences, candidates otherwise) or one of the two names;
-    requesting ``"inclusion_exclusion"`` when the touched block has
-    existential variables raises, since solution deltas do not equal answer
-    deltas under projection.
+    ``delta`` on the query's relations.
 
     The caller is responsible for :func:`delta_applicable` (the refresh loop
     in :mod:`repro.stream.live` checks it and falls back to a recount).
@@ -419,23 +331,17 @@ def delta_count_exact(
         name for name in delta if not delta[name].is_empty() and name in names
     )
     if not relevant:
-        return DeltaCountReport(delta=0, strategy="noop", work_units=0)
+        return 0
     touched, untouched = _split(query, relevant)
-    report = _touched_delta(
+    change = _touched_delta(
         touched, old_database, new_database,
-        {name: delta[name] for name in relevant}, engine, strategy,
+        {name: delta[name] for name in relevant}, engine,
     )
-    if untouched is None or report.delta == 0:
-        return report
-    factor = untouched.solution_csp(new_database, engine).count_answers(
+    if untouched is None or change == 0:
+        return change
+    return change * untouched.solution_csp(new_database, engine).count_answers(
         untouched.query.free_variables
     )
-    return replace(report, delta=report.delta * factor)
 
 
-__all__ = [
-    "DeltaCountReport",
-    "delta_applicable",
-    "delta_count_exact",
-    "INCLUSION_EXCLUSION_LIMIT",
-]
+__all__ = ["delta_applicable", "delta_count_exact"]

@@ -73,7 +73,7 @@ from repro.core.registry import EXACT_SCHEMES
 from repro.obs.profile import fingerprint_class
 from repro.obs.trace import activate, span
 from repro.queries.canonical import query_relation_names
-from repro.relational.changelog import ChangeLog, ChangeLogGap, rewind
+from repro.relational.changelog import ChangeLog, ChangeLogGap, Fingerprint, rewind
 from repro.relational.structure import Structure
 from repro.resilience.retry import RetriesExhausted, run_with_retry
 from repro.stream.delta import delta_applicable, delta_count_exact
@@ -93,8 +93,6 @@ REFRESH_POLICIES = ("eager", "debounced", "budget")
 #: counter increment, and provenance on the next :class:`LiveCount`.
 REPLAN_ERROR_WINDOW = 4
 REPLAN_ERROR_THRESHOLD = 4.0
-
-Fingerprint = Tuple[int, Tuple[Tuple[str, int], ...]]
 
 
 def ticks_between(old: Fingerprint, new: Fingerprint, universe_sensitive: bool) -> int:
@@ -541,11 +539,10 @@ class CountSubscription:
             return False
         if delta:
             old_database = rewind(self._database, delta)
-            report = delta_count_exact(
+            self._estimate = self._estimate + delta_count_exact(
                 self.query, old_database, self._database, delta,
                 engine=self.plan.engine,
             )
-            self._estimate = self._estimate + report.delta
         self._mode = "delta"
         return True
 

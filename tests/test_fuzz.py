@@ -5,11 +5,16 @@ each test under a fixed ``random.Random`` seed so a failure reproduces."""
 
 from __future__ import annotations
 
+import json
 import random
+
+import pytest
 
 from repro.queries import parse_query
 from repro.serve import BatchRequest, FactsUpdate, WireError, schema
-from repro.service import CountRequest
+from repro.service import BatchReport, CountRequest, CountResult
+from repro.service.plan import QueryPlan
+from repro.stream.live import LiveCount
 
 QUERIES = (
     "Ans(x, y) :- E(x, z), E(z, y)",
@@ -76,20 +81,80 @@ def mutate_text(text, rng):
     return text[:start] + noise + text[end:]
 
 
-def test_wire_decoders_return_or_raise_wire_error():
-    rng = random.Random(2024)
-    valid = [
-        schema.encode(CountRequest(
+PLAN = QueryPlan(
+    scheme="fpras_cq", query_class="CQ", engine="indexed", database_size=40,
+    size_class="large", treewidth=1, fractional_hypertreewidth=1.0,
+    adaptive_width_upper=1.0, arity=2, reference="Theorem 16", override=None,
+    trace=("dichotomy: CQ",), observed={"schemes": {}}, predicted=None,
+)
+RESULT = CountResult(
+    index=0, estimate=12.5, scheme="fpras_cq", query_class="CQ", plan=PLAN,
+    seed=3, epsilon=0.5, delta=0.25, cache="miss", plan_seconds=0.001,
+    execute_seconds=0.02, widths={"fhw": 1.0}, degradations=("retry",),
+)
+
+
+def valid_messages():
+    """One well-formed envelope of every wire kind."""
+    return {
+        "count_request": schema.encode(CountRequest(
             query=parse_query(QUERIES[1]), epsilon=0.5, delta=0.25, seed=3, method="exact",
         )),
-        schema.encode(BatchRequest(
+        "batch_request": schema.encode(BatchRequest(
             requests=(CountRequest(query=parse_query(QUERIES[0]), seed=1),
                       CountRequest(query=parse_query(QUERIES[2]))),
             seed=7, executor="serial", max_workers=2, deadline_seconds=5.0,
         )),
-        schema.encode(FactsUpdate(adds=(("E", (0, 1)), ("F", ((1, 2), "a"))),
-                                  removes=(("E", (1, 0)),))),
-    ]
+        "facts_update": schema.encode(FactsUpdate(
+            adds=(("E", (0, 1)), ("F", ((1, 2), "a"))), removes=(("E", (1, 0)),),
+        )),
+        "count_result": schema.encode(RESULT),
+        "batch_report": schema.encode(BatchReport(
+            results=[RESULT], wall_seconds=0.5, requested_executor="process",
+            executed_executor="serial", max_workers=2, cache_hits=0,
+            cache_misses=1, degradations=["serial-fallback"], retries=1,
+        )),
+        "live_count": schema.encode(LiveCount(
+            estimate=7, scheme="exact", query_class="CQ", fresh=True,
+            refreshed=True, mode="delta", pending_ticks=0, refresh_count=2,
+            seed=None, epsilon=0.0, delta=0.0, replan_events=("drift",),
+        )),
+        "error": schema.encode(schema.ServeError(status=503, error="busy", retry_after=1.0)),
+        "query_plan": schema.encode(PLAN),
+    }
+
+
+@pytest.mark.parametrize(
+    "kind,edit",
+    [
+        pytest.param("count_result", {"estimate": [1]}, id="count_result-estimate"),
+        pytest.param("count_result", {"epsilon": "x"}, id="count_result-epsilon"),
+        pytest.param("count_result", {"estimate": None}, id="count_result-no-estimate"),
+        pytest.param("live_count", {"pending_ticks": [1]}, id="live_count-pending_ticks"),
+        pytest.param("batch_report", {"results": [5]}, id="batch_report-results"),
+        pytest.param("error", {"status": [1]}, id="error-status"),
+        pytest.param("query_plan", {"database_size": [1]}, id="query_plan-database_size"),
+    ],
+)
+def test_malformed_response_fields_raise_wire_error(kind, edit):
+    # An edit to None deletes the field.
+    message = {**valid_messages()[kind], **edit}
+    message = {key: value for key, value in message.items() if value is not None}
+    with pytest.raises(WireError):
+        schema.decode(message)
+
+
+def test_valid_messages_round_trip():
+    """The unedited messages decode, so each malformed case above fails on
+    its edited field and every fuzz run starts from a well-formed message."""
+    for message in valid_messages().values():
+        text = json.dumps(message)
+        assert json.loads(schema.to_json(schema.from_json(text))) == json.loads(text)
+
+
+def test_wire_decoders_return_or_raise_wire_error():
+    rng = random.Random(2024)
+    valid = list(valid_messages().values())
     decoded = 0
     for _ in range(6000):
         message = rng.choice(valid)

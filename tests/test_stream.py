@@ -287,7 +287,7 @@ class TestDeltaCountExact:
             a.relation for a in query.negated_atoms
         ]
         fingerprint = db.version_fingerprint(names)
-        strategies = set()
+        patched = 0
         for step in range(50):
             universe_version = db._universe_version
             mutate(db, rng, relations=relations)
@@ -298,66 +298,29 @@ class TestDeltaCountExact:
             else:
                 delta = log.delta_since(fingerprint)
                 old = rewind(db, delta)
-                report = delta_count_exact(query, old, db, delta, engine=engine)
-                strategies.add(report.strategy)
-                count = count + report.delta
+                count = count + delta_count_exact(query, old, db, delta, engine=engine)
+                patched += 1
             expected = count_answers_exact(query, db, engine=engine)
             assert count == expected, f"step {step}: {count} != {expected}"
             fingerprint = db.version_fingerprint(names)
             log.trim(fingerprint)
-        assert strategies  # at least one non-trivial incremental step ran
+        assert patched  # at least one incremental step ran
 
-    def test_both_strategies_agree_on_quantifier_free_queries(self):
+    def test_quantifier_free_delta_matches_recount(self):
         query = parse_query("Ans(x, y, z) :- E(x, y), E(y, z), x != z")
         db = database_from_graph(erdos_renyi_graph(8, 0.35, rng=5))
+        before = count_answers_exact(query, db)
         log = ChangeLog(db)
         fingerprint = db.version_fingerprint(["E"])
         db.add_fact("E", (0, 5))
         db.remove_fact("E", sorted(db.relation("E"))[0])
         delta = log.delta_since(fingerprint)
-        old = rewind(db, delta)
-        by_ie = delta_count_exact(
-            query, old, db, delta, strategy="inclusion_exclusion"
-        )
-        by_candidates = delta_count_exact(
-            query, old, db, delta, strategy="candidates"
-        )
-        assert by_ie.delta == by_candidates.delta
-        assert by_ie.strategy == "inclusion_exclusion"
-        assert by_candidates.strategy == "candidates"
+        change = delta_count_exact(query, rewind(db, delta), db, delta)
+        assert before + change == count_answers_exact(query, db)
 
-    def test_inclusion_exclusion_refuses_quantified_queries(self):
-        query = parse_query("Ans(x, y) :- E(x, y), E(y, z)")
-        db = triangle()
-        log = ChangeLog(db)
-        fingerprint = db.version_fingerprint(["E"])
-        db.add_fact("E", (2, 1))
-        delta = log.delta_since(fingerprint)
-        with pytest.raises(ValueError, match="existential"):
-            delta_count_exact(
-                query, rewind(db, delta), db, delta,
-                strategy="inclusion_exclusion",
-            )
-
-    def test_inclusion_exclusion_refuses_a_quantified_touched_block(self):
-        # Several components, and the touched E block is still quantified.
-        query = parse_query("Ans(x, u) :- E(x, y), G(u, v)")
-        db = Database.from_relations(
-            {"E": [(1, 2), (2, 3), (3, 1)], "G": [(1, 2), (2, 1)]}
-        )
-        log = ChangeLog(db)
-        fingerprint = db.version_fingerprint(["E"])
-        db.add_fact("E", (2, 1))
-        delta = log.delta_since(fingerprint)
-        with pytest.raises(ValueError, match="existential"):
-            delta_count_exact(
-                query, rewind(db, delta), db, delta,
-                strategy="inclusion_exclusion",
-            )
-
-    def test_inclusion_exclusion_on_a_quantifier_free_touched_block(self):
-        # The G component is quantified but untouched: inclusion-exclusion
-        # counts the E block only, so an explicit request is honoured.
+    def test_quantifier_free_touched_block_delta_matches_recount(self):
+        # The G component is quantified but untouched: the delta is taken on
+        # the quantifier-free E block and scaled by the G block's count.
         query = parse_query("Ans(x, y) :- E(x, y), G(u, v)")
         db = Database.from_relations(
             {"E": [(1, 2), (2, 3), (3, 1)], "G": [(1, 2), (2, 1)]}
@@ -369,16 +332,9 @@ class TestDeltaCountExact:
         db.add_fact("E", (1, 1))
         db.remove_fact("E", (3, 1))
         delta = log.delta_since(fingerprint)
-        reports = {
-            strategy: delta_count_exact(
-                query, rewind(db, delta), db, delta, strategy=strategy
-            )
-            for strategy in ("inclusion_exclusion", "candidates")
-        }
-        assert reports["inclusion_exclusion"].strategy == "inclusion_exclusion"
-        assert reports["inclusion_exclusion"].delta == reports["candidates"].delta
-        assert before + reports["candidates"].delta == count_answers_exact(query, db)
-        assert reports["candidates"].delta == 1
+        change = delta_count_exact(query, rewind(db, delta), db, delta)
+        assert change == 1
+        assert before + change == count_answers_exact(query, db)
 
     def test_untouched_relations_are_a_noop(self):
         query = parse_query("Ans(x, y) :- E(x, y)")
@@ -388,8 +344,7 @@ class TestDeltaCountExact:
         fingerprint = db.version_fingerprint(["E", "F"])
         db.add_fact("F", (2, 3))
         delta = log.delta_since(fingerprint)
-        report = delta_count_exact(query, rewind(db, delta), db, delta)
-        assert report.strategy == "noop" and report.delta == 0
+        assert delta_count_exact(query, rewind(db, delta), db, delta) == 0
 
     def test_delta_applicable_depends_on_positive_atom_coverage(self):
         covered = parse_query("Ans(x) :- E(x, y)")
@@ -428,7 +383,7 @@ def three_relation_database() -> Database:
 
 def replay_deltas(query, db, engine, rng, steps, relations):
     """Mutate ``db`` ``steps`` times and patch the exact count after each
-    step from the change log; returns ``[(report, patched, recount)]``."""
+    step from the change log; returns ``[(delta, patched, recount)]``."""
     count = count_answers_exact(query, db, engine=engine)
     log = ChangeLog(db)
     fingerprint = db.version_fingerprint(relations)
@@ -436,9 +391,10 @@ def replay_deltas(query, db, engine, rng, steps, relations):
     for _ in range(steps):
         mutate(db, rng, relations=relations)
         delta = log.delta_since(fingerprint)
-        report = delta_count_exact(query, rewind(db, delta), db, delta, engine=engine)
-        count += report.delta
-        outcomes.append((report, count, count_answers_exact(query, db, engine=engine)))
+        change = delta_count_exact(query, rewind(db, delta), db, delta, engine=engine)
+        assert type(change) is int
+        count += change
+        outcomes.append((change, count, count_answers_exact(query, db, engine=engine)))
         fingerprint = db.version_fingerprint(relations)
         log.trim(fingerprint)
     return outcomes
@@ -460,30 +416,16 @@ class TestComponentDeltas:
         outcomes = replay_deltas(query, db, engine, rng, 40, ("E", "F", "G"))
         for step, (_, patched, recount) in enumerate(outcomes):
             assert patched == recount, f"step {step}: {patched} != {recount}"
-        assert any(report.delta for report, _, _ in outcomes)
+        assert any(change for change, _, _ in outcomes)
 
     @pytest.mark.parametrize("engine", ["indexed", "columnar", "naive"])
     def test_connected_query_reports_are_pinned(self, engine):
-        """A connected query is its own touched block: the reports
-        (delta, strategy, work_units) of a fixed schedule are pinned to the
-        values of the unsplit delta counter."""
+        """A connected query is its own touched block: the deltas of a fixed
+        schedule are pinned to the values of the unsplit delta counter."""
         pinned = {
-            "Ans(x, y) :- E(x, y), E(y, z)": [
-                (1, "candidates", 2), (0, "noop", 0), (1, "candidates", 3),
-                (1, "candidates", 5), (-1, "candidates", 4), (1, "candidates", 3),
-                (-1, "candidates", 4), (2, "candidates", 8),
-            ],
-            "Ans(x, y, z) :- E(x, y), E(y, z), x != z": [
-                (4, "inclusion_exclusion", 3), (0, "noop", 0),
-                (4, "inclusion_exclusion", 3), (4, "inclusion_exclusion", 3),
-                (-5, "inclusion_exclusion", 3), (5, "inclusion_exclusion", 3),
-                (-5, "inclusion_exclusion", 3), (13, "inclusion_exclusion", 3),
-            ],
-            "Ans(x) :- E(x, y), E(x, z), y != z": [
-                (1, "candidates", 1), (0, "noop", 0), (0, "candidates", 1),
-                (0, "candidates", 1), (0, "candidates", 1), (0, "candidates", 1),
-                (0, "candidates", 1), (0, "candidates", 2),
-            ],
+            "Ans(x, y) :- E(x, y), E(y, z)": [1, 0, 1, 1, -1, 1, -1, 2],
+            "Ans(x, y, z) :- E(x, y), E(y, z), x != z": [4, 0, 4, 4, -5, 5, -5, 13],
+            "Ans(x) :- E(x, y), E(x, z), y != z": [1, 0, 0, 0, 0, 0, 0, 0],
         }
         from repro.relational.signature import RelationSymbol
 
@@ -494,11 +436,7 @@ class TestComponentDeltas:
             outcomes = replay_deltas(
                 parse_query(query_text), db, engine, random.Random(2022), 8, ("E", "F")
             )
-            reports = [
-                (report.delta, report.strategy, report.work_units)
-                for report, _, _ in outcomes
-            ]
-            assert reports == expected, query_text
+            assert [change for change, _, _ in outcomes] == expected, query_text
 
     def test_untouched_block_without_answers_zeroes_the_delta(self):
         query = parse_query("Ans(x, u) :- E(x, y), G(u, v)")
@@ -510,10 +448,9 @@ class TestComponentDeltas:
         fingerprint = db.version_fingerprint(["E", "G"])
         db.add_fact("E", (4, 1))
         delta = log.delta_since(fingerprint)
-        report = delta_count_exact(query, rewind(db, delta), db, delta)
         # The E block gained the answer x = 4; the empty G block has none.
-        assert report.strategy == "candidates" and report.work_units == 1
-        assert report.delta == 0 == count_answers_exact(query, db)
+        change = delta_count_exact(query, rewind(db, delta), db, delta)
+        assert change == 0 == count_answers_exact(query, db)
 
     def test_split_and_block_orders_are_memoised(self):
         from repro.core.exact import solution_csp
@@ -634,6 +571,40 @@ class TestLiveSubscriptions:
         assert refreshed.estimate == count_answers_exact(
             subscription.query, database
         )
+        subscription.close()
+
+    @pytest.mark.parametrize("engine", ["indexed", "columnar", "naive"])
+    def test_debounced_refreshes_fold_accumulated_mutations(self, engine):
+        """Every refresh of a debounced subscription on a quantifier-free DCQ
+        folds in 20 accumulated E mutations by one delta patch; every fresh
+        read equals a recount on the same engine."""
+        database = database_from_graph(erdos_renyi_graph(12, 0.3, rng=8))
+        service = CountingService(
+            database, ServiceConfig(executor="serial", engine=engine)
+        )
+        query = parse_query("Ans(x, y, z) :- E(x, y), E(y, z), x != z")
+        subscription = service.subscribe(
+            CountRequest(query=query, method="exact"),
+            refresh="debounced",
+            debounce_ticks=20,
+        )
+        assert subscription.plan.engine == engine
+        rng = random.Random(29)
+        for refresh in range(1, 7):
+            for step in range(20):
+                fact = (rng.randrange(12), rng.randrange(12))
+                if fact in database.relation("E"):
+                    database.remove_fact("E", fact)
+                else:
+                    database.add_fact("E", fact)
+                if step == 9:
+                    assert not subscription.read().fresh
+            live = subscription.read()
+            assert live.refreshed and live.fresh and live.mode == "delta"
+            assert live.refresh_count == refresh
+            assert live.estimate == count_answers_exact(
+                query, database, engine=engine
+            )
         subscription.close()
 
     def test_budget_policy_stops_refreshing_when_exhausted(self):
