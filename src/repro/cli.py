@@ -19,16 +19,17 @@ as ``python -m repro``)::
 Databases are JSON files in the format of :mod:`repro.relational.io` (or edge
 lists with ``--edge-list``).  The counting subcommand prints both the chosen
 scheme's estimate and, with ``--exact``, the exact count for comparison;
-``plan`` and ``batch`` go through the :mod:`repro.service` layer (explainable
-scheme selection, plan/result caching, parallel batch execution) and accept
-the adaptive-planner knobs (``--adaptive``, ``--latency-budget``,
-``--profiles`` to load/save the observed-cost snapshot); ``stream`` replays a
-randomized insert/delete/query schedule against live ``subscribe()`` handles
-(:mod:`repro.stream`) and reports how many reads were served for free,
-delta-patched, or re-estimated; ``profiles`` inspects and merges cost-profile
-snapshots (``show`` / ``export`` / ``import``); ``serve`` runs the
-:mod:`repro.serve` HTTP/JSON front-end over a resident database and
-``client`` talks to one.
+``count``, ``plan`` and ``batch`` go through the :mod:`repro.service` layer
+(explainable scheme selection, plan/result caching, parallel batch
+execution, the CSP engine picked from the database size); ``plan`` and
+``batch`` accept the adaptive-planner knobs (``--adaptive``,
+``--latency-budget``, ``--profiles`` to load/save the observed-cost
+snapshot); ``stream`` replays a randomized insert/delete/query schedule
+against live ``subscribe()`` handles (:mod:`repro.stream`) and reports how
+many reads were served for free, delta-patched, or re-estimated;
+``profiles`` inspects and merges cost-profile snapshots (``show`` /
+``export`` / ``import``); ``serve`` runs the :mod:`repro.serve` HTTP/JSON
+front-end over a resident database and ``client`` talks to one.
 
 Every ``--json`` report is a v1 wire envelope (:mod:`repro.serve.schema`):
 the payload carries ``"api": "repro.v1"`` and a ``"kind"`` naming its shape,
@@ -43,13 +44,8 @@ import json
 import sys
 from typing import List, Optional, Sequence
 
-from repro.core import (
-    approx_count_answers,
-    classify_query,
-    count_answers_exact,
-)
+from repro.core import REGISTRY, METHOD_ALIASES, classify_query, resolve_method
 from repro.queries import parse_query
-from repro.relational.csp import DEFAULT_ENGINE, ENGINES
 from repro.relational.io import load_database_json, load_edge_list
 from repro.resilience.faults import FaultPlan, FaultPlanError
 from repro.sampling import sample_answers
@@ -160,17 +156,6 @@ def _add_adaptive_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_engine_argument(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--engine",
-        choices=list(ENGINES),
-        default=DEFAULT_ENGINE,
-        help="CSP engine the schemes solve with: indexed (default), naive "
-        "(differential oracle), or columnar (vectorized NumPy); estimates "
-        "are bit-identical across engines under equal seeds",
-    )
-
-
 def _add_database_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--database", help="path to a JSON database file")
     parser.add_argument(
@@ -202,6 +187,9 @@ def build_parser() -> argparse.ArgumentParser:
         "disequalities and negations (PODS 2022 reproduction).",
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
+    # Read when the parser is built, so schemes registered since import are
+    # offered too.
+    schemes = list(REGISTRY.names(include_unions=False))
 
     count = subparsers.add_parser("count", help="approximately count query answers")
     count.add_argument("--query", required=True, help="query in Datalog-ish syntax")
@@ -211,10 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
     count.add_argument("--seed", type=int, default=None)
     count.add_argument(
         "--method",
-        choices=[
-            "auto", "fpras", "fptras",
-            "exact", "oracle_exact", "fpras_cq", "fptras_dcq", "fptras_ecq",
-        ],
+        choices=[*METHOD_ALIASES, *schemes],
         default="auto",
         help="counting method: auto (FPRAS for CQs, FPTRAS otherwise), the "
         "legacy fpras/fptras aliases, or any registered scheme name; all "
@@ -225,7 +210,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="also compute the exact count for comparison (slow on large inputs)",
     )
-    _add_engine_argument(count)
 
     classify = subparsers.add_parser(
         "classify", help="report the Figure-1 classification of a query"
@@ -254,12 +238,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_database_arguments(plan)
     plan.add_argument(
         "--method",
-        choices=["exact", "fpras_cq", "fptras_dcq", "fptras_ecq", "oracle_exact"],
+        choices=schemes,
         default=None,
         help="force a scheme instead of letting the planner choose",
     )
     plan.add_argument("--json", action="store_true", help="emit JSON")
-    _add_engine_argument(plan)
     _add_adaptive_arguments(plan)
 
     batch = subparsers.add_parser(
@@ -291,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     batch.add_argument("--workers", type=int, default=None, help="worker count")
     batch.add_argument(
         "--method",
-        choices=["exact", "fpras_cq", "fptras_dcq", "fptras_ecq", "oracle_exact"],
+        choices=schemes,
         default=None,
         help="force one scheme for every query",
     )
@@ -303,7 +286,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_fault_plan_argument(batch)
     _add_obs_arguments(batch)
-    _add_engine_argument(batch)
     _add_adaptive_arguments(batch)
     batch.add_argument("--json", action="store_true", help="emit a JSON report")
 
@@ -353,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     shard.add_argument("--workers", type=int, default=None, help="worker count")
     shard.add_argument(
         "--method",
-        choices=["exact", "fpras_cq", "fptras_dcq", "fptras_ecq", "oracle_exact"],
+        choices=schemes,
         default=None,
         help="force one scheme for every query",
     )
@@ -364,7 +346,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_fault_plan_argument(shard)
     _add_obs_arguments(shard)
-    _add_engine_argument(shard)
     shard.add_argument("--json", action="store_true", help="emit a JSON report")
 
     stream = subparsers.add_parser(
@@ -410,7 +391,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_fault_plan_argument(stream)
     _add_obs_arguments(stream)
-    _add_engine_argument(stream)
     stream.add_argument("--json", action="store_true", help="emit a JSON report")
 
     profiles = subparsers.add_parser(
@@ -507,7 +487,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="refuse POST /v1/facts (serve an immutable snapshot)",
     )
-    _add_engine_argument(serve)
     _add_adaptive_arguments(serve)
 
     client = subparsers.add_parser(
@@ -529,7 +508,7 @@ def build_parser() -> argparse.ArgumentParser:
     c_count.add_argument("--seed", type=int, default=None)
     c_count.add_argument(
         "--method",
-        choices=["exact", "fpras_cq", "fptras_dcq", "fptras_ecq", "oracle_exact"],
+        choices=schemes,
         default=None,
     )
     c_count.add_argument("--deadline", type=float, default=None, metavar="SECONDS")
@@ -553,7 +532,7 @@ def build_parser() -> argparse.ArgumentParser:
     c_plan.add_argument("--query", required=True)
     c_plan.add_argument(
         "--method",
-        choices=["exact", "fpras_cq", "fptras_dcq", "fptras_ecq", "oracle_exact"],
+        choices=schemes,
         default=None,
     )
     c_plan.add_argument("--json", action="store_true", help="emit the wire envelope")
@@ -609,21 +588,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _command_count(args: argparse.Namespace) -> int:
+    from repro.service import CountingService, CountRequest, ServiceConfig
+
     query = parse_query(args.query)
     database = _load_database(args)
-    estimate = approx_count_answers(
-        query,
+    scheme = resolve_method(args.method, query.query_class())
+    service = CountingService(
         database,
-        epsilon=args.epsilon,
-        delta=args.delta,
-        seed=args.seed,
-        method=args.method,
-        engine=args.engine,
+        ServiceConfig(epsilon=args.epsilon, delta=args.delta, executor="serial"),
     )
+    result = service.submit(CountRequest(query=query, seed=args.seed, method=scheme))
     print(f"query class: {query.query_class().value}")
-    print(f"estimate:    {estimate}")
-    if args.exact and args.method != "exact":
-        print(f"exact:       {count_answers_exact(query, database, engine=args.engine)}")
+    print(f"estimate:    {result.count}")
+    if args.exact and scheme != "exact":
+        exact = service.submit(CountRequest(query=query, method="exact"))
+        print(f"exact:       {exact.count}")
     return 0
 
 
@@ -690,7 +669,6 @@ def _command_plan(args: argparse.Namespace) -> int:
     service = CountingService(
         database,
         ServiceConfig(
-            engine=args.engine,
             planner=PlannerConfig(adaptive=args.adaptive),
             latency_budget_seconds=args.latency_budget,
             # Planning only reads the snapshot; nothing is saved back.
@@ -748,7 +726,6 @@ def _command_batch(args: argparse.Namespace) -> int:
             delta=args.delta,
             executor=args.executor,
             max_workers=args.workers,
-            engine=args.engine,
             fault_plan=_parse_fault_plan(args),
             tracer=tracer,
             planner=PlannerConfig(adaptive=args.adaptive),
@@ -859,7 +836,6 @@ def _command_shard(args: argparse.Namespace) -> int:
             delta=args.delta,
             executor=args.executor,
             max_workers=args.workers,
-            engine=args.engine,
             fault_plan=_parse_fault_plan(args),
             tracer=tracer,
         ),
@@ -880,7 +856,6 @@ def _command_shard(args: argparse.Namespace) -> int:
                 delta=args.delta,
                 executor=args.executor,
                 max_workers=args.workers,
-                engine=args.engine,
             ),
         )
         plain_report = plain.count_batch(requests, seed=args.seed)
@@ -990,7 +965,6 @@ def _command_stream(args: argparse.Namespace) -> int:
             epsilon=args.epsilon,
             delta=args.delta,
             executor="serial",
-            engine=args.engine,
             fault_plan=_parse_fault_plan(args),
             tracer=tracer,
         ),
@@ -1171,7 +1145,6 @@ def _command_serve(args: argparse.Namespace) -> int:
             delta=args.delta,
             executor=args.executor,
             max_workers=args.workers,
-            engine=args.engine,
             planner=PlannerConfig(adaptive=args.adaptive),
             latency_budget_seconds=args.latency_budget,
             profile_path=args.profiles,

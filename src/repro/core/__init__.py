@@ -8,7 +8,8 @@ Entry points
   envelope; all the wrappers below dispatch through it.
 * :func:`approx_count_answers` — dispatching convenience wrapper: picks the
   FPRAS (Theorem 16) for plain CQs and the appropriate FPTRAS (Theorems 5/13)
-  otherwise, and returns a rounded integer estimate.
+  otherwise, and returns a rounded integer estimate; :func:`resolve_method`
+  is its method-to-scheme rule, shared with the CLI's ``count``.
 * :func:`fptras_count_ecq` — Theorem 5 (bounded treewidth + arity, ECQ).
 * :func:`fptras_count_dcq` — Theorem 13 (bounded adaptive width, DCQ).
 * :func:`fpras_count_cq` — Theorem 16 (bounded fractional hypertreewidth, CQ).
@@ -71,9 +72,32 @@ from repro.core.registry import (
 from repro.core.tree_automaton import RootedTree, TreeAutomaton
 from repro.queries.prepared import PreparedQuery, prepare
 from repro.queries.query import ConjunctiveQuery, QueryClass
-from repro.relational.csp import DEFAULT_ENGINE
 from repro.relational.structure import Structure
 from repro.util.rng import RNGLike
+
+
+#: Counting methods that name a choice rather than one registered scheme.
+METHOD_ALIASES = ("auto", "fpras", "fptras")
+
+
+def resolve_method(method: str, query_class: QueryClass) -> str:
+    """The registered scheme that counting ``method`` runs for a query of
+    ``query_class``.
+
+    ``method`` may be ``"auto"`` (FPRAS for plain CQs, FPTRAS otherwise),
+    ``"fpras"`` (Theorem 16; CQs only), ``"fptras"`` (the Lemma-22 engine of
+    Theorems 5/13), or any registered scheme name (``exact`` /
+    ``oracle_exact`` / ``fpras_cq`` / ``fptras_dcq`` / ``fptras_ecq``).
+    """
+    if method == "auto":
+        method = "fpras" if query_class is QueryClass.CQ else "fptras"
+    if method == "fpras":
+        return "fpras_cq"
+    if method == "fptras":
+        return "fptras_ecq" if query_class is QueryClass.ECQ else "fptras_dcq"
+    if method in REGISTRY.names(include_unions=False):
+        return method
+    raise ValueError(f"unknown method {method!r}")
 
 
 def approx_count_answers(
@@ -83,33 +107,16 @@ def approx_count_answers(
     delta: float = 0.05,
     seed: RNGLike = None,
     method: str = "auto",
-    engine: str = DEFAULT_ENGINE,
 ) -> int:
     """Approximately count ``|Ans(query, database)|`` and return the estimate
     rounded to the nearest integer.
 
-    ``method`` may be ``"auto"`` (FPRAS for plain CQs, FPTRAS otherwise),
-    ``"fpras"`` (force Theorem 16; CQs only), ``"fptras"`` (force the
-    Lemma-22 engine of Theorems 5/13), ``"exact"``, or any registered scheme
-    name (``exact`` / ``oracle_exact`` / ``fpras_cq`` / ``fptras_dcq`` /
-    ``fptras_ecq``).  Dispatch goes through :data:`REGISTRY`.  ``engine``
-    selects the CSP engine every scheme solves with (``"indexed"`` /
-    ``"naive"`` / ``"columnar"``); estimates are bit-identical across
-    engines under equal seeds.
+    ``method`` picks the scheme through :func:`resolve_method`; dispatch goes
+    through :data:`REGISTRY`.
     """
-    query_class = query.query_class()
-    if method == "auto":
-        method = "fpras" if query_class is QueryClass.CQ else "fptras"
-    if method == "fpras":
-        scheme = "fpras_cq"
-    elif method == "fptras":
-        scheme = "fptras_ecq" if query_class is QueryClass.ECQ else "fptras_dcq"
-    elif method in REGISTRY.names(include_unions=False):
-        scheme = method
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    scheme = resolve_method(method, query.query_class())
     result = REGISTRY.count(
-        scheme, query, database, epsilon=epsilon, delta=delta, rng=seed, engine=engine
+        scheme, query, database, epsilon=epsilon, delta=delta, rng=seed
     )
     return result.count
 
@@ -123,6 +130,8 @@ __all__ = [
     "PreparedQuery",
     "prepare",
     "approx_count_answers",
+    "resolve_method",
+    "METHOD_ALIASES",
     "count_answers_exact",
     "count_solutions_exact",
     "enumerate_answers_exact",

@@ -187,9 +187,6 @@ class TreeAutomaton:
         """Labels for which the state has at least one transition."""
         return list(self._labels_by_state.get(state, ()))
 
-    def num_transitions(self) -> int:
-        return sum(len(targets) for targets in self._transitions.values())
-
     # ------------------------------------------------------------- acceptance
     def _membership(self, tree: RootedTree) -> Callable[[int, State, Tuple[Label, ...]], bool]:
         """The membership test over ``tree``: ``member(position, state,

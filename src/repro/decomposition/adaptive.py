@@ -149,10 +149,6 @@ class AdaptiveWidthEstimate:
     lower_bound: float
     upper_bound: float
 
-    @property
-    def is_tight(self) -> bool:
-        return abs(self.upper_bound - self.lower_bound) < 1e-6
-
     def bounded_by(self, bound: float, tolerance: float = 1e-9) -> Optional[bool]:
         """True/False when the bracket resolves the question "aw <= bound?",
         otherwise ``None``."""

@@ -126,18 +126,3 @@ def random_hypergraph(
         members = generator.choice(num_vertices, size=size, replace=False)
         edges.append(tuple(int(v) for v in members))
     return Hypergraph(vertices=vertices, edges=edges)
-
-
-def random_connected_graph_hypergraph(
-    num_vertices: int, edge_probability: float, rng: RNGLike = None
-) -> Hypergraph:
-    """An Erdős–Rényi graph conditioned on connectivity (by adding a random
-    spanning tree), as an arity-2 hypergraph."""
-    generator = as_generator(rng)
-    tree = tree_hypergraph(num_vertices, rng=generator)
-    edges = list(tree.edges)
-    for i in range(num_vertices):
-        for j in range(i + 1, num_vertices):
-            if generator.random() < edge_probability:
-                edges.append((i, j))
-    return Hypergraph(vertices=range(num_vertices), edges=edges)

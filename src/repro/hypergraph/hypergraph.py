@@ -13,7 +13,7 @@ are preserved: adding the same hyperedge twice results in a single hyperedge.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Hashable, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Hashable, Iterable, Iterator, List, Optional, Set
 
 import networkx as nx
 
@@ -44,10 +44,6 @@ class Hypergraph:
             self.add_edge(edge)
 
     # ------------------------------------------------------------------ basic
-    def add_vertex(self, vertex: Vertex) -> None:
-        """Add an isolated vertex (no effect if already present)."""
-        self._vertices.add(vertex)
-
     def add_edge(self, edge: Iterable[Vertex]) -> FrozenSet[Vertex]:
         """Add a hyperedge (and its endpoints) and return it as a frozenset."""
         frozen = frozenset(edge)
@@ -94,9 +90,6 @@ class Hypergraph:
     def has_edge(self, edge: Iterable[Vertex]) -> bool:
         return frozenset(edge) in self._edges
 
-    def has_vertex(self, vertex: Vertex) -> bool:
-        return vertex in self._vertices
-
     def degree(self, vertex: Vertex) -> int:
         """Number of hyperedges containing ``vertex``."""
         if vertex not in self._vertices:
@@ -140,17 +133,6 @@ class Hypergraph:
             for i, u in enumerate(edge_list):
                 for v in edge_list[i + 1 :]:
                     graph.add_edge(u, v)
-        return graph
-
-    def incidence_graph(self) -> nx.Graph:
-        """Bipartite incidence graph between vertices and hyperedges."""
-        graph = nx.Graph()
-        for vertex in self._vertices:
-            graph.add_node(("v", vertex), kind="vertex")
-        for index, edge in enumerate(sorted(self._edges, key=sorted_edge_key)):
-            graph.add_node(("e", index), kind="edge", members=edge)
-            for vertex in edge:
-                graph.add_edge(("v", vertex), ("e", index))
         return graph
 
     def connected_components(self) -> List[Set[Vertex]]:
@@ -220,11 +202,6 @@ class Hypergraph:
         """Build the arity-2 hypergraph of a simple graph."""
         return cls(vertices=graph.nodes(), edges=[frozenset(edge) for edge in graph.edges()])
 
-    def to_edge_list(self) -> List[Tuple[Vertex, ...]]:
-        """Sorted list of edges as sorted tuples (deterministic order for
-        hashing/serialisation in tests)."""
-        return sorted((tuple(sorted(edge, key=repr)) for edge in self._edges), key=repr)
-
     # ----------------------------------------------------------------- dunder
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Hypergraph):
@@ -248,8 +225,3 @@ class Hypergraph:
             f"Hypergraph(|V|={self.num_vertices()}, |E|={self.num_edges()}, "
             f"arity={self.arity()})"
         )
-
-
-def sorted_edge_key(edge: Edge) -> str:
-    """Deterministic sort key for hyperedges with heterogeneous vertex types."""
-    return repr(tuple(sorted(edge, key=repr)))

@@ -35,8 +35,9 @@ from __future__ import annotations
 import json
 import threading
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.obs.metrics import Histogram
 
@@ -51,6 +52,22 @@ _PROFILE_BUCKETS: Tuple[float, ...] = (
 def fingerprint_class(database_size: int) -> int:
     """The log2 size bucket a database falls in (0 for empty databases)."""
     return max(0, int(database_size)).bit_length()
+
+
+def label_by_scheme(
+    entries: Iterable[Tuple[str, str, Dict[str, Any]]],
+) -> Dict[str, Dict[str, Any]]:
+    """Key ``(scheme, engine, summary)`` entries, in their order, by the bare
+    scheme name when only one engine was seen for that scheme (the shape
+    pre-engine consumers expect) and by ``"scheme@engine"`` otherwise; each
+    value is the summary plus its ``engine``."""
+    entries = list(entries)
+    engines_per_scheme = Counter(scheme for scheme, _, _ in entries)
+    labelled: Dict[str, Dict[str, Any]] = {}
+    for scheme, engine, summary in entries:
+        label = scheme if engines_per_scheme[scheme] == 1 else f"{scheme}@{engine}"
+        labelled[label] = dict(summary, engine=engine)
+    return labelled
 
 
 @dataclass
@@ -193,16 +210,10 @@ class ProfileStore:
             }
         if not matching:
             return {}
-        # Keep the payload keyed by the bare scheme name when only one engine
-        # was observed for it (the common case, and the shape version-1
-        # consumers expect); disambiguate with "scheme@engine" otherwise.
-        engines_per_scheme: Dict[str, int] = {}
-        for scheme, _ in matching:
-            engines_per_scheme[scheme] = engines_per_scheme.get(scheme, 0) + 1
-        schemes: Dict[str, Any] = {}
-        for (scheme, engine), profile in sorted(matching.items()):
-            label = scheme if engines_per_scheme[scheme] == 1 else f"{scheme}@{engine}"
-            schemes[label] = dict(profile.summary(), engine=engine)
+        schemes = label_by_scheme(
+            (scheme, engine, profile.summary())
+            for (scheme, engine), profile in sorted(matching.items())
+        )
         return {"fingerprint_class": bucket, "schemes": schemes}
 
     def stats(self) -> Dict[str, Any]:

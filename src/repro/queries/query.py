@@ -49,12 +49,6 @@ class QueryClass(Enum):
     DCQ = "DCQ"
     ECQ = "ECQ"
 
-    def allows_disequalities(self) -> bool:
-        return self in (QueryClass.DCQ, QueryClass.ECQ)
-
-    def allows_negations(self) -> bool:
-        return self is QueryClass.ECQ
-
 
 class ConjunctiveQuery:
     """An extended conjunctive query.
@@ -199,10 +193,6 @@ class ConjunctiveQuery:
         )
         return len(self._variables) + atom_mass
 
-    def num_negated(self) -> int:
-        """``nu``: the number of negated predicates."""
-        return len(self._negated)
-
     def hypergraph(self) -> Hypergraph:
         """``H(phi)`` of Definition 3: vertices are the variables; every
         predicate and negated predicate contributes a hyperedge; disequalities
@@ -302,33 +292,6 @@ class ConjunctiveQuery:
             negated_atoms=[a.rename(mapping) for a in self._negated],
             disequalities=[d.rename(mapping) for d in self._disequalities],
             existential_variables={mapping.get(v, v) for v in self._existential},
-        )
-
-    def without_disequalities(self) -> "ConjunctiveQuery":
-        """The CQ/ECQ obtained by dropping every disequality."""
-        return ConjunctiveQuery(
-            free_variables=self._free,
-            atoms=self._atoms,
-            negated_atoms=self._negated,
-            disequalities=(),
-            existential_variables=self._existential
-            & frozenset(
-                v
-                for atom in itertools.chain(self._atoms, self._negated)
-                for v in atom.variables
-            ),
-        )
-
-    def with_all_variables_free(self) -> "ConjunctiveQuery":
-        """The quantifier-free variant: every variable becomes free (ordered
-        with the original free variables first)."""
-        order = list(self._free) + sorted(self._existential)
-        return ConjunctiveQuery(
-            free_variables=order,
-            atoms=self._atoms,
-            negated_atoms=self._negated,
-            disequalities=self._disequalities,
-            existential_variables=(),
         )
 
     # ----------------------------------------------------------------- dunder

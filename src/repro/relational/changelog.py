@@ -49,10 +49,6 @@ class RelationDelta:
     def __len__(self) -> int:
         return len(self.added) + len(self.removed)
 
-    def inverted(self) -> "RelationDelta":
-        """The delta that undoes this one."""
-        return RelationDelta(added=self.removed, removed=self.added)
-
 
 #: ``{relation name: RelationDelta}`` with empty deltas omitted.
 StructureDelta = Dict[str, RelationDelta]

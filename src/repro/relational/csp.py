@@ -246,15 +246,6 @@ class Constraint:
             all(tup[index] == value for index, value in positions) for tup in self.allowed
         )
 
-    def project_to(self, variable: Variable) -> Set[Value]:
-        """Values of ``variable`` appearing in at least one allowed tuple."""
-        index = self.index
-        values: Set[Value] = set()
-        for position, scope_variable in enumerate(self.scope):
-            if scope_variable == variable and position < len(index.by_position):
-                values.update(index.by_position[position].keys())
-        return values
-
 
 @dataclass(frozen=True)
 class NotEqualConstraint:

@@ -76,11 +76,6 @@ class TupleIndex:
             tuples = set(tuples)
         return cls(tuples, arity=arity)
 
-    def ids_for(self, position: int, value: Value) -> FrozenSet[int]:
-        """Ids of the tuples holding ``value`` at ``position`` (empty set if
-        none)."""
-        return self.by_position[position].get(value, _EMPTY_IDS)
-
     # ------------------------------------------------------ delta derivation
     def _derive(self) -> "TupleIndex":
         """An uninitialised sibling for the delta constructors to fill in."""
@@ -163,6 +158,3 @@ class TupleIndex:
 
     def __repr__(self) -> str:
         return f"TupleIndex(|tuples|={len(self.tuples)}, arity={self.arity})"
-
-
-_EMPTY_IDS: FrozenSet[int] = frozenset()

@@ -435,13 +435,6 @@ class Structure:
                 edges.append(members)
         return Hypergraph(vertices=self._universe, edges=edges)
 
-    def active_domain(self) -> Set[Element]:
-        """Elements that appear in at least one fact."""
-        active: Set[Element] = set()
-        for _, fact in self.facts():
-            active.update(fact)
-        return active
-
     def restrict_universe(self, subset: Iterable[Element]) -> "Structure":
         """The induced substructure on ``subset``: keep only facts whose
         elements all lie in the subset."""

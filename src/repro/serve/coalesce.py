@@ -9,7 +9,7 @@ running await the leader's future instead of starting their own.
 
 Identity is the :func:`coalescing_key` — ``(canonical query form, version
 fingerprint restricted to the query's relations, epsilon, delta, seed,
-method, engine, latency budget)`` after the service's request resolution:
+method, latency budget)`` after the service's request resolution:
 
 * the **canonical form** makes alpha-renamed queries coalesce (the same
   sharing the plan/result caches exploit);
@@ -49,7 +49,6 @@ def coalescing_key(service: CountingService, request: CountRequest) -> Tuple:
         request.delta,
         request.seed,
         request.method,
-        service.config.engine,
         request.latency_budget_seconds,
     )
 

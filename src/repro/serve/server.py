@@ -18,8 +18,8 @@ The systems contract, in order of interest:
 
 * **Coalescing** — identical in-flight ``/v1/count`` requests (same
   canonical form, restricted fingerprint, epsilon/delta, seed, method,
-  engine — see :func:`repro.serve.coalesce.coalescing_key`) share one
-  execution; followers' responses carry ``coalesced: true`` and bump the
+  latency budget — see :func:`repro.serve.coalesce.coalescing_key`) share
+  one execution; followers' responses carry ``coalesced: true`` and bump the
   ``serve.coalesced`` metric.  A herd of N identical requests costs one
   count (the result cache covers stragglers arriving after it finishes).
 * **Admission control** — per-tenant token buckets
@@ -56,6 +56,10 @@ from repro.serve.admission import AdmissionController, TenantSpec
 from repro.serve.coalesce import Coalescer, coalescing_key
 from repro.service.service import CountingService, CountRequest
 
+#: Idle SSE streams emit a comment frame this often (seconds) unless the
+#: subscribe request sets ``heartbeat_seconds``.
+SSE_HEARTBEAT_SECONDS = 15.0
+
 
 @dataclass(frozen=True)
 class ServeConfig:
@@ -75,8 +79,6 @@ class ServeConfig:
     default_deadline_seconds: Optional[float] = None
     #: Retry-After hint (seconds) for queue-full rejections.
     queue_retry_after: float = 0.1
-    #: Idle SSE streams emit a comment frame this often.
-    sse_heartbeat_seconds: float = 15.0
     #: Refuse ``POST /v1/facts`` (immutable serving snapshots).
     allow_mutations: bool = True
 
@@ -579,7 +581,7 @@ class CountingServer:
             max_events = _opt_param(params, "max_events", int)
             heartbeat = (
                 _opt_param(params, "heartbeat_seconds", float)
-                or self.config.sse_heartbeat_seconds
+                or SSE_HEARTBEAT_SECONDS
             )
             # Only the policy knobs the request sent: subscribe() owns the
             # defaults and rejects bad values (a ValueError -> 400).

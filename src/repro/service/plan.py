@@ -7,10 +7,10 @@ trace that led there.  The decision table (see DESIGN.md):
 1. A user override (``method=``) wins, after validation against the query
    class through :data:`repro.core.registry.REGISTRY` (e.g. Theorem 16's
    FPRAS is only sound for plain CQs).
-2. Small instances (database ``size()`` and query variable count under the
-   configured thresholds) use the **exact** CSP-backtracking counter: it is
-   error-free and, on small inputs, faster than setting up an approximation
-   scheme.
+2. Small instances (database ``size()`` under the configured threshold and
+   at most :data:`EXACT_VARIABLE_LIMIT` query variables) use the **exact**
+   CSP-backtracking counter: it is error-free and, on small inputs, faster
+   than setting up an approximation scheme.
 3. Otherwise the Figure-1 dichotomy picks the scheme by query class, exactly
    as :func:`repro.core.classify_query` recommends: plain CQs get the
    Theorem-16 FPRAS, DCQs the Theorem-13 FPTRAS, ECQs the Theorem-5 FPTRAS.
@@ -39,8 +39,13 @@ Theorem-5 override computes only treewidth/arity, a Theorem-13/16 override
 only the fhw-based widths, and only the dichotomy path (which must discuss
 the whole Figure-1 profile) computes the full profile.  ``QueryPlan.explain``
 prints whichever widths the plan actually computed and the trace warns when a
-width exceeds its configured alarm threshold (the scheme still runs, merely
-without its fixed-parameter efficiency).
+width exceeds its alarm (:data:`TREEWIDTH_ALARM`, :data:`FHW_ALARM`; the
+scheme still runs, merely without its fixed-parameter efficiency).
+
+The CSP engine is a function of the input, not an option: databases of
+``size()`` at least ``columnar_size_threshold`` run on the vectorized
+columnar engine, smaller ones on the indexed engine.  Estimates are
+bit-identical across engines, so the rule only decides speed.
 
 Plans are cached on the canonical query form plus the decision inputs, so
 repeated queries skip even the per-width lookups.
@@ -55,7 +60,7 @@ from repro.core.registry import REGISTRY
 from repro.obs.profile import fingerprint_class
 from repro.queries.prepared import PreparedQuery, prepare
 from repro.queries.query import ConjunctiveQuery, QueryClass
-from repro.relational.csp import DEFAULT_ENGINE, ENGINES
+from repro.relational.csp import DEFAULT_ENGINE
 from repro.relational.structure import Structure
 from repro.util.cache import LRUCache
 from repro.service.cost import PREDICTION_BASIS, CostModel
@@ -65,25 +70,29 @@ from repro.service.cost import PREDICTION_BASIS, CostModel
 #: reads the registry live so later registrations are planable too).
 SCHEMES = REGISTRY.names(include_unions=False)
 
+#: Small instances plan exact only when the query has at most this many
+#: variables.
+EXACT_VARIABLE_LIMIT = 10
+#: Widths above these alarms add a warning to the decision trace (the scheme
+#: still runs; it is correct for every instance, merely not fixed-parameter
+#: efficient outside the bounded regime).
+TREEWIDTH_ALARM = 4
+FHW_ALARM = 3.0
+#: Entries of a planner's plan cache.
+PLAN_CACHE_SIZE = 256
+
 
 @dataclass(frozen=True)
 class PlannerConfig:
     """Thresholds of the planner's decision table."""
 
-    #: Databases with ``size()`` at most this use the exact counter ...
+    #: Databases with ``size()`` at most this use the exact counter
+    #: (provided the query has at most ``EXACT_VARIABLE_LIMIT`` variables).
     exact_size_threshold: int = 800
-    #: ... provided the query has at most this many variables.
-    exact_variable_limit: int = 10
-    #: Widths above these alarms add a warning to the decision trace (the
-    #: scheme still runs; it is correct for every instance, merely not
-    #: fixed-parameter efficient outside the bounded regime).
-    treewidth_alarm: int = 4
-    fhw_alarm: float = 3.0
     #: Databases with ``size()`` at least this run the chosen scheme on the
-    #: vectorized columnar CSP engine when the planner's default engine is
-    #: ``"indexed"`` (estimates are bit-identical across engines, so the
-    #: upgrade only changes speed).  ``None`` disables the upgrade; an
-    #: explicit planner engine always wins.
+    #: vectorized columnar CSP engine, smaller ones on the indexed engine
+    #: (estimates are bit-identical across engines, so the rule only
+    #: changes speed).  ``None`` keeps every plan on the indexed engine.
     columnar_size_threshold: Optional[int] = 5000
     #: When ``True`` (and the planner holds a :class:`CostModel`), overlay
     #: observed per-scheme costs on the static decision table: pick the
@@ -99,9 +108,6 @@ class PlannerConfig:
     def fingerprint(self) -> Tuple:
         return (
             self.exact_size_threshold,
-            self.exact_variable_limit,
-            self.treewidth_alarm,
-            self.fhw_alarm,
             self.columnar_size_threshold,
             self.adaptive,
             self.min_observations,
@@ -277,15 +283,10 @@ class Planner:
     def __init__(
         self,
         config: Optional[PlannerConfig] = None,
-        engine: str = DEFAULT_ENGINE,
-        cache_size: int = 256,
         cost_model: Optional[CostModel] = None,
     ) -> None:
-        if engine not in ENGINES:
-            raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
         self.config = config or PlannerConfig()
-        self.engine = engine
-        self.cache = LRUCache(cache_size)
+        self.cache = LRUCache(PLAN_CACHE_SIZE)
         self.cost_model = cost_model
 
     def plan(
@@ -304,17 +305,17 @@ class Planner:
         database_size = database.size()
         small = (
             database_size <= config.exact_size_threshold
-            and len(query.variables) <= config.exact_variable_limit
+            and len(query.variables) <= EXACT_VARIABLE_LIMIT
         )
         size_class = "small" if small else "large"
         if prepared is None:
             prepared = prepare(query)
         query_key = prepared.canonical_key
         threshold = config.columnar_size_threshold
-        columnar_upgrade = (
-            self.engine == "indexed"
-            and threshold is not None
-            and database_size >= threshold
+        engine = (
+            "columnar"
+            if threshold is not None and database_size >= threshold
+            else "indexed"
         )
         adaptive = config.adaptive and self.cost_model is not None
         if adaptive:
@@ -333,8 +334,7 @@ class Planner:
             query_key,
             size_class,
             override,
-            self.engine,
-            columnar_upgrade,
+            engine,
             config.fingerprint(),
             adaptive_key,
         )
@@ -342,17 +342,16 @@ class Planner:
         if cached is not None:
             # A cached plan's database_size (and its trace) reflect the size
             # at planning time; the decision is the same within a size class
-            # (and within the columnar-upgrade bucket, part of the key).
+            # (and on the same side of the columnar threshold, part of the
+            # key).
             return cached
-        if prepared is None:
-            prepared = prepare(query)
         plan = self._plan_uncached(
             query,
             prepared,
             database_size,
             size_class,
             override,
-            columnar_upgrade,
+            engine,
             adaptive=adaptive,
             latency_budget_seconds=latency_budget_seconds,
         )
@@ -366,7 +365,7 @@ class Planner:
         database_size: int,
         size_class: str,
         override: Optional[str],
-        columnar_upgrade: bool = False,
+        engine: str,
         adaptive: bool = False,
         latency_budget_seconds: Optional[float] = None,
     ) -> QueryPlan:
@@ -389,7 +388,7 @@ class Planner:
             trace.append(
                 f"small instance (database size {database_size} <= "
                 f"{config.exact_size_threshold}, |vars| "
-                f"{len(query.variables)} <= {config.exact_variable_limit}): "
+                f"{len(query.variables)} <= {EXACT_VARIABLE_LIMIT}): "
                 "exact CSP count is error-free and fast here"
             )
         else:
@@ -424,7 +423,7 @@ class Planner:
                 database_size,
                 query_class,
                 scheme,
-                columnar_upgrade,
+                engine,
                 latency_budget_seconds,
                 trace,
             )
@@ -437,10 +436,10 @@ class Planner:
                     f"lazy widths for Theorem 5: tw={treewidth} arity={arity} "
                     "(fhw not needed)"
                 )
-            if treewidth > config.treewidth_alarm:
+            if treewidth > TREEWIDTH_ALARM:
                 trace.append(
                     f"warning: treewidth {treewidth} exceeds the alarm "
-                    f"threshold {config.treewidth_alarm}; Theorem 5's FPTRAS still "
+                    f"threshold {TREEWIDTH_ALARM}; Theorem 5's FPTRAS still "
                     "runs but is not fixed-parameter efficient here"
                 )
         if scheme in ("fpras_cq", "fptras_dcq"):
@@ -451,16 +450,14 @@ class Planner:
                     f"lazy widths for {scheme}: fhw={fhw:.2f} aw<={aw_upper:.2f} "
                     "(treewidth not needed)"
                 )
-            if fhw > config.fhw_alarm:
+            if fhw > FHW_ALARM:
                 trace.append(
                     f"warning: fhw {fhw:.2f} exceeds "
-                    f"the alarm threshold {config.fhw_alarm}; the scheme still runs "
+                    f"the alarm threshold {FHW_ALARM}; the scheme still runs "
                     "but without its efficiency guarantee"
                 )
 
-        engine = self.engine
-        if columnar_upgrade:
-            engine = "columnar"
+        if engine == "columnar":
             trace.append(
                 f"database size {database_size} >= columnar threshold "
                 f"{config.columnar_size_threshold}: upgrading to the "
@@ -489,7 +486,7 @@ class Planner:
         database_size: int,
         query_class: QueryClass,
         baseline_scheme: str,
-        columnar_upgrade: bool,
+        engine: str,
         latency_budget_seconds: Optional[float],
         trace: list,
     ) -> Tuple[str, Optional[Dict[str, Any]]]:
@@ -502,14 +499,13 @@ class Planner:
         plans byte-identical to non-adaptive ones."""
         model = self.cost_model
         assert model is not None
-        run_engine = "columnar" if columnar_upgrade else self.engine
         candidates = [
             name
             for name in REGISTRY.names(include_unions=False)
             if query_class in REGISTRY.get(name).query_classes
         ]
         predictions = model.predict_schemes(
-            prepared.canonical_key, database_size, candidates, run_engine
+            prepared.canonical_key, database_size, candidates, engine
         )
         warm = {name: p for name, p in predictions.items() if not p.cold}
         if not warm:
@@ -532,7 +528,7 @@ class Planner:
         trace.append(
             f"adaptive overlay: {PREDICTION_BASIS} predictions from profile "
             f"snapshot v{model.snapshot_token} "
-            f"(engine {run_engine}, size bucket 2^{fingerprint_class(database_size)}, "
+            f"(engine {engine}, size bucket 2^{fingerprint_class(database_size)}, "
             f"budget {budget_text})"
         )
         entries: Dict[str, Dict[str, Any]] = {}
@@ -580,7 +576,7 @@ class Planner:
             "snapshot_version": model.snapshot_token,
             "budget_seconds": budget,
             "fingerprint_class": fingerprint_class(database_size),
-            "engine": run_engine,
+            "engine": engine,
             "baseline": baseline_scheme,
             "chosen": chosen.scheme,
             "candidates": entries,

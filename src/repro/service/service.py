@@ -36,11 +36,10 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.profile import ProfileStore
+from repro.obs.profile import ProfileStore, label_by_scheme
 from repro.obs.trace import Tracer, activate, span, tracing_active
 from repro.queries.prepared import prepare
 from repro.queries.query import ConjunctiveQuery
-from repro.relational.csp import DEFAULT_ENGINE, ENGINES
 from repro.relational.structure import Structure
 from repro.resilience.breaker import CircuitBreaker
 from repro.resilience.faults import FaultError, FaultPlan
@@ -72,10 +71,8 @@ class ServiceConfig:
 
     epsilon: float = 0.2
     delta: float = 0.05
-    engine: str = DEFAULT_ENGINE
     executor: str = "process"
     max_workers: Optional[int] = None  # default: cpu count (min 2)
-    plan_cache_size: int = 256
     result_cache_size: int = 4096
     planner: PlannerConfig = field(default_factory=PlannerConfig)
     #: The failure model (all optional): a deterministic chaos schedule to
@@ -103,8 +100,6 @@ class ServiceConfig:
 
     def __post_init__(self) -> None:
         check_epsilon_delta(self.epsilon, self.delta)
-        if self.engine not in ENGINES:
-            raise ValueError(f"unknown engine {self.engine!r}; expected one of {ENGINES}")
         if self.executor not in EXECUTOR_MODES:
             raise ValueError(
                 f"unknown executor {self.executor!r}; expected one of {EXECUTOR_MODES}"
@@ -255,12 +250,7 @@ class CountingService:
         self.cost_model = CostModel(
             self.profiles, min_observations=self.config.planner.min_observations
         )
-        self.planner = Planner(
-            config=self.config.planner,
-            engine=self.config.engine,
-            cache_size=self.config.plan_cache_size,
-            cost_model=self.cost_model,
-        )
+        self.planner = Planner(config=self.config.planner, cost_model=self.cost_model)
         self.result_cache = LRUCache(self.config.result_cache_size)
         #: One circuit breaker per service instance: executor-rung trips are
         #: remembered across batches, and the "back-end unavailable" warning
@@ -869,22 +859,10 @@ class CountingService:
             for labels, value in metrics.series("counters", "executor.batches")
         }
         retries = sum(value for _, value in metrics.series("counters", "executor.retries"))
-        # Latency series carry scheme + engine labels.  Key the snapshot by
-        # the bare scheme name when only one engine was observed for it (the
-        # shape pre-engine consumers expect); "scheme@engine" otherwise.
-        latency_series = metrics.series("histograms", "scheme.latency_seconds")
-        engines_per_scheme: Dict[str, int] = {}
-        for labels, _ in latency_series:
-            scheme = labels.get("scheme", "")
-            engines_per_scheme[scheme] = engines_per_scheme.get(scheme, 0) + 1
-        schemes: Dict[str, Any] = {}
-        for labels, sketch in latency_series:
-            scheme = labels.get("scheme", "")
-            engine = labels.get("engine", "")
-            label = (
-                scheme if engines_per_scheme[scheme] == 1 else f"{scheme}@{engine}"
-            )
-            schemes[label] = dict(sketch, engine=engine)
+        schemes = label_by_scheme(
+            (labels.get("scheme", ""), labels.get("engine", ""), sketch)
+            for labels, sketch in metrics.series("histograms", "scheme.latency_seconds")
+        )
         return {
             "caches": {
                 "plan": self.planner.cache.stats().to_dict(),

@@ -29,13 +29,3 @@ def check_positive_int(value: Any, name: str = "value") -> int:
     if value <= 0:
         raise ValueError(f"{name} must be positive, got {value}")
     return value
-
-
-def check_non_negative_int(value: Any, name: str = "value") -> int:
-    """Ensure ``value`` is a non-negative integer and return it as an ``int``."""
-    if value != int(value):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    value = int(value)
-    if value < 0:
-        raise ValueError(f"{name} must be non-negative, got {value}")
-    return value

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import approx_count_answers
+from repro.core import REGISTRY, approx_count_answers, resolve_method
 from repro.core.exact import (
     count_answers_exact,
     count_solutions_exact,
@@ -139,19 +139,20 @@ def test_approximate_schemes_are_seed_identical_across_engines(
     assert runs[0] == runs[1]
 
 
-def test_approx_count_answers_threads_engine_through_registry():
+def test_approx_count_answers_equals_a_columnar_registry_count():
+    """``approx_count_answers`` counts on the default engine; the scheme its
+    method resolves to gives the same seeded estimate on columnar."""
     database = database_from_graph(erdos_renyi_graph(8, 0.4, rng=3))
     query = parse_query("Ans(x) :- E(x, y), E(y, z)")
     for method in ("fpras", "exact"):
-        indexed = approx_count_answers(
-            query, database, epsilon=0.4, delta=0.1, seed=5, method=method,
-            engine="indexed",
+        default = approx_count_answers(
+            query, database, epsilon=0.4, delta=0.1, seed=5, method=method
         )
-        vectorized = approx_count_answers(
-            query, database, epsilon=0.4, delta=0.1, seed=5, method=method,
-            engine="columnar",
+        vectorized = REGISTRY.count(
+            resolve_method(method, query.query_class()), query, database,
+            epsilon=0.4, delta=0.1, rng=5, engine="columnar",
         )
-        assert vectorized == indexed
+        assert vectorized.count == default
 
 
 # ------------------------------------------------------------- join kernels
@@ -284,7 +285,10 @@ class TestServiceIntegration:
         clean = CountingService(database, ServiceConfig(executor="serial"))
         clean_report = clean.count_batch(queries, seed=9)
         chaotic = CountingService(
-            database, ServiceConfig(executor="serial", engine="columnar")
+            database,
+            ServiceConfig(
+                executor="serial", planner=PlannerConfig(columnar_size_threshold=1)
+            ),
         )
         chaos_report = chaotic.count_batch(
             queries,
@@ -296,6 +300,7 @@ class TestServiceIntegration:
         )
         assert chaos_report.estimates() == clean_report.estimates()
         assert chaos_report.retries >= 1
+        assert {result.plan.engine for result in chaos_report.results} == {"columnar"}
 
     def test_planner_upgrades_large_databases_to_columnar(self, database):
         query = parse_query("Ans(x) :- E(x, y), E(y, z)")
@@ -306,8 +311,8 @@ class TestServiceIntegration:
         plan = upgrading.plan(query)
         assert plan.engine == "columnar"
         assert any("columnar" in step for step in plan.trace)
-        # Below the threshold (or with the upgrade disabled) the default
-        # engine stands.
+        # Below the threshold (or with the upgrade disabled) the plan stays
+        # on the indexed engine.
         assert (
             CountingService(
                 database,
@@ -326,23 +331,13 @@ class TestServiceIntegration:
             .engine
             == "indexed"
         )
-        # An explicit non-default engine is never silently upgraded.
-        assert (
-            CountingService(
-                database,
-                ServiceConfig(
-                    engine="naive",
-                    planner=PlannerConfig(columnar_size_threshold=1),
-                ),
-            )
-            .plan(query)
-            .engine
-            == "naive"
-        )
 
     def test_latency_metric_and_profiles_carry_engine_label(self, database):
         service = CountingService(
-            database, ServiceConfig(executor="serial", engine="columnar")
+            database,
+            ServiceConfig(
+                executor="serial", planner=PlannerConfig(columnar_size_threshold=1)
+            ),
         )
         service.submit(CountRequest(parse_query("Ans(x) :- E(x, y)"), seed=1))
         stats = service.stats()

@@ -7,7 +7,9 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
+from repro.core import REGISTRY, approx_count_answers
 from repro.obs import ProfileStore
+from repro.queries import QueryClass, parse_query
 from repro.relational import Database
 from repro.relational.io import (
     database_from_dict,
@@ -17,6 +19,7 @@ from repro.relational.io import (
     load_relation_csv,
     save_database_json,
 )
+from repro.workloads import database_from_graph, erdos_renyi_graph
 
 
 @pytest.fixture
@@ -144,6 +147,94 @@ class TestCLI:
         )
         assert code == 0
         assert "estimate:    6" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "method, query",
+        [
+            ("fptras_dcq", "Ans(x, w) :- E(x, y), E(x, z), E(z, w), y != w"),
+            ("auto", "Ans(x, w) :- E(x, y), E(y, z), E(z, w)"),
+        ],
+    )
+    def test_count_estimate_equals_approx_count_answers(
+        self, tmp_path, capsys, method, query
+    ):
+        """``count`` runs through the service with the scheme its method
+        resolves to, and prints the estimate ``approx_count_answers`` gives
+        under the same seed (here the estimate moves with the seed)."""
+        database = database_from_graph(erdos_renyi_graph(14, 0.4, rng=2))
+        path = tmp_path / "db.json"
+        save_database_json(database, path)
+        code = main(
+            ["count", "--query", query, "--database", str(path), "--seed", "0",
+             "--method", method, "--epsilon", "0.8", "--delta", "0.25"]
+        )
+        assert code == 0
+        expected = approx_count_answers(
+            parse_query(query), database, epsilon=0.8, delta=0.25, seed=0,
+            method=method,
+        )
+        assert f"estimate:    {expected}\n" in capsys.readouterr().out
+
+    def test_count_picks_the_engine_by_database_size(self, tmp_path, capsys, monkeypatch):
+        """No engine option: a database at or above the planner's columnar
+        threshold (5,000) counts on columnar, a small one on indexed."""
+        engines = []
+        count = REGISTRY.count
+
+        def recording_count(*args, **kwargs):
+            engines.append(kwargs["engine"])
+            return count(*args, **kwargs)
+
+        monkeypatch.setattr(REGISTRY, "count", recording_count)
+        edges = tmp_path / "path.edges"
+        edges.write_text("".join(f"{i} {i + 1}\n" for i in range(1300)))
+        code = main(
+            ["count", "--query", "Ans(x, y) :- E(x, y)", "--edge-list", str(edges),
+             "--method", "exact"]
+        )
+        assert code == 0
+        assert "estimate:    2600" in capsys.readouterr().out
+        code = main(
+            ["count", "--query", "Ans(x, y) :- E(x, y)", "--database",
+             str(self._write_db(tmp_path)), "--exact"]
+        )
+        assert code == 0
+        assert engines == ["columnar", "indexed", "indexed"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["count", "--query", "Ans(x) :- E(x, y)"],
+            ["plan", "--query", "Ans(x) :- E(x, y)"],
+            ["batch", "--workload", "2"],
+            ["shard", "--workload", "2"],
+            ["stream"],
+            ["serve"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_engine_option_is_gone(self, capsys, argv):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv + ["--engine", "columnar"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --engine columnar" in capsys.readouterr().err
+
+    def test_plan_accepts_a_scheme_registered_after_import(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.setattr(REGISTRY, "_schemes", dict(REGISTRY._schemes))
+        REGISTRY.register(
+            "custom_exact",
+            lambda *args, **kwargs: (0, {}, None, ()),
+            (QueryClass.CQ,),
+            "a test scheme",
+        )
+        code = main(
+            ["plan", "--query", "Ans(x) :- E(x, y)", "--database",
+             str(self._write_db(tmp_path)), "--method", "custom_exact"]
+        )
+        assert code == 0
+        assert "scheme:      custom_exact" in capsys.readouterr().out
 
     def test_stream_command(self, capsys):
         code = main(

@@ -21,7 +21,7 @@ from repro.core.registry import REGISTRY
 from repro.queries import parse_query, query_components
 from repro.relational import Database, TupleIndex
 from repro.relational.changelog import ChangeLog, ChangeLogGap, rewind
-from repro.service import CountingService, CountRequest, ServiceConfig
+from repro.service import CountingService, CountRequest, PlannerConfig, ServiceConfig
 from repro.stream import (
     delta_applicable,
     delta_count_exact,
@@ -573,14 +573,22 @@ class TestLiveSubscriptions:
         )
         subscription.close()
 
-    @pytest.mark.parametrize("engine", ["indexed", "columnar", "naive"])
-    def test_debounced_refreshes_fold_accumulated_mutations(self, engine):
+    @pytest.mark.parametrize(
+        "threshold, engine",
+        [(None, "indexed"), (1, "columnar")],
+        ids=["indexed", "columnar"],
+    )
+    def test_debounced_refreshes_fold_accumulated_mutations(self, threshold, engine):
         """Every refresh of a debounced subscription on a quantifier-free DCQ
         folds in 20 accumulated E mutations by one delta patch; every fresh
-        read equals a recount on the same engine."""
+        read equals a recount on the engine the planner's size rule picked."""
         database = database_from_graph(erdos_renyi_graph(12, 0.3, rng=8))
         service = CountingService(
-            database, ServiceConfig(executor="serial", engine=engine)
+            database,
+            ServiceConfig(
+                executor="serial",
+                planner=PlannerConfig(columnar_size_threshold=threshold),
+            ),
         )
         query = parse_query("Ans(x, y, z) :- E(x, y), E(y, z), x != z")
         subscription = service.subscribe(
