@@ -28,14 +28,17 @@ Pipeline (Section 5.2):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Hashable, List, Optional, Set, Tuple
+from types import MappingProxyType
+from typing import Dict, FrozenSet, Hashable, List, Mapping, Optional, Set, Tuple
 
 from repro.core.bag_solutions import AssignmentKey, assignment_key, bag_solutions
 from repro.core.tree_automaton import RootedTree, TreeAutomaton
 from repro.decomposition.nice import NiceTreeDecomposition
+from repro.queries.canonical import database_cache_key
 from repro.queries.prepared import PreparedQuery, prepare
 from repro.queries.query import ConjunctiveQuery, QueryClass
 from repro.relational.structure import Structure
+from repro.util.cache import LRUCache
 from repro.util.rng import RNGLike
 from repro.util.validation import check_epsilon_delta
 
@@ -43,20 +46,24 @@ State = Tuple[Hashable, AssignmentKey]
 Label = Tuple[Hashable, AssignmentKey]
 
 
-@dataclass
+@dataclass(frozen=True)
 class Lemma52Reduction:
     """The output of the Lemma-52 parsimonious reduction: a tree automaton,
     the (fixed) tree it runs over, and hints about which transition groups
-    have pairwise-disjoint target languages (used by the estimator)."""
+    have pairwise-disjoint target languages (used by the estimator).
+
+    Immutable, so one reduction serves every request over the same query
+    and database contents (see :func:`build_tree_automaton`); each
+    estimator keeps its own draw tables and membership memo."""
 
     automaton: TreeAutomaton
     tree: RootedTree
     decomposition: NiceTreeDecomposition
-    bag_solution_counts: Dict[Hashable, int]
+    bag_solution_counts: Mapping[Hashable, int]
     fractional_hypertreewidth: float
     #: (state, label) pairs whose multi-target unions are certified disjoint
     #: (forget transitions over a *free* variable).
-    disjoint_pairs: Set[Tuple[State, Label]]
+    disjoint_pairs: FrozenSet[Tuple[State, Label]]
 
     def disjoint_union_hint(self, state: State, label: Label) -> bool:
         return (state, label) in self.disjoint_pairs
@@ -90,27 +97,54 @@ class FPRASResult:
         return int(round(self.estimate))
 
 
+#: How many Lemma-52 reductions :func:`build_tree_automaton` keeps: one per
+#: (query, database), the newest version only.
+REDUCTION_CACHE_SIZE = 32
+
+#: (query, structure token) -> (version fingerprint, reduction).
+_REDUCTIONS = LRUCache(REDUCTION_CACHE_SIZE)
+
+
 def build_tree_automaton(
     query: ConjunctiveQuery,
     database: Structure,
     prepared: Optional[PreparedQuery] = None,
     engine: Optional[str] = None,
 ) -> Lemma52Reduction:
-    """Construct the Lemma-52 tree automaton for a CQ instance.
+    """The Lemma-52 tree automaton for a CQ instance.
 
+    Built once per (query, database contents) and then served from an LRU
+    holding, per query and database ``structure_token``, the reduction of
+    the newest contents seen, tagged with the ``version_fingerprint`` over
+    the query's relations (:func:`database_cache_key`).  Mutating a relation
+    the query reads replaces the entry on the next build, so a mutated
+    database holds one reduction, not one per version; copying the database
+    leads to a fresh build, and mutating any other relation keeps the entry.
     The fhw-optimal decomposition and its nice form come from the shared
-    ``prepared`` query (computed once per query shape and cached process-wide
-    when omitted), translated into this query's variable names.  ``engine``
-    is accepted and ignored: ``Sol(phi, D, B)`` has one join pipeline, and
-    callers that pass every scheme a CSP engine (``perfbench/layers.py``)
-    keep working."""
+    ``prepared`` query (computed once per query shape and cached
+    process-wide when omitted), translated into this query's variable names.
+    ``engine`` is accepted and ignored: ``Sol(phi, D, B)`` has one join
+    pipeline, and callers that pass every scheme a CSP engine
+    (``perfbench/layers.py``) keep working."""
     if query.query_class() is not QueryClass.CQ:
         raise ValueError(
             "Theorem 16 applies to plain CQs (no disequalities or negations); "
             f"got a {query.query_class().value}"
         )
     query._check_signature_compatibility(database)
+    token, fingerprint = database_cache_key(database, query)
+    cached = _REDUCTIONS.get((query, token))
+    if cached is not None and cached[0] == fingerprint:
+        return cached[1]
+    reduction = _reduce(query, database, prepared)
+    _REDUCTIONS.put((query, token), (fingerprint, reduction))
+    return reduction
 
+
+def _reduce(
+    query: ConjunctiveQuery, database: Structure, prepared: Optional[PreparedQuery]
+) -> Lemma52Reduction:
+    """Build the Lemma-52 reduction of a CQ instance (uncached)."""
     if prepared is None:
         prepared = prepare(query)
     fhw = prepared.fractional_hypertreewidth()[0]
@@ -221,9 +255,11 @@ def build_tree_automaton(
         automaton=automaton,
         tree=tree,
         decomposition=nice,
-        bag_solution_counts={node: len(node_solutions[node]) for node in nice.nodes()},
+        bag_solution_counts=MappingProxyType(
+            {node: len(node_solutions[node]) for node in nice.nodes()}
+        ),
         fractional_hypertreewidth=float(fhw),
-        disjoint_pairs=disjoint_pairs,
+        disjoint_pairs=frozenset(disjoint_pairs),
     )
 
 

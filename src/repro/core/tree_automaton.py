@@ -50,7 +50,7 @@ from typing import (
 import numpy as np
 
 from repro.util.estimation import UNDERIVED, Budget
-from repro.util.rng import RNGLike, as_generator, choice_cdf
+from repro.util.rng import RNGLike, UniformStream, as_generator, choice_cdf
 
 State = Hashable
 Label = Hashable
@@ -60,6 +60,9 @@ NodeId = Hashable
 Target = Tuple[State, ...]
 #: A labelling of a rooted tree.
 Labeling = Dict[NodeId, Label]
+#: The targets of one (state, label), indexed by arity: a tuple of the
+#: targets with 0, 1 and 2 children, each in repr order.
+_TargetsByArity = Tuple[Tuple[Target, ...], Tuple[Target, ...], Tuple[Target, ...]]
 
 
 @dataclass(frozen=True)
@@ -136,8 +139,8 @@ class TreeAutomaton:
         transitions: Mapping[Tuple[State, Label], Iterable[Target]],
         initial_state: State,
     ) -> None:
-        self._states: Set[State] = set(states)
-        self._alphabet: Set[Label] = set(alphabet)
+        self._states: FrozenSet[State] = frozenset(states)
+        self._alphabet: FrozenSet[Label] = frozenset(alphabet)
         if initial_state not in self._states:
             raise ValueError("the initial state must be one of the states")
         self._initial = initial_state
@@ -158,23 +161,29 @@ class TreeAutomaton:
                 target_set.add(target)
             if target_set:
                 self._transitions[(state, label)] = target_set
-        # Index the labels each state has a transition on, in the fixed
-        # (repr) order the estimator enumerates and samples them in.
-        by_state: Dict[State, Set[Label]] = {}
-        for state, label in self._transitions:
-            by_state.setdefault(state, set()).add(label)
-        self._labels_by_state: Dict[State, List[Label]] = {
-            state: sorted(labels, key=repr) for state, labels in by_state.items()
+        # Index, per state, the labels it has a transition on and each
+        # label's targets split by arity (0, 1 and 2 children), all in the
+        # fixed (repr) order the estimator enumerates and draws them in.
+        by_state: Dict[State, List[Tuple[Label, _TargetsByArity]]] = {}
+        for (state, label), target_set in self._transitions.items():
+            ordered = sorted(target_set, key=repr)
+            by_arity = tuple(
+                tuple(target for target in ordered if len(target) == arity) for arity in range(3)
+            )
+            by_state.setdefault(state, []).append((label, by_arity))
+        self._moves: Dict[State, Tuple[Tuple[Label, _TargetsByArity], ...]] = {
+            state: tuple(sorted(moves, key=lambda move: repr(move[0])))
+            for state, moves in by_state.items()
         }
 
     # ----------------------------------------------------------------- access
     @property
     def states(self) -> FrozenSet[State]:
-        return frozenset(self._states)
+        return self._states
 
     @property
     def alphabet(self) -> FrozenSet[Label]:
-        return frozenset(self._alphabet)
+        return self._alphabet
 
     @property
     def initial_state(self) -> State:
@@ -182,10 +191,6 @@ class TreeAutomaton:
 
     def targets(self, state: State, label: Label) -> FrozenSet[Target]:
         return frozenset(self._transitions.get((state, label), set()))
-
-    def labels_from(self, state: State) -> List[Label]:
-        """Labels for which the state has at least one transition."""
-        return list(self._labels_by_state.get(state, ()))
 
     # ------------------------------------------------------------- acceptance
     def _membership(self, tree: RootedTree) -> Callable[[int, State, Tuple[Label, ...]], bool]:
@@ -324,21 +329,44 @@ class _Union(NamedTuple):
     targets: List[Target]
     #: Estimated product-language size of each target.
     sizes: List[float]
-    #: :func:`choice_cdf` of the sizes, normalised as ``sizes / sizes.sum()``.
+    #: :func:`_cdf` of the sizes.
     cdf: List[float]
     #: One target, or target languages certified pairwise disjoint: a draw
     #: needs no rejection step and the union size is the exact sum.
     disjoint: bool
 
 
+class _Forced(NamedTuple):
+    """A subtree whose every draw is forced: each of its tables has one
+    label and each of its unions one target, so its sample is fixed and
+    only its uniforms need consuming."""
+
+    #: The subtree's labels in preorder.
+    labels: Tuple[Label, ...]
+    #: The uniforms a draw of the subtree consumes.
+    uniforms: int
+
+
 class _DrawTable(NamedTuple):
     """Everything one draw from ``L(position, state)`` reads: the labels with
-    a positive estimate in repr order, the :func:`choice_cdf` of their
-    estimates, and each label's union (``None`` at a leaf)."""
+    a positive estimate in repr order, the :func:`_cdf` of their estimates,
+    each label's union (``None`` at a leaf), and the fixed sample when the
+    whole subtree is forced."""
 
     labels: List[Label]
     cdf: List[float]
     unions: List[Optional[_Union]]
+    forced: Optional[_Forced]
+
+
+def _cdf(weights: List[float]) -> List[float]:
+    """The :func:`choice_cdf` of positive ``weights``, normalised as
+    ``weights / weights.sum()``.  One weight's table is ``[1.0]`` (NumPy's
+    ``w / w`` is exactly 1), built without NumPy."""
+    if len(weights) == 1:
+        return [1.0]
+    array = np.asarray(weights, dtype=float)
+    return choice_cdf(array / array.sum())
 
 
 class LanguageEstimator:
@@ -351,6 +379,10 @@ class LanguageEstimator:
     labelling is the tuple of its labels in preorder (see
     :class:`RootedTree`), so composing a sample is tuple concatenation; only
     the public :meth:`sample` builds a dict.
+
+    Uniforms come from a :class:`UniformStream` over the caller's generator,
+    synced at the end of every public call, so the generator ends each call
+    where one scalar ``random()`` per draw would have left it.
     """
 
     def __init__(
@@ -363,13 +395,17 @@ class LanguageEstimator:
         samples_per_union: Optional[int],
     ) -> None:
         self._automaton = automaton
+        self._moves = automaton._moves
         self._tree = tree
         self._kids = tree._kid_positions
-        self._random = rng.random
+        self._uniforms = UniformStream(rng)
+        self._random = self._uniforms.random
         self._budget = budget
         self._hints = disjoint_union_hints
         if samples_per_union is None:
             samples_per_union = int(min(max(64, math.ceil(12.0 / (budget.epsilon ** 2))), 4000))
+        if samples_per_union < 1:
+            raise ValueError("samples_per_union must be at least 1")
         self._samples_per_union = samples_per_union
         #: Karp–Luby union estimates made and not yet recorded in the ledger.
         self._sampled_unions = 0
@@ -389,14 +425,14 @@ class LanguageEstimator:
     def count(self) -> float:
         """The estimate of the whole language: the root in the initial state.
         Its unions' sample count is not derived from the budget (underived)."""
-        estimate = self._estimate(0, self._automaton.initial_state)
+        try:
+            estimate = self._estimate(0, self._automaton.initial_state)
+        finally:
+            self._uniforms.sync()
         site = f"tree_automaton.union[{self._samples_per_union} samples]"
         self._budget.spend(site, self._sampled_unions, UNDERIVED)
         self._sampled_unions = 0
         return estimate
-
-    def estimate(self, node: NodeId, state: State) -> float:
-        return self._estimate(self._tree._position[node], state)
 
     def _estimate(self, position: int, state: State) -> float:
         key = (position, state)
@@ -406,13 +442,14 @@ class LanguageEstimator:
         kids = self._kids[position]
         per_label: List[Tuple[Label, float, Optional[_Union]]] = []
         total = 0.0
-        for label in self._automaton.labels_from(state):
+        for label, by_arity in self._moves.get(state, ()):
+            targets = by_arity[len(kids)]
             union = None
             if not kids:
                 # Leaf: the only labelling of the subtree is (label,).
-                value = 1.0 if () in self._automaton.targets(state, label) else 0.0
+                value = 1.0 if targets else 0.0
             else:
-                union = self._union(kids, state, label)
+                union = self._union(kids, state, label, targets)
                 value = self._estimate_union(union, kids)
             if value > 0:
                 per_label.append((label, value, union))
@@ -421,11 +458,9 @@ class LanguageEstimator:
         self._per_label[key] = per_label
         return total
 
-    def _union(self, kids: Tuple[int, ...], state: State, label: Label) -> _Union:
-        targets = sorted(
-            (t for t in self._automaton.targets(state, label) if len(t) == len(kids)),
-            key=repr,
-        )
+    def _union(
+        self, kids: Tuple[int, ...], state: State, label: Label, targets: Tuple[Target, ...]
+    ) -> _Union:
         positive: List[Target] = []
         sizes: List[float] = []
         for target in targets:
@@ -435,14 +470,10 @@ class LanguageEstimator:
             if size > 0:
                 positive.append(target)
                 sizes.append(size)
-        cdf: List[float] = []
-        if sizes:
-            weights = np.asarray(sizes, dtype=float)
-            cdf = choice_cdf(weights / weights.sum())
         return _Union(
             targets=positive,
             sizes=sizes,
-            cdf=cdf,
+            cdf=_cdf(sizes) if sizes else [],
             disjoint=len(positive) == 1
             or (self._hints is not None and self._hints(state, label)),
         )
@@ -458,8 +489,7 @@ class LanguageEstimator:
         self._sampled_unions += 1
         samples = self._samples_per_union
         successes = sum(self._attempt(union, kids)[1] for _ in range(samples))
-        fraction = successes / samples if samples else 0.0
-        return float(np.sum(union.sizes)) * fraction
+        return float(np.sum(union.sizes)) * (successes / samples)
 
     # -------------------------------------------------------------- sampling
     def _attempt(self, union: _Union, kids: Tuple[int, ...]) -> Tuple[Tuple[Label, ...], bool]:
@@ -469,15 +499,16 @@ class LanguageEstimator:
         target owns them, i.e. is the first target whose product language
         contains them.  The sample lies in the drawn target's language by
         construction, so only the targets before it are checked."""
+        targets = union.targets
         index = bisect_right(union.cdf, self._random())
-        target = union.targets[index]
+        target = targets[index]
         draw = self._draw
         member = self._member
         if len(kids) == 1:
             (kid,) = kids
             below = draw(kid, target[0])
             if not union.disjoint:
-                for earlier in union.targets[:index]:
+                for earlier in targets[:index]:
                     if member(kid, earlier[0], below):
                         return below, False
             return below, True
@@ -485,18 +516,39 @@ class LanguageEstimator:
         left = draw(left_kid, target[0])
         right = draw(right_kid, target[1])
         if not union.disjoint:
-            for earlier in union.targets[:index]:
+            for earlier in targets[:index]:
                 if member(left_kid, earlier[0], left) and member(right_kid, earlier[1], right):
                     return left + right, False
         return left + right, True
 
     def _table(self, key: Tuple[int, State]) -> _DrawTable:
         per_label = self._per_label[key]
-        weights = np.asarray([value for _, value, _ in per_label], dtype=float)
+        labels = [label for label, _, _ in per_label]
+        unions = [union for _, _, union in per_label]
+        forced = None
+        if len(labels) == 1:
+            # One label: forced if it is a leaf's, or its union has one
+            # target whose child subtrees are all forced.  A draw then takes
+            # one uniform for the label, one for the target and the
+            # children's own.
+            (label,), (union,) = labels, unions
+            if union is None:
+                forced = _Forced(labels=(label,), uniforms=1)
+            elif len(union.targets) == 1:
+                below = [
+                    (self._tables.get(child) or self._table(child)).forced
+                    for child in zip(self._kids[key[0]], union.targets[0])
+                ]
+                if all(part is not None for part in below):
+                    forced = _Forced(
+                        labels=sum((part.labels for part in below), (label,)),
+                        uniforms=2 + sum(part.uniforms for part in below),
+                    )
         table = _DrawTable(
-            labels=[label for label, _, _ in per_label],
-            cdf=choice_cdf(weights / weights.sum()),
-            unions=[union for _, _, union in per_label],
+            labels=labels,
+            cdf=_cdf([value for _, value, _ in per_label]),
+            unions=unions,
+            forced=forced,
         )
         self._tables[key] = table
         return table
@@ -508,6 +560,10 @@ class LanguageEstimator:
         table = self._tables.get(key)
         if table is None:
             table = self._table(key)
+        forced = table.forced
+        if forced is not None:
+            self._uniforms.skip(forced.uniforms)
+            return forced.labels
         index = bisect_right(table.cdf, self._random())
         label = table.labels[index]
         kids = self._kids[position]
@@ -530,9 +586,12 @@ class LanguageEstimator:
         if max_attempts < 1:
             raise ValueError("max_attempts must be at least 1")
         position = self._tree._position[node]
-        if self._estimate(position, state) <= 0:
-            return None
-        labels = self._draw(position, state, max_attempts)
+        try:
+            if self._estimate(position, state) <= 0:
+                return None
+            labels = self._draw(position, state, max_attempts)
+        finally:
+            self._uniforms.sync()
         return dict(zip(self._tree._order[position:], labels))
 
 

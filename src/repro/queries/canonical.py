@@ -16,16 +16,25 @@ variables), and — the direction correctness depends on — two queries with
 the same key are always alpha-equivalent, because the key is a complete
 serialisation of the renamed query.
 
-(The database side of a result-cache key, a structure's identity token with
-its per-relation version counters, lives in :mod:`repro.service.keys`.)
+The database side of a cache key, :func:`database_cache_key`, pairs the
+structure's identity token with the version counters of exactly the
+relations the query mentions (plus the universe version).  Mutating a
+relation bumps its counter and silently strands every cached entry built
+over the old contents; mutating a relation the query does not mention leaves
+the query's keys valid.  The service's result cache and the Lemma-52
+reduction cache (:func:`repro.core.fpras.build_tree_automaton`) both key on
+it.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.queries.query import ConjunctiveQuery
+
+if TYPE_CHECKING:
+    from repro.relational.structure import Structure
 
 #: How many rounds of signature refinement to run when canonically ordering
 #: existential variables.  Occurrence signatures stabilise quickly on the
@@ -121,3 +130,14 @@ def canonical_query_key(
 def query_relation_names(query: ConjunctiveQuery) -> Tuple[str, ...]:
     """Every relation symbol the query's answers can depend on."""
     return tuple(sorted(symbol.name for symbol in query.signature()))
+
+
+def database_cache_key(
+    database: "Structure", query: ConjunctiveQuery
+) -> Tuple[int, Tuple[int, Tuple[Tuple[str, int], ...]]]:
+    """The database component of a cache key: identity token plus the
+    version fingerprint restricted to the query's relations."""
+    return (
+        database.structure_token,
+        database.version_fingerprint(query_relation_names(query)),
+    )

@@ -24,12 +24,15 @@ them into a serving layer:
 See DESIGN.md ("The service layer") for the architecture.
 """
 
-from repro.queries.canonical import canonical_query_key, canonical_variable_renaming
+from repro.queries.canonical import (
+    canonical_query_key,
+    canonical_variable_renaming,
+    database_cache_key,
+)
 from repro.util.cache import CacheStats, LRUCache
 from repro.service.cost import CostModel, CostPrediction
 from repro.service.executor import EXECUTOR_MODES
-from repro.service.keys import database_cache_key
-from repro.service.plan import SCHEMES, Planner, PlannerConfig, QueryPlan
+from repro.service.plan import Planner, PlannerConfig, QueryPlan
 from repro.service.service import (
     BatchReport,
     CountingService,
@@ -55,7 +58,6 @@ __all__ = [
     "QueryPlan",
     "CostModel",
     "CostPrediction",
-    "SCHEMES",
     "LRUCache",
     "CacheStats",
     "EXECUTOR_MODES",

@@ -65,11 +65,6 @@ from repro.relational.structure import Structure
 from repro.util.cache import LRUCache
 from repro.service.cost import PREDICTION_BASIS, CostModel
 
-#: The built-in single-query counting schemes (an import-time snapshot of the
-#: registry's non-union schemes, kept for display/introspection; validation
-#: reads the registry live so later registrations are planable too).
-SCHEMES = REGISTRY.names(include_unions=False)
-
 #: Small instances plan exact only when the query has at most this many
 #: variables.
 EXACT_VARIABLE_LIMIT = 10

@@ -38,6 +38,7 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.profile import ProfileStore, label_by_scheme
 from repro.obs.trace import Tracer, activate, span, tracing_active
+from repro.queries.canonical import database_cache_key
 from repro.queries.prepared import prepare
 from repro.queries.query import ConjunctiveQuery
 from repro.relational.structure import Structure
@@ -55,7 +56,6 @@ from repro.service.executor import (
     run_tasks,
 )
 from repro.service.cost import CostModel
-from repro.service.keys import database_cache_key
 from repro.service.plan import Planner, PlannerConfig, QueryPlan
 from repro.util.rng import derive_seed
 from repro.util.validation import check_epsilon_delta

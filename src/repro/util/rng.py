@@ -124,6 +124,63 @@ def draw_index(cdf: Sequence[float], generator: np.random.Generator) -> int:
     return bisect_right(cdf, generator.random())
 
 
+#: Uniforms a :class:`UniformStream` draws from its generator at a time.
+UNIFORM_BLOCK = 256
+
+
+class UniformStream:
+    """The ``generator.random()`` stream, drawn a block at a time.
+
+    ``generator.random(n).tolist()`` holds the same doubles as ``n`` scalar
+    ``random()`` calls, so :meth:`random` returns exactly what the scalar
+    call would, at a fraction of its per-call cost.  Drawing ahead leaves
+    the generator past the uniforms actually used: :meth:`sync` puts it back
+    where scalar calls would have left it (it restores the state saved
+    before the current block and redraws the uniforms consumed from it), so
+    callers run a stretch of draws and sync in a ``finally`` to share the
+    generator with the rest of the program.
+    """
+
+    def __init__(self, generator: np.random.Generator) -> None:
+        self._generator = generator
+        self._values: List[float] = []
+        self._next = 0
+        #: The generator's state before the current block (None: no block).
+        self._saved: Optional[dict] = None
+
+    def random(self) -> float:
+        """The next uniform on ``[0, 1)``."""
+        index = self._next
+        if index == len(self._values):
+            self._refill()
+            index = 0
+        self._next = index + 1
+        return self._values[index]
+
+    def skip(self, count: int) -> None:
+        """Consume ``count`` uniforms without looking at them."""
+        index = self._next + count
+        while index > len(self._values):
+            index -= len(self._values)
+            self._refill()
+        self._next = index
+
+    def _refill(self) -> None:
+        generator = self._generator
+        self._saved = generator.bit_generator.state
+        self._values = generator.random(UNIFORM_BLOCK).tolist()
+        self._next = 0
+
+    def sync(self) -> None:
+        """Leave the generator exactly where scalar ``random()`` calls would
+        have, and start the next uniform on a fresh block."""
+        if self._saved is not None:
+            self._generator.bit_generator.state = self._saved
+            if self._next:
+                self._generator.random(self._next)
+        self._values, self._next, self._saved = [], 0, None
+
+
 def weighted_choice(items: Iterable, weights: Iterable[float], rng: RNGLike = None):
     """Pick an element of ``items`` with probability proportional to ``weights``."""
     items = list(items)
