@@ -31,7 +31,14 @@ from repro.serve import (
     start_in_thread,
 )
 from repro.serve.http import MAX_HEADER_LINES
-from repro.service import CountingService, CountRequest, ServiceConfig
+from repro.service import (
+    BatchReport,
+    CountingService,
+    CountRequest,
+    CountResult,
+    ServiceConfig,
+)
+from repro.service.plan import QueryPlan
 from repro.stream.live import LiveCount
 
 
@@ -73,6 +80,213 @@ SLOW_PLAN = FaultPlan(
     ),
     seed=1,
 )
+
+
+def golden_objects():
+    """One fully populated object and one left at its defaults for each of
+    the eight wire kinds."""
+    query = parse_query("Ans(x) :- E(x, y), E(y, z), x != z")
+    plan = QueryPlan(
+        scheme="fptras_dcq", query_class="DCQ", engine="indexed", database_size=40,
+        size_class="large", treewidth=1, fractional_hypertreewidth=1.5,
+        adaptive_width_upper=2.0, arity=2, reference="Theorem 13",
+        override="fptras_dcq", trace=("dichotomy: DCQ", "size: large"),
+        observed={"fingerprint_class": 5, "schemes": {}},
+        predicted={"basis": "profile", "budget_seconds": 0.5,
+                   "candidates": {"exact": {"seconds": None, "runs": 0}}},
+    )
+    bare_plan = QueryPlan(
+        scheme="exact", query_class="CQ", engine="columnar", database_size=6502,
+        size_class="small", treewidth=None, fractional_hypertreewidth=None,
+        adaptive_width_upper=None, arity=None, reference="Theorem 5", override=None,
+    )
+    result = CountResult(
+        index=2, estimate=41.5, scheme="fptras_dcq", query_class="DCQ", plan=plan,
+        seed=1234, epsilon=0.125, delta=0.0625, cache="hit", plan_seconds=0.001,
+        execute_seconds=0.0205, widths={"tw": 1, "bags": ((0, 1), (1, 2))},
+        shard_strategy="partition", degradations=("retry", "stale"), coalesced=True,
+    )
+    bare_result = CountResult(
+        index=0, estimate=3.0, scheme="exact", query_class="CQ", plan=bare_plan,
+        seed=None, epsilon=0.0, delta=0.0, cache="miss", plan_seconds=0.0,
+        execute_seconds=0.0,
+    )
+    request = CountRequest(
+        query=query, epsilon=0.125, delta=0.0625, seed=1234, method="fpras_cq",
+        latency_budget_seconds=0.75, deadline_seconds=2.5,
+    )
+    bare_request = CountRequest(query=parse_query("Ans(x, y) :- E(x, y)"))
+    return {
+        "count_request": request,
+        "count_request-defaults": bare_request,
+        "count_result": result,
+        "count_result-defaults": bare_result,
+        "batch_request": BatchRequest(
+            requests=(request, bare_request), seed=11, executor="serial",
+            max_workers=2, deadline_seconds=9.0,
+        ),
+        "batch_request-defaults": BatchRequest(requests=(bare_request,)),
+        "batch_report": BatchReport(
+            results=[result, bare_result], wall_seconds=0.25,
+            requested_executor="process", executed_executor="serial",
+            max_workers=2, cache_hits=1, cache_misses=1,
+            degradations=["serial-fallback"], retries=1,
+        ),
+        "batch_report-defaults": BatchReport(
+            results=[], wall_seconds=0.0, requested_executor="serial",
+            executed_executor="serial", max_workers=1, cache_hits=0, cache_misses=0,
+        ),
+        "query_plan": plan,
+        "query_plan-defaults": bare_plan,
+        "live_count": LiveCount(
+            estimate=41.5, scheme="fpras_cq", query_class="CQ", fresh=False,
+            refreshed=True, mode="delta", pending_ticks=2, refresh_count=3, seed=9,
+            epsilon=0.2, delta=0.05, degradations=("stale",), gap_recounts=1,
+            replans=1, replan_events=("drift",),
+        ),
+        "live_count-defaults": LiveCount(
+            estimate=7, scheme="exact", query_class="CQ", fresh=True,
+            refreshed=False, mode="initial", pending_ticks=0, refresh_count=0,
+            seed=None, epsilon=0.0, delta=0.0,
+        ),
+        "facts_update": FactsUpdate(
+            adds=(("E", (0, 1)), ("F", ((1, 2), "a", None, True, 1.5))),
+            removes=(("E", (1, 0)),),
+        ),
+        "facts_update-defaults": FactsUpdate(),
+        "error": schema.ServeError(status=503, error="busy", retry_after=1.5),
+        "error-defaults": schema.ServeError(status=400, error="bad query"),
+    }
+
+
+#: ``schema.to_json`` of each :func:`golden_objects` entry, byte for byte.
+GOLDEN_JSON = {
+    'count_request': (
+        '{"api": "repro.v1", "kind": "count_request", "query": "Ans(x) :- E(x, y), E('
+        'y, z), x != z", "epsilon": 0.125, "delta": 0.0625, "seed": 1234, "method": "'
+        'fpras_cq", "latency_budget_seconds": 0.75, "deadline_seconds": 2.5}'
+    ),
+    'count_request-defaults': (
+        '{"api": "repro.v1", "kind": "count_request", "query": "Ans(x, y) :- E(x, y)"'
+        ', "epsilon": null, "delta": null, "seed": null, "method": null, "latency_bud'
+        'get_seconds": null, "deadline_seconds": null}'
+    ),
+    'count_result': (
+        '{"api": "repro.v1", "kind": "count_result", "index": 2, "estimate": 41.5, "c'
+        'ount": 42, "scheme": "fptras_dcq", "query_class": "DCQ", "plan": {"scheme": '
+        '"fptras_dcq", "reference": "Theorem 13", "query_class": "DCQ", "engine": "in'
+        'dexed", "database_size": 40, "size_class": "large", "treewidth": 1, "fractio'
+        'nal_hypertreewidth": 1.5, "adaptive_width_upper": 2.0, "arity": 2, "override'
+        '": "fptras_dcq", "trace": ["dichotomy: DCQ", "size: large"], "observed": {"f'
+        'ingerprint_class": 5, "schemes": {}}, "predicted": {"basis": "profile", "bud'
+        'get_seconds": 0.5, "candidates": {"exact": {"seconds": null, "runs": 0}}}}, '
+        '"seed": 1234, "epsilon": 0.125, "delta": 0.0625, "cache": "hit", "plan_secon'
+        'ds": 0.001, "execute_seconds": 0.0205, "widths": {"tw": 1, "bags": [[0, 1], '
+        '[1, 2]]}, "shard_strategy": "partition", "degradations": ["retry", "stale"],'
+        ' "coalesced": true}'
+    ),
+    'count_result-defaults': (
+        '{"api": "repro.v1", "kind": "count_result", "index": 0, "estimate": 3.0, "co'
+        'unt": 3, "scheme": "exact", "query_class": "CQ", "plan": {"scheme": "exact",'
+        ' "reference": "Theorem 5", "query_class": "CQ", "engine": "columnar", "datab'
+        'ase_size": 6502, "size_class": "small", "treewidth": null, "fractional_hyper'
+        'treewidth": null, "adaptive_width_upper": null, "arity": null, "override": n'
+        'ull, "trace": [], "observed": null, "predicted": null}, "seed": null, "epsil'
+        'on": 0.0, "delta": 0.0, "cache": "miss", "plan_seconds": 0.0, "execute_secon'
+        'ds": 0.0, "widths": null, "shard_strategy": null, "degradations": [], "coale'
+        'sced": false}'
+    ),
+    'batch_request': (
+        '{"api": "repro.v1", "kind": "batch_request", "requests": [{"query": "Ans(x) '
+        ':- E(x, y), E(y, z), x != z", "epsilon": 0.125, "delta": 0.0625, "seed": 123'
+        '4, "method": "fpras_cq", "latency_budget_seconds": 0.75, "deadline_seconds":'
+        ' 2.5}, {"query": "Ans(x, y) :- E(x, y)", "epsilon": null, "delta": null, "se'
+        'ed": null, "method": null, "latency_budget_seconds": null, "deadline_seconds'
+        '": null}], "seed": 11, "executor": "serial", "max_workers": 2, "deadline_sec'
+        'onds": 9.0}'
+    ),
+    'batch_request-defaults': (
+        '{"api": "repro.v1", "kind": "batch_request", "requests": [{"query": "Ans(x, '
+        'y) :- E(x, y)", "epsilon": null, "delta": null, "seed": null, "method": null'
+        ', "latency_budget_seconds": null, "deadline_seconds": null}], "seed": null, '
+        '"executor": null, "max_workers": null, "deadline_seconds": null}'
+    ),
+    'batch_report': (
+        '{"api": "repro.v1", "kind": "batch_report", "num_queries": 2, "results": [{"'
+        'index": 2, "estimate": 41.5, "count": 42, "scheme": "fptras_dcq", "query_cla'
+        'ss": "DCQ", "plan": {"scheme": "fptras_dcq", "reference": "Theorem 13", "que'
+        'ry_class": "DCQ", "engine": "indexed", "database_size": 40, "size_class": "l'
+        'arge", "treewidth": 1, "fractional_hypertreewidth": 1.5, "adaptive_width_upp'
+        'er": 2.0, "arity": 2, "override": "fptras_dcq", "trace": ["dichotomy: DCQ", '
+        '"size: large"], "observed": {"fingerprint_class": 5, "schemes": {}}, "predic'
+        'ted": {"basis": "profile", "budget_seconds": 0.5, "candidates": {"exact": {"'
+        'seconds": null, "runs": 0}}}}, "seed": 1234, "epsilon": 0.125, "delta": 0.06'
+        '25, "cache": "hit", "plan_seconds": 0.001, "execute_seconds": 0.0205, "width'
+        's": {"tw": 1, "bags": [[0, 1], [1, 2]]}, "shard_strategy": "partition", "deg'
+        'radations": ["retry", "stale"], "coalesced": true}, {"index": 0, "estimate":'
+        ' 3.0, "count": 3, "scheme": "exact", "query_class": "CQ", "plan": {"scheme":'
+        ' "exact", "reference": "Theorem 5", "query_class": "CQ", "engine": "columnar'
+        '", "database_size": 6502, "size_class": "small", "treewidth": null, "fractio'
+        'nal_hypertreewidth": null, "adaptive_width_upper": null, "arity": null, "ove'
+        'rride": null, "trace": [], "observed": null, "predicted": null}, "seed": nul'
+        'l, "epsilon": 0.0, "delta": 0.0, "cache": "miss", "plan_seconds": 0.0, "exec'
+        'ute_seconds": 0.0, "widths": null, "shard_strategy": null, "degradations": ['
+        '], "coalesced": false}], "wall_seconds": 0.25, "throughput_qps": 8.0, "reque'
+        'sted_executor": "process", "executed_executor": "serial", "max_workers": 2, '
+        '"cache_hits": 1, "cache_misses": 1, "degradations": ["serial-fallback"], "re'
+        'tries": 1}'
+    ),
+    'batch_report-defaults': (
+        '{"api": "repro.v1", "kind": "batch_report", "num_queries": 0, "results": [],'
+        ' "wall_seconds": 0.0, "throughput_qps": 0.0, "requested_executor": "serial",'
+        ' "executed_executor": "serial", "max_workers": 1, "cache_hits": 0, "cache_mi'
+        'sses": 0, "degradations": [], "retries": 0}'
+    ),
+    'query_plan': (
+        '{"api": "repro.v1", "kind": "query_plan", "scheme": "fptras_dcq", "reference'
+        '": "Theorem 13", "query_class": "DCQ", "engine": "indexed", "database_size":'
+        ' 40, "size_class": "large", "treewidth": 1, "fractional_hypertreewidth": 1.5'
+        ', "adaptive_width_upper": 2.0, "arity": 2, "override": "fptras_dcq", "trace"'
+        ': ["dichotomy: DCQ", "size: large"], "observed": {"fingerprint_class": 5, "s'
+        'chemes": {}}, "predicted": {"basis": "profile", "budget_seconds": 0.5, "cand'
+        'idates": {"exact": {"seconds": null, "runs": 0}}}}'
+    ),
+    'query_plan-defaults': (
+        '{"api": "repro.v1", "kind": "query_plan", "scheme": "exact", "reference": "T'
+        'heorem 5", "query_class": "CQ", "engine": "columnar", "database_size": 6502,'
+        ' "size_class": "small", "treewidth": null, "fractional_hypertreewidth": null'
+        ', "adaptive_width_upper": null, "arity": null, "override": null, "trace": []'
+        ', "observed": null, "predicted": null}'
+    ),
+    'live_count': (
+        '{"api": "repro.v1", "kind": "live_count", "estimate": 41.5, "count": 42, "sc'
+        'heme": "fpras_cq", "query_class": "CQ", "fresh": false, "refreshed": true, "'
+        'mode": "delta", "pending_ticks": 2, "refresh_count": 3, "seed": 9, "epsilon"'
+        ': 0.2, "delta": 0.05, "degradations": ["stale"], "gap_recounts": 1, "replans'
+        '": 1, "replan_events": ["drift"]}'
+    ),
+    'live_count-defaults': (
+        '{"api": "repro.v1", "kind": "live_count", "estimate": 7, "count": 7, "scheme'
+        '": "exact", "query_class": "CQ", "fresh": true, "refreshed": false, "mode": '
+        '"initial", "pending_ticks": 0, "refresh_count": 0, "seed": null, "epsilon": '
+        '0.0, "delta": 0.0, "degradations": [], "gap_recounts": 0, "replans": 0, "rep'
+        'lan_events": []}'
+    ),
+    'facts_update': (
+        '{"api": "repro.v1", "kind": "facts_update", "adds": [["E", [0, 1]], ["F", [['
+        '1, 2], "a", null, true, 1.5]]], "removes": [["E", [1, 0]]]}'
+    ),
+    'facts_update-defaults': (
+        '{"api": "repro.v1", "kind": "facts_update", "adds": [], "removes": []}'
+    ),
+    'error': (
+        '{"api": "repro.v1", "kind": "error", "status": 503, "error": "busy", "retry_'
+        'after": 1.5}'
+    ),
+    'error-defaults': (
+        '{"api": "repro.v1", "kind": "error", "status": 400, "error": "bad query"}'
+    ),
+}
 
 
 class TestWireSchema:
@@ -176,6 +390,13 @@ class TestWireSchema:
         text = schema.to_json(CountRequest(query=parse_query("Ans(x) :- E(x, y)")))
         with pytest.raises(WireError, match="expected kind"):
             schema.from_json(text, expect="count_result")
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_JSON))
+    def test_encoded_bytes_are_pinned(self, name):
+        """The exact text of every kind: key order, the display fields
+        (``count``, ``throughput_qps``, ``num_queries``) and the optional
+        ``retry_after``, none of which a parsed-dict comparison sees."""
+        assert schema.to_json(golden_objects()[name]) == GOLDEN_JSON[name]
 
 
 class TestSubmitRequestForm:
