@@ -749,8 +749,8 @@ def _command_batch(args: argparse.Namespace) -> int:
         payload = wire.envelope(
             "batch_report",
             {
-                **wire.batch_report_payload(final),
-                "passes": [wire.batch_report_payload(report) for report in reports],
+                **wire.to_payload(final),
+                "passes": [wire.to_payload(report) for report in reports],
                 "cache": service.stats(),
             },
         )
@@ -874,7 +874,7 @@ def _command_shard(args: argparse.Namespace) -> int:
             "strategies": {
                 strategy: strategies.count(strategy) for strategy in sorted(set(strategies))
             },
-            "batch": wire.batch_report_payload(report),
+            "batch": wire.to_payload(report),
         }
         if comparison is not None:
             payload["compare"] = {

@@ -61,7 +61,7 @@ class Deadline:
         """A deadline ``seconds`` from now (``None`` stays ``None``)."""
         if seconds is None:
             return None
-        if seconds <= 0:
+        if not seconds > 0:  # NaN compares false both ways
             raise ValueError("deadline seconds must be positive")
         return cls(expires_at=time.monotonic() + float(seconds))
 

@@ -1,53 +1,49 @@
-"""The versioned (v1) JSON wire schema — the one public request/response
-contract.
-
-Every message the server emits, the client consumes, and the CLI prints with
-``--json`` is a **flat envelope**: the payload dictionary plus two reserved
-keys naming the protocol::
+"""The versioned (v1) JSON wire schema: the one public request/response
+contract, shared by the server, the client, the CLI's ``--json`` and
+in-process callers.  Every message is a flat envelope, the payload plus two
+reserved keys::
 
     {"api": "repro.v1", "kind": "count_result", "estimate": 42.0, ...}
 
-The schema is the *single* serializer for the service-layer dataclasses —
-:class:`~repro.service.service.CountRequest`,
-:class:`~repro.service.service.CountResult`,
-:class:`~repro.service.service.BatchReport`,
-:class:`~repro.service.plan.QueryPlan` and
-:class:`~repro.stream.live.LiveCount` — so the server, the sync client, the
-CLI and in-process callers all speak the same envelope instead of hand-rolled
-dicts.  Queries cross the wire in their Datalog-ish text form (``str(query)``
-and :func:`repro.queries.parse_query` round-trip exactly, canonical forms
-included); databases never cross the wire — the server holds one resident
-database and requests count against it.
+Queries cross as text (``str(query)`` and ``parse_query`` round-trip
+exactly); databases never cross.  ``from_json(to_json(obj)) == obj`` field
+for field.  Decoders ignore unknown fields, so a newer producer may add some;
+another ``api`` version or a field of the wrong JSON type raises
+:class:`WireError`.
 
-Contracts:
-
-* **Strict round-trip** — ``from_json(to_json(obj)) == obj`` for every
-  schema type, field for field (floats serialize via ``repr`` and survive
-  exactly; tuples come back as tuples).
-* **Unknown-field tolerance** — decoders read the fields they know and
-  ignore the rest, so a v1 consumer keeps working when a newer producer
-  adds payload fields.  The ``api`` string itself is strict: a different
-  protocol version raises :class:`WireError` rather than guessing.
+**Field tables.**  :func:`_register` declares each of the eight kinds once,
+as rows in wire order.  A flat row ``(name, type[, default])`` gives the JSON
+type, as the Python type the decoder returns (``tuple``/``list``: of
+strings), and the default a missing or null field reads as (``_REQUIRED``:
+it must be present); the generic encoder :func:`to_payload` and the
+type-directed :func:`_reader` serve every flat row.  Hand-written rows
+``(name, encode[, decode])`` serve the query text, facts, the plan in a
+result, the results and requests in a batch, and the encode-only display
+fields ``count``, ``throughput_qps`` and ``num_queries``.  Registration
+refuses a row named like a reserved envelope key.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Any, Dict, Optional, Tuple
+from dataclasses import dataclass, fields
+from operator import attrgetter
+from typing import Any, Callable, Dict, NamedTuple, Optional, Tuple
 
 from repro.queries import parse_query
+from repro.relational.csp import DEFAULT_ENGINE
 from repro.service.plan import QueryPlan
 from repro.service.service import BatchReport, CountRequest, CountResult
 from repro.stream.live import LiveCount
 
 #: The protocol identifier every envelope carries.  Bump only with a new,
-#: incompatible payload shape; additive payload fields do NOT bump it
-#: (decoders tolerate unknown fields).
+#: incompatible payload shape; additive payload fields do NOT bump it.
 API_VERSION = "repro.v1"
 
 #: Reserved envelope keys; payload dictionaries must not use them.
 _RESERVED = ("api", "kind")
+
+Message = Dict[str, Any]
 
 
 class WireError(ValueError):
@@ -55,30 +51,24 @@ class WireError(ValueError):
 
 
 # --------------------------------------------------------------- envelopes
-def envelope(kind: str, payload: Dict[str, Any]) -> Dict[str, Any]:
-    """Wrap ``payload`` in the flat v1 envelope."""
+def envelope(kind: str, payload: Message) -> Message:
+    """Wrap an ad-hoc ``payload`` (the server's ``stats``, ``health``, ...)
+    in the flat v1 envelope; the registered kinds go through :func:`encode`."""
     for key in _RESERVED:
         if key in payload:
             raise WireError(f"payload must not use the reserved key {key!r}")
     return {"api": API_VERSION, "kind": kind, **payload}
 
 
-def open_envelope(
-    message: Dict[str, Any], expect: Optional[str] = None
-) -> Tuple[str, Dict[str, Any]]:
-    """Validate an envelope and return ``(kind, message)``.
-
-    Raises :class:`WireError` when the message is not a dict, names a
-    different protocol version, lacks a kind, or (with ``expect``) carries
-    the wrong kind.
-    """
+def open_envelope(message: Message, expect: Optional[str] = None) -> Tuple[str, Message]:
+    """Validate an envelope and return ``(kind, message)``: a non-dict,
+    another protocol version, a missing kind or (with ``expect``) the wrong
+    kind raises :class:`WireError`."""
     if not isinstance(message, dict):
         raise WireError(f"expected a JSON object, got {type(message).__name__}")
     api = message.get("api")
     if api != API_VERSION:
-        raise WireError(
-            f"unsupported protocol {api!r}; this build speaks {API_VERSION!r}"
-        )
+        raise WireError(f"unsupported protocol {api!r}; this build speaks {API_VERSION!r}")
     kind = message.get("kind")
     if not isinstance(kind, str):
         raise WireError("envelope has no 'kind'")
@@ -90,14 +80,9 @@ def open_envelope(
 # --------------------------------------------------------- wire-only shapes
 @dataclass(frozen=True)
 class BatchRequest:
-    """The ``POST /v1/batch`` body: independent requests plus batch knobs.
-
-    ``seed`` is the batch master seed (request ``i`` without its own seed
-    counts with ``derive_seed(seed, i)``, exactly as
-    :meth:`~repro.service.service.CountingService.count_batch`); ``executor``
-    / ``max_workers`` override the server's execution back-end, and
-    ``deadline_seconds`` stamps the whole batch.
-    """
+    """The ``POST /v1/batch`` body: independent requests plus the knobs of
+    :meth:`~repro.service.service.CountingService.count_batch` (``seed`` is
+    the batch master seed; ``deadline_seconds`` stamps the whole batch)."""
 
     requests: Tuple[CountRequest, ...]
     seed: Optional[int] = None
@@ -124,381 +109,246 @@ class ServeError:
     retry_after: Optional[float] = None
 
 
-# ----------------------------------------------------------------- payloads
-def count_request_payload(request: CountRequest) -> Dict[str, Any]:
+# ------------------------------------------------------------ field tables
+def _is_number(value: Any) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_strings(value: Any) -> bool:
+    return isinstance(value, list) and all(isinstance(item, str) for item in value)
+
+
+#: A flat row's type -> (its JSON check, what an error calls it, conversion).
+_JSON_TYPES: Dict[type, Tuple[Callable[[Any], bool], str, Optional[type]]] = {
+    float: (_is_number, "a number", float),
+    int: (lambda value: _is_number(value) and isinstance(value, int), "an integer", None),
+    str: (lambda value: isinstance(value, str), "a string", None),
+    bool: (lambda value: isinstance(value, bool), "a boolean", None),
+    dict: (lambda value: isinstance(value, dict), "an object", None),
+    tuple: (_is_strings, "a list of strings", tuple),
+    list: (_is_strings, "a list of strings", list),
+}
+_REQUIRED = object()  # the wire default of a field that must be present
+_OMIT = object()  # an encoded value that leaves its key out of the message
+
+
+def _reader(name: str, json_type: type, default: Any = None) -> Callable[[Message], Any]:
+    """The one type-directed reader: a missing or null field reads as its
+    default, a value of the wrong JSON type raises :class:`WireError`."""
+    check, noun, convert = _JSON_TYPES[json_type]
+    exact = None if json_type in (tuple, list) else json_type  # needs no check
+
+    def read(payload: Message) -> Any:
+        value = payload.get(name)
+        if type(value) is exact:
+            return value
+        if value is None:
+            if default is _REQUIRED:
+                raise WireError(f"missing required field {name!r}")
+            return list(default) if json_type is list else default
+        if not check(value):
+            raise WireError(f"{name} must be {noun}, got {value!r}")
+        return value if convert is None else convert(value)
+
+    return read
+
+
+class _Kind(NamedTuple):
+    name: str
+    writers: Tuple[Tuple[str, Callable[[Any], Any]], ...]
+    decode: Callable[[Message], Any]
+
+
+#: The one type -> kind table behind :func:`encode` and :func:`decode`.
+_KINDS: Dict[type, _Kind] = {}
+
+
+def _register(kind: str, cls: type, *rows: Tuple[Any, ...]) -> None:
+    """Declare ``kind``'s field table, its rows in wire order."""
+    writers, readers = [], {}
+    for name, *rest in rows:
+        if name in _RESERVED:
+            raise WireError(f"{kind} must not use the reserved key {name!r}")
+        if isinstance(rest[0], type):
+            get = attrgetter(name)
+            listed = rest[0] in (tuple, list)
+            writers.append((name, (lambda obj, get=get: list(get(obj))) if listed else get))
+            readers[name] = _reader(name, *rest)
+        else:  # hand-written: (encode[, decode])
+            writers.append((name, rest[0]))
+            if len(rest) > 1:
+                readers[name] = rest[1]
+    # Construct positionally; a field off the wire (a request's database)
+    # keeps its default.
+    ordered = [
+        readers.get(field.name, lambda payload, default=field.default: default)
+        for field in fields(cls)
+    ]
+
+    def decode(payload: Message) -> Any:
+        return cls(*[read(payload) for read in ordered])
+
+    _KINDS[cls] = _Kind(kind, tuple(writers), decode)
+
+
+def _kind_of(obj: Any) -> _Kind:
+    kind = _KINDS.get(type(obj))
+    if kind is None:
+        raise WireError(f"{type(obj).__name__} is not a v1 wire type")
+    return kind
+
+
+# ---------------------------------------------------- hand-written shapes
+def _encode_query(request: CountRequest) -> str:
     if request.database is not None:
         raise WireError(
             "databases do not cross the wire; the server counts against its "
             "resident database (send the request with database=None)"
         )
-    return {
-        "query": str(request.query),
-        "epsilon": request.epsilon,
-        "delta": request.delta,
-        "seed": request.seed,
-        "method": request.method,
-        "latency_budget_seconds": request.latency_budget_seconds,
-        "deadline_seconds": request.deadline_seconds,
-    }
+    return str(request.query)
 
 
-def count_request_from_payload(payload: Dict[str, Any]) -> CountRequest:
-    query_text = payload.get("query")
-    if not isinstance(query_text, str):
+def _decode_query(payload: Message) -> Any:
+    text = payload.get("query")
+    if not isinstance(text, str):
         raise WireError("count_request needs a 'query' string")
     try:
-        query = parse_query(query_text)
+        return parse_query(text)
     except ValueError as error:
         raise WireError(f"bad query: {error}")
-    return CountRequest(
-        query=query,
-        epsilon=_opt_float(payload, "epsilon"),
-        delta=_opt_float(payload, "delta"),
-        seed=_opt_int(payload, "seed"),
-        method=_opt_str(payload, "method"),
-        latency_budget_seconds=_opt_float(payload, "latency_budget_seconds"),
-        deadline_seconds=_opt_float(payload, "deadline_seconds"),
-    )
 
 
-# Field readers: each returns ``default`` for a missing or null field and
-# raises WireError for a value of the wrong JSON type.
-def _opt_float(payload: Dict[str, Any], key: str, default: Any = None) -> Any:
-    value = payload.get(key)
-    if value is None:
-        return default
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise WireError(f"{key} must be a number, got {value!r}")
-    return float(value)
-
-
-def _opt_int(payload: Dict[str, Any], key: str, default: Any = None) -> Any:
-    value = payload.get(key)
-    if value is None:
-        return default
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise WireError(f"{key} must be an integer, got {value!r}")
-    return value
-
-
-def _opt_str(payload: Dict[str, Any], key: str, default: Any = None) -> Any:
-    value = payload.get(key)
-    if value is None:
-        return default
-    if not isinstance(value, str):
-        raise WireError(f"{key} must be a string, got {value!r}")
-    return value
-
-
-def _opt_bool(payload: Dict[str, Any], key: str, default: bool) -> bool:
-    value = payload.get(key)
-    if value is None:
-        return default
-    if not isinstance(value, bool):
-        raise WireError(f"{key} must be a boolean, got {value!r}")
-    return value
-
-
-def _opt_dict(payload: Dict[str, Any], key: str) -> Optional[Dict[str, Any]]:
-    value = payload.get(key)
-    if value is not None and not isinstance(value, dict):
-        raise WireError(f"{key} must be an object, got {value!r}")
-    return value
-
-
-def _str_tuple(payload: Dict[str, Any], key: str) -> Tuple[str, ...]:
-    value = payload.get(key)
-    if value is None:
-        return ()
-    if not isinstance(value, list) or not all(isinstance(item, str) for item in value):
-        raise WireError(f"{key} must be a list of strings, got {value!r}")
-    return tuple(value)
-
-
-def _number(payload: Dict[str, Any], key: str) -> float:
-    value = _opt_float(payload, key)
-    if value is None:
-        raise WireError(f"missing number {key!r}")
-    return value
-
-
-def query_plan_payload(plan: QueryPlan) -> Dict[str, Any]:
-    return plan.to_dict()
-
-
-def query_plan_from_payload(payload: Dict[str, Any]) -> QueryPlan:
-    # Type-check every field QueryPlan.from_dict reads, so a malformed plan
-    # is a WireError rather than whatever the constructor trips over.
-    for key in ("scheme", "query_class", "engine", "size_class", "reference", "override"):
-        _opt_str(payload, key)
-    for key in ("database_size", "treewidth", "arity"):
-        _opt_int(payload, key)
-    for key in ("fractional_hypertreewidth", "adaptive_width_upper"):
-        _opt_float(payload, key)
-    for key in ("observed", "predicted"):
-        _opt_dict(payload, key)
-    _str_tuple(payload, "trace")
-    return QueryPlan.from_dict(payload)
-
-
-def count_result_payload(result: CountResult) -> Dict[str, Any]:
-    return {
-        "index": result.index,
-        "estimate": result.estimate,
-        "count": result.count,  # display convenience; decoders recompute it
-        "scheme": result.scheme,
-        "query_class": result.query_class,
-        "plan": query_plan_payload(result.plan),
-        "seed": result.seed,
-        "epsilon": result.epsilon,
-        "delta": result.delta,
-        "cache": result.cache,
-        "plan_seconds": result.plan_seconds,
-        "execute_seconds": result.execute_seconds,
-        "widths": _jsonable(result.widths),
-        "shard_strategy": result.shard_strategy,
-        "degradations": list(result.degradations),
-        "coalesced": result.coalesced,
-    }
-
-
-def count_result_from_payload(payload: Dict[str, Any]) -> CountResult:
-    plan_payload = payload.get("plan")
-    if not isinstance(plan_payload, dict):
+def _decode_plan(payload: Message) -> QueryPlan:
+    plan = payload.get("plan")
+    if not isinstance(plan, dict):
         raise WireError("count_result needs a 'plan' object")
-    return CountResult(
-        index=_opt_int(payload, "index", 0),
-        estimate=_number(payload, "estimate"),
-        scheme=_opt_str(payload, "scheme", ""),
-        query_class=_opt_str(payload, "query_class", ""),
-        plan=query_plan_from_payload(plan_payload),
-        seed=_opt_int(payload, "seed"),
-        epsilon=_opt_float(payload, "epsilon", 0.0),
-        delta=_opt_float(payload, "delta", 0.0),
-        cache=_opt_str(payload, "cache", "miss"),
-        plan_seconds=_opt_float(payload, "plan_seconds", 0.0),
-        execute_seconds=_opt_float(payload, "execute_seconds", 0.0),
-        widths=_opt_dict(payload, "widths"),
-        shard_strategy=_opt_str(payload, "shard_strategy"),
-        degradations=_str_tuple(payload, "degradations"),
-        coalesced=_opt_bool(payload, "coalesced", False),
-    )
+    return _KINDS[QueryPlan].decode(plan)
 
 
-def batch_report_payload(report: BatchReport) -> Dict[str, Any]:
-    return {
-        "num_queries": len(report.results),
-        "results": [count_result_payload(result) for result in report.results],
-        "wall_seconds": report.wall_seconds,
-        "throughput_qps": report.throughput_qps,  # display convenience
-        "requested_executor": report.requested_executor,
-        "executed_executor": report.executed_executor,
-        "max_workers": report.max_workers,
-        "cache_hits": report.cache_hits,
-        "cache_misses": report.cache_misses,
-        "degradations": list(report.degradations),
-        "retries": report.retries,
-    }
+def _entries(name: str, cls: type, container: type, required: bool) -> Tuple[Any, ...]:
+    """A row for a list of ``cls`` messages (``required``: and non-empty)."""
 
-
-def batch_report_from_payload(payload: Dict[str, Any]) -> BatchReport:
-    entries = payload.get("results", [])
-    if not isinstance(entries, list) or not all(isinstance(entry, dict) for entry in entries):
-        raise WireError("batch_report 'results' must be a list of count_result objects")
-    return BatchReport(
-        results=[count_result_from_payload(entry) for entry in entries],
-        wall_seconds=_opt_float(payload, "wall_seconds", 0.0),
-        requested_executor=_opt_str(payload, "requested_executor", ""),
-        executed_executor=_opt_str(payload, "executed_executor", ""),
-        max_workers=_opt_int(payload, "max_workers", 0),
-        cache_hits=_opt_int(payload, "cache_hits", 0),
-        cache_misses=_opt_int(payload, "cache_misses", 0),
-        degradations=list(_str_tuple(payload, "degradations")),
-        retries=_opt_int(payload, "retries", 0),
-    )
-
-
-def batch_request_payload(request: BatchRequest) -> Dict[str, Any]:
-    return {
-        "requests": [count_request_payload(entry) for entry in request.requests],
-        "seed": request.seed,
-        "executor": request.executor,
-        "max_workers": request.max_workers,
-        "deadline_seconds": request.deadline_seconds,
-    }
-
-
-def batch_request_from_payload(payload: Dict[str, Any]) -> BatchRequest:
-    entries = payload.get("requests")
-    if not isinstance(entries, list) or not entries:
-        raise WireError("batch_request needs a non-empty 'requests' list")
-    if not all(isinstance(entry, dict) for entry in entries):
-        raise WireError("every batch_request entry must be a count_request object")
-    return BatchRequest(
-        requests=tuple(count_request_from_payload(entry) for entry in entries),
-        seed=_opt_int(payload, "seed"),
-        executor=_opt_str(payload, "executor"),
-        max_workers=_opt_int(payload, "max_workers"),
-        deadline_seconds=_opt_float(payload, "deadline_seconds"),
-    )
-
-
-def live_count_payload(live: LiveCount) -> Dict[str, Any]:
-    return {
-        "estimate": live.estimate,
-        "count": live.count,  # display convenience
-        "scheme": live.scheme,
-        "query_class": live.query_class,
-        "fresh": live.fresh,
-        "refreshed": live.refreshed,
-        "mode": live.mode,
-        "pending_ticks": live.pending_ticks,
-        "refresh_count": live.refresh_count,
-        "seed": live.seed,
-        "epsilon": live.epsilon,
-        "delta": live.delta,
-        "degradations": list(live.degradations),
-        "gap_recounts": live.gap_recounts,
-        "replans": live.replans,
-        "replan_events": list(live.replan_events),
-    }
-
-
-def live_count_from_payload(payload: Dict[str, Any]) -> LiveCount:
-    return LiveCount(
-        estimate=_number(payload, "estimate"),
-        scheme=_opt_str(payload, "scheme", ""),
-        query_class=_opt_str(payload, "query_class", ""),
-        fresh=_opt_bool(payload, "fresh", True),
-        refreshed=_opt_bool(payload, "refreshed", False),
-        mode=_opt_str(payload, "mode", "initial"),
-        pending_ticks=_opt_int(payload, "pending_ticks", 0),
-        refresh_count=_opt_int(payload, "refresh_count", 0),
-        seed=_opt_int(payload, "seed"),
-        epsilon=_opt_float(payload, "epsilon", 0.0),
-        delta=_opt_float(payload, "delta", 0.0),
-        degradations=_str_tuple(payload, "degradations"),
-        gap_recounts=_opt_int(payload, "gap_recounts", 0),
-        replans=_opt_int(payload, "replans", 0),
-        replan_events=_str_tuple(payload, "replan_events"),
-    )
-
-
-def facts_update_payload(update: FactsUpdate) -> Dict[str, Any]:
-    return {
-        "adds": [[name, list(values)] for name, values in update.adds],
-        "removes": [[name, list(values)] for name, values in update.removes],
-    }
-
-
-def facts_update_from_payload(payload: Dict[str, Any]) -> FactsUpdate:
-    return FactsUpdate(
-        adds=_decode_facts(payload.get("adds", ())),
-        removes=_decode_facts(payload.get("removes", ())),
-    )
-
-
-def _decode_facts(entries: Any) -> Tuple[Tuple[str, Tuple[Any, ...]], ...]:
-    if not isinstance(entries, (list, tuple)):
-        raise WireError(f"facts must be a list of [relation, [values]], got {entries!r}")
-    facts = []
-    for entry in entries:
-        if not (
-            isinstance(entry, (list, tuple)) and len(entry) == 2
-            and isinstance(entry[0], str) and isinstance(entry[1], (list, tuple))
+    def decode(payload: Message) -> Any:
+        entries = payload.get(name, None if required else [])
+        if not isinstance(entries, list) or (required and not entries) or not all(
+            isinstance(entry, dict) for entry in entries
         ):
-            raise WireError(f"bad fact entry {entry!r}; expected [relation, [values]]")
-        facts.append((entry[0], tuple(_normalise(value) for value in entry[1])))
-    return tuple(facts)
+            raise WireError(f"{name!r} must be a list of {_KINDS[cls].name} objects")
+        return container(_KINDS[cls].decode(entry) for entry in entries)
+
+    return name, lambda obj: [to_payload(entry) for entry in getattr(obj, name)], decode
 
 
-#: The JSON scalars a fact value may be (besides lists of fact values).
-_SCALARS = (str, int, float, bool, type(None))
+def _facts(name: str) -> Tuple[Any, ...]:
+    """A row for a list of ``[relation, [values]]`` facts."""
+
+    def decode(payload: Message) -> Tuple[Tuple[str, Tuple[Any, ...]], ...]:
+        entries = payload.get(name, ())
+        if not isinstance(entries, (list, tuple)):
+            raise WireError(f"facts must be a list of [relation, [values]], got {entries!r}")
+        for entry in entries:
+            if not (
+                isinstance(entry, (list, tuple)) and len(entry) == 2
+                and isinstance(entry[0], str) and isinstance(entry[1], (list, tuple))
+            ):
+                raise WireError(f"bad fact entry {entry!r}; expected [relation, [values]]")
+        try:
+            return tuple((rel, tuple(_normalise(v) for v in values)) for rel, values in entries)
+        except RecursionError:
+            raise WireError(f"a fact value in {name} is nested too deeply")
+
+    return name, lambda obj: [[rel, list(values)] for rel, values in getattr(obj, name)], decode
 
 
 def _normalise(value: Any) -> Any:
     """JSON turns tuples into lists; keep decoded fact values hashable."""
     if isinstance(value, list):
         return tuple(_normalise(item) for item in value)
-    if not isinstance(value, _SCALARS):
+    if not isinstance(value, (str, int, float, bool, type(None))):
         raise WireError(f"a fact value must be a scalar or a list, got {value!r}")
     return value
 
 
-def _jsonable(value: Any) -> Any:
-    """Deep-convert tuples to lists so the payload equals its JSON round
-    trip (widths dictionaries occasionally hold tuples)."""
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(item) for item in value]
-    if isinstance(value, dict):
-        return {key: _jsonable(item) for key, item in value.items()}
-    return value
-
-
-def error_payload(error: ServeError) -> Dict[str, Any]:
-    payload: Dict[str, Any] = {"status": error.status, "error": error.error}
-    if error.retry_after is not None:
-        payload["retry_after"] = error.retry_after
-    return payload
-
-
-def error_from_payload(payload: Dict[str, Any]) -> ServeError:
-    return ServeError(
-        status=_opt_int(payload, "status", 500),
-        error=_opt_str(payload, "error", ""),
-        retry_after=_opt_float(payload, "retry_after"),
-    )
+# ------------------------------------------------------------- the tables
+_register(
+    "count_request", CountRequest, ("query", _encode_query, _decode_query),
+    ("epsilon", float), ("delta", float), ("seed", int), ("method", str),
+    ("latency_budget_seconds", float), ("deadline_seconds", float),
+)
+_register(
+    "query_plan", QueryPlan,
+    ("scheme", str, ""), ("reference", str, ""), ("query_class", str, ""),
+    ("engine", str, DEFAULT_ENGINE), ("database_size", int, 0), ("size_class", str, "large"),
+    ("treewidth", int), ("fractional_hypertreewidth", float), ("adaptive_width_upper", float),
+    ("arity", int), ("override", str), ("trace", tuple, ()), ("observed", dict),
+    ("predicted", dict),
+)
+_register(
+    "count_result", CountResult,
+    ("index", int, 0), ("estimate", float, _REQUIRED), ("count", attrgetter("count")),
+    ("scheme", str, ""), ("query_class", str, ""),
+    ("plan", lambda result: to_payload(result.plan), _decode_plan),
+    ("seed", int), ("epsilon", float, 0.0), ("delta", float, 0.0), ("cache", str, "miss"),
+    ("plan_seconds", float, 0.0), ("execute_seconds", float, 0.0), ("widths", dict),
+    ("shard_strategy", str), ("degradations", tuple, ()), ("coalesced", bool, False),
+)
+_register(
+    "batch_request", BatchRequest, _entries("requests", CountRequest, tuple, required=True),
+    ("seed", int), ("executor", str), ("max_workers", int), ("deadline_seconds", float),
+)
+_register(
+    "batch_report", BatchReport, ("num_queries", lambda report: len(report.results)),
+    _entries("results", CountResult, list, required=False),
+    ("wall_seconds", float, 0.0), ("throughput_qps", attrgetter("throughput_qps")),
+    ("requested_executor", str, ""), ("executed_executor", str, ""), ("max_workers", int, 0),
+    ("cache_hits", int, 0), ("cache_misses", int, 0), ("degradations", list, ()),
+    ("retries", int, 0),
+)
+_register(
+    "live_count", LiveCount,
+    ("estimate", float, _REQUIRED), ("count", attrgetter("count")),
+    ("scheme", str, ""), ("query_class", str, ""), ("fresh", bool, True),
+    ("refreshed", bool, False), ("mode", str, "initial"), ("pending_ticks", int, 0),
+    ("refresh_count", int, 0), ("seed", int), ("epsilon", float, 0.0), ("delta", float, 0.0),
+    ("degradations", tuple, ()), ("gap_recounts", int, 0), ("replans", int, 0),
+    ("replan_events", tuple, ()),
+)
+_register("facts_update", FactsUpdate, _facts("adds"), _facts("removes"))
+_register(
+    "error", ServeError, ("status", int, 500), ("error", str, ""),
+    (  # left out of the message when None
+        "retry_after",
+        lambda error: _OMIT if error.retry_after is None else error.retry_after,
+        _reader("retry_after", float),
+    ),
+)
+_BY_NAME = {kind.name: kind for kind in _KINDS.values()}
 
 
 # ------------------------------------------------------- one-call json API
-#: kind -> (payload encoder, payload decoder); the registry behind
-#: :func:`to_json` / :func:`from_json`.
-_CODECS = {
-    "count_request": (count_request_payload, count_request_from_payload),
-    "count_result": (count_result_payload, count_result_from_payload),
-    "batch_request": (batch_request_payload, batch_request_from_payload),
-    "batch_report": (batch_report_payload, batch_report_from_payload),
-    "query_plan": (query_plan_payload, query_plan_from_payload),
-    "live_count": (live_count_payload, live_count_from_payload),
-    "facts_update": (facts_update_payload, facts_update_from_payload),
-    "error": (error_payload, error_from_payload),
-}
-
-_KIND_BY_TYPE = {
-    CountRequest: "count_request",
-    CountResult: "count_result",
-    BatchRequest: "batch_request",
-    BatchReport: "batch_report",
-    QueryPlan: "query_plan",
-    LiveCount: "live_count",
-    FactsUpdate: "facts_update",
-    ServeError: "error",
-}
+def to_payload(obj: Any, message: Optional[Message] = None) -> Message:
+    """The generic encoder: a schema object's payload, written into
+    ``message`` when given (:func:`encode` passes the envelope)."""
+    message = {} if message is None else message
+    for name, write in _kind_of(obj).writers:
+        value = write(obj)
+        if value is not _OMIT:
+            message[name] = value
+    return message
 
 
-def kind_of(obj: Any) -> str:
-    """The wire kind of a schema object (:class:`WireError` when the type
-    is not part of the v1 contract)."""
-    kind = _KIND_BY_TYPE.get(type(obj))
-    if kind is None:
-        raise WireError(f"{type(obj).__name__} is not a v1 wire type")
-    return kind
-
-
-def encode(obj: Any) -> Dict[str, Any]:
+def encode(obj: Any) -> Message:
     """Envelope a schema object (dispatching on its type)."""
-    kind = kind_of(obj)
-    encoder, _ = _CODECS[kind]
-    return envelope(kind, encoder(obj))
+    return to_payload(obj, {"api": API_VERSION, "kind": _kind_of(obj).name})
 
 
-def decode(message: Dict[str, Any], expect: Optional[str] = None) -> Any:
+def decode(message: Message, expect: Optional[str] = None) -> Any:
     """Decode an enveloped message back into its schema object."""
     kind, payload = open_envelope(message, expect=expect)
-    codec = _CODECS.get(kind)
-    if codec is None:
+    entry = _BY_NAME.get(kind)
+    if entry is None:
         raise WireError(f"unknown message kind {kind!r}")
-    return codec[1](payload)
+    return entry.decode(payload)
 
 
 def to_json(obj: Any, indent: Optional[int] = None) -> str:
@@ -507,7 +357,7 @@ def to_json(obj: Any, indent: Optional[int] = None) -> str:
 
 
 def from_json(text: str, expect: Optional[str] = None) -> Any:
-    """Parse enveloped JSON text back into its schema object (strict
+    """Parse enveloped JSON text back into its schema object (the strict
     round-trip inverse of :func:`to_json`)."""
     try:
         message = json.loads(text)

@@ -205,12 +205,11 @@ class CountingServer:
 
     def _json_response(
         self,
-        kind: str,
-        payload: Dict[str, Any],
+        message: Dict[str, Any],
         status: int = 200,
         headers: Optional[Dict[str, str]] = None,
     ) -> bytes:
-        body = json.dumps(schema.envelope(kind, payload)).encode("utf-8")
+        body = json.dumps(message).encode("utf-8")
         return http.response(status, body, headers=headers)
 
     def _error_response(
@@ -222,11 +221,8 @@ class CountingServer:
             # the JSON payload for clients that can honor it.
             headers = {"Retry-After": str(max(1, int(retry_after + 0.999)))}
         return self._json_response(
-            "error",
-            schema.error_payload(
-                schema.ServeError(
-                    status=status, error=message, retry_after=retry_after
-                )
+            schema.encode(
+                schema.ServeError(status=status, error=message, retry_after=retry_after)
             ),
             status=status,
             headers=headers,
@@ -412,15 +408,20 @@ class CountingServer:
         if coalesced:
             self.metrics.counter("serve.coalesced").inc()
             result = replace(result, coalesced=True)
-        return 200, self._json_response(
-            "count_result", schema.count_result_payload(result)
-        )
+        return 200, self._json_response(schema.encode(result))
 
     async def _handle_batch(self, request: http.Request) -> Tuple[int, bytes]:
         try:
             batch_request = self._decode_body(request, "batch_request")
         except (schema.WireError, ValueError) as error:
             return 400, self._error_response(400, str(error))
+        # A process pool forks all its workers up front, so a client may ask
+        # for at most the operator's --workers.
+        workers, cap = batch_request.max_workers, self.service.config.resolved_workers()
+        if workers is not None and not 1 <= workers <= cap:
+            return 400, self._error_response(
+                400, f"max_workers must be between 1 and {cap}, got {workers}"
+            )
         rejection = self._admit(
             request, cost=float(len(batch_request.requests))
         )
@@ -455,9 +456,7 @@ class CountingServer:
             return 400, self._error_response(400, str(error))
         finally:
             self._inflight -= 1
-        return 200, self._json_response(
-            "batch_report", schema.batch_report_payload(report)
-        )
+        return 200, self._json_response(schema.encode(report))
 
     async def _handle_plan(self, request: http.Request) -> Tuple[int, bytes]:
         query_text = request.params.get("query")
@@ -482,14 +481,12 @@ class CountingServer:
                 )
         except ValueError as error:
             return 400, self._error_response(400, str(error))
-        return 200, self._json_response(
-            "query_plan", schema.query_plan_payload(plan)
-        )
+        return 200, self._json_response(schema.encode(plan))
 
     async def _handle_stats(self, request: http.Request) -> Tuple[int, bytes]:
         stats = await self._run_blocking(self.service.stats)
         return 200, self._json_response(
-            "stats", {"service": stats, "serve": self.serve_stats()}
+            schema.envelope("stats", {"service": stats, "serve": self.serve_stats()})
         )
 
     async def _handle_metrics(self, request: http.Request) -> Tuple[int, bytes]:
@@ -500,11 +497,9 @@ class CountingServer:
 
     async def _handle_health(self, request: http.Request) -> Tuple[int, bytes]:
         return 200, self._json_response(
-            "health",
-            {
-                "status": "ok",
-                "database_size": self.service.default_database.size(),
-            },
+            schema.envelope(
+                "health", {"status": "ok", "database_size": self.service.default_database.size()}
+            )
         )
 
     async def _handle_facts(self, request: http.Request) -> Tuple[int, bytes]:
@@ -537,12 +532,14 @@ class CountingServer:
         async with self._mutated:
             self._mutated.notify_all()
         return 200, self._json_response(
-            "facts_applied",
-            {
-                "added": len(update.adds),
-                "removed": len(update.removes),
-                "database_size": self.service.default_database.size(),
-            },
+            schema.envelope(
+                "facts_applied",
+                {
+                    "added": len(update.adds),
+                    "removed": len(update.removes),
+                    "database_size": self.service.default_database.size(),
+                },
+            )
         )
 
     def _apply_facts(self, update: schema.FactsUpdate) -> None:
@@ -615,9 +612,7 @@ class CountingServer:
             while not self._closing:
                 async with self._gate.read():
                     live = await self._run_blocking(subscription.read)
-                payload = schema.envelope(
-                    "live_count", schema.live_count_payload(live)
-                )
+                payload = schema.encode(live)
                 writer.write(
                     http.sse_event(json.dumps(payload), event="count", event_id=sent)
                 )

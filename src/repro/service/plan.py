@@ -60,7 +60,6 @@ from repro.core.registry import REGISTRY
 from repro.obs.profile import fingerprint_class
 from repro.queries.prepared import PreparedQuery, prepare
 from repro.queries.query import ConjunctiveQuery, QueryClass
-from repro.relational.csp import DEFAULT_ENGINE
 from repro.relational.structure import Structure
 from repro.util.cache import LRUCache
 from repro.service.cost import PREDICTION_BASIS, CostModel
@@ -217,45 +216,12 @@ class QueryPlan:
                 )
         return "\n".join(lines)
 
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "QueryPlan":
-        """Rebuild a plan from :meth:`to_dict` output (the wire API's
-        ``query_plan`` payload).  Unknown keys are ignored, so newer
-        producers round-trip through older consumers."""
-        return cls(
-            scheme=data.get("scheme", ""),
-            query_class=data.get("query_class", ""),
-            engine=data.get("engine", DEFAULT_ENGINE),
-            database_size=int(data.get("database_size", 0)),
-            size_class=data.get("size_class", "large"),
-            treewidth=data.get("treewidth"),
-            fractional_hypertreewidth=data.get("fractional_hypertreewidth"),
-            adaptive_width_upper=data.get("adaptive_width_upper"),
-            arity=data.get("arity"),
-            reference=data.get("reference", ""),
-            override=data.get("override"),
-            trace=tuple(data.get("trace", ())),
-            observed=data.get("observed"),
-            predicted=data.get("predicted"),
-        )
-
     def to_dict(self) -> Dict[str, Any]:
-        return {
-            "scheme": self.scheme,
-            "reference": self.reference,
-            "query_class": self.query_class,
-            "engine": self.engine,
-            "database_size": self.database_size,
-            "size_class": self.size_class,
-            "treewidth": self.treewidth,
-            "fractional_hypertreewidth": self.fractional_hypertreewidth,
-            "adaptive_width_upper": self.adaptive_width_upper,
-            "arity": self.arity,
-            "override": self.override,
-            "trace": list(self.trace),
-            "observed": self.observed,
-            "predicted": self.predicted,
-        }
+        """The plan's ``query_plan`` wire payload (:mod:`repro.serve.schema`
+        holds the one plan serializer)."""
+        from repro.serve.schema import to_payload  # serve imports service
+
+        return to_payload(self)
 
 
 def validate_scheme(scheme: str, query_class: QueryClass) -> None:

@@ -253,6 +253,8 @@ class TestRetry:
         assert Deadline.after(None) is None
         with pytest.raises(ValueError):
             Deadline.after(0)
+        with pytest.raises(ValueError):  # NaN would never expire
+            Deadline.after(float("nan"))
         assert Deadline.after(60.0).remaining() > 59.0
 
 

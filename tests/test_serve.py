@@ -82,6 +82,14 @@ SLOW_PLAN = FaultPlan(
 )
 
 
+def nested_list(depth):
+    """``0`` wrapped in ``depth`` lists."""
+    value = 0
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
 def golden_objects():
     """One fully populated object and one left at its defaults for each of
     the eight wire kinds."""
@@ -379,12 +387,17 @@ class TestWireSchema:
         with pytest.raises(WireError, match="reserved"):
             schema.envelope("stats", {"api": "x"})
         with pytest.raises(WireError, match="wire"):
-            schema.count_request_payload(
+            schema.encode(
                 CountRequest(
                     query=parse_query("Ans(x) :- E(x, y)"),
                     database=small_database,
                 )
             )
+
+    def test_field_tables_refuse_reserved_keys(self):
+        with pytest.raises(WireError, match="reserved"):
+            schema._register("bogus", dict, ("kind", str))
+        assert dict not in schema._KINDS
 
     def test_expected_kind_mismatch_raises(self):
         text = schema.to_json(CountRequest(query=parse_query("Ans(x) :- E(x, y)")))
@@ -862,10 +875,34 @@ class TestServerEndToEnd:
             ("/v1/facts", {"kind": "facts_update", "adds": [["E", [0, {"a": 1}]]]}),
             # Nested past the JSON decoder's recursion limit.
             ("/v1/count", None),
+            # Within the JSON decoder's limit, past the fact normaliser's.
+            ("/v1/facts", {"kind": "facts_update", "adds": [["E", [nested_list(900), 1]]]}),
+            # Serial, so the parent commit's 200 started no pool; a process
+            # pool would fork every worker up front.
+            (
+                "/v1/batch",
+                {
+                    "kind": "batch_request", "requests": [{"query": "Ans(x) :- E(x, y)"}],
+                    "executor": "serial", "max_workers": 1_000_000,
+                },
+            ),
+            (
+                "/v1/batch",
+                {
+                    "kind": "batch_request", "requests": [{"query": "Ans(x) :- E(x, y)"}],
+                    "executor": "serial", "max_workers": 0,
+                },
+            ),
+            (
+                "/v1/count",
+                {"kind": "count_request", "query": "Ans(x) :- E(x, y)",
+                 "deadline_seconds": float("nan")},
+            ),
         ],
         ids=[
             "seed-list", "seed-float", "method-list", "batch-entry", "fact-values", "fact-dict",
-            "deeply-nested",
+            "deeply-nested", "fact-deeply-nested", "batch-workers-above-cap",
+            "batch-workers-zero", "deadline-nan",
         ],
     )
     def test_malformed_fields_are_400_and_keep_the_connection(
