@@ -1198,91 +1198,91 @@ def _command_client(args: argparse.Namespace) -> int:
     from repro.serve import ServeClient, ServeError
     from repro.serve import schema as wire
 
-    client = ServeClient(
-        args.host, args.port, api_key=args.api_key, timeout=args.timeout
-    )
     try:
-        if args.client_command == "count":
-            result = client.count(
-                args.query,
-                epsilon=args.epsilon,
-                delta=args.delta,
-                seed=args.seed,
-                method=args.method,
-                deadline_seconds=args.deadline,
-            )
-            if args.json:
-                print(wire.to_json(result, indent=2))
-            else:
-                flag = " (coalesced)" if result.coalesced else ""
-                print(
-                    f"{result.query_class:3s} scheme={result.scheme} "
-                    f"estimate={result.estimate} cache={result.cache}{flag}"
+        with ServeClient(
+            args.host, args.port, api_key=args.api_key, timeout=args.timeout
+        ) as client:
+            if args.client_command == "count":
+                result = client.count(
+                    args.query,
+                    epsilon=args.epsilon,
+                    delta=args.delta,
+                    seed=args.seed,
+                    method=args.method,
+                    deadline_seconds=args.deadline,
                 )
-            return 0
-        if args.client_command == "batch":
-            queries = [str(query) for query in _load_batch_queries(args.queries)]
-            report = client.count_batch(
-                queries,
-                seed=args.seed,
-                executor=args.executor,
-                max_workers=args.workers,
-                deadline_seconds=args.deadline,
-            )
-            if args.json:
-                print(wire.to_json(report, indent=2))
-            else:
-                for result, query in zip(report.results, queries):
-                    print(
-                        f"[{result.index:3d}] {result.query_class:3s} "
-                        f"scheme={result.scheme:11s} "
-                        f"estimate={result.estimate:12.2f} "
-                        f"cache={result.cache:4s}  {query}"
-                    )
-                print(
-                    f"batch: {len(report.results)} queries in "
-                    f"{report.wall_seconds:.2f}s executor={report.executed_executor} "
-                    f"cache hits={report.cache_hits} misses={report.cache_misses}"
-                )
-            return 0
-        if args.client_command == "plan":
-            plan = client.plan(args.query, method=args.method)
-            if args.json:
-                print(wire.to_json(plan, indent=2))
-            else:
-                print(plan.explain())
-            return 0
-        if args.client_command == "stats":
-            print(json.dumps(client.stats(), indent=2))
-            return 0
-        if args.client_command == "metrics":
-            print(client.metrics_text(), end="")
-            return 0
-        if args.client_command == "subscribe":
-            for live in client.subscribe(
-                args.query,
-                refresh=args.refresh,
-                epsilon=args.epsilon,
-                delta=args.delta,
-                seed=args.seed,
-                max_events=args.max_events,
-            ):
                 if args.json:
-                    print(wire.to_json(live), flush=True)
+                    print(wire.to_json(result, indent=2))
                 else:
+                    flag = " (coalesced)" if result.coalesced else ""
                     print(
-                        f"count={live.count} estimate={live.estimate} "
-                        f"mode={live.mode} fresh={live.fresh}",
-                        flush=True,
+                        f"{result.query_class:3s} scheme={result.scheme} "
+                        f"estimate={result.estimate} cache={result.cache}{flag}"
                     )
+                return 0
+            if args.client_command == "batch":
+                queries = [str(query) for query in _load_batch_queries(args.queries)]
+                report = client.count_batch(
+                    queries,
+                    seed=args.seed,
+                    executor=args.executor,
+                    max_workers=args.workers,
+                    deadline_seconds=args.deadline,
+                )
+                if args.json:
+                    print(wire.to_json(report, indent=2))
+                else:
+                    for result, query in zip(report.results, queries):
+                        print(
+                            f"[{result.index:3d}] {result.query_class:3s} "
+                            f"scheme={result.scheme:11s} "
+                            f"estimate={result.estimate:12.2f} "
+                            f"cache={result.cache:4s}  {query}"
+                        )
+                    print(
+                        f"batch: {len(report.results)} queries in "
+                        f"{report.wall_seconds:.2f}s executor={report.executed_executor} "
+                        f"cache hits={report.cache_hits} misses={report.cache_misses}"
+                    )
+                return 0
+            if args.client_command == "plan":
+                plan = client.plan(args.query, method=args.method)
+                if args.json:
+                    print(wire.to_json(plan, indent=2))
+                else:
+                    print(plan.explain())
+                return 0
+            if args.client_command == "stats":
+                print(json.dumps(client.stats(), indent=2))
+                return 0
+            if args.client_command == "metrics":
+                print(client.metrics_text(), end="")
+                return 0
+            if args.client_command == "subscribe":
+                for live in client.subscribe(
+                    args.query,
+                    refresh=args.refresh,
+                    epsilon=args.epsilon,
+                    delta=args.delta,
+                    seed=args.seed,
+                    max_events=args.max_events,
+                ):
+                    if args.json:
+                        print(wire.to_json(live), flush=True)
+                    else:
+                        print(
+                            f"count={live.count} estimate={live.estimate} "
+                            f"mode={live.mode} fresh={live.fresh}",
+                            flush=True,
+                        )
+                return 0
+            # facts
+            outcome = client.add_facts(
+                adds=_parse_fact_entries(args.add),
+                removes=_parse_fact_entries(args.remove),
+            )
+            print(json.dumps(outcome, indent=2))
             return 0
-        # facts
-        outcome = client.add_facts(
-            adds=_parse_fact_entries(args.add),
-            removes=_parse_fact_entries(args.remove),
-        )
-        print(json.dumps(outcome, indent=2))
-        return 0
     except KeyboardInterrupt:
         return 0  # Ctrl-C out of a subscribe stream is a clean exit
     except ServeError as error:

@@ -17,8 +17,8 @@ Quick start::
     from repro.service import CountingService
 
     handle = start_in_thread(CountingService(database, seed=7))
-    client = ServeClient(handle.host, handle.port)
-    print(client.count("Answer() :- E(x, y)").estimate)
+    with ServeClient(handle.host, handle.port) as client:
+        print(client.count("Answer() :- E(x, y)").estimate)
     handle.stop()
 """
 

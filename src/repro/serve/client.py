@@ -1,19 +1,27 @@
 """A blocking v1 wire client on :mod:`http.client` — the CLI's and the
 benchmarks' view of a running :class:`~repro.serve.server.CountingServer`.
 
-One connection per call (the server speaks keep-alive, but a fresh
-connection keeps the client trivially thread-safe for closed-loop
-benchmark workers); SSE subscriptions hold their connection open and
-iterate frames.  Every response is decoded through
-:mod:`repro.serve.schema`, so a server-side :class:`CountResult` arrives
-bit-identical to one produced by an in-process
-:meth:`~repro.service.service.CountingService.submit`.
+Each thread that calls a client holds one persistent (keep-alive)
+connection to the server, so the client is thread-safe and a closed-loop
+caller pays for a TCP connection once, not per call.  Before reusing a
+connection the client checks that its socket is not readable: an idle
+keep-alive socket has nothing to read unless the server closed it (its
+read deadline answered 408, or it stopped), and then the client connects
+afresh.  A request is never replayed: a call that fails on the wire
+raises, so a ``POST /v1/facts`` is applied at most once.  SSE
+subscriptions hold a dedicated connection and iterate frames.  Every
+response is decoded through :mod:`repro.serve.schema`, so a server-side
+:class:`CountResult` arrives bit-identical to one produced by an
+in-process :meth:`~repro.service.service.CountingService.submit`.
 """
 
 from __future__ import annotations
 
 import http.client
 import json
+import select
+import threading
+import weakref
 from typing import Any, Dict, Iterator, Optional, Sequence, Union
 
 from repro.queries import ConjunctiveQuery, parse_query
@@ -42,11 +50,21 @@ class ServeError(Exception):
         self.retry_after = retry_after
 
 
-class ServeClient:
-    """A synchronous client for one server address.
+class _Connection(http.client.HTTPConnection):
+    """One thread's keep-alive connection.  It closes its socket when the
+    thread, or the client, that holds it goes away without close()."""
 
-    >>> client = ServeClient("127.0.0.1", 8000, api_key="s3cret")
-    >>> client.count("Q() :- E(x, y)").estimate
+    def __del__(self) -> None:
+        self.close()
+
+
+class ServeClient:
+    """A synchronous client for one server address, holding one keep-alive
+    connection per calling thread until :meth:`close` (or a ``with`` block's
+    end).
+
+    >>> with ServeClient("127.0.0.1", 8000, api_key="s3cret") as client:
+    ...     client.count("Q() :- E(x, y)").estimate
     """
 
     def __init__(
@@ -60,18 +78,49 @@ class ServeClient:
         self.port = port
         self.api_key = api_key
         self.timeout = timeout
+        self._local = threading.local()
+        self._lock = threading.Lock()
+        #: Every live thread's connection, so that close() reaches them all.
+        self._connections: weakref.WeakSet[_Connection] = weakref.WeakSet()
+
+    def close(self) -> None:
+        """Close every thread's connection.  Call it with no call in
+        flight; a later call connects afresh."""
+        with self._lock:
+            connections = list(self._connections)
+        for connection in connections:
+            connection.close()
+
+    def __enter__(self) -> "ServeClient":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> bool:
+        self.close()
+        return False
 
     # ------------------------------------------------------------- plumbing
     def _headers(self) -> Dict[str, str]:
-        headers = {"Accept": "application/json", "Connection": "close"}
+        headers = {"Accept": "application/json"}
         if self.api_key is not None:
             headers["X-API-Key"] = self.api_key
         return headers
 
-    def _connect(self) -> http.client.HTTPConnection:
-        return http.client.HTTPConnection(
-            self.host, self.port, timeout=self.timeout
-        )
+    def _connection(self) -> _Connection:
+        """This thread's connection, its socket dropped first if the server
+        has closed it (``http.client`` reconnects a dropped socket)."""
+        connection = getattr(self._local, "connection", None)
+        if connection is None:
+            connection = _Connection(self.host, self.port, timeout=self.timeout)
+            self._local.connection = connection
+            with self._lock:
+                self._connections.add(connection)
+        elif connection.sock is not None and select.select(
+            [connection.sock], [], [], 0
+        )[0]:
+            # Between responses the server sends nothing, so a readable
+            # socket holds its EOF (or the 408 that came before it).
+            connection.close()
+        return connection
 
     def _raise_for_error(self, status: int, body: bytes) -> None:
         if status < 400:
@@ -97,33 +146,37 @@ class ServeClient:
         ``envelope_only`` validates the envelope and returns the payload
         dict (for kinds without a dataclass, like ``stats``); otherwise the
         body decodes through the schema registry."""
-        connection = self._connect()
+        payload = None
+        headers = self._headers()
+        if body is not None:
+            payload = json.dumps(body).encode("utf-8")
+            headers["Content-Type"] = "application/json"
+        connection = self._connection()
         try:
-            payload = None
-            headers = self._headers()
-            if body is not None:
-                payload = json.dumps(body).encode("utf-8")
-                headers["Content-Type"] = "application/json"
             connection.request(method, path, body=payload, headers=headers)
             response = connection.getresponse()
             data = response.read()
-            self._raise_for_error(response.status, data)
-            if raw:
-                return data.decode("utf-8")
-            try:
-                if envelope_only:
-                    message = json.loads(data.decode("utf-8"))
-                    schema.open_envelope(message, expect=expect)
-                    return {
-                        key: value
-                        for key, value in message.items()
-                        if key not in ("api", "kind")
-                    }
-                return schema.from_json(data.decode("utf-8"), expect=expect)
-            except (schema.WireError, json.JSONDecodeError) as error:
-                raise ServeError(response.status, f"bad server reply: {error}")
-        finally:
+        except BaseException:
+            # Never replayed: the request may have reached the server.
             connection.close()
+            raise
+        if response.will_close:
+            connection.close()
+        self._raise_for_error(response.status, data)
+        if raw:
+            return data.decode("utf-8")
+        try:
+            if envelope_only:
+                message = json.loads(data.decode("utf-8"))
+                schema.open_envelope(message, expect=expect)
+                return {
+                    key: value
+                    for key, value in message.items()
+                    if key not in ("api", "kind")
+                }
+            return schema.from_json(data.decode("utf-8"), expect=expect)
+        except (schema.WireError, json.JSONDecodeError) as error:
+            raise ServeError(response.status, f"bad server reply: {error}")
 
     @staticmethod
     def _as_request(

@@ -11,7 +11,7 @@ from __future__ import annotations
 import asyncio
 import urllib.parse
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict, NamedTuple, Optional
 
 #: Reason phrases for every status the serve layer emits.
 REASONS = {
@@ -142,25 +142,27 @@ async def read_request(
     )
 
 
-def response(
-    status: int,
-    body: bytes,
-    content_type: str = "application/json",
-    headers: Optional[Dict[str, str]] = None,
-    keep_alive: bool = True,
-) -> bytes:
-    """Render a full response with Content-Length."""
-    reason = REASONS.get(status, "Unknown")
-    lines = [
-        f"HTTP/1.1 {status} {reason}",
-        f"Content-Type: {content_type}",
-        f"Content-Length: {len(body)}",
-        f"Connection: {'keep-alive' if keep_alive else 'close'}",
-    ]
-    for name, value in (headers or {}).items():
-        lines.append(f"{name}: {value}")
-    head = ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1")
-    return head + body
+class Reply(NamedTuple):
+    """One response before it is rendered: the connection loop, which knows
+    whether the connection outlives it, picks its ``Connection`` header."""
+
+    status: int
+    body: bytes
+    content_type: str = "application/json"
+    headers: Optional[Dict[str, str]] = None
+
+    def render(self, keep_alive: bool) -> bytes:
+        """The full response with Content-Length; ``keep_alive=False`` says
+        ``Connection: close`` because the server closes after it."""
+        lines = [
+            f"HTTP/1.1 {self.status} {REASONS.get(self.status, 'Unknown')}",
+            f"Content-Type: {self.content_type}",
+            f"Content-Length: {len(self.body)}",
+            f"Connection: {'keep-alive' if keep_alive else 'close'}",
+        ]
+        for name, value in (self.headers or {}).items():
+            lines.append(f"{name}: {value}")
+        return ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1") + self.body
 
 
 def sse_preamble(headers: Optional[Dict[str, str]] = None) -> bytes:

@@ -148,7 +148,12 @@ def _reader(name: str, json_type: type, default: Any = None) -> Callable[[Messag
             return list(default) if json_type is list else default
         if not check(value):
             raise WireError(f"{name} must be {noun}, got {value!r}")
-        return value if convert is None else convert(value)
+        if convert is None:
+            return value
+        try:
+            return convert(value)
+        except OverflowError:  # a JSON integer beyond float range
+            raise WireError(f"{name} must be {noun} within float range")
 
     return read
 

@@ -34,6 +34,12 @@ The systems contract, in order of interest:
   subscriptions, whose next read serves the new count through the PR-4
   subscription layer (delta-patched, re-estimated, or fingerprint-free —
   sharded databases included).
+* **Connections** — HTTP/1.1 keep-alive: a connection serves requests
+  until the client closes it, asks to (``Connection: close``), or leaves
+  it idle past the read deadline (408).  Every response the server closes
+  after says ``Connection: close``; the ``serve.connections`` gauge counts
+  open connections, and :meth:`CountingServer.stop` cancels and awaits
+  their tasks.
 
 Blocking service work runs on a small thread pool; the event loop itself
 only parses, routes, admits, and coalesces.
@@ -151,7 +157,7 @@ class CountingServer:
         self._db_version = 0
         self._pool: Optional[Any] = None
         self._server: Optional[asyncio.AbstractServer] = None
-        self._connections: Set[asyncio.StreamWriter] = set()
+        self._connections: Set[asyncio.Task] = set()
         self._inflight = 0
         self._subscribers = 0
         self._closing = False
@@ -183,17 +189,19 @@ class CountingServer:
         return self.port
 
     async def stop(self) -> None:
-        """Stop accepting, sever open connections, drain the pool."""
+        """Stop accepting, cancel and await every connection task (each
+        closes its own socket, and an SSE stream its subscription), then
+        drain the pool.  Keep-alive clients hold idle connections, so
+        without the await their tasks would be destroyed while pending."""
         self._closing = True
         if self._server is not None:
             self._server.close()
+        tasks = list(self._connections)
+        for task in tasks:
+            task.cancel()
+        await asyncio.gather(*tasks, return_exceptions=True)
+        if self._server is not None:
             await self._server.wait_closed()
-        # Wake idle SSE streams so their tasks notice the close promptly.
-        async with self._mutated:
-            self._mutated.notify_all()
-        for writer in list(self._connections):
-            with contextlib.suppress(Exception):
-                writer.close()
         if self._pool is not None:
             self._pool.shutdown(wait=False)
 
@@ -208,13 +216,12 @@ class CountingServer:
         message: Dict[str, Any],
         status: int = 200,
         headers: Optional[Dict[str, str]] = None,
-    ) -> bytes:
-        body = json.dumps(message).encode("utf-8")
-        return http.response(status, body, headers=headers)
+    ) -> http.Reply:
+        return http.Reply(status, json.dumps(message).encode("utf-8"), headers=headers)
 
     def _error_response(
         self, status: int, message: str, retry_after: Optional[float] = None
-    ) -> bytes:
+    ) -> http.Reply:
         headers = None
         if retry_after is not None:
             # Retry-After is an integer header; keep sub-second precision in
@@ -237,20 +244,20 @@ class CountingServer:
 
     def _admit(
         self, request: http.Request, cost: float = 1.0
-    ) -> Optional[Tuple[int, bytes]]:
-        """Run admission control; ``None`` on admission, else the
-        ``(status, response)`` rejection to send."""
+    ) -> Optional[http.Reply]:
+        """Run admission control; ``None`` on admission, else the rejection
+        to send."""
         api_key = request.header("x-api-key") or request.params.get("api_key")
         decision = self.admission.admit(api_key, cost=cost)
         if not decision.admitted:
             reason = "auth" if decision.status == 401 else "quota"
             self.metrics.counter("serve.rejections", reason=reason).inc()
-            return decision.status, self._error_response(
+            return self._error_response(
                 decision.status, decision.reason, decision.retry_after
             )
         return None
 
-    def _check_queue(self) -> Optional[bytes]:
+    def _check_queue(self) -> Optional[http.Reply]:
         if self._inflight >= self.config.max_pending:
             self.metrics.counter("serve.rejections", reason="queue_full").inc()
             return self._error_response(
@@ -275,7 +282,10 @@ class CountingServer:
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        self._connections.add(writer)
+        task = asyncio.current_task()
+        self._connections.add(task)
+        connections = self.metrics.gauge("serve.connections")
+        connections.inc()
         try:
             while not self._closing:
                 try:
@@ -283,27 +293,21 @@ class CountingServer:
                         http.read_request(reader), http.READ_DEADLINE_SECONDS
                     )
                 except asyncio.TimeoutError:
-                    writer.write(
+                    await _send_final(
+                        writer,
                         self._error_response(
                             408,
                             f"request not received within "
                             f"{http.READ_DEADLINE_SECONDS:g} s",
-                        )
+                        ),
                     )
-                    await writer.drain()
                     break
                 except http.HTTPError as error:
-                    writer.write(
-                        self._error_response(error.status, error.message)
+                    await _send_final(
+                        writer, self._error_response(error.status, error.message)
                     )
-                    await writer.drain()
                     break
-                if request is None:
-                    break
-                streamed, keep = await self._dispatch(request, writer)
-                if streamed:
-                    break
-                if not keep:
+                if request is None or not await self._dispatch(request, writer):
                     break
         except (
             ConnectionResetError,
@@ -311,16 +315,23 @@ class CountingServer:
             asyncio.IncompleteReadError,
         ):
             pass
+        except asyncio.CancelledError:
+            # stop() cancelled this task: end it normally, because Python
+            # 3.11's StreamReaderProtocol reads task.exception() when the
+            # task finishes and would log a cancelled one as an error.
+            if not self._closing:
+                raise
         finally:
-            self._connections.discard(writer)
+            self._connections.discard(task)
+            connections.dec()
             writer.close()
             with contextlib.suppress(Exception):
                 await writer.wait_closed()
 
     async def _dispatch(
         self, request: http.Request, writer: asyncio.StreamWriter
-    ) -> Tuple[bool, bool]:
-        """Route one request; returns ``(streamed, keep_alive)``."""
+    ) -> bool:
+        """Route one request; returns whether the connection stays open."""
         started = time.perf_counter()
         # Metric series are labelled by route, never by the client's path:
         # unknown paths share one "other" series (bounded cardinality).
@@ -329,39 +340,37 @@ class CountingServer:
         try:
             if request.path == "/v1/subscribe" and request.method == "GET":
                 status = await self._handle_subscribe(request, writer)
-                return True, False
+                return False
             handler = self._routes.get((request.method, request.path))
             if handler is None:
                 if request.path.startswith("/v1/"):
-                    status, body = 404, self._error_response(
+                    reply = self._error_response(
                         404, f"no such endpoint {request.path!r}"
                     )
                 elif request.path.startswith("/v"):
-                    status, body = 404, self._error_response(
+                    reply = self._error_response(
                         404,
                         f"unsupported API version in {request.path!r}; "
                         f"this server speaks {schema.API_VERSION!r} under /v1/",
                     )
                 else:
-                    status, body = 404, self._error_response(
-                        404, f"not found: {request.path!r}"
-                    )
+                    reply = self._error_response(404, f"not found: {request.path!r}")
             else:
-                status, body = await handler(request)
-            writer.write(body)
+                reply = await handler(request)
+            status = reply.status
+            writer.write(reply.render(keep_alive=request.keep_alive))
             await writer.drain()
-            return False, request.keep_alive
+            return request.keep_alive
         except (ConnectionResetError, BrokenPipeError):
             status = 499  # client went away; nothing to write
-            return True, False
+            return False
         except Exception as error:  # noqa: BLE001 - last-resort 500
             status = 500
             with contextlib.suppress(Exception):
-                writer.write(
-                    self._error_response(500, f"internal error: {error!r}")
+                await _send_final(
+                    writer, self._error_response(500, f"internal error: {error!r}")
                 )
-                await writer.drain()
-            return False, False
+            return False
         finally:
             self.metrics.counter(
                 "serve.requests", endpoint=endpoint, status=str(status)
@@ -371,17 +380,17 @@ class CountingServer:
             ).observe(time.perf_counter() - started)
 
     # ------------------------------------------------------------- endpoints
-    async def _handle_count(self, request: http.Request) -> Tuple[int, bytes]:
+    async def _handle_count(self, request: http.Request) -> http.Reply:
         rejection = self._admit(request)
         if rejection is not None:
             return rejection
         overflow = self._check_queue()
         if overflow is not None:
-            return 429, overflow
+            return overflow
         try:
             count_request = self._decode_body(request, "count_request")
         except (schema.WireError, ValueError) as error:
-            return 400, self._error_response(400, str(error))
+            return self._error_response(400, str(error))
         count_request = self._with_default_deadline(count_request)
 
         self._inflight += 1
@@ -398,28 +407,28 @@ class CountingServer:
                     ),
                 )
         except DeadlineExceeded as error:
-            return 504, self._error_response(504, f"deadline exceeded: {error}")
+            return self._error_response(504, f"deadline exceeded: {error}")
         except RetriesExhausted as error:
-            return 503, self._error_response(503, f"retries exhausted: {error}")
+            return self._error_response(503, f"retries exhausted: {error}")
         except ValueError as error:
-            return 400, self._error_response(400, str(error))
+            return self._error_response(400, str(error))
         finally:
             self._inflight -= 1
         if coalesced:
             self.metrics.counter("serve.coalesced").inc()
             result = replace(result, coalesced=True)
-        return 200, self._json_response(schema.encode(result))
+        return self._json_response(schema.encode(result))
 
-    async def _handle_batch(self, request: http.Request) -> Tuple[int, bytes]:
+    async def _handle_batch(self, request: http.Request) -> http.Reply:
         try:
             batch_request = self._decode_body(request, "batch_request")
         except (schema.WireError, ValueError) as error:
-            return 400, self._error_response(400, str(error))
+            return self._error_response(400, str(error))
         # A process pool forks all its workers up front, so a client may ask
         # for at most the operator's --workers.
         workers, cap = batch_request.max_workers, self.service.config.resolved_workers()
         if workers is not None and not 1 <= workers <= cap:
-            return 400, self._error_response(
+            return self._error_response(
                 400, f"max_workers must be between 1 and {cap}, got {workers}"
             )
         rejection = self._admit(
@@ -429,7 +438,7 @@ class CountingServer:
             return rejection
         overflow = self._check_queue()
         if overflow is not None:
-            return 429, overflow
+            return overflow
 
         requests = [
             self._with_default_deadline(entry)
@@ -449,19 +458,19 @@ class CountingServer:
                     )
                 )
         except DeadlineExceeded as error:
-            return 504, self._error_response(504, f"deadline exceeded: {error}")
+            return self._error_response(504, f"deadline exceeded: {error}")
         except RetriesExhausted as error:
-            return 503, self._error_response(503, f"retries exhausted: {error}")
+            return self._error_response(503, f"retries exhausted: {error}")
         except ValueError as error:
-            return 400, self._error_response(400, str(error))
+            return self._error_response(400, str(error))
         finally:
             self._inflight -= 1
-        return 200, self._json_response(schema.encode(report))
+        return self._json_response(schema.encode(report))
 
-    async def _handle_plan(self, request: http.Request) -> Tuple[int, bytes]:
+    async def _handle_plan(self, request: http.Request) -> http.Reply:
         query_text = request.params.get("query")
         if not query_text:
-            return 400, self._error_response(400, "plan needs ?query=...")
+            return self._error_response(400, "plan needs ?query=...")
         method = request.params.get("method") or None
         budget = request.params.get("latency_budget_seconds")
         try:
@@ -480,31 +489,31 @@ class CountingServer:
                     )
                 )
         except ValueError as error:
-            return 400, self._error_response(400, str(error))
-        return 200, self._json_response(schema.encode(plan))
+            return self._error_response(400, str(error))
+        return self._json_response(schema.encode(plan))
 
-    async def _handle_stats(self, request: http.Request) -> Tuple[int, bytes]:
+    async def _handle_stats(self, request: http.Request) -> http.Reply:
         stats = await self._run_blocking(self.service.stats)
-        return 200, self._json_response(
+        return self._json_response(
             schema.envelope("stats", {"service": stats, "serve": self.serve_stats()})
         )
 
-    async def _handle_metrics(self, request: http.Request) -> Tuple[int, bytes]:
+    async def _handle_metrics(self, request: http.Request) -> http.Reply:
         text = await self._run_blocking(self.metrics.render_prometheus)
-        return 200, http.response(
+        return http.Reply(
             200, text.encode("utf-8"), content_type="text/plain; version=0.0.4"
         )
 
-    async def _handle_health(self, request: http.Request) -> Tuple[int, bytes]:
-        return 200, self._json_response(
+    async def _handle_health(self, request: http.Request) -> http.Reply:
+        return self._json_response(
             schema.envelope(
                 "health", {"status": "ok", "database_size": self.service.default_database.size()}
             )
         )
 
-    async def _handle_facts(self, request: http.Request) -> Tuple[int, bytes]:
+    async def _handle_facts(self, request: http.Request) -> http.Reply:
         if not self.config.allow_mutations:
-            return 403, self._error_response(
+            return self._error_response(
                 403, "this server's database is immutable (--no-mutations)"
             )
         rejection = self._admit(request)
@@ -512,11 +521,11 @@ class CountingServer:
             return rejection
         overflow = self._check_queue()
         if overflow is not None:
-            return 429, overflow
+            return overflow
         try:
             update = self._decode_body(request, "facts_update")
         except (schema.WireError, ValueError) as error:
-            return 400, self._error_response(400, str(error))
+            return self._error_response(400, str(error))
 
         self._inflight += 1
         try:
@@ -525,13 +534,13 @@ class CountingServer:
                     functools.partial(self._apply_facts, update)
                 )
         except (KeyError, ValueError) as error:
-            return 400, self._error_response(400, f"bad facts update: {error}")
+            return self._error_response(400, f"bad facts update: {error}")
         finally:
             self._inflight -= 1
         self._db_version += 1
         async with self._mutated:
             self._mutated.notify_all()
-        return 200, self._json_response(
+        return self._json_response(
             schema.envelope(
                 "facts_applied",
                 {
@@ -555,16 +564,13 @@ class CountingServer:
     ) -> int:
         rejection = self._admit(request)
         if rejection is not None:
-            status, body = rejection
-            writer.write(body)
-            await writer.drain()
-            return status
+            return await _send_final(writer, rejection)
         params = request.params
         query_text = params.get("query")
         if not query_text:
-            writer.write(self._error_response(400, "subscribe needs ?query=..."))
-            await writer.drain()
-            return 400
+            return await _send_final(
+                writer, self._error_response(400, "subscribe needs ?query=...")
+            )
         try:
             from repro.queries import parse_query
 
@@ -598,9 +604,7 @@ class CountingServer:
                     functools.partial(self.service.subscribe, count_request, **policy)
                 )
         except ValueError as error:
-            writer.write(self._error_response(400, str(error)))
-            await writer.drain()
-            return 400
+            return await _send_final(writer, self._error_response(400, str(error)))
 
         self._subscribers += 1
         self.metrics.counter("serve.subscriptions").inc()
@@ -651,6 +655,14 @@ class CountingServer:
             "led": self.coalescer.led,
             "admission": self.admission.stats(),
         }
+
+
+async def _send_final(writer: asyncio.StreamWriter, reply: http.Reply) -> int:
+    """Send the last response of a connection the server closes after it,
+    saying so in its ``Connection`` header; returns its status."""
+    writer.write(reply.render(keep_alive=False))
+    await writer.drain()
+    return reply.status
 
 
 def _opt_param(params: Dict[str, str], key: str, cast) -> Optional[Any]:

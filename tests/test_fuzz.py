@@ -26,7 +26,7 @@ QUERIES = (
 
 #: Replacement values: every JSON type, including nestings and hostile sizes.
 VALUES = (
-    None, True, False, 0, -1, 7, 2**70, 1.5, -0.0, float("inf"), "", "x", "exact",
+    None, True, False, 0, -1, 7, 2**70, 10**400, 1.5, -0.0, float("inf"), "", "x", "exact",
     QUERIES[0], [], [1], ["E", [1, 2]], [["E", [1]]], {}, {"a": 1}, [[["deep"]]],
     {"kind": "count_request"},
 )

@@ -82,6 +82,20 @@ SLOW_PLAN = FaultPlan(
 )
 
 
+def raw_exchange(handle, data):
+    """Send ``data`` on a fresh socket and read until the server closes it."""
+    import socket
+
+    with socket.create_connection((handle.host, handle.port), timeout=5) as raw:
+        raw.sendall(data)
+        chunks = []
+        while True:
+            chunk = raw.recv(65536)
+            if not chunk:
+                return b"".join(chunks)
+            chunks.append(chunk)
+
+
 def nested_list(depth):
     """``0`` wrapped in ``depth`` lists."""
     value = 0
@@ -898,11 +912,13 @@ class TestServerEndToEnd:
                 {"kind": "count_request", "query": "Ans(x) :- E(x, y)",
                  "deadline_seconds": float("nan")},
             ),
+            # A JSON integer beyond float range in a number field.
+            ("/v1/count", {"kind": "count_request", "query": "Ans(x) :- E(x, y)", "epsilon": 10**400}),
         ],
         ids=[
             "seed-list", "seed-float", "method-list", "batch-entry", "fact-values", "fact-dict",
             "deeply-nested", "fact-deeply-nested", "batch-workers-above-cap",
-            "batch-workers-zero", "deadline-nan",
+            "batch-workers-zero", "deadline-nan", "epsilon-huge-int",
         ],
     )
     def test_malformed_fields_are_400_and_keep_the_connection(
@@ -1024,3 +1040,137 @@ class TestServerEndToEnd:
             with pytest.raises(ServeError) as timed_out:
                 client_for(handle).count("Ans(x, y) :- E(x, y)", seed=1)
             assert timed_out.value.status == 504
+
+
+class TestConnectionLifecycle:
+    """Keep-alive between the client and the server: one connection per
+    client thread, reconnects after the server closes, no replays, and a
+    clean stop."""
+
+    @pytest.mark.parametrize(
+        "data, status, deadline, broken_stats",
+        [
+            (b"GET /v1/healthz HTTP/1.1\r\nConnection: close\r\n\r\n", 200, None, False),
+            # one 70 KB header line, over the 64 KB StreamReader limit
+            (b"GET /v1/healthz HTTP/1.1\r\nX-Big: " + b"a" * 70_000 + b"\r\n\r\n", 431, None, False),
+            (b"NOT A REQUEST LINE\r\n\r\n", 400, None, False),
+            # nothing sent: the read deadline answers
+            (b"", 408, 0.2, False),
+            # a handler that raises meets the last-resort 500
+            (b"GET /v1/stats HTTP/1.1\r\n\r\n", 500, None, True),
+            (b"GET /v1/subscribe HTTP/1.1\r\n\r\n", 400, None, False),
+        ],
+        ids=["connection-close", "header-line-431", "request-line-400", "idle-408",
+             "internal-500", "subscribe-400"],
+    )
+    def test_replies_before_a_close_say_connection_close(
+        self, medium_database, monkeypatch, data, status, deadline, broken_stats
+    ):
+        if deadline is not None:
+            monkeypatch.setattr("repro.serve.http.READ_DEADLINE_SECONDS", deadline)
+        with running_server(medium_database) as (service, handle):
+            if broken_stats:
+                monkeypatch.setattr(service, "stats", lambda: 1 / 0)
+            reply = raw_exchange(handle, data)
+        head, _, body = reply.partition(b"\r\n\r\n")
+        lines = head.split(b"\r\n")
+        assert lines[0].startswith(f"HTTP/1.1 {status} ".encode()), lines[0]
+        assert b"Connection: close" in lines[1:]
+        assert b"Connection: keep-alive" not in lines[1:]
+        if status != 200:
+            assert json.loads(body)["kind"] == "error"
+
+    def test_one_connection_per_client_thread(self, medium_database):
+        query = "Ans(x, y) :- E(x, y)"
+
+        def settles_at(gauge, value):
+            deadline = time.monotonic() + 5
+            while gauge.value != value and time.monotonic() < deadline:
+                time.sleep(0.01)
+            return gauge.value == value
+
+        with running_server(medium_database) as (service, handle):
+            gauge = service.metrics.gauge("serve.connections")
+            client = client_for(handle)
+            for _ in range(20):
+                client.count(query, seed=1)
+            assert gauge.value == 1
+            counted, checked = threading.Event(), threading.Event()
+
+            def second_thread():
+                for _ in range(20):
+                    client.count(query, seed=1)
+                counted.set()
+                checked.wait(timeout=10)
+
+            worker = threading.Thread(target=second_thread)
+            worker.start()
+            assert counted.wait(timeout=30)
+            assert gauge.value == 2
+            checked.set()
+            worker.join(timeout=10)
+            assert not worker.is_alive()
+            # A finished thread's connection closes with it.
+            assert settles_at(gauge, 1)
+            client.close()
+            assert settles_at(gauge, 0)
+            # A closed client connects afresh.
+            assert client.health()["status"] == "ok"
+            assert gauge.value == 1
+        assert gauge.value == 0
+
+    def test_idle_connection_closed_by_the_server_is_replaced(
+        self, medium_database, monkeypatch
+    ):
+        import http.client
+
+        connects = []
+        connect = http.client.HTTPConnection.connect
+
+        def counting_connect(connection):
+            connects.append(connection)
+            connect(connection)
+
+        monkeypatch.setattr(http.client.HTTPConnection, "connect", counting_connect)
+        monkeypatch.setattr("repro.serve.http.READ_DEADLINE_SECONDS", 0.2)
+        with running_server(medium_database) as (service, handle):
+            with client_for(handle) as client:
+                first = client.count("Ans(x, y) :- E(x, y)", seed=1)
+                time.sleep(0.5)  # the server answers 408 and closes
+                again = client.count("Ans(x, y) :- E(x, y)", seed=1)
+                assert again.estimate == first.estimate
+                assert len(connects) == 2
+
+    def test_facts_after_an_idle_close_apply_exactly_once(
+        self, medium_database, monkeypatch
+    ):
+        monkeypatch.setattr("repro.serve.http.READ_DEADLINE_SECONDS", 0.2)
+        with running_server(medium_database) as (service, handle):
+            applied = service.metrics.counter(
+                "serve.requests", endpoint="/v1/facts", status="200"
+            )
+            with client_for(handle) as client:
+                assert client.health()["status"] == "ok"
+                version = handle.server._db_version
+                time.sleep(0.5)  # the server answers 408 and closes
+                client.add_facts(adds=[("E", (900, 901))])
+                assert handle.server._db_version == version + 1
+                assert applied.value == 1
+
+    def test_stop_with_open_keep_alive_connections_leaves_no_task(
+        self, medium_database, caplog
+    ):
+        with running_server(medium_database) as (service, handle):
+            client = client_for(handle)
+            subscription = client.subscribe("Ans(x, y) :- E(x, y)")
+            next(subscription)
+            client.count("Ans(x, y) :- E(x, y)", seed=1)
+            assert service.metrics.gauge("serve.connections").value == 2
+            handle.stop()
+            assert asyncio.all_tasks(handle._loop) == set()
+            assert service.metrics.gauge("serve.connections").value == 0
+            # Nothing the loop logged as an error (a cancelled connection
+            # task must not surface as "Exception in callback").
+            assert not [r for r in caplog.records if r.name == "asyncio"]
+            subscription.close()
+            client.close()
