@@ -64,6 +64,7 @@ from repro.core.oracle_counting import (
 )
 from repro.core.registry import (
     REGISTRY,
+    SCHEME_BY_CLASS,
     CountResult,
     SchemeRegistry,
     SchemeSpec,
@@ -90,7 +91,7 @@ def resolve_method(method: str, query_class: QueryClass) -> str:
     ``oracle_exact`` / ``fpras_cq`` / ``fptras_dcq`` / ``fptras_ecq``).
     """
     if method == "auto":
-        method = "fpras" if query_class is QueryClass.CQ else "fptras"
+        return SCHEME_BY_CLASS[query_class]
     if method == "fpras":
         return "fpras_cq"
     if method == "fptras":

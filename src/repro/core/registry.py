@@ -45,6 +45,15 @@ QueryLike = Union[ConjunctiveQuery, PreparedQuery]
 #: their per-shard counts are bit-identical to the unsharded count.
 EXACT_SCHEMES = frozenset({"exact", "oracle_exact"})
 
+#: Figure 1's approximate scheme for each query class: the Theorem-16 FPRAS
+#: for CQs, the Theorem-13 FPTRAS with disequalities, Theorem 5's with
+#: negations too.
+SCHEME_BY_CLASS = {
+    QueryClass.CQ: "fpras_cq",
+    QueryClass.DCQ: "fptras_dcq",
+    QueryClass.ECQ: "fptras_ecq",
+}
+
 
 @dataclass(frozen=True)
 class CountResult:

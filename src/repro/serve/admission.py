@@ -2,15 +2,17 @@
 
 The server refuses work it cannot absorb *before* spending anything on it:
 
-* **Authentication** — when tenants are configured, every admission-checked
-  endpoint requires a known ``X-API-Key`` (401 otherwise).  With no tenants
-  configured the server is open and unmetered (development mode).
+* **Authentication** — with tenants configured, every endpoint that runs
+  service work (count, batch, plan, facts, subscribe) needs a known
+  ``X-API-Key`` (401 otherwise); with none, the server is open and
+  unmetered (development mode).  Stats, metrics and health are always open.
 * **Rate limiting** — each tenant owns a :class:`TokenBucket` refilled at
   ``rate`` tokens/second up to ``burst``; a request costs one token (a batch
-  costs one per query).  An empty bucket yields HTTP 429 with a
-  ``Retry-After`` telling the client exactly when a token will exist.
-* The server-level bounded request queue (backpressure) lives in
-  :mod:`repro.serve.server`; this module is purely per-tenant policy.
+  one per entry of its ``requests`` array).  An empty bucket yields HTTP 429
+  with a ``Retry-After`` telling the client exactly when a token will exist.
+* The server's one admitted path calls :meth:`AdmissionController.admit`
+  before its bounded request queue (backpressure) and before any parsing;
+  this module is purely per-tenant policy.
 
 Buckets take an injectable clock so tests replay quota decisions
 deterministically.

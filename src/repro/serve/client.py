@@ -296,7 +296,6 @@ class ServeClient:
         seed: Optional[int] = None,
         method: Optional[str] = None,
         max_events: Optional[int] = None,
-        heartbeat_seconds: Optional[float] = None,
         timeout: Optional[float] = None,
     ) -> Iterator[LiveCount]:
         """``GET /v1/subscribe`` — iterate live counts off the SSE stream.
@@ -313,7 +312,6 @@ class ServeClient:
             ("seed", seed),
             ("method", method),
             ("max_events", max_events),
-            ("heartbeat_seconds", heartbeat_seconds),
         ):
             if value is not None:
                 params[key] = str(value)

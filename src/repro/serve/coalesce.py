@@ -70,15 +70,12 @@ class Coalescer:
     the outcome) or *follows* (awaits the leader's future).  Returns
     ``(result, coalesced)``.  Leader failures propagate to every follower;
     a cancelled follower never cancels the leader (the future is shielded).
+    The caller keeps the tallies (the server's ``serve.led`` and
+    ``serve.coalesced`` metrics).
     """
 
     def __init__(self) -> None:
         self._inflight: Dict[Hashable, _InFlight] = {}
-        self.led = 0
-        self.coalesced = 0
-
-    def in_flight(self) -> int:
-        return len(self._inflight)
 
     async def fetch(
         self, key: Hashable, runner: Callable[[], Awaitable[Any]]
@@ -86,7 +83,6 @@ class Coalescer:
         entry = self._inflight.get(key)
         if entry is not None:
             entry.followers += 1
-            self.coalesced += 1
             # shield: a follower timing out/disconnecting must not cancel
             # the shared execution other followers (and the leader) await.
             return await asyncio.shield(entry.future), True
@@ -94,7 +90,6 @@ class Coalescer:
         loop = asyncio.get_running_loop()
         entry = _InFlight(loop.create_future())
         self._inflight[key] = entry
-        self.led += 1
         try:
             result = await runner()
         except BaseException as error:  # noqa: BLE001 - re-raised below

@@ -22,12 +22,16 @@ The systems contract, in order of interest:
   one execution; followers' responses carry ``coalesced: true`` and bump the
   ``serve.coalesced`` metric.  A herd of N identical requests costs one
   count (the result cache covers stragglers arriving after it finishes).
-* **Admission control** — per-tenant token buckets
-  (:mod:`repro.serve.admission`, 401/429 + ``Retry-After``) in front of a
-  bounded in-flight queue (``max_pending``, 429 on overflow): backpressure
-  instead of collapse.
+* **Admission control** — every endpoint that runs service work (count,
+  batch, plan, facts, and the creation of a subscription) takes one path,
+  ``CountingServer._admitted``, in one order: per-tenant token buckets
+  (:mod:`repro.serve.admission`, 401/429 + ``Retry-After``; a batch costs
+  one token per entry), the bounded in-flight queue (``max_pending``, 429
+  on overflow), decoding and query parsing (400), the route's gate, the
+  pool.  Nothing is parsed before admission: backpressure instead of
+  collapse.  Stats, metrics and health stay open, so scrapers need no key.
 * **Deadlines** — a request's ``deadline_seconds`` (or the server default)
-  rides the PR-6 resilience path into every task; expiry answers 504.
+  rides the resilience path into every task; expiry answers 504.
 * **Consistency** — counting requests hold a shared read gate and
   ``/v1/facts`` mutations an exclusive write gate, so a count never
   observes a half-applied mutation; each mutation wakes the SSE
@@ -56,14 +60,14 @@ import time
 from dataclasses import dataclass, replace
 from typing import Any, Awaitable, Callable, Dict, Optional, Set, Tuple
 
+from repro.queries import parse_query
 from repro.resilience.retry import DeadlineExceeded, RetriesExhausted
 from repro.serve import http, schema
 from repro.serve.admission import AdmissionController, TenantSpec
 from repro.serve.coalesce import Coalescer, coalescing_key
 from repro.service.service import CountingService, CountRequest
 
-#: Idle SSE streams emit a comment frame this often (seconds) unless the
-#: subscribe request sets ``heartbeat_seconds``.
+#: Idle SSE streams emit a comment frame this often (seconds).
 SSE_HEARTBEAT_SECONDS = 15.0
 
 
@@ -76,8 +80,9 @@ class ServeConfig:
     port: int = 0
     #: Per-tenant API keys and quotas; empty means open access (dev mode).
     tenants: Tuple[TenantSpec, ...] = ()
-    #: The bounded request queue: count/batch/facts requests in flight
-    #: beyond this are answered 429 + Retry-After (backpressure).
+    #: The bounded request queue: admitted requests (count, batch, plan,
+    #: facts, subscription creation) in flight beyond this are answered
+    #: 429 + Retry-After (backpressure).
     max_pending: int = 64
     #: Threads executing blocking service calls (counts, plans, refreshes).
     worker_threads: int = 4
@@ -235,47 +240,10 @@ class CountingServer:
             headers=headers,
         )
 
-    def _decode_body(self, request: http.Request, expect: str) -> Any:
-        try:
-            message = json.loads(request.body.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as error:
-            raise schema.WireError(f"invalid JSON body: {error}")
-        return schema.decode(message, expect=expect)
-
-    def _admit(
-        self, request: http.Request, cost: float = 1.0
-    ) -> Optional[http.Reply]:
-        """Run admission control; ``None`` on admission, else the rejection
-        to send."""
-        api_key = request.header("x-api-key") or request.params.get("api_key")
-        decision = self.admission.admit(api_key, cost=cost)
-        if not decision.admitted:
-            reason = "auth" if decision.status == 401 else "quota"
-            self.metrics.counter("serve.rejections", reason=reason).inc()
-            return self._error_response(
-                decision.status, decision.reason, decision.retry_after
-            )
-        return None
-
-    def _check_queue(self) -> Optional[http.Reply]:
-        if self._inflight >= self.config.max_pending:
-            self.metrics.counter("serve.rejections", reason="queue_full").inc()
-            return self._error_response(
-                429,
-                f"request queue full ({self.config.max_pending} in flight); "
-                "retry shortly",
-                retry_after=self.config.queue_retry_after,
-            )
-        return None
-
     def _with_default_deadline(self, request: CountRequest) -> CountRequest:
-        if (
-            request.deadline_seconds is None
-            and self.config.default_deadline_seconds is not None
-        ):
-            return replace(
-                request, deadline_seconds=self.config.default_deadline_seconds
-            )
+        default = self.config.default_deadline_seconds
+        if request.deadline_seconds is None and default is not None:
+            return replace(request, deadline_seconds=default)
         return request
 
     # ------------------------------------------------------------ connection
@@ -356,7 +324,10 @@ class CountingServer:
                 else:
                     reply = self._error_response(404, f"not found: {request.path!r}")
             else:
-                reply = await handler(request)
+                try:
+                    reply = await handler(request)
+                except _Refusal as refusal:
+                    reply = self._error_response(*refusal.args)
             status = reply.status
             writer.write(reply.render(keep_alive=request.keep_alive))
             await writer.drain()
@@ -380,116 +351,113 @@ class CountingServer:
             ).observe(time.perf_counter() - started)
 
     # ------------------------------------------------------------- endpoints
-    async def _handle_count(self, request: http.Request) -> http.Reply:
-        rejection = self._admit(request)
-        if rejection is not None:
-            return rejection
-        overflow = self._check_queue()
-        if overflow is not None:
-            return overflow
-        try:
-            count_request = self._decode_body(request, "count_request")
-        except (schema.WireError, ValueError) as error:
-            return self._error_response(400, str(error))
-        count_request = self._with_default_deadline(count_request)
-
+    async def _admitted(
+        self,
+        request: http.Request,
+        gate: Callable[[], Any],
+        decode: Callable[[http.Request], Any],
+        run: Optional[Callable[[Any], Awaitable[Any]]] = None,
+        cost: float = 1.0,
+    ) -> Any:
+        """The one path of every endpoint that runs service work, in order:
+        admission (401/429), the in-flight bound (429), ``decode`` of the
+        body or query string, the route's ``gate``, and the pool, where
+        ``run`` (by default, the pool itself) takes what ``decode`` made.
+        Returns what ``run`` returns; any other outcome raises
+        :class:`_Refusal`, service errors mapped to 504 (deadline), 503
+        (retries exhausted) or 400 (bad input)."""
+        api_key = request.header("x-api-key") or request.params.get("api_key")
+        decision = self.admission.admit(api_key, cost=cost)
+        if not decision.admitted:
+            reason = "auth" if decision.status == 401 else "quota"
+            self.metrics.counter("serve.rejections", reason=reason).inc()
+            raise _Refusal(decision.status, decision.reason, decision.retry_after)
+        if self._inflight >= self.config.max_pending:
+            self.metrics.counter("serve.rejections", reason="queue_full").inc()
+            raise _Refusal(
+                429,
+                f"request queue full ({self.config.max_pending} in flight); "
+                "retry shortly",
+                self.config.queue_retry_after,
+            )
         self._inflight += 1
         try:
-            key = coalescing_key(self.service, count_request)
-            async with self._gate.read():
-                result, coalesced = await self.coalescer.fetch(
-                    key,
-                    functools.partial(
-                        self._run_blocking,
-                        functools.partial(
-                            self.service.submit, request=count_request
-                        ),
-                    ),
-                )
+            work = decode(request)
+            async with gate():
+                return await (run or self._run_blocking)(work)
         except DeadlineExceeded as error:
-            return self._error_response(504, f"deadline exceeded: {error}")
+            raise _Refusal(504, f"deadline exceeded: {error}")
         except RetriesExhausted as error:
-            return self._error_response(503, f"retries exhausted: {error}")
-        except ValueError as error:
-            return self._error_response(400, str(error))
+            raise _Refusal(503, f"retries exhausted: {error}")
+        except (ValueError, KeyError) as error:  # WireError is a ValueError
+            raise _Refusal(400, str(error))
         finally:
             self._inflight -= 1
+
+    async def _handle_count(self, request: http.Request) -> http.Reply:
+        def decode(request):
+            count_request = schema.decode(_json_body(request), expect="count_request")
+            return self._with_default_deadline(count_request)
+
+        async def run(count_request):
+            submit = functools.partial(self.service.submit, request=count_request)
+            return await self.coalescer.fetch(
+                coalescing_key(self.service, count_request),
+                functools.partial(self._run_blocking, submit),
+            )
+
+        result, coalesced = await self._admitted(request, self._gate.read, decode, run)
         if coalesced:
             self.metrics.counter("serve.coalesced").inc()
             result = replace(result, coalesced=True)
+        else:
+            self.metrics.counter("serve.led").inc()
         return self._json_response(schema.encode(result))
 
     async def _handle_batch(self, request: http.Request) -> http.Reply:
+        # Admission charges one token per entry, counted off the raw JSON
+        # before any query is parsed; a body that is not JSON costs one and
+        # gets its 400 from decode, after admission.
         try:
-            batch_request = self._decode_body(request, "batch_request")
-        except (schema.WireError, ValueError) as error:
-            return self._error_response(400, str(error))
-        # A process pool forks all its workers up front, so a client may ask
-        # for at most the operator's --workers.
-        workers, cap = batch_request.max_workers, self.service.config.resolved_workers()
-        if workers is not None and not 1 <= workers <= cap:
-            return self._error_response(
-                400, f"max_workers must be between 1 and {cap}, got {workers}"
-            )
-        rejection = self._admit(
-            request, cost=float(len(batch_request.requests))
-        )
-        if rejection is not None:
-            return rejection
-        overflow = self._check_queue()
-        if overflow is not None:
-            return overflow
+            message = _json_body(request)
+        except schema.WireError as error:
+            message = error
+        entries = message.get("requests") if isinstance(message, dict) else None
+        cost = float(max(1, len(entries))) if isinstance(entries, list) else 1.0
 
-        requests = [
-            self._with_default_deadline(entry)
-            for entry in batch_request.requests
-        ]
-        self._inflight += 1
-        try:
-            async with self._gate.read():
-                report = await self._run_blocking(
-                    functools.partial(
-                        self.service.count_batch,
-                        requests,
-                        seed=batch_request.seed,
-                        executor=batch_request.executor,
-                        max_workers=batch_request.max_workers,
-                        deadline_seconds=batch_request.deadline_seconds,
-                    )
-                )
-        except DeadlineExceeded as error:
-            return self._error_response(504, f"deadline exceeded: {error}")
-        except RetriesExhausted as error:
-            return self._error_response(503, f"retries exhausted: {error}")
-        except ValueError as error:
-            return self._error_response(400, str(error))
-        finally:
-            self._inflight -= 1
+        def decode(request):
+            if isinstance(message, schema.WireError):
+                raise message
+            batch = schema.decode(message, expect="batch_request")
+            # A process pool forks all its workers up front, so a client may
+            # ask for at most the operator's --workers.
+            workers, cap = batch.max_workers, self.service.config.resolved_workers()
+            if workers is not None and not 1 <= workers <= cap:
+                raise ValueError(f"max_workers must be between 1 and {cap}, got {workers}")
+            return functools.partial(
+                self.service.count_batch,
+                [self._with_default_deadline(entry) for entry in batch.requests],
+                seed=batch.seed,
+                executor=batch.executor,
+                max_workers=workers,
+                deadline_seconds=batch.deadline_seconds,
+            )
+
+        report = await self._admitted(request, self._gate.read, decode, cost=cost)
         return self._json_response(schema.encode(report))
 
     async def _handle_plan(self, request: http.Request) -> http.Reply:
-        query_text = request.params.get("query")
-        if not query_text:
-            return self._error_response(400, "plan needs ?query=...")
-        method = request.params.get("method") or None
-        budget = request.params.get("latency_budget_seconds")
-        try:
-            from repro.queries import parse_query
+        def decode(request):
+            return functools.partial(
+                self.service.plan,
+                _query_param(request, "plan"),
+                method=request.params.get("method") or None,
+                latency_budget_seconds=_opt_param(
+                    request.params, "latency_budget_seconds", float
+                ),
+            )
 
-            query = parse_query(query_text)
-            async with self._gate.read():
-                plan = await self._run_blocking(
-                    functools.partial(
-                        self.service.plan,
-                        query,
-                        method=method,
-                        latency_budget_seconds=(
-                            float(budget) if budget is not None else None
-                        ),
-                    )
-                )
-        except ValueError as error:
-            return self._error_response(400, str(error))
+        plan = await self._admitted(request, self._gate.read, decode)
         return self._json_response(schema.encode(plan))
 
     async def _handle_stats(self, request: http.Request) -> http.Reply:
@@ -513,78 +481,43 @@ class CountingServer:
 
     async def _handle_facts(self, request: http.Request) -> http.Reply:
         if not self.config.allow_mutations:
-            return self._error_response(
-                403, "this server's database is immutable (--no-mutations)"
-            )
-        rejection = self._admit(request)
-        if rejection is not None:
-            return rejection
-        overflow = self._check_queue()
-        if overflow is not None:
-            return overflow
-        try:
-            update = self._decode_body(request, "facts_update")
-        except (schema.WireError, ValueError) as error:
-            return self._error_response(400, str(error))
-
-        self._inflight += 1
-        try:
-            async with self._gate.write():
-                await self._run_blocking(
-                    functools.partial(self._apply_facts, update)
-                )
-        except (KeyError, ValueError) as error:
-            return self._error_response(400, f"bad facts update: {error}")
-        finally:
-            self._inflight -= 1
+            raise _Refusal(403, "this server's database is immutable (--no-mutations)")
+        applied = await self._admitted(
+            request,
+            self._gate.write,
+            lambda request: functools.partial(
+                self._apply_facts, schema.decode(_json_body(request), expect="facts_update")
+            ),
+        )
         self._db_version += 1
         async with self._mutated:
             self._mutated.notify_all()
-        return self._json_response(
-            schema.envelope(
-                "facts_applied",
-                {
-                    "added": len(update.adds),
-                    "removed": len(update.removes),
-                    "database_size": self.service.default_database.size(),
-                },
-            )
-        )
+        return self._json_response(schema.envelope("facts_applied", applied))
 
-    def _apply_facts(self, update: schema.FactsUpdate) -> None:
+    def _apply_facts(self, update: schema.FactsUpdate) -> Dict[str, int]:
         database = self.service.default_database
         for name, values in update.adds:
             database.add_fact(name, values)
         for name, values in update.removes:
             database.remove_fact(name, values)
+        return {
+            "added": len(update.adds),
+            "removed": len(update.removes),
+            "database_size": database.size(),
+        }
 
     # -------------------------------------------------------------------- SSE
     async def _handle_subscribe(
         self, request: http.Request, writer: asyncio.StreamWriter
     ) -> int:
-        rejection = self._admit(request)
-        if rejection is not None:
-            return await _send_final(writer, rejection)
-        params = request.params
-        query_text = params.get("query")
-        if not query_text:
-            return await _send_final(
-                writer, self._error_response(400, "subscribe needs ?query=...")
-            )
-        try:
-            from repro.queries import parse_query
-
+        def decode(request):
+            params = request.params
             count_request = CountRequest(
-                query=parse_query(query_text),
+                query=_query_param(request, "subscribe"),
                 epsilon=_opt_param(params, "epsilon", float),
                 delta=_opt_param(params, "delta", float),
                 seed=_opt_param(params, "seed", int),
                 method=params.get("method") or None,
-            )
-            max_events = _opt_param(params, "max_events", int)
-            heartbeat = (
-                _opt_param(params, "heartbeat_seconds", float)
-                or SSE_HEARTBEAT_SECONDS
             )
             # Only the policy knobs the request sent: subscribe() owns the
             # defaults and rejects bad values (a ValueError -> 400).
@@ -597,14 +530,18 @@ class CountingServer:
                 )
                 if params.get(name)
             }
-            # subscribe() mutates shared stream state (change-log observers,
-            # the subscription list), so creation takes the exclusive gate.
-            async with self._gate.write():
-                subscription = await self._run_blocking(
-                    functools.partial(self.service.subscribe, count_request, **policy)
-                )
-        except ValueError as error:
-            return await _send_final(writer, self._error_response(400, str(error)))
+            subscribe = functools.partial(self.service.subscribe, count_request, **policy)
+            max_events = _opt_param(params, "max_events", int)
+            return lambda: (max_events, subscribe())
+
+        # subscribe() mutates shared stream state (change-log observers, the
+        # subscription list), so creation takes the exclusive gate.
+        try:
+            max_events, subscription = await self._admitted(
+                request, self._gate.write, decode
+            )
+        except _Refusal as refusal:
+            return await _send_final(writer, self._error_response(*refusal.args))
 
         self._subscribers += 1
         self.metrics.counter("serve.subscriptions").inc()
@@ -630,7 +567,8 @@ class CountingServer:
                         async with self._mutated:
                             if self._db_version == seen_version:
                                 await asyncio.wait_for(
-                                    self._mutated.wait(), timeout=heartbeat
+                                    self._mutated.wait(),
+                                    timeout=SSE_HEARTBEAT_SECONDS,
                                 )
                     except asyncio.TimeoutError:
                         writer.write(http.sse_comment("heartbeat"))
@@ -651,10 +589,23 @@ class CountingServer:
             "inflight": self._inflight,
             "subscribers": self._subscribers,
             "max_pending": self.config.max_pending,
-            "coalesced": self.coalescer.coalesced,
-            "led": self.coalescer.led,
+            "coalesced": int(self.metrics.counter("serve.coalesced").value),
+            "led": int(self.metrics.counter("serve.led").value),
             "admission": self.admission.stats(),
         }
+
+
+class _Refusal(Exception):
+    """An early answer to a request (mostly from the admitted path):
+    ``(status, message[, retry_after])``, the arguments of
+    ``CountingServer._error_response``."""
+
+
+def _json_body(request: http.Request) -> Any:
+    try:
+        return json.loads(request.body.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as error:
+        raise schema.WireError(f"invalid JSON body: {error}")
 
 
 async def _send_final(writer: asyncio.StreamWriter, reply: http.Reply) -> int:
@@ -663,6 +614,13 @@ async def _send_final(writer: asyncio.StreamWriter, reply: http.Reply) -> int:
     writer.write(reply.render(keep_alive=False))
     await writer.drain()
     return reply.status
+
+
+def _query_param(request: http.Request, route: str) -> Any:
+    text = request.params.get("query")
+    if not text:
+        raise ValueError(f"{route} needs ?query=...")
+    return parse_query(text)
 
 
 def _opt_param(params: Dict[str, str], key: str, cast) -> Optional[Any]:

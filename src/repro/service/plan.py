@@ -56,7 +56,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Tuple
 
-from repro.core.registry import REGISTRY
+from repro.core.registry import REGISTRY, SCHEME_BY_CLASS
 from repro.obs.profile import fingerprint_class
 from repro.queries.prepared import PreparedQuery, prepare
 from repro.queries.query import ConjunctiveQuery, QueryClass
@@ -367,11 +367,7 @@ class Planner:
                 f"aw<={aw_upper:.2f} "
                 f"arity={arity}"
             )
-            scheme = {
-                QueryClass.CQ: "fpras_cq",
-                QueryClass.DCQ: "fptras_dcq",
-                QueryClass.ECQ: "fptras_ecq",
-            }[query_class]
+            scheme = SCHEME_BY_CLASS[query_class]
             trace.append(
                 f"large instance: Figure-1 dichotomy recommends "
                 f"{report.recommended_algorithm} — {report.recommendation_reason}"

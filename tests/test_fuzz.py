@@ -182,3 +182,62 @@ def test_parser_returns_or_raises_value_error():
             continue
         parsed += 1
     assert 200 < parsed < 5000
+
+
+#: Query-string keys the GET endpoints read, plus one they do not.
+GET_KEYS = ("method", "epsilon", "delta", "seed", "refresh", "debounce_ticks",
+            "budget_seconds", "latency_budget_seconds", "heartbeat_seconds", "extra")
+
+
+def fuzzed_params(rng):
+    """A GET query string: a (mutated) query plus random keys and values."""
+    params = {"query": rng.choice(QUERIES)}
+    for _ in range(rng.randrange(1, 4)):
+        operation = rng.randrange(6)
+        if operation == 0:
+            params["query"] = mutate_text(params.get("query", ""), rng)
+        elif operation == 1 and params:
+            del params[rng.choice(sorted(params))]
+        else:
+            value = rng.choice(VALUES)
+            params[rng.choice(GET_KEYS)] = value if isinstance(value, str) else json.dumps(value)
+    return params
+
+
+@pytest.mark.parametrize("path", ["/v1/plan", "/v1/subscribe"])
+def test_get_query_strings_answer_200_or_4xx(medium_database, path):
+    """Fuzzed query strings of the GET endpoints that run service work get
+    200 or a 4xx, never a 500, and never hold their connection."""
+    import socket
+    import urllib.parse
+
+    from repro.serve import start_in_thread
+    from repro.service import CountingService
+
+    rng = random.Random(2024)
+    statuses = {}
+    handle = start_in_thread(CountingService(medium_database))
+    try:
+        for _ in range(150):
+            params = fuzzed_params(rng)
+            if path == "/v1/subscribe":
+                params["max_events"] = "1"
+            head = (f"GET {path}?{urllib.parse.urlencode(params)} HTTP/1.1\r\n"
+                    "Host: test\r\nConnection: close\r\n\r\n")
+            with socket.create_connection((handle.host, handle.port), timeout=10) as raw:
+                raw.sendall(head.encode())
+                reply = b""
+                while True:
+                    chunk = raw.recv(65536)  # socket.timeout: the connection was held
+                    if not chunk:
+                        break
+                    reply += chunk
+            status = int(reply.split(b" ", 2)[1])
+            assert status == 200 or 400 <= status < 500, (params, reply[:300])
+            if status == 200 and path == "/v1/subscribe":
+                assert reply.count(b"event: count") == 1, (params, reply[:300])
+            statuses[status] = statuses.get(status, 0) + 1
+    finally:
+        handle.stop()
+    # The edits leave both well-formed and malformed requests.
+    assert statuses.get(200, 0) > 10 and statuses.get(400, 0) > 10, statuses

@@ -743,6 +743,44 @@ class TestServerEndToEnd:
                 )
             assert rejected.value.status == 429
 
+    def test_plan_is_admitted_like_count(self, medium_database):
+        config = ServeConfig(
+            tenants=(TenantSpec(name="acme", api_key="k1", rate=0.1, burst=2.0),)
+        )
+        with running_server(medium_database, serve_config=config) as (_, handle):
+            with pytest.raises(ServeError) as missing:
+                client_for(handle).plan("Ans(x) :- E(x, y)")
+            assert missing.value.status == 401
+            good = client_for(handle, api_key="k1")
+            with pytest.raises(ServeError) as quota:
+                for _ in range(3):
+                    good.plan("Ans(x) :- E(x, y)")
+            assert quota.value.status == 429
+            assert quota.value.retry_after > 0
+
+    def test_batch_from_unknown_key_is_401_before_its_queries_parse(
+        self, medium_database
+    ):
+        import http.client
+
+        config = ServeConfig(tenants=(TenantSpec(name="acme", api_key="k1"),))
+        body = json.dumps(
+            {
+                "api": schema.API_VERSION,
+                "kind": "batch_request",
+                "requests": [{"query": "Ans(x :- E(x, y"}],
+            }
+        )
+        with running_server(medium_database, serve_config=config) as (_, handle):
+            connection = http.client.HTTPConnection(handle.host, handle.port, timeout=10)
+            connection.request(
+                "POST", "/v1/batch", body=body, headers={"X-API-Key": "wrong"}
+            )
+            response = connection.getresponse()
+            assert response.status == 401
+            assert json.loads(response.read())["kind"] == "error"
+            connection.close()
+
     def test_deadline_maps_to_504(self, medium_database):
         with running_server(medium_database) as (_, handle):
             with pytest.raises(ServeError) as timed_out:
@@ -767,6 +805,66 @@ class TestServerEndToEnd:
             assert overflow.value.status == 429
             assert overflow.value.retry_after == pytest.approx(0.05)
             occupant.join(timeout=30)
+
+    def test_queue_overflow_refuses_plan_and_subscribe(self, medium_database):
+        slow = FaultPlan(
+            rules=(
+                FaultRule(
+                    site="executor.task", kind="latency", rate=1.0, latency_seconds=1.0
+                ),
+            ),
+            seed=1,
+        )
+        config = ServeConfig(max_pending=1, queue_retry_after=0.05)
+        with running_server(
+            medium_database, ServiceConfig(fault_plan=slow), config
+        ) as (_, handle):
+            client = client_for(handle)
+            occupant = threading.Thread(
+                target=lambda: client.count("Ans(x, y) :- E(x, y)", seed=1)
+            )
+            occupant.start()
+            time.sleep(0.2)  # let it enter the (slow) count
+            with pytest.raises(ServeError) as overflow:
+                client_for(handle).plan("Ans(x) :- E(x, y)")
+            assert overflow.value.status == 429
+            assert overflow.value.retry_after == pytest.approx(0.05)
+            connection, response = open_subscription(handle)
+            assert response.status == 429
+            assert response.getheader("Retry-After") == "1"
+            assert json.loads(response.read())["retry_after"] == pytest.approx(0.05)
+            connection.close()
+            occupant.join(timeout=30)
+
+    def test_heartbeat_cadence_is_not_the_clients(self, medium_database):
+        """A client-sent ``heartbeat_seconds`` is ignored: with -1 an idle
+        stream once spun out thousands of heartbeat frames a second."""
+        import socket
+        import urllib.parse
+
+        target = "/v1/subscribe?" + urllib.parse.urlencode(
+            {"query": "Ans(x, y) :- E(x, y)", "heartbeat_seconds": "-1"}
+        )
+        with running_server(medium_database) as (_, handle):
+            with socket.create_connection((handle.host, handle.port), timeout=5) as raw:
+                raw.sendall(f"GET {target} HTTP/1.1\r\nHost: test\r\n\r\n".encode())
+                received = b""
+                while b"event: count" not in received:
+                    chunk = raw.recv(65536)
+                    assert chunk, received
+                    received += chunk
+                deadline = time.monotonic() + 0.5
+                while time.monotonic() < deadline:
+                    raw.settimeout(max(0.01, deadline - time.monotonic()))
+                    try:
+                        chunk = raw.recv(65536)
+                    except socket.timeout:
+                        break
+                    if not chunk:
+                        break
+                    received += chunk
+            assert received.startswith(b"HTTP/1.1 200 ")
+            assert b"heartbeat" not in received
 
     def test_facts_mutation_feeds_sse_subscription(self, medium_database):
         with running_server(medium_database) as (_, handle):
