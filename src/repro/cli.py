@@ -473,7 +473,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--worker-threads",
         type=int,
         default=4,
-        help="threads executing blocking service calls (default: 4)",
+        help="service calls (counts, plans, refreshes) that run at once "
+        "(default: 4)",
     )
     serve.add_argument(
         "--deadline",

@@ -4,10 +4,10 @@ The layer stack, bottom to top:
 
 * :mod:`repro.serve.schema` — the versioned (v1) JSON wire schema, the one
   serializer shared by the server, the client and the CLI's ``--json``.
-* :mod:`repro.serve.http` — a minimal asyncio HTTP/1.1 protocol layer.
+* :mod:`repro.serve.http` — a minimal HTTP/1.1 protocol layer over sockets.
 * :mod:`repro.serve.admission` — per-tenant API keys and token-bucket quotas.
 * :mod:`repro.serve.coalesce` — identical in-flight requests share one count.
-* :mod:`repro.serve.server` — the asyncio server binding it all to a
+* :mod:`repro.serve.server` — the threaded server binding it all to a
   :class:`~repro.service.service.CountingService`.
 * :mod:`repro.serve.client` — the blocking client (CLI, benchmarks, tests).
 

@@ -72,8 +72,8 @@ class TokenBucket:
 
     :meth:`acquire` is all-or-nothing: it returns ``None`` on admission or
     the seconds until the requested tokens will exist (the 429's
-    ``Retry-After``).  Thread-safe — the asyncio server calls it from the
-    loop, but stats collectors may read concurrently.
+    ``Retry-After``).  Thread-safe: every connection thread of the server
+    calls it.
     """
 
     def __init__(
@@ -144,6 +144,8 @@ class AdmissionController:
         self.admitted = 0
         self.rejected_auth = 0
         self.rejected_quota = 0
+        # Guards the three tallies: connection threads admit concurrently.
+        self._lock = threading.Lock()
 
     @property
     def open_access(self) -> bool:
@@ -151,6 +153,10 @@ class AdmissionController:
         return not self._tenants
 
     def admit(self, api_key: Optional[str], cost: float = 1.0) -> AdmissionDecision:
+        with self._lock:
+            return self._admit(api_key, cost)
+
+    def _admit(self, api_key: Optional[str], cost: float) -> AdmissionDecision:
         if self.open_access:
             self.admitted += 1
             return AdmissionDecision(admitted=True, tenant="anonymous")

@@ -22,15 +22,16 @@ method, latency budget)`` after the service's request resolution:
 * the **latency budget** joins the key because the adaptive planner may
   pick a different scheme under a different budget.
 
-The coalescer is event-loop confined (no locks): membership checks and
-future resolution all happen on the server's asyncio loop; only the counting
-itself runs in a worker thread.
+Connection threads share the coalescer: one lock guards the in-flight
+table, and a follower blocks on the leader's ``concurrent.futures.Future``
+while the leader counts on its own thread.
 """
 
 from __future__ import annotations
 
-import asyncio
-from typing import Any, Awaitable, Callable, Dict, Hashable, Tuple
+import threading
+from concurrent.futures import Future
+from typing import Any, Callable, Dict, Hashable, Tuple
 
 from repro.queries.canonical import query_relation_names
 from repro.queries.prepared import prepare
@@ -53,55 +54,36 @@ def coalescing_key(service: CountingService, request: CountRequest) -> Tuple:
     )
 
 
-class _InFlight:
-    """One running count: the future followers await plus bookkeeping."""
-
-    __slots__ = ("future", "followers")
-
-    def __init__(self, future: "asyncio.Future[Any]") -> None:
-        self.future = future
-        self.followers = 0
-
-
 class Coalescer:
-    """Deduplicate identical in-flight awaitables by key.
+    """Deduplicate identical in-flight calls by key.
 
     ``fetch(key, runner)`` either *leads* (runs ``runner()`` and publishes
-    the outcome) or *follows* (awaits the leader's future).  Returns
-    ``(result, coalesced)``.  Leader failures propagate to every follower;
-    a cancelled follower never cancels the leader (the future is shielded).
+    the outcome) or *follows* (blocks on the leader's future).  Returns
+    ``(result, coalesced)``.  Leader failures propagate to every follower.
     The caller keeps the tallies (the server's ``serve.led`` and
     ``serve.coalesced`` metrics).
     """
 
     def __init__(self) -> None:
-        self._inflight: Dict[Hashable, _InFlight] = {}
+        self._lock = threading.Lock()
+        self._inflight: Dict[Hashable, "Future[Any]"] = {}
 
-    async def fetch(
-        self, key: Hashable, runner: Callable[[], Awaitable[Any]]
-    ) -> Tuple[Any, bool]:
-        entry = self._inflight.get(key)
-        if entry is not None:
-            entry.followers += 1
-            # shield: a follower timing out/disconnecting must not cancel
-            # the shared execution other followers (and the leader) await.
-            return await asyncio.shield(entry.future), True
-
-        loop = asyncio.get_running_loop()
-        entry = _InFlight(loop.create_future())
-        self._inflight[key] = entry
+    def fetch(self, key: Hashable, runner: Callable[[], Any]) -> Tuple[Any, bool]:
+        with self._lock:
+            future = self._inflight.get(key)
+            leading = future is None
+            if leading:
+                future = self._inflight[key] = Future()
+        if not leading:
+            return future.result(), True
         try:
-            result = await runner()
+            result = runner()
         except BaseException as error:  # noqa: BLE001 - re-raised below
-            self._inflight.pop(key, None)
-            if entry.followers:
-                entry.future.set_exception(error)
-                # Mark retrieved so the loop never logs "exception was
-                # never retrieved" if every follower was cancelled.
-                entry.future.exception()
-            else:
-                entry.future.cancel()
+            future.set_exception(error)
             raise
-        self._inflight.pop(key, None)
-        entry.future.set_result(result)
-        return result, False
+        else:
+            future.set_result(result)
+            return result, False
+        finally:
+            with self._lock:
+                del self._inflight[key]

@@ -1,4 +1,4 @@
-"""The asyncio HTTP/JSON front-end over a resident :class:`CountingService`.
+"""The threaded HTTP/JSON front-end over a resident :class:`CountingService`.
 
 ``CountingServer`` binds the v1 wire API (:mod:`repro.serve.schema`) to a
 long-lived service instance — the shape of the bluesky exemplar: one
@@ -27,9 +27,10 @@ The systems contract, in order of interest:
   ``CountingServer._admitted``, in one order: per-tenant token buckets
   (:mod:`repro.serve.admission`, 401/429 + ``Retry-After``; a batch costs
   one token per entry), the bounded in-flight queue (``max_pending``, 429
-  on overflow), decoding and query parsing (400), the route's gate, the
-  pool.  Nothing is parsed before admission: backpressure instead of
-  collapse.  Stats, metrics and health stay open, so scrapers need no key.
+  on overflow), decoding and query parsing (400), the route's gate, one
+  of ``worker_threads`` permits.  Nothing is parsed before admission:
+  backpressure instead of collapse.  Stats, metrics and health stay open,
+  so scrapers need no key.
 * **Deadlines** — a request's ``deadline_seconds`` (or the server default)
   rides the resilience path into every task; expiry answers 504.
 * **Consistency** — counting requests hold a shared read gate and
@@ -39,26 +40,29 @@ The systems contract, in order of interest:
   subscription layer (delta-patched, re-estimated, or fingerprint-free —
   sharded databases included).
 * **Connections** — HTTP/1.1 keep-alive: a connection serves requests
-  until the client closes it, asks to (``Connection: close``), or leaves
-  it idle past the read deadline (408).  Every response the server closes
-  after says ``Connection: close``; the ``serve.connections`` gauge counts
-  open connections, and :meth:`CountingServer.stop` cancels and awaits
-  their tasks.
+  until the client closes it, asks to (``Connection: close``; an HTTP/1.0
+  client must ask for ``keep-alive``), or leaves it idle past the read
+  deadline (408).  Every response the server closes after says
+  ``Connection: close``; the ``serve.connections`` gauge counts open
+  connections, at most :data:`~repro.serve.http.MAX_CONNECTIONS` (503
+  beyond), and :meth:`CountingServer.stop` ends them and joins their threads.
 
-Blocking service work runs on a small thread pool; the event loop itself
-only parses, routes, admits, and coalesces.
+One thread accepts; each connection has its own thread, which reads a
+request, runs it (service work holding one of ``worker_threads`` permits)
+and writes the reply itself, so a round trip crosses no thread handoff.
 """
 
 from __future__ import annotations
 
-import asyncio
 import contextlib
 import functools
 import json
+import selectors
+import socket
 import threading
 import time
 from dataclasses import dataclass, replace
-from typing import Any, Awaitable, Callable, Dict, Optional, Set, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.queries import parse_query
 from repro.resilience.retry import DeadlineExceeded, RetriesExhausted
@@ -69,6 +73,14 @@ from repro.service.service import CountingService, CountRequest
 
 #: Idle SSE streams emit a comment frame this often (seconds).
 SSE_HEARTBEAT_SECONDS = 15.0
+
+#: After its last reply a connection discards what the client still sends
+#: for up to this long before closing, so the close does not reset the
+#: connection under a reply the client has not read yet.
+_LINGER_SECONDS = 1.0
+
+#: ``stop()`` waits this long in all for the server's threads to end.
+_STOP_SECONDS = 10.0
 
 
 @dataclass(frozen=True)
@@ -84,7 +96,8 @@ class ServeConfig:
     #: facts, subscription creation) in flight beyond this are answered
     #: 429 + Retry-After (backpressure).
     max_pending: int = 64
-    #: Threads executing blocking service calls (counts, plans, refreshes).
+    #: Service calls (counts, plans, refreshes) that run at once; the
+    #: connections beyond wait for a permit.
     worker_threads: int = 4
     #: Default hard deadline stamped on wire requests that carry none.
     default_deadline_seconds: Optional[float] = None
@@ -101,48 +114,43 @@ class ServeConfig:
 
 
 class _ReadWriteGate:
-    """An asyncio readers-writer gate: counts share, mutations exclude.
-
-    Loop-confined (created and used on the server's event loop); writers
-    wait for in-flight readers to drain, new readers wait out the writer.
-    """
+    """A readers-writer gate across connection threads: counts share,
+    mutations exclude.  Writers wait for in-flight readers to drain, new
+    readers wait out the writer."""
 
     def __init__(self) -> None:
-        self._cond = asyncio.Condition()
+        self._cond = threading.Condition()
         self._readers = 0
         self._writing = False
 
-    @contextlib.asynccontextmanager
-    async def read(self):
-        async with self._cond:
-            while self._writing:
-                await self._cond.wait()
+    @contextlib.contextmanager
+    def read(self):
+        with self._cond:
+            self._cond.wait_for(lambda: not self._writing)
             self._readers += 1
         try:
             yield
         finally:
-            async with self._cond:
+            with self._cond:
                 self._readers -= 1
                 self._cond.notify_all()
 
-    @contextlib.asynccontextmanager
-    async def write(self):
-        async with self._cond:
-            while self._writing or self._readers:
-                await self._cond.wait()
+    @contextlib.contextmanager
+    def write(self):
+        with self._cond:
+            self._cond.wait_for(lambda: not (self._writing or self._readers))
             self._writing = True
         try:
             yield
         finally:
-            async with self._cond:
+            with self._cond:
                 self._writing = False
                 self._cond.notify_all()
 
 
 class CountingServer:
-    """One resident service behind the v1 wire API.  Construct on (or run
-    into) the event loop that will serve it; see :func:`start_in_thread`
-    for the blocking-world helper."""
+    """One resident service behind the v1 wire API.  :meth:`start` binds and
+    returns; the server runs on its own threads until :meth:`stop`."""
 
     def __init__(
         self, service: CountingService, config: Optional[ServeConfig] = None
@@ -158,16 +166,21 @@ class CountingServer:
         self.coalescer = Coalescer()
         self.metrics = service.metrics
         self._gate = _ReadWriteGate()
-        self._mutated = asyncio.Condition()
+        self._workers = threading.BoundedSemaphore(self.config.worker_threads)
+        # Guards _db_version; notified on each mutation and on stop().
+        self._mutated = threading.Condition()
         self._db_version = 0
-        self._pool: Optional[Any] = None
-        self._server: Optional[asyncio.AbstractServer] = None
-        self._connections: Set[asyncio.Task] = set()
+        # Guards _connections, _inflight, _subscribers and _closing.
+        self._lock = threading.Lock()
+        self._connections: Dict[socket.socket, threading.Thread] = {}
         self._inflight = 0
         self._subscribers = 0
         self._closing = False
+        self._listener: Optional[socket.socket] = None
+        self._waker: Optional[Tuple[socket.socket, socket.socket]] = None
+        self._acceptor: Optional[threading.Thread] = None
         self.port: Optional[int] = None
-        self._routes: Dict[Tuple[str, str], Callable[..., Awaitable]] = {
+        self._routes: Dict[Tuple[str, str], Callable[[http.Request], http.Reply]] = {
             ("POST", "/v1/count"): self._handle_count,
             ("POST", "/v1/batch"): self._handle_batch,
             ("GET", "/v1/plan"): self._handle_plan,
@@ -179,42 +192,107 @@ class CountingServer:
         self._route_paths = {path for _, path in self._routes} | {"/v1/subscribe"}
 
     # -------------------------------------------------------------- lifecycle
-    async def start(self) -> int:
-        """Bind and start accepting; returns the (possibly ephemeral) port."""
-        from concurrent.futures import ThreadPoolExecutor
-
-        self._pool = ThreadPoolExecutor(
-            max_workers=self.config.worker_threads,
-            thread_name_prefix="repro-serve",
+    def start(self) -> int:
+        """Bind, start the accept thread, and return the (possibly
+        ephemeral) port."""
+        host = self.config.host
+        family = socket.AF_INET6 if ":" in host else socket.AF_INET
+        self._listener = socket.create_server(
+            (host, self.config.port), family=family, backlog=100
         )
-        self._server = await asyncio.start_server(
-            self._handle_connection, host=self.config.host, port=self.config.port
+        self.port = self._listener.getsockname()[1]
+        # stop() writes to this pair to wake the accept thread: closing the
+        # listener from another thread does not wake accept() on Linux.
+        self._waker = socket.socketpair()
+        self._acceptor = threading.Thread(
+            target=self._accept_loop, name="repro-serve-accept", daemon=True
         )
-        self.port = self._server.sockets[0].getsockname()[1]
+        self._acceptor.start()
         return self.port
 
-    async def stop(self) -> None:
-        """Stop accepting, cancel and await every connection task (each
-        closes its own socket, and an SSE stream its subscription), then
-        drain the pool.  Keep-alive clients hold idle connections, so
-        without the await their tasks would be destroyed while pending."""
-        self._closing = True
-        if self._server is not None:
-            self._server.close()
-        tasks = list(self._connections)
-        for task in tasks:
-            task.cancel()
-        await asyncio.gather(*tasks, return_exceptions=True)
-        if self._server is not None:
-            await self._server.wait_closed()
-        if self._pool is not None:
-            self._pool.shutdown(wait=False)
+    def stop(self) -> None:
+        """Stop accepting, shut down every connection's socket (which ends
+        its thread; an SSE stream closes its subscription), wake the SSE
+        streams, and join every server thread.  A thread still inside a
+        service call ends when the call returns; the wait for it is capped
+        at ``_STOP_SECONDS``."""
+        with self._lock:
+            if self._closing or self._acceptor is None:
+                return
+            self._closing = True
+        self._waker[1].send(b"\0")
+        deadline = time.monotonic() + _STOP_SECONDS
+        self._acceptor.join(timeout=_STOP_SECONDS)
+        self._listener.close()
+        for end in self._waker:
+            end.close()
+        with self._mutated:
+            self._mutated.notify_all()
+        with self._lock:
+            connections = dict(self._connections)
+        for sock in connections:
+            with contextlib.suppress(OSError):
+                sock.shutdown(socket.SHUT_RDWR)
+        for thread in connections.values():
+            thread.join(timeout=max(0.0, deadline - time.monotonic()))
+
+    def _accept_loop(self) -> None:
+        with selectors.DefaultSelector() as selector:
+            selector.register(self._listener, selectors.EVENT_READ)
+            selector.register(self._waker[0], selectors.EVENT_READ)
+            while not self._closing:
+                for key, _ in selector.select():
+                    if key.fileobj is self._listener:
+                        self._accept()
+
+    def _accept(self) -> None:
+        try:
+            sock, _ = self._listener.accept()
+        except OSError:  # the client gave up first, or out of descriptors
+            return
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        with self._lock:
+            admitted = len(self._connections) < http.MAX_CONNECTIONS
+            if admitted:
+                thread = threading.Thread(
+                    target=self._serve_connection,
+                    args=(sock,),
+                    name="repro-serve-connection",
+                    daemon=True,
+                )
+                self._connections[sock] = thread
+        if not admitted:
+            self.metrics.counter("serve.rejections", reason="connections").inc()
+            with contextlib.suppress(OSError):
+                _send_final(
+                    sock,
+                    self._error_response(
+                        503,
+                        f"too many open connections ({http.MAX_CONNECTIONS}); "
+                        "retry shortly",
+                    ),
+                )
+            # No wait here: the accept thread must not block on one client.
+            _close(sock, linger=0.0)
+            return
+        self.metrics.gauge("serve.connections").inc()
+        try:
+            thread.start()
+        except RuntimeError:  # no thread to be had: drop this one, keep accepting
+            self._forget(sock)
+
+    def _forget(self, sock: socket.socket) -> None:
+        """Close an admitted connection and stop counting it."""
+        _close(sock, linger=_LINGER_SECONDS)
+        with self._lock:
+            del self._connections[sock]
+        self.metrics.gauge("serve.connections").dec()
 
     # -------------------------------------------------------------- plumbing
-    async def _run_blocking(self, fn: Callable[[], Any]) -> Any:
-        return await asyncio.get_running_loop().run_in_executor(
-            self._pool, fn
-        )
+    def _work(self, fn: Callable[[], Any]) -> Any:
+        """Run one service call holding one of ``worker_threads`` permits."""
+        with self._workers:
+            return fn()
 
     def _json_response(
         self,
@@ -247,58 +325,25 @@ class CountingServer:
         return request
 
     # ------------------------------------------------------------ connection
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        task = asyncio.current_task()
-        self._connections.add(task)
-        connections = self.metrics.gauge("serve.connections")
-        connections.inc()
+    def _serve_connection(self, sock: socket.socket) -> None:
+        """The connection's thread: read, dispatch and answer its requests
+        in turn until it closes."""
+        reader = http.SocketReader(sock)
         try:
             while not self._closing:
                 try:
-                    request = await asyncio.wait_for(
-                        http.read_request(reader), http.READ_DEADLINE_SECONDS
-                    )
-                except asyncio.TimeoutError:
-                    await _send_final(
-                        writer,
-                        self._error_response(
-                            408,
-                            f"request not received within "
-                            f"{http.READ_DEADLINE_SECONDS:g} s",
-                        ),
-                    )
-                    break
+                    request = http.read_request(reader)
                 except http.HTTPError as error:
-                    await _send_final(
-                        writer, self._error_response(error.status, error.message)
-                    )
+                    _send_final(sock, self._error_response(error.status, error.message))
                     break
-                if request is None or not await self._dispatch(request, writer):
+                if request is None or not self._dispatch(request, sock):
                     break
-        except (
-            ConnectionResetError,
-            BrokenPipeError,
-            asyncio.IncompleteReadError,
-        ):
+        except OSError:  # reset, broken pipe, or shut down by stop()
             pass
-        except asyncio.CancelledError:
-            # stop() cancelled this task: end it normally, because Python
-            # 3.11's StreamReaderProtocol reads task.exception() when the
-            # task finishes and would log a cancelled one as an error.
-            if not self._closing:
-                raise
         finally:
-            self._connections.discard(task)
-            connections.dec()
-            writer.close()
-            with contextlib.suppress(Exception):
-                await writer.wait_closed()
+            self._forget(sock)
 
-    async def _dispatch(
-        self, request: http.Request, writer: asyncio.StreamWriter
-    ) -> bool:
+    def _dispatch(self, request: http.Request, sock: socket.socket) -> bool:
         """Route one request; returns whether the connection stays open."""
         started = time.perf_counter()
         # Metric series are labelled by route, never by the client's path:
@@ -307,7 +352,7 @@ class CountingServer:
         status = 200
         try:
             if request.path == "/v1/subscribe" and request.method == "GET":
-                status = await self._handle_subscribe(request, writer)
+                status = self._handle_subscribe(request, sock)
                 return False
             handler = self._routes.get((request.method, request.path))
             if handler is None:
@@ -325,22 +370,19 @@ class CountingServer:
                     reply = self._error_response(404, f"not found: {request.path!r}")
             else:
                 try:
-                    reply = await handler(request)
+                    reply = handler(request)
                 except _Refusal as refusal:
                     reply = self._error_response(*refusal.args)
             status = reply.status
-            writer.write(reply.render(keep_alive=request.keep_alive))
-            await writer.drain()
+            _send(sock, reply.render(keep_alive=request.keep_alive))
             return request.keep_alive
-        except (ConnectionResetError, BrokenPipeError):
+        except ConnectionError:
             status = 499  # client went away; nothing to write
             return False
         except Exception as error:  # noqa: BLE001 - last-resort 500
             status = 500
-            with contextlib.suppress(Exception):
-                await _send_final(
-                    writer, self._error_response(500, f"internal error: {error!r}")
-                )
+            with contextlib.suppress(OSError):
+                _send_final(sock, self._error_response(500, f"internal error: {error!r}"))
             return False
         finally:
             self.metrics.counter(
@@ -351,28 +393,32 @@ class CountingServer:
             ).observe(time.perf_counter() - started)
 
     # ------------------------------------------------------------- endpoints
-    async def _admitted(
+    def _admitted(
         self,
         request: http.Request,
         gate: Callable[[], Any],
         decode: Callable[[http.Request], Any],
-        run: Optional[Callable[[Any], Awaitable[Any]]] = None,
+        run: Optional[Callable[[Any], Any]] = None,
         cost: float = 1.0,
     ) -> Any:
         """The one path of every endpoint that runs service work, in order:
         admission (401/429), the in-flight bound (429), ``decode`` of the
-        body or query string, the route's ``gate``, and the pool, where
-        ``run`` (by default, the pool itself) takes what ``decode`` made.
-        Returns what ``run`` returns; any other outcome raises
-        :class:`_Refusal`, service errors mapped to 504 (deadline), 503
-        (retries exhausted) or 400 (bad input)."""
+        body or query string, the route's ``gate``, and a worker permit,
+        where ``run`` (by default, :meth:`_work` itself) takes what
+        ``decode`` made.  Returns what ``run`` returns; any other outcome
+        raises :class:`_Refusal`, service errors mapped to 504 (deadline),
+        503 (retries exhausted) or 400 (bad input)."""
         api_key = request.header("x-api-key") or request.params.get("api_key")
         decision = self.admission.admit(api_key, cost=cost)
         if not decision.admitted:
             reason = "auth" if decision.status == 401 else "quota"
             self.metrics.counter("serve.rejections", reason=reason).inc()
             raise _Refusal(decision.status, decision.reason, decision.retry_after)
-        if self._inflight >= self.config.max_pending:
+        with self._lock:
+            full = self._inflight >= self.config.max_pending
+            if not full:
+                self._inflight += 1
+        if full:
             self.metrics.counter("serve.rejections", reason="queue_full").inc()
             raise _Refusal(
                 429,
@@ -380,11 +426,10 @@ class CountingServer:
                 "retry shortly",
                 self.config.queue_retry_after,
             )
-        self._inflight += 1
         try:
             work = decode(request)
-            async with gate():
-                return await (run or self._run_blocking)(work)
+            with gate():
+                return (run or self._work)(work)
         except DeadlineExceeded as error:
             raise _Refusal(504, f"deadline exceeded: {error}")
         except RetriesExhausted as error:
@@ -392,21 +437,22 @@ class CountingServer:
         except (ValueError, KeyError) as error:  # WireError is a ValueError
             raise _Refusal(400, str(error))
         finally:
-            self._inflight -= 1
+            with self._lock:
+                self._inflight -= 1
 
-    async def _handle_count(self, request: http.Request) -> http.Reply:
+    def _handle_count(self, request: http.Request) -> http.Reply:
         def decode(request):
             count_request = schema.decode(_json_body(request), expect="count_request")
             return self._with_default_deadline(count_request)
 
-        async def run(count_request):
+        def run(count_request):
             submit = functools.partial(self.service.submit, request=count_request)
-            return await self.coalescer.fetch(
+            return self.coalescer.fetch(
                 coalescing_key(self.service, count_request),
-                functools.partial(self._run_blocking, submit),
+                functools.partial(self._work, submit),
             )
 
-        result, coalesced = await self._admitted(request, self._gate.read, decode, run)
+        result, coalesced = self._admitted(request, self._gate.read, decode, run)
         if coalesced:
             self.metrics.counter("serve.coalesced").inc()
             result = replace(result, coalesced=True)
@@ -414,7 +460,7 @@ class CountingServer:
             self.metrics.counter("serve.led").inc()
         return self._json_response(schema.encode(result))
 
-    async def _handle_batch(self, request: http.Request) -> http.Reply:
+    def _handle_batch(self, request: http.Request) -> http.Reply:
         # Admission charges one token per entry, counted off the raw JSON
         # before any query is parsed; a body that is not JSON costs one and
         # gets its 400 from decode, after admission.
@@ -443,10 +489,10 @@ class CountingServer:
                 deadline_seconds=batch.deadline_seconds,
             )
 
-        report = await self._admitted(request, self._gate.read, decode, cost=cost)
+        report = self._admitted(request, self._gate.read, decode, cost=cost)
         return self._json_response(schema.encode(report))
 
-    async def _handle_plan(self, request: http.Request) -> http.Reply:
+    def _handle_plan(self, request: http.Request) -> http.Reply:
         def decode(request):
             return functools.partial(
                 self.service.plan,
@@ -457,40 +503,41 @@ class CountingServer:
                 ),
             )
 
-        plan = await self._admitted(request, self._gate.read, decode)
+        plan = self._admitted(request, self._gate.read, decode)
         return self._json_response(schema.encode(plan))
 
-    async def _handle_stats(self, request: http.Request) -> http.Reply:
-        stats = await self._run_blocking(self.service.stats)
+    def _handle_stats(self, request: http.Request) -> http.Reply:
         return self._json_response(
-            schema.envelope("stats", {"service": stats, "serve": self.serve_stats()})
+            schema.envelope(
+                "stats", {"service": self.service.stats(), "serve": self.serve_stats()}
+            )
         )
 
-    async def _handle_metrics(self, request: http.Request) -> http.Reply:
-        text = await self._run_blocking(self.metrics.render_prometheus)
+    def _handle_metrics(self, request: http.Request) -> http.Reply:
+        text = self.metrics.render_prometheus()
         return http.Reply(
             200, text.encode("utf-8"), content_type="text/plain; version=0.0.4"
         )
 
-    async def _handle_health(self, request: http.Request) -> http.Reply:
+    def _handle_health(self, request: http.Request) -> http.Reply:
         return self._json_response(
             schema.envelope(
                 "health", {"status": "ok", "database_size": self.service.default_database.size()}
             )
         )
 
-    async def _handle_facts(self, request: http.Request) -> http.Reply:
+    def _handle_facts(self, request: http.Request) -> http.Reply:
         if not self.config.allow_mutations:
             raise _Refusal(403, "this server's database is immutable (--no-mutations)")
-        applied = await self._admitted(
+        applied = self._admitted(
             request,
             self._gate.write,
             lambda request: functools.partial(
                 self._apply_facts, schema.decode(_json_body(request), expect="facts_update")
             ),
         )
-        self._db_version += 1
-        async with self._mutated:
+        with self._mutated:
+            self._db_version += 1
             self._mutated.notify_all()
         return self._json_response(schema.envelope("facts_applied", applied))
 
@@ -507,9 +554,7 @@ class CountingServer:
         }
 
     # -------------------------------------------------------------------- SSE
-    async def _handle_subscribe(
-        self, request: http.Request, writer: asyncio.StreamWriter
-    ) -> int:
+    def _handle_subscribe(self, request: http.Request, sock: socket.socket) -> int:
         def decode(request):
             params = request.params
             count_request = CountRequest(
@@ -537,51 +582,47 @@ class CountingServer:
         # subscribe() mutates shared stream state (change-log observers, the
         # subscription list), so creation takes the exclusive gate.
         try:
-            max_events, subscription = await self._admitted(
-                request, self._gate.write, decode
-            )
+            max_events, subscription = self._admitted(request, self._gate.write, decode)
         except _Refusal as refusal:
-            return await _send_final(writer, self._error_response(*refusal.args))
+            return _send_final(sock, self._error_response(*refusal.args))
 
-        self._subscribers += 1
+        with self._lock:
+            self._subscribers += 1
         self.metrics.counter("serve.subscriptions").inc()
         try:
-            writer.write(http.sse_preamble())
-            await writer.drain()
+            _send(sock, http.sse_preamble())
             sent = 0
-            seen_version = self._db_version
             while not self._closing:
-                async with self._gate.read():
-                    live = await self._run_blocking(subscription.read)
+                seen_version = self._db_version
+                with self._gate.read():
+                    live = self._work(subscription.read)
                 payload = schema.encode(live)
-                writer.write(
-                    http.sse_event(json.dumps(payload), event="count", event_id=sent)
+                _send(
+                    sock,
+                    http.sse_event(json.dumps(payload), event="count", event_id=sent),
                 )
-                await writer.drain()
                 sent += 1
                 if max_events is not None and sent >= max_events:
                     break
                 # Wait for the next mutation (or emit a heartbeat comment).
-                while not self._closing and self._db_version == seen_version:
-                    try:
-                        async with self._mutated:
-                            if self._db_version == seen_version:
-                                await asyncio.wait_for(
-                                    self._mutated.wait(),
-                                    timeout=SSE_HEARTBEAT_SECONDS,
-                                )
-                    except asyncio.TimeoutError:
-                        writer.write(http.sse_comment("heartbeat"))
-                        await writer.drain()
-                seen_version = self._db_version
+                while True:
+                    with self._mutated:
+                        woken = self._mutated.wait_for(
+                            lambda: self._closing or self._db_version != seen_version,
+                            timeout=SSE_HEARTBEAT_SECONDS,
+                        )
+                    if woken:
+                        break
+                    _send(sock, http.sse_comment("heartbeat"))
             return 200
-        except (ConnectionResetError, BrokenPipeError):
+        except ConnectionError:
             return 499
         finally:
-            self._subscribers -= 1
+            with self._lock:
+                self._subscribers -= 1
             with contextlib.suppress(Exception):
-                async with self._gate.write():
-                    await self._run_blocking(subscription.close)
+                with self._gate.write():
+                    self._work(subscription.close)
 
     # ------------------------------------------------------------------ stats
     def serve_stats(self) -> Dict[str, Any]:
@@ -608,12 +649,31 @@ def _json_body(request: http.Request) -> Any:
         raise schema.WireError(f"invalid JSON body: {error}")
 
 
-async def _send_final(writer: asyncio.StreamWriter, reply: http.Reply) -> int:
+def _send_final(sock: socket.socket, reply: http.Reply) -> int:
     """Send the last response of a connection the server closes after it,
     saying so in its ``Connection`` header; returns its status."""
-    writer.write(reply.render(keep_alive=False))
-    await writer.drain()
+    _send(sock, reply.render(keep_alive=False))
     return reply.status
+
+
+def _send(sock: socket.socket, data: bytes) -> None:
+    """Write all of ``data``, waiting as long as the client takes to read
+    (``stop()`` shuts the socket down to end the wait)."""
+    sock.settimeout(None)
+    sock.sendall(data)
+
+
+def _close(sock: socket.socket, linger: float) -> None:
+    """Close after the last reply: send FIN, then discard what the client
+    still sends for up to ``linger`` seconds (0: only what has arrived), so
+    that unread request bytes do not turn the close into a reset."""
+    with contextlib.suppress(OSError):
+        sock.shutdown(socket.SHUT_WR)
+        sock.settimeout(linger)
+        deadline = time.monotonic() + linger
+        while sock.recv(65536) and time.monotonic() < deadline:
+            pass
+    sock.close()
 
 
 def _query_param(request: http.Request, route: str) -> Any:
@@ -635,18 +695,11 @@ def _opt_param(params: Dict[str, str], key: str, cast) -> Optional[Any]:
 
 # ---------------------------------------------------------------- runners
 class ServerHandle:
-    """A server running on a background thread's event loop (tests, the
-    sync client's world).  Use as a context manager or call :meth:`stop`."""
+    """A started server (tests, the sync client's world).  Use as a context
+    manager or call :meth:`stop`."""
 
-    def __init__(
-        self,
-        server: CountingServer,
-        loop: asyncio.AbstractEventLoop,
-        thread: threading.Thread,
-    ) -> None:
+    def __init__(self, server: CountingServer) -> None:
         self.server = server
-        self._loop = loop
-        self._thread = thread
 
     @property
     def port(self) -> int:
@@ -658,14 +711,7 @@ class ServerHandle:
         return self.server.config.host
 
     def stop(self) -> None:
-        if not self._thread.is_alive():
-            return
-        asyncio.run_coroutine_threadsafe(self.server.stop(), self._loop).result(
-            timeout=10
-        )
-        self._loop.call_soon_threadsafe(self._loop.stop)
-        self._thread.join(timeout=10)
-        self._loop.close()
+        self.server.stop()
 
     def __enter__(self) -> "ServerHandle":
         return self
@@ -678,38 +724,11 @@ class ServerHandle:
 def start_in_thread(
     service: CountingService, config: Optional[ServeConfig] = None
 ) -> ServerHandle:
-    """Start a server on a fresh daemon-thread event loop and return once
-    it is accepting connections."""
-    loop = asyncio.new_event_loop()
-    started = threading.Event()
-    holder: Dict[str, Any] = {}
-
-    def run() -> None:
-        asyncio.set_event_loop(loop)
-
-        async def boot() -> None:
-            # Constructed on the loop so its Conditions bind to it.
-            server = CountingServer(service, config)
-            await server.start()
-            holder["server"] = server
-
-        try:
-            loop.run_until_complete(boot())
-        except BaseException as error:  # noqa: BLE001 - reported to starter
-            holder["error"] = error
-            started.set()
-            return
-        started.set()
-        loop.run_forever()
-
-    thread = threading.Thread(target=run, name="repro-serve-loop", daemon=True)
-    thread.start()
-    started.wait(timeout=10)
-    if "error" in holder:
-        raise holder["error"]
-    if "server" not in holder:
-        raise RuntimeError("server failed to start within 10s")
-    return ServerHandle(holder["server"], loop, thread)
+    """Start a server on its own background threads and return once it is
+    accepting connections."""
+    server = CountingServer(service, config)
+    server.start()
+    return ServerHandle(server)
 
 
 def run_server(
@@ -717,20 +736,14 @@ def run_server(
     config: Optional[ServeConfig] = None,
     on_started: Optional[Callable[[CountingServer], None]] = None,
 ) -> None:
-    """Run a server on the current thread until interrupted (the CLI's
-    ``serve`` subcommand)."""
-
-    async def main() -> None:
-        server = CountingServer(service, config)
-        await server.start()
+    """Run a server until interrupted (the CLI's ``serve`` subcommand)."""
+    server = CountingServer(service, config)
+    server.start()
+    try:
         if on_started is not None:
             on_started(server)
-        try:
-            await asyncio.Event().wait()  # until cancelled
-        finally:
-            await server.stop()
-
-    try:
-        asyncio.run(main())
+        threading.Event().wait()  # until Ctrl-C
     except KeyboardInterrupt:
         pass
+    finally:
+        server.stop()

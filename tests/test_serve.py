@@ -3,7 +3,6 @@ end-to-end HTTP tests against a real socket."""
 
 from __future__ import annotations
 
-import asyncio
 import contextlib
 import json
 import re
@@ -94,6 +93,14 @@ def raw_exchange(handle, data):
             if not chunk:
                 return b"".join(chunks)
             chunks.append(chunk)
+
+
+def server_threads():
+    """The live threads of any server in this process."""
+    return [
+        thread for thread in threading.enumerate()
+        if thread.name.startswith("repro-serve-")
+    ]
 
 
 def nested_list(depth):
@@ -510,22 +517,36 @@ class TestAdmission:
 
 
 class TestCoalescer:
+    @staticmethod
+    def fetch_from_threads(coalescer, runner, count):
+        """``count`` threads fetch ``"k"`` at once; returns each one's
+        ``(result, coalesced)`` or exception."""
+        outcomes, barrier = [], threading.Barrier(count)
+
+        def fetch():
+            barrier.wait(timeout=10)
+            try:
+                outcomes.append(coalescer.fetch("k", runner))
+            except RuntimeError as error:
+                outcomes.append(error)
+
+        threads = [threading.Thread(target=fetch) for _ in range(count)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+        return outcomes
+
     def test_concurrent_fetches_share_one_execution(self):
-        async def scenario():
-            coalescer = Coalescer()
-            runs = []
+        runs = []
 
-            async def runner():
-                runs.append(1)
-                await asyncio.sleep(0.05)
-                return 42
+        def runner():
+            runs.append(1)
+            time.sleep(0.05)
+            return 42
 
-            outcomes = await asyncio.gather(
-                *(coalescer.fetch("k", runner) for _ in range(5))
-            )
-            return runs, outcomes
-
-        runs, outcomes = asyncio.run(scenario())
+        outcomes = self.fetch_from_threads(Coalescer(), runner, 5)
         assert len(runs) == 1
         assert all(value == 42 for value, _ in outcomes)
         assert sorted(coalesced for _, coalesced in outcomes) == [
@@ -533,20 +554,12 @@ class TestCoalescer:
         ]
 
     def test_leader_failure_propagates_to_followers(self):
-        async def scenario():
-            coalescer = Coalescer()
+        def runner():
+            time.sleep(0.05)
+            raise RuntimeError("boom")
 
-            async def runner():
-                await asyncio.sleep(0.05)
-                raise RuntimeError("boom")
-
-            results = await asyncio.gather(
-                *(coalescer.fetch("k", runner) for _ in range(3)),
-                return_exceptions=True,
-            )
-            return results
-
-        results = asyncio.run(scenario())
+        results = self.fetch_from_threads(Coalescer(), runner, 3)
+        assert len(results) == 3
         assert all(isinstance(entry, RuntimeError) for entry in results)
 
     def test_key_splits_on_seed_and_mutation(self, medium_database):
@@ -1074,6 +1087,28 @@ class TestServerEndToEnd:
             # The server survives and answers on a new connection.
             assert client_for(handle).health()["status"] == "ok"
 
+    def test_conflicting_content_lengths_are_400_and_closed(self, medium_database):
+        """Two different Content-Length values leave the body's end
+        ambiguous (RFC 9112 section 6.3): 400 and close, never a count
+        framed by either value.  Identical repeats stay accepted."""
+        body = json.dumps(
+            schema.encode(CountRequest(query=parse_query("Ans(x, y) :- E(x, y)"), seed=1))
+        ).encode()
+
+        def post(*lengths):
+            head = b"POST /v1/count HTTP/1.1\r\nConnection: close\r\n" + b"".join(
+                b"Content-Length: %d\r\n" % length for length in lengths
+            )
+            return raw_exchange(handle, head + b"\r\n" + body)
+
+        with running_server(medium_database) as (_, handle):
+            reply = post(2, len(body))
+            head, _, payload = reply.partition(b"\r\n\r\n")
+            assert head.startswith(b"HTTP/1.1 400 "), head
+            assert b"Connection: close" in head.split(b"\r\n")
+            assert "Content-Length" in json.loads(payload)["error"]
+            assert post(len(body), len(body)).startswith(b"HTTP/1.1 200 ")
+
     def test_half_sent_request_is_408_and_closed(self, medium_database, monkeypatch):
         """A client that sends its headers and part of the promised body
         does not hold the connection: the read deadline answers 408 (or
@@ -1255,6 +1290,128 @@ class TestConnectionLifecycle:
                 assert handle.server._db_version == version + 1
                 assert applied.value == 1
 
+    def test_http_1_0_request_is_answered_once_and_closed(self, medium_database):
+        """An HTTP/1.0 request without ``Connection: keep-alive`` is not
+        persistent (RFC 9112 section 9.3): a client reading to EOF gets one
+        response at once, not a stray 408 after the read deadline."""
+        with running_server(medium_database) as (_, handle):
+            started = time.monotonic()
+            reply = raw_exchange(handle, b"GET /v1/healthz HTTP/1.0\r\n\r\n")
+            elapsed = time.monotonic() - started
+        assert elapsed < 2.0
+        assert reply.count(b"HTTP/1.") == 1
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 200 ")
+        assert b"Connection: close" in head.split(b"\r\n")
+        assert json.loads(body)["status"] == "ok"
+
+    def test_connections_past_the_cap_get_503(self, medium_database, monkeypatch):
+        """Item 8's slow-loris probe: three half-sent requests fill a cap of
+        three; a fourth connection gets 503 and is closed; once the read
+        deadline has answered the three with 408, new connections are
+        served again."""
+        import socket
+
+        monkeypatch.setattr("repro.serve.http.MAX_CONNECTIONS", 3)
+        monkeypatch.setattr("repro.serve.http.READ_DEADLINE_SECONDS", 0.2)
+        with running_server(medium_database) as (service, handle):
+            address = (handle.host, handle.port)
+            lorises = [socket.create_connection(address, timeout=5) for _ in range(3)]
+            for loris in lorises:
+                loris.sendall(b"GET /v1/healthz HTTP/1.1\r\nHost: te")
+            with socket.create_connection(address, timeout=5) as fourth:
+                reply = b""
+                while chunk := fourth.recv(65536):
+                    reply += chunk
+            head = reply.partition(b"\r\n\r\n")[0].split(b"\r\n")
+            assert head[0].startswith(b"HTTP/1.1 503 "), head
+            assert b"Connection: close" in head
+            rejected = service.metrics.counter("serve.rejections", reason="connections")
+            assert rejected.value == 1
+            for loris in lorises:
+                with loris:
+                    reply = b""
+                    while chunk := loris.recv(65536):
+                        reply += chunk
+                assert reply.startswith(b"HTTP/1.1 408 "), reply
+            gauge = service.metrics.gauge("serve.connections")
+            deadline = time.monotonic() + 5
+            while gauge.value and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert gauge.value == 0
+            assert client_for(handle).health()["status"] == "ok"
+
+    def test_worker_permits_bound_concurrent_service_calls(self, medium_database):
+        """With ``worker_threads=2``, six concurrent distinct counts on six
+        connections run at most two service calls at once."""
+        slow = FaultPlan(
+            rules=(
+                FaultRule(
+                    site="executor.task", kind="latency", rate=1.0, latency_seconds=0.2
+                ),
+            ),
+            seed=1,
+        )
+        with running_server(
+            medium_database, ServiceConfig(fault_plan=slow), ServeConfig(worker_threads=2)
+        ) as (service, handle):
+            lock, running, peak = threading.Lock(), [0], [0]
+            submit = service.submit
+
+            def counted_submit(*args, **kwargs):
+                with lock:
+                    running[0] += 1
+                    peak[0] = max(peak[0], running[0])
+                try:
+                    return submit(*args, **kwargs)
+                finally:
+                    with lock:
+                        running[0] -= 1
+
+            service.submit = counted_submit
+            client, results = client_for(handle), []
+            threads = [
+                threading.Thread(
+                    target=lambda seed=seed: results.append(
+                        client.count("Ans(x, y) :- E(x, y)", seed=seed)
+                    )
+                )
+                for seed in range(1, 7)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+                assert not thread.is_alive()
+            client.close()
+        assert len(results) == 6
+        assert not any(result.coalesced for result in results)
+        assert peak[0] == 2
+
+    def test_stop_ends_a_half_sent_request_and_an_idle_stream(self, medium_database):
+        """``stop()`` does not wait out the read deadline or the SSE
+        heartbeat: it returns promptly with one client blocked mid-request-
+        line and one subscription idle, and leaves no server thread."""
+        import socket
+
+        with running_server(medium_database) as (service, handle):
+            client = client_for(handle)
+            subscription = client.subscribe("Ans(x, y) :- E(x, y)")
+            next(subscription)
+            with socket.create_connection((handle.host, handle.port), timeout=5) as raw:
+                raw.sendall(b"GET /v1/hea")
+                gauge = service.metrics.gauge("serve.connections")
+                deadline = time.monotonic() + 5
+                while gauge.value < 2 and time.monotonic() < deadline:
+                    time.sleep(0.01)
+                assert gauge.value == 2
+                started = time.monotonic()
+                handle.stop()
+                assert time.monotonic() - started < 3.0
+            assert server_threads() == []
+            subscription.close()
+            client.close()
+
     def test_stop_with_open_keep_alive_connections_leaves_no_task(
         self, medium_database, caplog
     ):
@@ -1265,10 +1422,9 @@ class TestConnectionLifecycle:
             client.count("Ans(x, y) :- E(x, y)", seed=1)
             assert service.metrics.gauge("serve.connections").value == 2
             handle.stop()
-            assert asyncio.all_tasks(handle._loop) == set()
+            assert server_threads() == []
             assert service.metrics.gauge("serve.connections").value == 0
-            # Nothing the loop logged as an error (a cancelled connection
-            # task must not surface as "Exception in callback").
-            assert not [r for r in caplog.records if r.name == "asyncio"]
+            # Nothing logged: ending a connection is not an error.
+            assert caplog.records == []
             subscription.close()
             client.close()
