@@ -1,6 +1,6 @@
 """Command-line interface.
 
-Ten subcommands, mirroring the package's main entry points (also available
+Nine subcommands, mirroring the package's main entry points (also available
 as ``python -m repro``)::
 
     repro-count count    --query "Ans(x) :- E(x, y), E(x, z), y != z" --database db.json
@@ -10,7 +10,7 @@ as ``python -m repro``)::
     repro-count batch    --queries workload.txt --database db.json --seed 7
     repro-count batch    --workload 50 --seed 7   # synthetic mixed workload
     repro-count batch    --workload 50 --adaptive --latency-budget 0.5 --profiles profiles.json
-    repro-count shard    --workload 20 --shards 4 --partitioner relation --compare
+    repro-count batch    --workload 20 --shards 4 --partitioner relation --compare
     repro-count stream   --events 200 --queries 8 --seed 7 --refresh debounced
     repro-count profiles show profiles.json
     repro-count serve    --database db.json --port 8000
@@ -21,20 +21,22 @@ lists with ``--edge-list``).  The counting subcommand prints both the chosen
 scheme's estimate and, with ``--exact``, the exact count for comparison;
 ``count``, ``plan`` and ``batch`` go through the :mod:`repro.service` layer
 (explainable scheme selection, plan/result caching, parallel batch
-execution, the CSP engine picked from the database size); ``plan`` and
-``batch`` accept the adaptive-planner knobs (``--adaptive``,
-``--latency-budget``, ``--profiles`` to load/save the observed-cost
-snapshot); ``stream`` replays a randomized insert/delete/query schedule
-against live ``subscribe()`` handles (:mod:`repro.stream`) and reports how
-many reads were served for free, delta-patched, or re-estimated;
-``profiles`` inspects and merges cost-profile snapshots (``show`` /
+execution, the CSP engine picked from the database size); ``batch
+--shards N`` counts against the database partitioned into ``N`` shards
+(:mod:`repro.shard`), and ``--compare`` checks it against an unsharded
+run; ``plan`` and ``batch`` accept the adaptive-planner knobs
+(``--adaptive``, ``--latency-budget``, ``--profiles`` to load/save the
+observed-cost snapshot); ``stream`` replays a randomized
+insert/delete/query schedule against live ``subscribe()`` handles
+(:mod:`repro.stream`) and reports how many reads were served for free,
+delta-patched, or re-estimated; ``profiles`` inspects and merges cost-profile snapshots (``show`` /
 ``export`` / ``import``); ``serve`` runs the :mod:`repro.serve` HTTP/JSON
 front-end over a resident database and ``client`` talks to one.
 
 Every ``--json`` report is a v1 wire envelope (:mod:`repro.serve.schema`):
 the payload carries ``"api": "repro.v1"`` and a ``"kind"`` naming its shape,
-and batch/shard results serialize through the same codecs the server and
-client use.
+and batch results serialize through the same codecs the server and client
+use.
 """
 
 from __future__ import annotations
@@ -49,6 +51,7 @@ from repro.queries import parse_query
 from repro.relational.io import load_database_json, load_edge_list
 from repro.resilience.faults import FaultPlan, FaultPlanError
 from repro.sampling import sample_answers
+from repro.service.executor import EXECUTOR_MODES
 from repro.stream.live import REFRESH_POLICIES
 
 
@@ -247,7 +250,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     batch = subparsers.add_parser(
         "batch",
-        help="count a batch of queries through the service (planned, cached, parallel)",
+        help="count a batch of queries through the service (planned, cached, "
+        "parallel), optionally against a horizontally sharded database",
     )
     source = batch.add_mutually_exclusive_group(required=True)
     source.add_argument(
@@ -267,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     batch.add_argument("--seed", type=int, default=None, help="batch master seed")
     batch.add_argument(
         "--executor",
-        choices=["process", "thread", "serial"],
+        choices=EXECUTOR_MODES,
         default="process",
         help="execution back-end (default: process pool)",
     )
@@ -284,69 +288,38 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         help="submit the batch this many times (demonstrates result-cache hits)",
     )
+    batch.add_argument(
+        "--shards",
+        type=int,
+        default=None,
+        metavar="N",
+        help="partition the database into N shards and count against them "
+        "(default: unsharded)",
+    )
+    batch.add_argument(
+        "--partitioner",
+        choices=["relation", "tuple"],
+        default=None,
+        help="with --shards, the fact placement: whole relations per shard, "
+        "or hash-by-tuple (default: relation)",
+    )
+    batch.add_argument(
+        "--assign",
+        default=None,
+        metavar="R=0,S=1",
+        help="with --shards, an explicit relation-to-shard assignment for "
+        "--partitioner relation (comma-separated name=shard pairs)",
+    )
+    batch.add_argument(
+        "--compare",
+        action="store_true",
+        help="with --shards, also count unsharded and report agreement (slow "
+        "on large inputs)",
+    )
     _add_fault_plan_argument(batch)
     _add_obs_arguments(batch)
     _add_adaptive_arguments(batch)
     batch.add_argument("--json", action="store_true", help="emit a JSON report")
-
-    shard = subparsers.add_parser(
-        "shard",
-        help="count a batch against a horizontally sharded database",
-    )
-    source = shard.add_mutually_exclusive_group(required=True)
-    source.add_argument(
-        "--queries",
-        help="path to a file with one query per line ('#' starts a comment)",
-    )
-    source.add_argument(
-        "--workload",
-        type=int,
-        metavar="N",
-        help="generate a synthetic mixed CQ/DCQ/ECQ workload of N queries "
-        "(with its own database unless one is given)",
-    )
-    _add_database_arguments(shard)
-    shard.add_argument(
-        "--shards", type=int, default=4, help="number of shards (default: 4)"
-    )
-    shard.add_argument(
-        "--partitioner",
-        choices=["relation", "tuple"],
-        default="relation",
-        help="fact placement: whole relations per shard, or hash-by-tuple "
-        "(default: relation)",
-    )
-    shard.add_argument(
-        "--assign",
-        default=None,
-        metavar="R=0,S=1",
-        help="explicit relation-to-shard assignment for --partitioner "
-        "relation (comma-separated name=shard pairs)",
-    )
-    shard.add_argument("--epsilon", type=float, default=0.2)
-    shard.add_argument("--delta", type=float, default=0.05)
-    shard.add_argument("--seed", type=int, default=None, help="batch master seed")
-    shard.add_argument(
-        "--executor",
-        choices=["process", "thread", "serial"],
-        default="process",
-        help="execution back-end for per-shard tasks (default: process pool)",
-    )
-    shard.add_argument("--workers", type=int, default=None, help="worker count")
-    shard.add_argument(
-        "--method",
-        choices=schemes,
-        default=None,
-        help="force one scheme for every query",
-    )
-    shard.add_argument(
-        "--compare",
-        action="store_true",
-        help="also count unsharded and report agreement (slow on large inputs)",
-    )
-    _add_fault_plan_argument(shard)
-    _add_obs_arguments(shard)
-    shard.add_argument("--json", action="store_true", help="emit a JSON report")
 
     stream = subparsers.add_parser(
         "stream",
@@ -448,10 +421,9 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--seed", type=int, default=None, help="synthetic database seed")
     serve.add_argument(
         "--executor",
-        choices=["process", "thread", "serial"],
+        choices=EXECUTOR_MODES,
         default="thread",
-        help="batch execution back-end (default: thread — the server already "
-        "runs requests on a pool)",
+        help="execution back-end of POST /v1/batch (default: thread)",
     )
     serve.add_argument("--workers", type=int, default=None, help="batch worker count")
     serve.add_argument(
@@ -523,7 +495,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     c_batch.add_argument("--seed", type=int, default=None, help="batch master seed")
     c_batch.add_argument(
-        "--executor", choices=["process", "thread", "serial"], default=None
+        "--executor", choices=EXECUTOR_MODES, default=None
     )
     c_batch.add_argument("--workers", type=int, default=None)
     c_batch.add_argument("--deadline", type=float, default=None, metavar="SECONDS")
@@ -699,6 +671,43 @@ def _load_batch_queries(path: str) -> List:
     return queries
 
 
+def _parse_shard_assignment(spec: Optional[str]) -> Optional[dict]:
+    if not spec:
+        return None
+    assignment = {}
+    for pair in spec.split(","):
+        name, _, shard = pair.partition("=")
+        if not name or not shard:
+            raise CLIError(f"bad --assign entry {pair!r}; expected name=shard")
+        try:
+            assignment[name.strip()] = int(shard)
+        except ValueError:
+            raise CLIError(f"bad shard index in --assign entry {pair!r}")
+    return assignment
+
+
+def _batch_partitioner(args: argparse.Namespace):
+    """The partitioner ``batch --shards`` asks for, or None for an
+    unsharded batch (where the shard-only flags are errors)."""
+    if args.shards is None:
+        for flag, given in (
+            ("--partitioner", args.partitioner),
+            ("--assign", args.assign),
+            ("--compare", args.compare),
+        ):
+            if given:
+                raise CLIError(f"{flag} requires --shards")
+        return None
+    from repro.shard import make_partitioner
+
+    kind = args.partitioner or "relation"
+    if args.assign and kind != "relation":
+        raise CLIError("--assign requires --partitioner relation")
+    return make_partitioner(
+        kind, args.shards, assignment=_parse_shard_assignment(args.assign)
+    )
+
+
 def _command_batch(args: argparse.Namespace) -> int:
     from repro.service import (
         CountingService,
@@ -709,6 +718,7 @@ def _command_batch(args: argparse.Namespace) -> int:
         workload_database,
     )
 
+    partitioner = _batch_partitioner(args)
     if args.workload is not None:
         queries = mixed_query_workload(args.workload, rng=args.seed)
         if args.database or args.edge_list:
@@ -719,9 +729,14 @@ def _command_batch(args: argparse.Namespace) -> int:
         queries = _load_batch_queries(args.queries)
         database = _load_database(args)
 
+    sharded = None
+    if partitioner is not None:
+        from repro.shard import ShardedStructure
+
+        sharded = ShardedStructure.from_structure(database, partitioner)
     tracer = _make_tracer(args)
     service = CountingService(
-        database,
+        database if sharded is None else sharded,
         ServiceConfig(
             epsilon=args.epsilon,
             delta=args.delta,
@@ -742,27 +757,62 @@ def _command_batch(args: argparse.Namespace) -> int:
     # Persists the warmed cost profiles when --profiles was given.
     service.close()
     _write_telemetry(args, tracer, service)
+    final = reports[-1]
+    # The batch already planned every query; "hit" marks cache-served results
+    # (which skip the shard planner entirely).
+    strategies = [result.shard_strategy or "hit" for result in final.results]
+
+    agreement = None
+    if args.compare:
+        plain = CountingService(
+            database,
+            ServiceConfig(
+                epsilon=args.epsilon,
+                delta=args.delta,
+                executor=args.executor,
+                max_workers=args.workers,
+            ),
+        )
+        unsharded = plain.count_batch(requests, seed=args.seed).estimates()
+        agreement = [a == b for a, b in zip(final.estimates(), unsharded)]
 
     if args.json:
         from repro.serve import schema as wire
 
-        final = reports[-1]
-        payload = wire.envelope(
-            "batch_report",
-            {
-                **wire.to_payload(final),
-                "passes": [wire.to_payload(report) for report in reports],
-                "cache": service.stats(),
-            },
-        )
-        print(json.dumps(payload, indent=2))
+        payload = {
+            **wire.to_payload(final),
+            "passes": [wire.to_payload(report) for report in reports],
+            "cache": service.stats(),
+        }
+        if sharded is not None:
+            payload["shards"] = {
+                "num_shards": sharded.num_shards,
+                "partitioner": partitioner.kind,
+                "shard_fact_counts": sharded.shard_fact_counts(),
+                "strategies": {
+                    strategy: strategies.count(strategy)
+                    for strategy in sorted(set(strategies))
+                },
+            }
+        if agreement is not None:
+            payload["compare"] = {
+                "estimates_equal": agreement,
+                "unsharded_estimates": unsharded,
+            }
+        print(json.dumps(wire.envelope("batch_report", payload), indent=2))
         return 0
 
-    final = reports[-1]
-    for result, query in zip(final.results, queries):
+    if sharded is not None:
+        print(
+            f"sharded database: {sharded.num_shards} shards "
+            f"(partitioner={partitioner.kind}), facts per shard "
+            f"{sharded.shard_fact_counts()}"
+        )
+    for result, query, strategy in zip(final.results, queries, strategies):
+        shown = f"strategy={strategy:7s} " if sharded is not None else ""
         print(
             f"[{result.index:3d}] {result.query_class:3s} "
-            f"scheme={result.scheme:11s} estimate={result.estimate:12.2f} "
+            f"scheme={result.scheme:11s} {shown}estimate={result.estimate:12.2f} "
             f"cache={result.cache:4s} {1000 * result.execute_seconds:8.1f}ms  {query}"
         )
     for number, report in enumerate(reports, start=1):
@@ -785,135 +835,10 @@ def _command_batch(args: argparse.Namespace) -> int:
         f"caches: plan {plan_stats['hits']}/{plan_stats['hits'] + plan_stats['misses']} hits, "
         f"result {result_stats['hits']}/{result_stats['hits'] + result_stats['misses']} hits"
     )
-    return 0
-
-
-def _parse_shard_assignment(spec: Optional[str]) -> Optional[dict]:
-    if not spec:
-        return None
-    assignment = {}
-    for pair in spec.split(","):
-        name, _, shard = pair.partition("=")
-        if not name or not shard:
-            raise CLIError(f"bad --assign entry {pair!r}; expected name=shard")
-        try:
-            assignment[name.strip()] = int(shard)
-        except ValueError:
-            raise CLIError(f"bad shard index in --assign entry {pair!r}")
-    return assignment
-
-
-def _command_shard(args: argparse.Namespace) -> int:
-    from repro.service import (
-        CountingService,
-        CountRequest,
-        ServiceConfig,
-        mixed_query_workload,
-        workload_database,
-    )
-    from repro.shard import ShardedStructure, make_partitioner
-
-    if args.workload is not None:
-        queries = mixed_query_workload(args.workload, rng=args.seed)
-        if args.database or args.edge_list:
-            database = _load_database(args)
-        else:
-            database = workload_database(rng=args.seed)
-    else:
-        queries = _load_batch_queries(args.queries)
-        database = _load_database(args)
-
-    if args.assign and args.partitioner != "relation":
-        raise CLIError("--assign requires --partitioner relation")
-    partitioner = make_partitioner(
-        args.partitioner, args.shards, assignment=_parse_shard_assignment(args.assign)
-    )
-    sharded = ShardedStructure.from_structure(database, partitioner)
-    tracer = _make_tracer(args)
-    service = CountingService(
-        sharded,
-        ServiceConfig(
-            epsilon=args.epsilon,
-            delta=args.delta,
-            executor=args.executor,
-            max_workers=args.workers,
-            fault_plan=_parse_fault_plan(args),
-            tracer=tracer,
-        ),
-    )
-    requests = [CountRequest(query=query, method=args.method) for query in queries]
-    report = service.count_batch(requests, seed=args.seed)
-    _write_telemetry(args, tracer, service)
-    # The batch already planned every query; "hit" marks cache-served results
-    # (which skip the shard planner entirely).
-    strategies = [result.shard_strategy or "hit" for result in report.results]
-
-    comparison = None
-    if args.compare:
-        plain = CountingService(
-            database,
-            ServiceConfig(
-                epsilon=args.epsilon,
-                delta=args.delta,
-                executor=args.executor,
-                max_workers=args.workers,
-            ),
-        )
-        plain_report = plain.count_batch(requests, seed=args.seed)
-        comparison = [
-            (sharded_result.estimate, plain_result.estimate)
-            for sharded_result, plain_result in zip(report.results, plain_report.results)
-        ]
-
-    if args.json:
-        from repro.serve import schema as wire
-
-        payload = {
-            "num_shards": sharded.num_shards,
-            "partitioner": partitioner.kind,
-            "shard_fact_counts": sharded.shard_fact_counts(),
-            "strategies": {
-                strategy: strategies.count(strategy) for strategy in sorted(set(strategies))
-            },
-            "batch": wire.to_payload(report),
-        }
-        if comparison is not None:
-            payload["compare"] = {
-                "estimates_equal": [a == b for a, b in comparison],
-                "unsharded_estimates": [b for _, b in comparison],
-            }
-        print(json.dumps(wire.envelope("shard_report", payload), indent=2))
-        return 0
-
-    print(
-        f"sharded database: {sharded.num_shards} shards "
-        f"(partitioner={partitioner.kind}), facts per shard "
-        f"{sharded.shard_fact_counts()}"
-    )
-    for result, query, strategy in zip(report.results, queries, strategies):
+    if agreement is not None:
         print(
-            f"[{result.index:3d}] {result.query_class:3s} "
-            f"scheme={result.scheme:11s} strategy={strategy:7s} "
-            f"estimate={result.estimate:12.2f} cache={result.cache:4s} "
-            f"{1000 * result.execute_seconds:8.1f}ms  {query}"
-        )
-    print(
-        f"batch: {len(report.results)} queries in {report.wall_seconds:.2f}s "
-        f"({report.throughput_qps:.1f} q/s) executor={report.executed_executor} "
-        f"cache hits={report.cache_hits} misses={report.cache_misses}"
-    )
-    if report.retries or report.degradations:
-        print(
-            f"resilience: {report.retries} retries, "
-            f"{len(report.degradations)} degradations"
-        )
-        for note in report.degradations:
-            print(f"  - {note}")
-    if comparison is not None:
-        equal = sum(1 for a, b in comparison if a == b)
-        print(
-            f"compare: {equal}/{len(comparison)} sharded estimates equal the "
-            "unsharded service run (exact schemes must all agree; shard-"
+            f"compare: {sum(agreement)}/{len(agreement)} sharded estimates equal "
+            "the unsharded service run (exact schemes must all agree; shard-"
             "spanning approximations may differ within their error bounds)"
         )
     return 0
@@ -1301,7 +1226,6 @@ _COMMANDS = {
     "sample": _command_sample,
     "plan": _command_plan,
     "batch": _command_batch,
-    "shard": _command_shard,
     "stream": _command_stream,
     "profiles": _command_profiles,
     "serve": _command_serve,

@@ -74,6 +74,9 @@ from repro.service.service import CountingService, CountRequest
 #: Idle SSE streams emit a comment frame this often (seconds).
 SSE_HEARTBEAT_SECONDS = 15.0
 
+#: Retry-After hint (seconds) for queue-full rejections.
+QUEUE_RETRY_AFTER_SECONDS = 0.1
+
 #: After its last reply a connection discards what the client still sends
 #: for up to this long before closing, so the close does not reset the
 #: connection under a reply the client has not read yet.
@@ -101,8 +104,6 @@ class ServeConfig:
     worker_threads: int = 4
     #: Default hard deadline stamped on wire requests that carry none.
     default_deadline_seconds: Optional[float] = None
-    #: Retry-After hint (seconds) for queue-full rejections.
-    queue_retry_after: float = 0.1
     #: Refuse ``POST /v1/facts`` (immutable serving snapshots).
     allow_mutations: bool = True
 
@@ -344,53 +345,58 @@ class CountingServer:
             self._forget(sock)
 
     def _dispatch(self, request: http.Request, sock: socket.socket) -> bool:
-        """Route one request; returns whether the connection stays open."""
+        """Route one request; returns whether the connection stays open.
+        The request is counted (``serve.requests``, ``serve.request_seconds``)
+        before its reply goes out, so a client holding the reply reads
+        metrics that include it."""
         started = time.perf_counter()
         # Metric series are labelled by route, never by the client's path:
         # unknown paths share one "other" series (bounded cardinality).
         endpoint = request.path if request.path in self._route_paths else "other"
-        status = 200
+        keep_alive = request.keep_alive
         try:
             if request.path == "/v1/subscribe" and request.method == "GET":
+                # A stream is counted when it ends, with its final status.
                 status = self._handle_subscribe(request, sock)
+                self._count_request(endpoint, status, started)
                 return False
-            handler = self._routes.get((request.method, request.path))
-            if handler is None:
-                if request.path.startswith("/v1/"):
-                    reply = self._error_response(
-                        404, f"no such endpoint {request.path!r}"
-                    )
-                elif request.path.startswith("/v"):
-                    reply = self._error_response(
-                        404,
-                        f"unsupported API version in {request.path!r}; "
-                        f"this server speaks {schema.API_VERSION!r} under /v1/",
-                    )
-                else:
-                    reply = self._error_response(404, f"not found: {request.path!r}")
-            else:
-                try:
-                    reply = handler(request)
-                except _Refusal as refusal:
-                    reply = self._error_response(*refusal.args)
-            status = reply.status
-            _send(sock, reply.render(keep_alive=request.keep_alive))
-            return request.keep_alive
+            reply = self._reply(request)
         except ConnectionError:
-            status = 499  # client went away; nothing to write
+            # The client went away; nothing to write.
+            self._count_request(endpoint, 499, started)
             return False
         except Exception as error:  # noqa: BLE001 - last-resort 500
-            status = 500
-            with contextlib.suppress(OSError):
-                _send_final(sock, self._error_response(500, f"internal error: {error!r}"))
-            return False
-        finally:
-            self.metrics.counter(
-                "serve.requests", endpoint=endpoint, status=str(status)
-            ).inc()
-            self.metrics.histogram(
-                "serve.request_seconds", endpoint=endpoint
-            ).observe(time.perf_counter() - started)
+            reply = self._error_response(500, f"internal error: {error!r}")
+            keep_alive = False
+        self._count_request(endpoint, reply.status, started)
+        _send(sock, reply.render(keep_alive=keep_alive))
+        return keep_alive
+
+    def _reply(self, request: http.Request) -> http.Reply:
+        """The reply of a routed endpoint, a refusal, or a 404."""
+        handler = self._routes.get((request.method, request.path))
+        if handler is None:
+            if request.path.startswith("/v1/"):
+                return self._error_response(404, f"no such endpoint {request.path!r}")
+            if request.path.startswith("/v"):
+                return self._error_response(
+                    404,
+                    f"unsupported API version in {request.path!r}; "
+                    f"this server speaks {schema.API_VERSION!r} under /v1/",
+                )
+            return self._error_response(404, f"not found: {request.path!r}")
+        try:
+            return handler(request)
+        except _Refusal as refusal:
+            return self._error_response(*refusal.args)
+
+    def _count_request(self, endpoint: str, status: int, started: float) -> None:
+        self.metrics.counter(
+            "serve.requests", endpoint=endpoint, status=str(status)
+        ).inc()
+        self.metrics.histogram("serve.request_seconds", endpoint=endpoint).observe(
+            time.perf_counter() - started
+        )
 
     # ------------------------------------------------------------- endpoints
     def _admitted(
@@ -424,7 +430,7 @@ class CountingServer:
                 429,
                 f"request queue full ({self.config.max_pending} in flight); "
                 "retry shortly",
-                self.config.queue_retry_after,
+                QUEUE_RETRY_AFTER_SECONDS,
             )
         try:
             work = decode(request)

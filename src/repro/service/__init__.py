@@ -40,12 +40,7 @@ from repro.service.service import (
     CountResult,
     ServiceConfig,
 )
-from repro.service.workload import (
-    WorkloadReport,
-    mixed_query_workload,
-    run_workload,
-    workload_database,
-)
+from repro.service.workload import mixed_query_workload, workload_database
 
 __all__ = [
     "CountingService",
@@ -66,6 +61,4 @@ __all__ = [
     "database_cache_key",
     "mixed_query_workload",
     "workload_database",
-    "run_workload",
-    "WorkloadReport",
 ]

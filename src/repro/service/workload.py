@@ -1,20 +1,17 @@
-"""Workload driver: run the :mod:`repro.workloads` generators through the
-service end-to-end.
+"""Service workloads built from the :mod:`repro.workloads` generators.
 
 Produces mixed CQ/DCQ/ECQ batches over synthetic graph databases (the paper
-has no datasets; DESIGN.md records this substitution) and measures the
-service's batch throughput — the building block of ``benchmarks/record_perf.py
+has no datasets; DESIGN.md records this substitution) for
+``service.count_batch`` — the building block of ``benchmarks/record_perf.py
 --suite service`` and the CLI's ``batch --workload N``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Tuple
 
 from repro.queries.query import ConjunctiveQuery
 from repro.relational.structure import Database
-from repro.service.service import BatchReport, CountingService, CountRequest
 from repro.util.rng import RNGLike, as_generator
 from repro.workloads import database_from_graph, erdos_renyi_graph, random_tree_query
 
@@ -85,44 +82,3 @@ def workload_database(
         )
         database.add_fact(negated_relation, (u, v))
     return database
-
-
-@dataclass
-class WorkloadReport:
-    """A batch report plus the per-scheme breakdown of a workload run."""
-
-    batch: BatchReport
-    scheme_counts: Dict[str, int]
-    class_counts: Dict[str, int]
-
-    @property
-    def throughput_qps(self) -> float:
-        return self.batch.throughput_qps
-
-
-def run_workload(
-    service: CountingService,
-    queries: Sequence[ConjunctiveQuery],
-    database: Optional[Database] = None,
-    seed: Optional[int] = None,
-    epsilon: Optional[float] = None,
-    delta: Optional[float] = None,
-    executor: Optional[str] = None,
-    max_workers: Optional[int] = None,
-) -> WorkloadReport:
-    """Run a workload through ``service.count_batch`` and summarise it."""
-    requests = [
-        CountRequest(query=query, database=database, epsilon=epsilon, delta=delta)
-        for query in queries
-    ]
-    batch = service.count_batch(
-        requests, seed=seed, executor=executor, max_workers=max_workers
-    )
-    scheme_counts: Dict[str, int] = {}
-    class_counts: Dict[str, int] = {}
-    for result in batch.results:
-        scheme_counts[result.scheme] = scheme_counts.get(result.scheme, 0) + 1
-        class_counts[result.query_class] = class_counts.get(result.query_class, 0) + 1
-    return WorkloadReport(
-        batch=batch, scheme_counts=scheme_counts, class_counts=class_counts
-    )

@@ -26,7 +26,7 @@ query answers against the shards instead of a monolith:
   owning shard, so only touched shards recount.
 
 ``CountingService`` accepts a ``ShardedStructure`` anywhere a database goes;
-the CLI's ``shard`` subcommand and ``benchmarks/record_perf.py --suite
+the CLI's ``batch --shards N`` and ``benchmarks/record_perf.py --suite
 shard`` drive the layer end-to-end.  See DESIGN.md ("The shard layer").
 """
 

@@ -207,11 +207,11 @@ class TestCLI:
             ["count", "--query", "Ans(x) :- E(x, y)"],
             ["plan", "--query", "Ans(x) :- E(x, y)"],
             ["batch", "--workload", "2"],
-            ["shard", "--workload", "2"],
+            ["batch", "--workload", "2", "--shards", "2"],
             ["stream"],
             ["serve"],
         ],
-        ids=lambda argv: argv[0],
+        ids=["count", "plan", "batch", "batch-shards", "stream", "serve"],
     )
     def test_engine_option_is_gone(self, capsys, argv):
         with pytest.raises(SystemExit) as exit_info:

@@ -30,6 +30,7 @@ from repro.serve import (
     start_in_thread,
 )
 from repro.serve.http import MAX_HEADER_LINES
+from repro.serve.server import QUEUE_RETRY_AFTER_SECONDS
 from repro.service import (
     BatchReport,
     CountingService,
@@ -803,7 +804,7 @@ class TestServerEndToEnd:
             assert timed_out.value.status == 504
 
     def test_queue_overflow_returns_429_with_retry_after(self, medium_database):
-        config = ServeConfig(max_pending=1, queue_retry_after=0.05)
+        config = ServeConfig(max_pending=1)
         with running_server(
             medium_database, ServiceConfig(fault_plan=SLOW_PLAN), config
         ) as (_, handle):
@@ -816,7 +817,7 @@ class TestServerEndToEnd:
             with pytest.raises(ServeError) as overflow:
                 client.count("Ans(x) :- E(x, y), E(y, z)", seed=2)
             assert overflow.value.status == 429
-            assert overflow.value.retry_after == pytest.approx(0.05)
+            assert overflow.value.retry_after == pytest.approx(QUEUE_RETRY_AFTER_SECONDS)
             occupant.join(timeout=30)
 
     def test_queue_overflow_refuses_plan_and_subscribe(self, medium_database):
@@ -828,7 +829,7 @@ class TestServerEndToEnd:
             ),
             seed=1,
         )
-        config = ServeConfig(max_pending=1, queue_retry_after=0.05)
+        config = ServeConfig(max_pending=1)
         with running_server(
             medium_database, ServiceConfig(fault_plan=slow), config
         ) as (_, handle):
@@ -841,11 +842,13 @@ class TestServerEndToEnd:
             with pytest.raises(ServeError) as overflow:
                 client_for(handle).plan("Ans(x) :- E(x, y)")
             assert overflow.value.status == 429
-            assert overflow.value.retry_after == pytest.approx(0.05)
+            assert overflow.value.retry_after == pytest.approx(QUEUE_RETRY_AFTER_SECONDS)
             connection, response = open_subscription(handle)
             assert response.status == 429
             assert response.getheader("Retry-After") == "1"
-            assert json.loads(response.read())["retry_after"] == pytest.approx(0.05)
+            assert json.loads(response.read())["retry_after"] == pytest.approx(
+                QUEUE_RETRY_AFTER_SECONDS
+            )
             connection.close()
             occupant.join(timeout=30)
 

@@ -17,7 +17,6 @@ from repro.service import (
     canonical_query_key,
     database_cache_key,
     mixed_query_workload,
-    run_workload,
     workload_database,
 )
 from repro.util.rng import derive_seed
@@ -320,15 +319,13 @@ class TestWorkload:
         assert database.signature.get("E") is not None
         assert database.signature.get("F") is not None
 
-    def test_run_workload_end_to_end(self):
+    def test_count_batch_runs_a_workload_end_to_end(self):
         database = workload_database(num_vertices=8, rng=1)
         queries = mixed_query_workload(6, rng=2)
         service = CountingService(database, ServiceConfig(executor="serial"))
-        report = run_workload(service, queries, seed=4)
-        assert len(report.batch.results) == 6
-        assert sum(report.scheme_counts.values()) == 6
-        assert sum(report.class_counts.values()) == 6
+        report = service.count_batch(queries, seed=4)
+        assert len(report.results) == 6
         assert report.throughput_qps > 0
         # Every estimate is the exact count (small database => exact scheme).
-        for query, result in zip(queries, report.batch.results):
+        for query, result in zip(queries, report.results):
             assert result.count == count_answers_exact(query, database)

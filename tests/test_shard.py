@@ -399,27 +399,87 @@ class TestServiceIntegration:
             == threaded.count_batch(queries, seed=9).estimates()
         )
 
-    def test_cli_shard_subcommand(self, capsys):
+
+# ----------------------------------------------------------- batch --shards
+class TestBatchShardsCommand:
+    """``repro-count batch --shards N``: the CLI's sharded batch."""
+
+    ARGS = ["batch", "--workload", "6", "--seed", "5", "--executor", "serial"]
+
+    def run_json(self, capsys, *extra):
+        import json
+
         from repro.cli import main
 
-        status = main(
-            [
-                "shard",
-                "--workload",
-                "6",
-                "--shards",
-                "3",
-                "--seed",
-                "5",
-                "--executor",
-                "serial",
-                "--compare",
-            ]
-        )
+        assert main(self.ARGS + list(extra) + ["--json"]) == 0
+        return json.loads(capsys.readouterr().out)
+
+    def test_sharded_batch_agrees_with_unsharded(self, capsys):
+        from repro.cli import main
+
+        status = main(self.ARGS + ["--shards", "3", "--compare"])
         assert status == 0
         output = capsys.readouterr().out
         assert "sharded database: 3 shards" in output
         assert "compare: 6/6" in output
+
+    def test_json_carries_shards_and_compare(self, capsys):
+        payload = self.run_json(capsys, "--shards", "3", "--compare")
+        assert payload["kind"] == "batch_report"
+        shards = payload["shards"]
+        assert shards["num_shards"] == 3
+        assert shards["partitioner"] == "relation"
+        assert len(shards["shard_fact_counts"]) == 3
+        assert sum(shards["strategies"].values()) == 6
+        estimates = [result["estimate"] for result in payload["results"]]
+        assert payload["compare"] == {
+            "estimates_equal": [True] * 6,
+            "unsharded_estimates": estimates,
+        }
+
+    def test_unsharded_json_has_no_shard_objects(self, capsys):
+        payload = self.run_json(capsys)
+        assert "shards" not in payload and "compare" not in payload
+
+    def test_tuple_partitioner_runs(self, capsys):
+        payload = self.run_json(capsys, "--shards", "2", "--partitioner", "tuple")
+        assert payload["shards"]["partitioner"] == "tuple"
+        assert len(payload["results"]) == 6
+
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            (["--assign", "E=0"], "--assign requires --shards"),
+            (["--partitioner", "tuple"], "--partitioner requires --shards"),
+            (["--compare"], "--compare requires --shards"),
+            (
+                ["--shards", "2", "--partitioner", "tuple", "--assign", "E=0"],
+                "--assign requires --partitioner relation",
+            ),
+        ],
+        ids=["assign", "partitioner", "compare", "assign-with-tuple"],
+    )
+    def test_shard_flags_need_shards(self, capsys, extra, message):
+        from repro.cli import main
+
+        assert main(self.ARGS + extra) == 2
+        assert message in capsys.readouterr().err
+
+    def test_repeat_serves_pass_two_from_cache(self, capsys):
+        from repro.cli import main
+
+        assert main(self.ARGS + ["--shards", "2", "--repeat", "2"]) == 0
+        output = capsys.readouterr().out
+        assert "pass 2: 6 queries" in output
+        assert "executor=cache" in output.split("pass 2:")[1]
+
+    def test_shard_subcommand_is_gone(self, capsys):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as exit_info:
+            main(["shard", "--workload", "2"])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'shard'" in capsys.readouterr().err
 
 
 # ------------------------------------------------------- stream-delta routing
